@@ -35,7 +35,7 @@ from .stats import (
     spearman,
 )
 from .stats.regression import adjusted_r2
-from .trajectories import VehicleClass
+from .trajectories import VehicleClass, format_cell
 
 DEFAULT_PREDICTORS = ("ttc_cv", "ivvr", "ovvr", "osr_1.0", "tci", "ntc")
 CORRELATION_METHODS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
@@ -371,14 +371,6 @@ def run_association(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def correlations_table_csv(report: AssociationReport) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -391,7 +383,7 @@ def correlations_table_csv(report: AssociationReport) -> str:
             continue
         for method in report.config.methods:
             row = corr.get(method, {})
-            writer.writerow([method, family] + [_fmt(row.get(c)) for c in columns])
+            writer.writerow([method, family] + [format_cell(row.get(c)) for c in columns])
     return out.getvalue()
 
 
@@ -408,11 +400,11 @@ def full_model_table_csv(report: AssociationReport) -> str:
         writer.writerow(
             [
                 family,
-                _fmt(linear["f_pvalue"]),
-                _fmt(linear["r2"]),
-                _fmt(linear["adj_r2"]),
-                _fmt(linear["n_mse"]),
-                _fmt(poisson["n_mse"]),
+                format_cell(linear["f_pvalue"]),
+                format_cell(linear["r2"]),
+                format_cell(linear["adj_r2"]),
+                format_cell(linear["n_mse"]),
+                format_cell(poisson["n_mse"]),
             ]
         )
     return out.getvalue()
@@ -427,7 +419,7 @@ def shapley_table_csv(report: AssociationReport) -> str:
         if not shap or "insufficient_data" in shap:
             continue
         phi = shap["phi"]
-        writer.writerow([family] + [_fmt(phi.get(p)) for p in report.config.predictors])
+        writer.writerow([family] + [format_cell(phi.get(p)) for p in report.config.predictors])
     return out.getvalue()
 
 
@@ -446,7 +438,7 @@ def cross_segment_tables_csv(report: AssociationReport) -> tuple[str, str]:
             for agg_key, label in (("mean_abs_pooled_r", "pooled"), ("mean_abs_segment_r", "segment_mean")):
                 writer.writerow(
                     [family, combo["size"], combo["n_combinations"], label]
-                    + [_fmt(combo[agg_key].get(p)) for p in report.config.predictors]
+                    + [format_cell(combo[agg_key].get(p)) for p in report.config.predictors]
                 )
 
     holdout_out = io.StringIO()
@@ -462,9 +454,9 @@ def cross_segment_tables_csv(report: AssociationReport) -> tuple[str, str]:
                     family,
                     row["held_out"],
                     row["n_test"],
-                    _fmt(row["r2"]),
-                    _fmt(row["adj_r2"]),
-                    _fmt(row["n_mse"]),
+                    format_cell(row["r2"]),
+                    format_cell(row["adj_r2"]),
+                    format_cell(row["n_mse"]),
                     str(row["unevaluable"]).lower(),
                 ]
             )

@@ -216,11 +216,6 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _monotone_passage_times(track) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.maximum.accumulate(track["pos"])
-    return pos, track["t"]
-
-
 def cmd_ssm(args) -> int:
     cfg = load_config(args.config)
     if not cfg.segments:
@@ -228,55 +223,35 @@ def cmd_ssm(args) -> int:
     seg = cfg.segments[0]
     tracks = _prepare_segment_tracks(cfg, seg, Path(args.infile))
     ux, uy = seg.travel_axis
-    per_vehicle = {}
-    samples = []
+    # Each vehicle's passage curve: axis position made monotone run by run, against time.
+    runs_of: dict[str, list] = {}
     for track in tracks:
-        pos = track.x * ux + track.y * uy
-        vel = track.vx * ux + track.vy * uy
-        per_vehicle.setdefault(track.vehicle_id, []).append((track.t, pos))
-        for i in range(track.t.size):
-            samples.append((track.t[i], track.vehicle_id, pos[i], vel[i]))
+        runs_of.setdefault(track.vehicle_id, []).append(track)
     passage = {
-        vid: (np.concatenate([np.maximum.accumulate(p) for _, p in runs]),
-              np.concatenate([t for t, _ in runs]))
-        for vid, runs in per_vehicle.items()
+        vid: (np.concatenate([np.maximum.accumulate(r.x * ux + r.y * uy) for r in runs]),
+              np.concatenate([r.t for r in runs]))
+        for vid, runs in runs_of.items()
     }
-    samples.sort(key=lambda s: (s[0], s[1]))
 
-    by_time: dict[float, list] = {}
-    for s in samples:
-        by_time.setdefault(s[0], []).append(s)
-
+    table = network_metrics.SampleTable.build(tracks, seg.travel_axis)
+    follower, leader = table.leader_pairs()
+    t = (table.frame / cfg.fps).tolist()
+    pos = table.axis_pos.tolist()
+    vel = table.axis_speed.tolist()
+    vid = [table.vids[c] for c in table.vid_code.tolist()]
     out_buf = io.StringIO()
     writer = csv.writer(out_buf, lineterminator="\n")
     writer.writerow(["t", "follower_id", "leader_id", "ttc", "drac", "pet", "gap", "v_follower", "v_leader"])
-    for t in sorted(by_time):
-        frame = sorted(by_time[t], key=lambda s: s[2])
-        for (t_f, fid, pos_f, vel_f), (_, lid, pos_l, vel_l) in zip(frame, frame[1:]):
-            if pos_l <= pos_f:
-                continue
-            state = PairState(x_leader=pos_l, x_follower=pos_f, v_leader=vel_l, v_follower=vel_f)
-            ttc_v = ttc(state)
-            drac_v = drac(state)
-            lead_pos, lead_t = passage[lid]
-            pet_v = None
-            if lead_pos[0] <= pos_f <= lead_pos[-1]:
-                t_pass = float(np.interp(pos_f, lead_pos, lead_t))
-                if t_pass <= t_f:
-                    pet_v = t_f - t_pass
-            writer.writerow(
-                [
-                    repr(float(t_f)),
-                    fid,
-                    lid,
-                    "" if ttc_v is None else repr(float(ttc_v)),
-                    repr(float(drac_v)),
-                    "" if pet_v is None else repr(float(pet_v)),
-                    repr(float(pos_l - pos_f)),
-                    repr(float(vel_f)),
-                    repr(float(vel_l)),
-                ]
-            )
+    for f, l in zip(follower.tolist(), leader.tolist()):
+        state = PairState(x_leader=pos[l], x_follower=pos[f], v_leader=vel[l], v_follower=vel[f])
+        lead_pos, lead_t = passage[vid[l]]
+        pet_v = None
+        if lead_pos[0] <= pos[f] <= lead_pos[-1]:
+            t_pass = float(np.interp(pos[f], lead_pos, lead_t))
+            if t_pass <= t[f]:
+                pet_v = t[f] - t_pass
+        row = (t[f], vid[f], vid[l], ttc(state), drac(state), pet_v, pos[l] - pos[f], vel[f], vel[l])
+        writer.writerow([trajectories.format_cell(v) for v in row])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(out_buf.getvalue())

@@ -7,7 +7,7 @@ file, so a generated bundle (config + data files) is relocatable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .association import AnalysisConfig
@@ -86,6 +86,21 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _check_keys(obj: dict, known, context: str) -> dict:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise SchemaError(f"config {context} has unknown key(s) {unknown}")
+    return obj
+
+
+def _section(cls, obj: dict, context: str):
+    """Build a config dataclass from a JSON object, rejecting keys it does not define."""
+    return cls(**_check_keys(obj, (f.name for f in fields(cls)), context))
+
+
+_SEGMENT_KEYS = {f.name for f in fields(SegmentConfig)} | {"trajectories"}
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
@@ -103,6 +118,7 @@ def load_config(path: str | Path) -> RunConfig:
     segments = []
     trajectory_paths = {}
     for i, seg in enumerate(obj.get("segments", [])):
+        _check_keys(seg, _SEGMENT_KEYS, f"segments[{i}]")
         cfg = SegmentConfig(
             segment_id=_require(seg, "segment_id", f"segments[{i}]"),
             lane_count=int(_require(seg, "lane_count", f"segments[{i}]")),
@@ -111,24 +127,25 @@ def load_config(path: str | Path) -> RunConfig:
             travel_axis=tuple(seg.get("travel_axis", (1.0, 0.0))),
             osr_thresholds=tuple(seg.get("osr_thresholds", (1.0,))),
             bbox=tuple(seg["bbox"]) if "bbox" in seg else None,
+            collision_point=tuple(seg["collision_point"]) if "collision_point" in seg else None,
         )
         segments.append(cfg)
         if "trajectories" in seg:
             trajectory_paths[cfg.segment_id] = resolve(seg["trajectories"])
 
-    cluster = ClusterConfig(**obj.get("cluster", {}))
-    prep = TrackPrepConfig(**obj.get("prep", {}))
-    trt = TrtConfig(**obj.get("trt", {}))
+    cluster = _section(ClusterConfig, obj.get("cluster", {}), "cluster")
+    prep = _section(TrackPrepConfig, obj.get("prep", {}), "prep")
+    trt = _section(TrtConfig, obj.get("trt", {}), "trt")
 
     analysis_obj = dict(obj.get("analysis", {}))
     for key in ("families", "methods", "predictors"):
         if key in analysis_obj:
             analysis_obj[key] = tuple(analysis_obj[key])
-    analysis = AnalysisConfig(**analysis_obj)
+    analysis = _section(AnalysisConfig, analysis_obj, "analysis")
 
     intervals = None
     if "intervals" in obj:
-        intervals = IntervalGrid(**obj["intervals"])
+        intervals = _section(IntervalGrid, obj["intervals"], "intervals")
 
     paths = obj.get("paths", {})
     return RunConfig(

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .trajectories import PreparedTrack, VehicleClass
+from .trajectories import PreparedTrack, VehicleClass, format_cell
 
 VEHICLE_CLASSES = (VehicleClass.CAR, VehicleClass.TRUCK)
 
@@ -211,13 +211,18 @@ def _cttc_from_arrays(axis_pos: np.ndarray, axis_vel: np.ndarray) -> list[float]
     return values
 
 
-def _cttc_to_point(axis_pos: np.ndarray, axis_vel: np.ndarray, point: float) -> list[float]:
-    """TTC of each cluster toward a fixed downstream collision point."""
-    values = []
-    for p, v in zip(axis_pos, axis_vel):
-        if v > 0 and point > p:
-            values.append(float((point - p) / v))
-    return values
+def _cluster_ttc_values(
+    axis_pos: np.ndarray,
+    axis_vel: np.ndarray,
+    travel_axis: tuple[float, float],
+    collision_point: tuple[float, float] | None,
+) -> list[float]:
+    """Cluster TTCs toward the nearest slower downstream cluster or, when a
+    collision point is set, toward that fixed point (distance over speed)."""
+    if collision_point is None:
+        return _cttc_from_arrays(axis_pos, axis_vel)
+    point = collision_point[0] * travel_axis[0] + collision_point[1] * travel_axis[1]
+    return [float((point - p) / v) for p, v in zip(axis_pos, axis_vel) if v > 0 and point > p]
 
 
 def cluster_ttc(
@@ -240,14 +245,9 @@ def cluster_ttc(
             raise ParameterError("cluster velocities must be set before computing cluster TTC")
     axis_pos = np.array([c.centroid[0] * ux + c.centroid[1] * uy for c in clusters])
     axis_vel = np.array([c.velocity for c in clusters])
-    if collision_point is not None:
-        point = collision_point[0] * ux + collision_point[1] * uy
-        values = _cttc_to_point(axis_pos, axis_vel, point)
-    else:
-        values = _cttc_from_arrays(axis_pos, axis_vel)
     return FrameClusterTTC(
         frame=frame,
-        cttc_values=values,
+        cttc_values=_cluster_ttc_values(axis_pos, axis_vel, travel_axis, collision_point),
         n_vehicles=sum(c.size for c in clusters),
         n_clusters=len(clusters),
     )
@@ -398,12 +398,18 @@ def trt(events: Sequence[CongestionEvent]) -> float | None:
 
 
 @dataclass
-class _SampleTable:
-    """All kinematic samples of a segment, frame-sorted, as flat arrays."""
+class SampleTable:
+    """Every kinematic sample of one segment as flat arrays, sorted by frame.
+
+    Rows keep the track order within a frame. ``axis_pos``/``axis_speed`` are
+    the centroid position and velocity projected on the travel axis;
+    ``vid_code`` indexes ``vids``, ``lengths`` and ``classes``.
+    """
 
     frame: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    axis_pos: np.ndarray
     speed: np.ndarray
     axis_speed: np.ndarray
     vid_code: np.ndarray
@@ -412,13 +418,13 @@ class _SampleTable:
     classes: list[VehicleClass]  # per vid_code
 
     @classmethod
-    def build(cls, tracks: Sequence[PreparedTrack], travel_axis: tuple[float, float]) -> "_SampleTable":
+    def build(cls, tracks: Sequence[PreparedTrack], travel_axis: tuple[float, float]) -> "SampleTable":
         ux, uy = travel_axis
         vids: list[str] = []
         code_of: dict[str, int] = {}
         lengths: list[float] = []
         classes: list[VehicleClass] = []
-        frames, xs, ys, speeds, axis_speeds, codes = [], [], [], [], [], []
+        frames, xs, ys, axis_pos, speeds, axis_speeds, codes = [], [], [], [], [], [], []
         for track in tracks:
             if track.vehicle_id not in code_of:
                 code_of[track.vehicle_id] = len(vids)
@@ -429,18 +435,20 @@ class _SampleTable:
             frames.append(track.frames)
             xs.append(track.x)
             ys.append(track.y)
+            axis_pos.append(track.x * ux + track.y * uy)
             speeds.append(track.speed)
             axis_speeds.append(track.vx * ux + track.vy * uy)
             codes.append(np.full(track.frames.size, code, dtype=int))
         if not frames:
             empty = np.array([])
-            return cls(empty.astype(int), empty, empty, empty, empty, empty.astype(int), [], empty, [])
+            return cls(empty.astype(int), empty, empty, empty, empty, empty, empty.astype(int), [], empty, [])
         frame = np.concatenate(frames)
         order = np.argsort(frame, kind="stable")
         return cls(
             frame=frame[order],
             x=np.concatenate(xs)[order],
             y=np.concatenate(ys)[order],
+            axis_pos=np.concatenate(axis_pos)[order],
             speed=np.concatenate(speeds)[order],
             axis_speed=np.concatenate(axis_speeds)[order],
             vid_code=np.concatenate(codes)[order],
@@ -449,29 +457,32 @@ class _SampleTable:
             classes=classes,
         )
 
+    def leader_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row indices ``(follower, leader)`` of every follower/leader pair.
 
-def _pairwise_frame_ttc(pos: np.ndarray, vel: np.ndarray) -> list[float]:
-    """TTC for each follower against its nearest downstream vehicle, when closing."""
-    order = np.argsort(pos, kind="stable")
-    p = pos[order]
-    v = vel[order]
-    out = []
-    for i in range(len(p) - 1):
-        gap = p[i + 1] - p[i]
-        closing = v[i] - v[i + 1]
-        if gap > 0 and closing > 0:
-            out.append(float(gap / closing))
-    return out
+        Within each frame, vehicles are ordered along the travel axis (ties by
+        vehicle id) and each is paired with the next one downstream; pairs
+        with a zero gap are dropped. Pairs come ordered by frame, then by
+        follower position.
+        """
+        id_rank = np.argsort(np.argsort(np.array(self.vids, dtype=str)))
+        order = np.lexsort((id_rank[self.vid_code], self.axis_pos, self.frame))
+        follower, leader = order[:-1], order[1:]
+        keep = (self.frame[follower] == self.frame[leader]) & (self.axis_pos[leader] > self.axis_pos[follower])
+        return follower[keep], leader[keep]
+
+    def free_flow_speed(self) -> float | None:
+        """Reference free-flow speed: 85th percentile of per-frame mean speeds."""
+        if self.frame.size == 0:
+            return None
+        _, starts = np.unique(self.frame, return_index=True)
+        means = np.add.reduceat(self.speed, starts) / np.diff(np.append(starts, self.frame.size))
+        return float(np.percentile(means, FREE_FLOW_PERCENTILE))
 
 
 def segment_free_flow_speed(tracks: Sequence[PreparedTrack], travel_axis=(1.0, 0.0)) -> float | None:
     """Reference free-flow speed: 85th percentile of per-frame mean speeds."""
-    table = _SampleTable.build(tracks, travel_axis)
-    if table.frame.size == 0:
-        return None
-    _, starts = np.unique(table.frame, return_index=True)
-    means = np.add.reduceat(table.speed, starts) / np.diff(np.append(starts, table.frame.size))
-    return float(np.percentile(means, FREE_FLOW_PERCENTILE))
+    return SampleTable.build(tracks, travel_axis).free_flow_speed()
 
 
 def compute_interval_metrics(
@@ -484,24 +495,29 @@ def compute_interval_metrics(
     trt_theta: float = DEFAULT_TRT_THETA,
     trt_t_min: float = DEFAULT_TRT_T_MIN_S,
     free_flow: float | None = None,
-    with_e_ttc: bool = True,
 ) -> list[IntervalMetrics]:
     """Compute every network-level metric for each [t_start, t_end) window.
 
     Cluster memberships are refreshed at the configured rate (default 1 Hz)
     while cluster TTCs are evaluated every frame with the latest memberships.
     Coverage is the fraction of a window's frames inside the segment's
-    observed frame span.
+    observed frame span. ``e_ttc`` is the mean TTC of the window's closing
+    follower/leader pairs (``SampleTable.leader_pairs``).
     """
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
-    table = _SampleTable.build(tracks, segment.travel_axis)
+    table = SampleTable.build(tracks, segment.travel_axis)
     results: list[IntervalMetrics] = []
     have_data = table.frame.size > 0
     if have_data:
         fmin, fmax = int(table.frame[0]), int(table.frame[-1])
         if free_flow is None:
-            free_flow = segment_free_flow_speed(tracks, segment.travel_axis)
+            free_flow = table.free_flow_speed()
+        follower, leader = table.leader_pairs()
+        closing = table.axis_speed[follower] - table.axis_speed[leader]
+        is_closing = closing > 0
+        pair_frame = table.frame[follower[is_closing]]
+        pair_ttc = (table.axis_pos[leader] - table.axis_pos[follower])[is_closing] / closing[is_closing]
     membership_stride = max(1, round(fps / cluster_cfg.membership_rate))
 
     for t0, t1 in windows:
@@ -525,6 +541,7 @@ def compute_interval_metrics(
         frame = table.frame[left:right]
         x = table.x[left:right]
         y = table.y[left:right]
+        axis_pos = table.axis_pos[left:right]
         speed = table.speed[left:right]
         axis_speed = table.axis_speed[left:right]
         code = table.vid_code[left:right]
@@ -549,19 +566,12 @@ def compute_interval_metrics(
                 counts[table.classes[c].value] += 1
             row.tci, row.f_c = tci(counts)
 
-        # Frame-by-frame pass: density, clustering, cluster TTC, pairwise TTC.
-        ux, uy = segment.travel_axis
-        axis_pos = x * ux + y * uy
-        point = None
-        if segment.collision_point is not None:
-            point = segment.collision_point[0] * ux + segment.collision_point[1] * uy
+        # Frame-by-frame pass: density, clustering, cluster TTC.
         frame_totals = np.zeros(hi - lo)
         present_frames, fstarts = np.unique(frame, return_index=True)
         fbounds = np.append(fstarts, frame.size)
         mean_speed_series: list[tuple[float, float]] = []
         cluster_values: list[tuple[list[float], float]] = []
-        pair_sum = 0.0
-        pair_n = 0
         label_of: dict[int, int] = {}  # vid_code -> cluster label from the last refresh
         next_membership = lo
         for i, f in enumerate(present_frames):
@@ -581,26 +591,14 @@ def compute_interval_metrics(
             counts = np.bincount(inv)
             cpos = np.bincount(inv, weights=axis_pos[sl]) / counts
             cvel = np.bincount(inv, weights=axis_speed[sl]) / counts
-            values = (
-                _cttc_to_point(cpos, cvel, point) if point is not None else _cttc_from_arrays(cpos, cvel)
-            )
+            values = _cluster_ttc_values(cpos, cvel, segment.travel_axis, segment.collision_point)
             cluster_values.append((values, codes_f.size / uniq.size))
-
-            if with_e_ttc and codes_f.size >= 2:
-                order = np.argsort(axis_pos[sl], kind="stable")
-                p = axis_pos[sl][order]
-                v = axis_speed[sl][order]
-                gaps = p[1:] - p[:-1]
-                closing = v[:-1] - v[1:]
-                mask = (gaps > 0) & (closing > 0)
-                if mask.any():
-                    pair_sum += float((gaps[mask] / closing[mask]).sum())
-                    pair_n += int(mask.sum())
 
         row.ttc_cv = _ttc_cv_from_pairs(cluster_values)
         row.ntc = ntc(frame_totals, segment.lane_count, segment.length_m)
-        if with_e_ttc and pair_n:
-            row.e_ttc = pair_sum / pair_n
+        p0, p1 = np.searchsorted(pair_frame, (lo, hi))
+        if p1 > p0:
+            row.e_ttc = float(pair_ttc[p0:p1].mean())
         if free_flow is not None and mean_speed_series:
             events = detect_congestion_events(mean_speed_series, free_flow, trt_theta, trt_t_min)
             row.trt = trt(events)
@@ -620,30 +618,23 @@ def metrics_header(osr_thresholds: Sequence[float]) -> list[str]:
     return head
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_metrics_csv(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[float]) -> str:
     """Serialize interval metrics; absent values become empty fields."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(metrics_header(osr_thresholds))
     for r in rows:
-        record = [r.segment_id, _cell(float(r.t_start)), _cell(float(r.t_end)), _cell(r.ttc_cv), _cell(r.ivvr), _cell(r.ovvr)]
-        record += [_cell(r.osr.get(float(t))) for t in osr_thresholds]
+        record = [r.segment_id, format_cell(float(r.t_start)), format_cell(float(r.t_end))]
+        record += [format_cell(r.ttc_cv), format_cell(r.ivvr), format_cell(r.ovvr)]
+        record += [format_cell(r.osr.get(float(t))) for t in osr_thresholds]
         record += [
-            _cell(r.tci),
-            _cell(r.f_c.get(VehicleClass.TRUCK.value)),
-            _cell(r.ntc),
-            _cell(r.trt),
+            format_cell(r.tci),
+            format_cell(r.f_c.get(VehicleClass.TRUCK.value)),
+            format_cell(r.ntc),
+            format_cell(r.trt),
             str(r.n_vehicles),
-            _cell(float(r.coverage)),
-            _cell(r.e_ttc),
+            format_cell(float(r.coverage)),
+            format_cell(r.e_ttc),
         ]
         writer.writerow(record)
     return out.getvalue()

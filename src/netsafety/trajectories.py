@@ -86,26 +86,11 @@ class Trajectory:
     def frames(self) -> list[int]:
         return [p.frame for p in self.points]
 
-    def centroids(self) -> np.ndarray:
-        return np.array([[p.cx, p.cy] for p in self.points], dtype=float)
-
     def displacement(self) -> float:
         if len(self.points) < 2:
             return 0.0
         first, last = self.points[0], self.points[-1]
         return math.hypot(last.cx - first.cx, last.cy - first.cy)
-
-
-@dataclass(frozen=True)
-class KinematicSample:
-    t: float
-    position: tuple[float, float]
-    v_x: float
-    v_y: float
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.v_x, self.v_y)
 
 
 def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajectory]:
@@ -164,12 +149,18 @@ def serialize_trajectories(trajectories: Iterable[Trajectory]) -> str:
     writer.writerow(TRAJECTORY_COLUMNS)
     for traj in trajectories:
         for p in traj.points:
-            writer.writerow([p.frame, traj.vehicle_id, _fmt(p.x1), _fmt(p.y1), _fmt(p.x2), _fmt(p.y2)])
+            coords = (p.x1, p.y1, p.x2, p.y2)
+            writer.writerow([p.frame, traj.vehicle_id, *(format_cell(float(v)) for v in coords)])
     return out.getvalue()
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def format_cell(value) -> str:
+    """One CSV cell: None is empty, any float its shortest round-trip repr, anything else str."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # float(): numpy 2 reprs np.float64 as 'np.float64(x)'
+    return str(value)
 
 
 def fill_gaps(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP_FRAMES) -> tuple[Trajectory, list[tuple[int, int]]]:
@@ -245,22 +236,6 @@ def smooth_savitzky_golay(series: Sequence[float], window: int, order: int) -> n
     return out
 
 
-def smooth_trajectory(traj: Trajectory, window: int = DEFAULT_SG_WINDOW, order: int = DEFAULT_SG_ORDER) -> Trajectory:
-    """Smooth all four corner series of a track; tracks shorter than the window pass through."""
-    if len(traj.points) < window:
-        return traj
-    frames = traj.frames()
-    smoothed = {
-        name: smooth_savitzky_golay([getattr(p, name) for p in traj.points], window, order)
-        for name in ("x1", "y1", "x2", "y2")
-    }
-    points = [
-        _make_point(f, traj.fps, smoothed["x1"][i], smoothed["y1"][i], smoothed["x2"][i], smoothed["y2"][i])
-        for i, f in enumerate(frames)
-    ]
-    return Trajectory(traj.vehicle_id, points, traj.fps, vclass=traj.vclass, length_m=traj.length_m)
-
-
 def _velocity_arrays(frames: np.ndarray, xs: np.ndarray, ys: np.ndarray, fps: float):
     """Backward-difference velocities; first sample copies the second's."""
     dt = np.diff(frames) / fps
@@ -271,28 +246,6 @@ def _velocity_arrays(frames: np.ndarray, xs: np.ndarray, ys: np.ndarray, fps: fl
     vx[0] = vx[1]
     vy[0] = vy[1]
     return vx, vy
-
-
-def derive_kinematics(traj: Trajectory, fps: float | None = None) -> list[KinematicSample]:
-    """Positions + backward-difference velocities for a gap-free track.
-
-    Positions must already be in meters (post projection). The first sample
-    copies the second sample's velocity to avoid a one-sided zero artifact.
-    """
-    fps = traj.fps if fps is None else fps
-    if fps <= 0:
-        raise ParameterError(f"fps must be positive, got {fps}")
-    if len(traj.points) < 2:
-        raise DataError(f"vehicle {traj.vehicle_id!r}: need at least 2 points for kinematics")
-    frames = np.array(traj.frames(), dtype=float)
-    if np.any(np.diff(frames) != 1):
-        raise DataError(f"vehicle {traj.vehicle_id!r}: trajectory has gaps; fill or split first")
-    cents = traj.centroids()
-    vx, vy = _velocity_arrays(frames, cents[:, 0], cents[:, 1], fps)
-    return [
-        KinematicSample(t=frames[i] / fps, position=(cents[i, 0], cents[i, 1]), v_x=vx[i], v_y=vy[i])
-        for i in range(len(frames))
-    ]
 
 
 def classify_by_length(length_m: float, threshold_m: float = DEFAULT_CLASS_THRESHOLD_M) -> VehicleClass:

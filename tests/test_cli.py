@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +188,117 @@ class TestSsmCommand:
         assert len(lines) > 1
         sample = lines[1].split(",")
         assert float(sample[6]) > 0  # gap positive by construction
+
+    def test_pairs_agree_with_metrics_e_ttc_and_brute_force(self, tmp_path):
+        # metrics' e_ttc and ssm's rows come from one follower/leader pairing;
+        # check both against each other and the pairs against a brute force.
+        from netsafety.config import load_config
+        from netsafety.surrogate import PairState, drac, ttc
+        from netsafety.trajectories import prepare_tracks
+
+        out = run_bundle(tmp_path)
+        config = out / "config.json"
+        infile = out / "trajectories_S1.csv"
+        assert main(["metrics", "--config", str(config)]) == 0
+        assert main(["ssm", "--config", str(config), "--in", str(infile), "--out", str(out / "ssm.csv")]) == 0
+        cfg = load_config(config)
+        seg = cfg.segments[0]
+        with (out / "ssm.csv").open() as fh:
+            pairs = list(csv.DictReader(fh))
+        assert pairs
+
+        ux, uy = seg.travel_axis
+        by_frame: dict[int, dict[str, tuple[float, float]]] = {}
+        for tr in prepare_tracks(parse_trajectories(infile.read_text(), cfg.fps), seg.travel_axis):
+            for f, x, y, vx, vy in zip(tr.frames, tr.x, tr.y, tr.vx, tr.vy):
+                by_frame.setdefault(int(f), {})[tr.vehicle_id] = (x * ux + y * uy, vx * ux + vy * uy)
+        followers = set()
+        for p in pairs:
+            frame = round(float(p["t"]) * cfg.fps)
+            vehicles = by_frame[frame]
+            pos_f, vel_f = vehicles[p["follower_id"]]
+            downstream = [(pos, vid) for vid, (pos, _) in vehicles.items() if pos > pos_f]
+            assert p["leader_id"] == min(downstream)[1]
+            pos_l, vel_l = vehicles[p["leader_id"]]
+            assert float(p["gap"]) == pytest.approx(pos_l - pos_f, rel=1e-12)
+            assert (float(p["v_follower"]), float(p["v_leader"])) == (pytest.approx(vel_f), pytest.approx(vel_l))
+            state = PairState(x_leader=float(p["gap"]), x_follower=0.0,
+                              v_leader=float(p["v_leader"]), v_follower=float(p["v_follower"]))
+            expected_ttc = ttc(state)
+            if expected_ttc is None:
+                assert p["ttc"] == ""
+            else:
+                assert float(p["ttc"]) == pytest.approx(expected_ttc, rel=1e-12)
+            assert float(p["drac"]) == pytest.approx(drac(state), rel=1e-12)
+            followers.add((frame, p["follower_id"]))
+        # Every vehicle with someone downstream in its frame follows exactly once
+        # (the synthetic positions have no exact ties).
+        expected_followers = {
+            (frame, vid)
+            for frame, vehicles in by_frame.items()
+            for vid, (pos, _) in vehicles.items()
+            if any(other > pos for other, _ in vehicles.values())
+        }
+        assert followers == expected_followers and len(pairs) == len(followers)
+
+        rows = [r for r in read_metrics_csv((out / "metrics.csv").read_text()) if r.segment_id == seg.segment_id]
+        for row in rows:
+            f0, f1 = math.ceil(row.t_start * cfg.fps - 1e-9), math.ceil(row.t_end * cfg.fps - 1e-9)
+            ttcs = [float(p["ttc"]) for p in pairs
+                    if p["ttc"] and f0 <= round(float(p["t"]) * cfg.fps) < f1]
+            if ttcs:
+                assert row.e_ttc == pytest.approx(sum(ttcs) / len(ttcs), rel=1e-12)
+            else:
+                assert row.e_ttc is None
+        assert any(r.e_ttc is not None for r in rows)
+
+
+def write_hand_config(path: Path, segment_extra=None, **sections) -> Path:
+    """One 1-lane segment, three cars at 10/15/20 m/s spaced 100+ m apart, 10 frames at 1 fps."""
+    rows = ["frame,vehicle_id,x1,y1,x2,y2"]
+    for vid, x0, v in (("a", 0.0, 10.0), ("b", 100.0, 15.0), ("c", 250.0, 20.0)):
+        rows += [f"{f},{vid},{x0 + v * f - 2.0},-1.0,{x0 + v * f + 2.0},1.0" for f in range(10)]
+    (path / "traj.csv").write_text("\n".join(rows) + "\n")
+    segment = {"segment_id": "S1", "lane_count": 1, "length_m": 1000.0, "speed_limit": 30.0,
+               "trajectories": "traj.csv", **(segment_extra or {})}
+    config = {"fps": 1.0, "segments": [segment], "paths": {"metrics": "metrics.csv"},
+              "intervals": {"count": 1, "window_seconds": 10.0, "stride_seconds": 10.0}}
+    for name, extra in sections.items():
+        config[name] = {**config.get(name, {}), **extra}
+    target = path / "config.json"
+    target.write_text(json.dumps(config))
+    return target
+
+
+class TestConfigValidation:
+    def test_collision_point_reaches_metrics(self, tmp_path):
+        # Leaders outrun followers, so only the collision point yields cluster TTCs.
+        assert main(["metrics", "--config", str(write_hand_config(tmp_path))]) == 0
+        (plain,) = read_metrics_csv((tmp_path / "metrics.csv").read_text())
+        assert plain.ttc_cv is None
+        config = write_hand_config(tmp_path, {"collision_point": [1000.0, 0.0]})
+        assert main(["metrics", "--config", str(config)]) == 0
+        (row,) = read_metrics_csv((tmp_path / "metrics.csv").read_text())
+        per_frame = []
+        for f in range(10):
+            ttcs = np.array([(1000.0 - (x0 + v * f)) / v for x0, v in ((0.0, 10.0), (100.0, 15.0), (250.0, 20.0))])
+            per_frame.append(ttcs.std(ddof=1) / ttcs.mean())  # one vehicle per cluster: rho = 1
+        assert row.ttc_cv == pytest.approx(np.mean(per_frame), rel=1e-9)
+
+    @pytest.mark.parametrize("section", ["cluster", "prep", "trt", "analysis", "intervals"])
+    def test_unknown_section_key_exits_2(self, tmp_path, capsys, section):
+        config = write_hand_config(tmp_path, **{section: {"bogus_key": 1}})
+        assert main(["metrics", "--config", str(config)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert section in err["message"] and "bogus_key" in err["message"]
+
+    def test_unknown_segment_key_exits_2(self, tmp_path, capsys):
+        config = write_hand_config(tmp_path, {"lane_cnt": 3})
+        assert main(["metrics", "--config", str(config)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert "segments[0]" in err["message"] and "lane_cnt" in err["message"]
 
 
 class TestAssociateCommand:

@@ -9,14 +9,13 @@ from netsafety.trajectories import (
     VehicleClass,
     box_length_along_axis,
     classify_by_length,
-    derive_kinematics,
     drop_static_objects,
     fill_gaps,
+    format_cell,
     parse_trajectories,
     prepare_tracks,
     serialize_trajectories,
     smooth_savitzky_golay,
-    smooth_trajectory,
 )
 
 from oracles import sg_window_fit_oracle
@@ -77,6 +76,17 @@ class TestParse:
             assert t1.vehicle_id == t2.vehicle_id
             for p1, p2 in zip(t1.points, t2.points):
                 assert (p1.frame, p1.x1, p1.y1, p1.x2, p1.y2) == (p2.frame, p2.x1, p2.y1, p2.x2, p2.y2)
+
+
+class TestFormatCell:
+    def test_cells(self):
+        assert format_cell(None) == ""
+        assert format_cell(0.1) == "0.1"
+        assert format_cell(np.float64(0.1)) == "0.1"  # not 'np.float64(0.1)'
+        assert format_cell(np.float32(0.5)) == "0.5"
+        assert format_cell(3) == "3"
+        assert format_cell(True) == "True"
+        assert format_cell("S1") == "S1"
 
 
 class TestFillGaps:
@@ -161,46 +171,42 @@ class TestSavitzkyGolay:
             np.testing.assert_allclose(out, series, atol=1e-9)
 
 
+def kinematics(traj):
+    """The single prepared run of a gap-free track, with no static filtering."""
+    (track,) = prepare_tracks([traj], (1.0, 0.0), min_displacement_m=0.0)
+    return track
+
+
 class TestKinematics:
     def test_unit_step_speed(self):
         traj = make_traj([(i, i * 1.0, 0.0) for i in range(5)], fps=30.0)
-        samples = derive_kinematics(traj, fps=30.0)
-        assert all(s.speed == pytest.approx(30.0) for s in samples)
+        track = kinematics(traj)
+        assert all(s == pytest.approx(30.0) for s in track.speed)
 
     def test_stationary_zero(self):
         traj = make_traj([(i, 2.0, 3.0) for i in range(4)], fps=10.0)
-        samples = derive_kinematics(traj)
-        assert all(s.speed == 0.0 for s in samples)
+        track = kinematics(traj)
+        assert all(s == 0.0 for s in track.speed)
 
     def test_three_four_five(self):
         traj = make_traj([(i, 3.0 * i, 4.0 * i) for i in range(4)], fps=1.0)
-        samples = derive_kinematics(traj)
-        assert all(s.speed == pytest.approx(5.0) for s in samples)
+        track = kinematics(traj)
+        assert all(s == pytest.approx(5.0) for s in track.speed)
 
     def test_first_sample_copies_second(self):
         traj = make_traj([(0, 0, 0), (1, 1, 0), (2, 3, 0)], fps=1.0)
-        samples = derive_kinematics(traj)
-        assert samples[0].v_x == samples[1].v_x == pytest.approx(1.0)
-        assert samples[2].v_x == pytest.approx(2.0)
-
-    def test_single_point_rejected(self):
-        traj = make_traj([(0, 0, 0)])
-        with pytest.raises(DataError):
-            derive_kinematics(traj)
-
-    def test_gap_rejected(self):
-        traj = make_traj([(0, 0, 0), (2, 2, 0)])
-        with pytest.raises(DataError, match="gaps"):
-            derive_kinematics(traj)
+        track = kinematics(traj)
+        assert track.vx[0] == track.vx[1] == pytest.approx(1.0)
+        assert track.vx[2] == pytest.approx(2.0)
 
     def test_uniform_translation_constant_speed(self):
         rng = np.random.default_rng(2)
         dx, dy = rng.uniform(-3, 3, 2)
         fps = 12.0
         traj = make_traj([(i, 100 + i * dx, 50 + i * dy) for i in range(40)], fps=fps)
-        samples = derive_kinematics(traj)
+        track = kinematics(traj)
         expected = math.hypot(dx, dy) * fps
-        assert all(s.speed == pytest.approx(expected) for s in samples)
+        assert all(s == pytest.approx(expected) for s in track.speed)
 
 
 class TestClassification:
@@ -245,10 +251,10 @@ class TestPreparation:
         assert len(tracks) == 1
         np.testing.assert_allclose(tracks[0].x, [0, 10, 20, 30])
 
-    def test_smooth_trajectory_helper_matches_filter(self):
+    def test_prepare_tracks_smoothing_matches_filter(self):
         rng = np.random.default_rng(5)
         pts = [(i, float(i + rng.normal(0, 0.1)), 0.0) for i in range(30)]
         traj = make_traj(pts, fps=1.0)
-        sm = smooth_trajectory(traj, window=7, order=2)
-        expected = smooth_savitzky_golay([p.x1 for p in traj.points], 7, 2)
-        np.testing.assert_allclose([p.x1 for p in sm.points], expected, atol=1e-12)
+        (track,) = prepare_tracks([traj], (1, 0), sg_window=7, sg_order=2, min_displacement_m=0.0)
+        expected = smooth_savitzky_golay([p.cx for p in traj.points], 7, 2)
+        np.testing.assert_allclose(track.x, expected, atol=1e-12)
