@@ -156,22 +156,18 @@ def cmd_project(args) -> int:
     pairs = load_keypoints(_read(cfg.keypoints_path), cfg.tangent_plane())
     h = fit_homography(pairs)
     trajs = trajectories.parse_trajectories(_read(Path(args.infile)), cfg.fps)
-    projected = []
-    for traj in trajs:
-        points = []
-        for p in traj.points:
-            corners = [
-                apply_homography(h, (p.x1, p.y1)),
-                apply_homography(h, (p.x1, p.y2)),
-                apply_homography(h, (p.x2, p.y1)),
-                apply_homography(h, (p.x2, p.y2)),
-            ]
-            xs = [c[0] for c in corners]
-            ys = [c[1] for c in corners]
-            points.append(
-                trajectories.TrackPoint(p.frame, p.timestamp, min(xs), min(ys), max(xs), max(ys))
-            )
-        projected.append(trajectories.Trajectory(traj.vehicle_id, points, traj.fps))
+    boxes = np.concatenate([t.boxes for t in trajs]) if trajs else np.empty((0, 4))
+    # Every corner (x1, y1), (x1, y2), (x2, y1), (x2, y2) of every box in one call.
+    world = apply_homography(h, boxes[:, [0, 1, 0, 3, 2, 1, 2, 3]].reshape(-1, 2)).reshape(-1, 4, 2)
+    lo = hi = world[:, 0]
+    for j in (1, 2, 3):  # (x, y) min()/max() over the corners, keeping the element the builtins keep
+        lo = np.where(world[:, j] < lo, world[:, j], lo)
+        hi = np.where(world[:, j] > hi, world[:, j], hi)
+    splits = np.cumsum([t.frames.size for t in trajs[:-1]], dtype=int)
+    projected = [
+        trajectories.Trajectory(t.vehicle_id, t.frames, world_boxes, t.fps)
+        for t, world_boxes in zip(trajs, np.split(np.hstack([lo, hi]), splits))
+    ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(trajectories.serialize_trajectories(projected))

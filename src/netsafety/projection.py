@@ -56,9 +56,6 @@ class Homography:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    def apply(self, pixel: tuple[float, float]) -> tuple[float, float]:
-        return apply_homography(self, pixel)
-
     def inverse(self) -> "Homography":
         return Homography(np.linalg.inv(self.matrix))
 
@@ -121,22 +118,25 @@ def fit_homography(pairs: list[KeypointPair]) -> Homography:
     h = np.linalg.inv(t_wd) @ h_n @ t_px
 
     fitted = Homography(h)
-    errors = [
-        (fitted.apply(p.pixel)[0] - p.world[0]) ** 2 + (fitted.apply(p.pixel)[1] - p.world[1]) ** 2
-        for p in pairs
-    ]
-    rms = math.sqrt(sum(errors) / len(errors))
-    return Homography(fitted.matrix, residual_rms=rms)
+    errors = ((apply_homography(fitted, px) - wd) ** 2).sum(axis=1).tolist()
+    return Homography(fitted.matrix, residual_rms=math.sqrt(sum(errors) / len(errors)))
 
 
-def apply_homography(h: Homography, pixel: tuple[float, float]) -> tuple[float, float]:
-    """Map a pixel point to world coordinates; errors if it maps to infinity."""
-    u, v = pixel
-    vec = h.matrix @ np.array([u, v, 1.0])
-    lam = vec[2]
-    if abs(lam) <= _INFINITY_EPS:
-        raise PointAtInfinityError(f"pixel ({u}, {v}) maps to infinity (scale {lam:.3e})")
-    return float(vec[0] / lam), float(vec[1] / lam)
+def apply_homography(h: Homography, pixel):
+    """Map one ``(u, v)`` pixel to an ``(x, y)`` tuple, or an (N, 2) array to an (N, 2) array.
+
+    One point is mapped as a batch of one; errors if any point maps to infinity.
+    """
+    pts = np.asarray(pixel, dtype=float)
+    batch = pts.reshape(-1, 2)
+    vec = (h.matrix @ np.column_stack([batch, np.ones(len(batch))])[..., None])[..., 0]
+    lam = vec[:, 2]
+    at_infinity = np.abs(lam) <= _INFINITY_EPS
+    if at_infinity.any():
+        (u, v), scale = batch[at_infinity][0], lam[at_infinity][0]
+        raise PointAtInfinityError(f"pixel ({u}, {v}) maps to infinity (scale {scale:.3e})")
+    world = vec[:, :2] / lam[:, None]
+    return tuple(world[0].tolist()) if pts.ndim == 1 else world
 
 
 def load_keypoints(text: str, plane: TangentPlane) -> list[KeypointPair]:

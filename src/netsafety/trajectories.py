@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class VehicleClass(str, Enum):
 
 @dataclass(frozen=True)
 class TrackPoint:
-    """One observed bounding box. Corners are normalized so x1 <= x2, y1 <= y2."""
+    """One bounding box of a Trajectory, as its ``points`` view builds it (x1 <= x2, y1 <= y2)."""
 
     frame: int
     timestamp: float
@@ -45,18 +46,6 @@ class TrackPoint:
     y1: float
     x2: float
     y2: float
-
-    def __post_init__(self):
-        if self.frame < 0:
-            raise DataError(f"negative frame index {self.frame}")
-        if self.x1 > self.x2:
-            x1, x2 = self.x1, self.x2
-            object.__setattr__(self, "x1", x2)
-            object.__setattr__(self, "x2", x1)
-        if self.y1 > self.y2:
-            y1, y2 = self.y1, self.y2
-            object.__setattr__(self, "y1", y2)
-            object.__setattr__(self, "y2", y1)
 
     @property
     def cx(self) -> float:
@@ -67,38 +56,62 @@ class TrackPoint:
         return 0.5 * (self.y1 + self.y2)
 
 
-def _make_point(frame, fps, x1, y1, x2, y2) -> TrackPoint:
-    lo_x, hi_x = (x1, x2) if x1 <= x2 else (x2, x1)
-    lo_y, hi_y = (y1, y2) if y1 <= y2 else (y2, y1)
-    return TrackPoint(frame=frame, timestamp=frame / fps, x1=lo_x, y1=lo_y, x2=hi_x, y2=hi_y)
+def _normalized(boxes: np.ndarray) -> np.ndarray:
+    """(n, 4) corners reordered so x1 <= x2 and y1 <= y2."""
+    x1, y1, x2, y2 = boxes.T
+    swap_x, swap_y = x1 > x2, y1 > y2
+    return np.column_stack(
+        [np.where(swap_x, x2, x1), np.where(swap_y, y2, y1), np.where(swap_x, x1, x2), np.where(swap_y, y1, y2)]
+    )
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Ordered track of one vehicle."""
+    """Ordered track of one vehicle: strictly increasing ``frames`` and (n, 4) ``boxes``.
+
+    Box corners are ``x1, y1, x2, y2`` with x1 <= x2 and y1 <= y2. ``points``
+    is a read-only TrackPoint view of the same rows.
+    """
 
     vehicle_id: str
-    points: list[TrackPoint]
+    frames: np.ndarray
+    boxes: np.ndarray
     fps: float
-    vclass: VehicleClass | None = None
-    length_m: float | None = None
 
-    def frames(self) -> list[int]:
-        return [p.frame for p in self.points]
+    @property
+    def points(self) -> "_PointView":
+        return _PointView(self)
 
     def displacement(self) -> float:
-        if len(self.points) < 2:
+        if self.frames.size < 2:
             return 0.0
-        first, last = self.points[0], self.points[-1]
-        return math.hypot(last.cx - first.cx, last.cy - first.cy)
+        (fx1, fy1, fx2, fy2), (lx1, ly1, lx2, ly2) = self.boxes[0].tolist(), self.boxes[-1].tolist()
+        return math.hypot(0.5 * (lx1 + lx2) - 0.5 * (fx1 + fx2), 0.5 * (ly1 + ly2) - 0.5 * (fy1 + fy2))
+
+
+class _PointView(Sequence):
+    """A Trajectory's rows as TrackPoints, each built when indexed; ``len()`` builds none."""
+
+    def __init__(self, traj: Trajectory):
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj.frames.size
+
+    def __getitem__(self, i: int) -> TrackPoint:
+        traj = self._traj
+        frame = int(traj.frames[i])
+        return TrackPoint(frame, frame / traj.fps, *traj.boxes[i].tolist())
 
 
 def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajectory]:
     """Parse the trajectory CSV (``frame,vehicle_id,x1,y1,x2,y2``) into trajectories.
 
-    One Trajectory per vehicle_id with points ordered by frame. Raises
-    SchemaError naming the offending line for malformed rows and DataError
-    naming the vehicle for non-monotone frame sequences.
+    Rows stream once into flat columns, then each vehicle_id becomes one Trajectory,
+    in order of first appearance; vehicles may interleave and blank rows are skipped.
+    The first faulty row raises, naming its line: SchemaError for a short row, a
+    malformed number, a non-finite coordinate or an empty vehicle_id; DataError for
+    a negative frame or one not above the vehicle's previous frame.
     """
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
@@ -113,44 +126,61 @@ def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajecto
     missing = [c for c in TRAJECTORY_COLUMNS if c not in header]
     if missing:
         raise SchemaError(f"trajectory header missing required columns: {missing}")
-    idx = {c: header.index(c) for c in TRAJECTORY_COLUMNS}
+    i_frame, i_vid, i_x1, i_y1, i_x2, i_y2 = (header.index(c) for c in TRAJECTORY_COLUMNS)
 
-    by_vehicle: dict[str, list[TrackPoint]] = {}
-    order: list[str] = []
+    seen: dict[str, list[int]] = {}  # vehicle_id -> [code, last frame], in first-appearance order
+    codes, frames, coords = array("q"), array("q"), array("d")
+    isfinite = math.isfinite
     for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
         if len(row) < len(header):
-            raise SchemaError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            if any(c.strip() for c in row):
+                raise SchemaError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            continue
         try:
-            frame = int(row[idx["frame"]])
-            coords = [float(row[idx[c]]) for c in ("x1", "y1", "x2", "y2")]
+            frame = int(row[i_frame])
+            x1, y1, x2, y2 = float(row[i_x1]), float(row[i_y1]), float(row[i_x2]), float(row[i_y2])
         except ValueError as exc:
+            if not any(c.strip() for c in row):
+                continue
             raise SchemaError(f"line {lineno}: malformed numeric field ({exc})") from exc
-        vid = row[idx["vehicle_id"]].strip()
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+            raise SchemaError(f"line {lineno}: non-finite coordinate in ({x1}, {y1}, {x2}, {y2})")
+        if frame < 0:
+            raise DataError(f"line {lineno}: negative frame index {frame}")
+        vid = row[i_vid].strip()
         if not vid:
             raise SchemaError(f"line {lineno}: empty vehicle_id")
-        pts = by_vehicle.setdefault(vid, [])
-        if not pts:
-            order.append(vid)
-        elif frame <= pts[-1].frame:
-            raise DataError(
-                f"vehicle {vid!r}: non-monotone frame {frame} after {pts[-1].frame} (line {lineno})"
-            )
-        pts.append(_make_point(frame, fps, *coords))
+        state = seen.setdefault(vid, [len(seen), -1])
+        if frame <= state[1]:
+            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {state[1]} (line {lineno})")
+        state[1] = frame
+        codes.append(state[0])
+        frames.append(frame)
+        coords.extend((x1, y1, x2, y2))
 
-    return [Trajectory(vehicle_id=vid, points=by_vehicle[vid], fps=fps) for vid in order]
+    code = np.frombuffer(codes, dtype=np.int64)
+    order = np.argsort(code, kind="stable")
+    frame_col = np.frombuffer(frames, dtype=np.int64)[order]
+    boxes = _normalized(np.frombuffer(coords).reshape(-1, 4)[order])
+    ends = np.cumsum(np.bincount(code)).tolist()
+    return [Trajectory(vid, frame_col[lo:hi], boxes[lo:hi], fps) for vid, lo, hi in zip(seen, [0, *ends], ends)]
 
 
 def serialize_trajectories(trajectories: Iterable[Trajectory]) -> str:
-    """Inverse of parse_trajectories; rows grouped by vehicle, ordered by frame."""
+    """Inverse of parse_trajectories; rows grouped by vehicle, ordered by frame.
+
+    Floats are written as format_cell writes them (``!r``), ids as csv.writer quotes them.
+    """
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRAJECTORY_COLUMNS)
+    csv.writer(out, lineterminator="\n").writerow(TRAJECTORY_COLUMNS)
     for traj in trajectories:
-        for p in traj.points:
-            coords = (p.x1, p.y1, p.x2, p.y2)
-            writer.writerow([p.frame, traj.vehicle_id, *(format_cell(float(v)) for v in coords)])
+        cell = io.StringIO()
+        csv.writer(cell, lineterminator="").writerow([traj.vehicle_id, ""])
+        vid = cell.getvalue()[:-1]
+        out.writelines(
+            f"{frame},{vid},{x1!r},{y1!r},{x2!r},{y2!r}\n"
+            for frame, (x1, y1, x2, y2) in zip(traj.frames.tolist(), traj.boxes.tolist())
+        )
     return out.getvalue()
 
 
@@ -170,32 +200,25 @@ def fill_gaps(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP_FRAMES) -> tuple[
     flags so downstream stages can treat the spans on either side separately.
     Idempotent: re-running changes nothing.
     """
-    if len(traj.points) < 2:
+    frames, boxes = traj.frames, traj.boxes
+    if frames.size < 2:
         raise DataError(f"vehicle {traj.vehicle_id!r}: need at least 2 points to fill gaps")
-    filled: list[TrackPoint] = [traj.points[0]]
-    flagged: list[tuple[int, int]] = []
-    for prev, nxt in zip(traj.points, traj.points[1:]):
-        n_missing = nxt.frame - prev.frame - 1
-        if 0 < n_missing <= max_gap:
-            for f in range(prev.frame + 1, nxt.frame):
-                w = (f - prev.frame) / (nxt.frame - prev.frame)
-                filled.append(
-                    _make_point(
-                        f,
-                        traj.fps,
-                        prev.x1 + w * (nxt.x1 - prev.x1),
-                        prev.y1 + w * (nxt.y1 - prev.y1),
-                        prev.x2 + w * (nxt.x2 - prev.x2),
-                        prev.y2 + w * (nxt.y2 - prev.y2),
-                    )
-                )
-        elif n_missing > max_gap:
-            flagged.append((prev.frame, nxt.frame))
-        filled.append(nxt)
-    return (
-        Trajectory(traj.vehicle_id, filled, traj.fps, vclass=traj.vclass, length_m=traj.length_m),
-        flagged,
-    )
+    step = np.diff(frames)
+    long_gap = step - 1 > max_gap
+    flagged = list(zip(frames[:-1][long_gap].tolist(), frames[1:][long_gap].tolist()))
+    fill = (step > 1) & ~long_gap
+    if fill.any():
+        # After the first row, step i yields rows k = 1..reps[i]: its missing
+        # frames when filled (k < reps[i]), then the row it ends on.
+        reps = np.where(fill, step, 1)
+        i = np.repeat(np.arange(step.size), reps)
+        k = np.arange(1, i.size + 1) - np.repeat(np.cumsum(reps) - reps, reps)
+        mid = k < reps[i]
+        w = (k / step[i])[:, None]
+        interpolated = _normalized(boxes[i] + w * (boxes[i + 1] - boxes[i]))
+        boxes = np.concatenate([boxes[:1], np.where(mid[:, None], interpolated, boxes[i + 1])])
+        frames = np.concatenate([frames[:1], np.where(mid, frames[i] + k, frames[i + 1])])
+    return Trajectory(traj.vehicle_id, frames, boxes, traj.fps), flagged
 
 
 @lru_cache(maxsize=32)
@@ -262,7 +285,8 @@ def box_length_along_axis(traj: Trajectory, travel_axis: Sequence[float]) -> flo
     if norm == 0:
         raise ParameterError("travel_axis must be a nonzero vector")
     ux, uy = ux / norm, uy / norm
-    extents = [abs((p.x2 - p.x1) * ux) + abs((p.y2 - p.y1) * uy) for p in traj.points]
+    b = traj.boxes
+    extents = np.abs((b[:, 2] - b[:, 0]) * ux) + np.abs((b[:, 3] - b[:, 1]) * uy)
     return float(np.median(extents))
 
 
@@ -296,18 +320,6 @@ class PreparedTrack:
         self.speed = np.hypot(self.vx, self.vy)
 
 
-def _split_runs(traj: Trajectory, flagged: list[tuple[int, int]]) -> list[list[TrackPoint]]:
-    if not flagged:
-        return [traj.points]
-    cuts = {after for _, after in flagged}
-    runs: list[list[TrackPoint]] = [[]]
-    for p in traj.points:
-        if p.frame in cuts and runs[-1]:
-            runs.append([])
-        runs[-1].append(p)
-    return [r for r in runs if r]
-
-
 def prepare_tracks(
     trajectories: Iterable[Trajectory],
     travel_axis: Sequence[float],
@@ -325,16 +337,18 @@ def prepare_tracks(
     """
     prepared: list[PreparedTrack] = []
     for traj in drop_static_objects(trajectories, min_displacement_m):
-        if len(traj.points) < 2:
+        if traj.frames.size < 2:
             continue
         filled, flagged = fill_gaps(traj, max_gap=max_gap)
         length = box_length_along_axis(filled, travel_axis)
         vclass = classify_by_length(length, class_threshold_m)
-        for run_points in _split_runs(filled, flagged):
-            if len(run_points) < 2:
+        # A new run starts at the first frame after each long gap.
+        cuts = np.searchsorted(filled.frames, [after for _, after in flagged]).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, filled.frames.size]):
+            if hi - lo < 2:
                 continue
-            frames = np.array([p.frame for p in run_points], dtype=int)
-            corners = np.array([[p.x1, p.y1, p.x2, p.y2] for p in run_points])
+            frames = filled.frames[lo:hi]
+            corners = filled.boxes[lo:hi]
             if frames.size >= sg_window:
                 corners = np.column_stack(
                     [smooth_savitzky_golay(corners[:, j], sg_window, sg_order) for j in range(4)]
@@ -343,16 +357,6 @@ def prepare_tracks(
             cy = 0.5 * (corners[:, 1] + corners[:, 3])
             vx, vy = _velocity_arrays(frames.astype(float), cx, cy, traj.fps)
             prepared.append(
-                PreparedTrack(
-                    vehicle_id=traj.vehicle_id,
-                    vclass=vclass,
-                    length_m=length,
-                    frames=frames,
-                    t=frames / traj.fps,
-                    x=cx,
-                    y=cy,
-                    vx=vx,
-                    vy=vy,
-                )
+                PreparedTrack(traj.vehicle_id, vclass, length, frames, frames / traj.fps, cx, cy, vx, vy)
             )
     return prepared

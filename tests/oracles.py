@@ -62,6 +62,29 @@ def ols_oracle(x, y):
     }
 
 
+def fill_gaps_oracle(frames, boxes, max_gap):
+    """Per-point gap fill: each missing frame f between prev and next rows gets
+    ``prev + w * (next - prev)`` with ``w = (f - prev) / (next - prev)``, corners
+    then reordered so x1 <= x2 and y1 <= y2; longer gaps are flagged."""
+    frames = [int(f) for f in frames]
+    rows = [tuple(map(float, b)) for b in np.asarray(boxes)]
+    out_frames, out_rows, flagged = [frames[0]], [rows[0]], []
+    for (pf, prev), (nf, nxt) in zip(zip(frames, rows), zip(frames[1:], rows[1:])):
+        if 0 < nf - pf - 1 <= max_gap:
+            for f in range(pf + 1, nf):
+                w = (f - pf) / (nf - pf)
+                x1, y1, x2, y2 = (p + w * (n - p) for p, n in zip(prev, nxt))
+                lo_x, hi_x = (x2, x1) if x1 > x2 else (x1, x2)
+                lo_y, hi_y = (y2, y1) if y1 > y2 else (y1, y2)
+                out_frames.append(f)
+                out_rows.append((lo_x, lo_y, hi_x, hi_y))
+        elif nf - pf - 1 > max_gap:
+            flagged.append((pf, nf))
+        out_frames.append(nf)
+        out_rows.append(nxt)
+    return out_frames, out_rows, flagged
+
+
 def sg_window_fit_oracle(series, window, order):
     """Savitzky-Golay by definition: polynomial LSQ per window, polynomial edges."""
     series = np.asarray(series, dtype=float)

@@ -1,0 +1,83 @@
+"""The benchmark's tracer still finds and counts every function it wraps.
+
+``perfbench/layers.patch_table()`` names netsafety functions by the module
+attribute their callers resolve, and its counters read the arguments and
+results (``len(t.points)`` of parsed and gap-filled trajectories, for
+example). A rename or an API change would otherwise only show when the
+benchmark runs with ``--trace 1``. This test only imports from ``perfbench/``.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import layers  # noqa: E402
+import spans  # noqa: E402
+
+from netsafety import cli, trajectories  # noqa: E402
+from netsafety.config import load_config  # noqa: E402
+
+from test_cli import run_bundle  # noqa: E402
+
+
+def _get(owner, attr):
+    return owner[attr] if isinstance(owner, dict) else getattr(owner, attr)
+
+
+def _rows(path: Path) -> int:
+    return len(path.read_text().splitlines()) - 1
+
+
+def _cut_gaps(path: Path) -> None:
+    """Drop rows 5-6 (a short gap, filled) and 20-39 (a long one, split) of the longest track."""
+    header, *rows = path.read_text().splitlines(keepends=True)
+    vids = [row.split(",")[1] for row in rows]
+    longest = max(set(vids), key=vids.count)
+    own = [i for i, vid in enumerate(vids) if vid == longest]
+    assert len(own) >= 45
+    dropped = {own[k] for k in (5, 6, *range(20, 40))}
+    path.write_text(header + "".join(row for i, row in enumerate(rows) if i not in dropped))
+
+
+def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
+    bundle = run_bundle(tmp_path)
+    _cut_gaps(bundle / "trajectories_S2.csv")
+    config = str(bundle / "config.json")
+    traj_s1, world_s1 = bundle / "trajectories_S1.csv", bundle / "world_S1.csv"
+    argvs = [
+        ["project", "--config", config, "--in", str(traj_s1), "--out", str(world_s1)],
+        ["metrics", "--config", config],
+        ["ssm", "--config", config, "--in", str(world_s1), "--out", str(bundle / "ssm_S1.csv")],
+    ]
+
+    table = layers.patch_table()
+    originals = [(owner, attr, _get(owner, attr)) for owner, attr, _, _ in table]
+    tracer = spans.Tracer()
+    tracer.install(table)
+    try:
+        assert all(_get(owner, attr).__wrapped__ is original for owner, attr, original in originals)
+        root = tracer.begin_job()
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+        tracer.close(root)
+    finally:
+        tracer.uninstall()
+    assert all(_get(owner, attr) is original for owner, attr, original in originals)
+
+    metrics = layers.job_metrics(spans.SpanTable(tracer), tracer.counts[0], 0)
+    cfg = load_config(config)
+    inputs = [traj_s1, traj_s1, bundle / "trajectories_S2.csv", world_s1]  # project, metrics x2, ssm
+    segments = [None, cfg.segments[0], cfg.segments[1], cfg.segments[0]]
+    tracks = [
+        trajectories.prepare_tracks(trajectories.parse_trajectories(path.read_text(), cfg.fps), seg.travel_axis)
+        for path, seg in zip(inputs[1:], segments[1:])
+    ]
+    assert metrics["projection.apply_calls"] == 1
+    assert metrics["projection.fits"] == 1
+    assert metrics["trajectories.rows_parsed"] == sum(_rows(path) for path in inputs)
+    assert metrics["trajectories.tracks_out"] == sum(len(t) for t in tracks)
+    assert metrics["network_metrics.samples"] == sum(t.frames.size for t in tracks[0] + tracks[1])
+    assert metrics["trajectories.gap_frames_filled"] == 2
+    assert metrics["trajectories.runs_split"] == 1
+    assert metrics["cli.project_s"] > 0 and metrics["cli.ssm_s"] > 0

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -82,6 +83,15 @@ class TestProjectCommand:
         h = json.loads(outfile.with_suffix(".csv.homography.json").read_text())
         np.testing.assert_allclose(np.array(h["matrix"]), np.eye(3), atol=1e-6)
 
+    def test_rows_grouped_by_vehicle_in_first_appearance_order(self, tmp_path):
+        out = run_bundle(tmp_path)
+        infile, outfile = out / "trajectories_S1.csv", out / "world_S1.csv"
+        assert main(["project", "--config", str(out / "config.json"), "--in", str(infile), "--out", str(outfile)]) == 0
+        first_seen = list(dict.fromkeys(line.split(",")[1] for line in infile.read_text().splitlines()[1:]))
+        vids = [line.split(",")[1] for line in outfile.read_text().splitlines()[1:]]
+        assert len(vids) == len(infile.read_text().splitlines()) - 1
+        assert [vid for vid, _ in itertools.groupby(vids)] == first_seen
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         out = run_bundle(tmp_path)
         code = main(
@@ -90,6 +100,76 @@ class TestProjectCommand:
         )
         assert code == 2
         assert "missing.csv" in json.loads(capsys.readouterr().err)["message"]
+
+
+class TestNonFiniteCoordinates:
+    def test_every_command_exits_2_naming_the_line(self, tmp_path, capsys):
+        # Before the parser checked coordinates, nan/inf passed silently and
+        # metrics wrote ivvr=nan, ntc=nan.
+        out = run_bundle(tmp_path)
+        path = out / "trajectories_S1.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        for lineno, column, value in ((5, 2, "nan"), (9, 4, "inf")):  # x1 on line 5, x2 on line 9
+            fields = lines[lineno - 1].rstrip("\n").split(",")
+            fields[column] = value
+            lines[lineno - 1] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+        config = str(out / "config.json")
+        for argv in (
+            ["project", "--config", config, "--in", str(path), "--out", str(out / "world_S1.csv")],
+            ["metrics", "--config", config],
+            ["ssm", "--config", config, "--in", str(path), "--out", str(out / "ssm_S1.csv")],
+        ):
+            assert main(argv) == 2, argv
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "SchemaError", argv
+            assert err["message"].startswith("line 5: non-finite coordinate"), argv
+        assert not (out / "world_S1.csv").exists() and not (out / "metrics.csv").exists()
+
+
+def interleave_rows(text: str, seed: int) -> str:
+    """The same rows with vehicles interleaved at random, each vehicle's rows kept in order."""
+    header, *rows = text.splitlines(keepends=True)
+    slots = np.random.default_rng(seed).permutation(len(rows))
+    rows_of: dict[str, list[int]] = {}
+    for i, row in enumerate(rows):
+        rows_of.setdefault(row.split(",")[1], []).append(i)
+    out = [""] * len(rows)
+    for idx in rows_of.values():
+        for i, slot in zip(idx, sorted(slots[idx])):
+            out[slot] = rows[i]
+    return header + "".join(out)
+
+
+class TestRowOrderInvariance:
+    def test_interleaved_rows_give_the_same_metrics_and_ssm(self, tmp_path):
+        out = run_bundle(tmp_path)
+        config = str(out / "config.json")
+
+        def run():
+            assert main(["metrics", "--config", config]) == 0
+            assert main(["ssm", "--config", config, "--in", str(out / "trajectories_S1.csv"),
+                         "--out", str(out / "ssm_S1.csv")]) == 0
+            return (out / "metrics.csv").read_text(), (out / "ssm_S1.csv").read_text()
+
+        base_metrics, base_ssm = run()
+        originals = {sid: (out / f"trajectories_{sid}.csv").read_text() for sid in ("S1", "S2")}
+        for seed in (1, 2, 3):
+            for sid, text in originals.items():
+                shuffled = interleave_rows(text, seed)
+                assert shuffled != text and sorted(shuffled.splitlines()) == sorted(text.splitlines())
+                (out / f"trajectories_{sid}.csv").write_text(shuffled)
+            metrics, ssm = run()
+            assert ssm == base_ssm
+            rows_a = list(csv.reader(metrics.splitlines()))
+            rows_e = list(csv.reader(base_metrics.splitlines()))
+            assert len(rows_a) == len(rows_e) and rows_a[0] == rows_e[0]
+            for ra, re in zip(rows_a[1:], rows_e[1:]):
+                for name, a, e in zip(rows_e[0], ra, re, strict=True):
+                    if e in ("", "nan") or name == "segment_id":
+                        assert a == e, name
+                    else:
+                        assert math.isclose(float(a), float(e), rel_tol=1e-12, abs_tol=0.0), (name, a, e)
 
 
 class TestMetricsCommand:

@@ -106,6 +106,27 @@ class TestApply:
             assert u == pytest.approx(point[0], abs=1e-6)
             assert v == pytest.approx(point[1], abs=1e-6)
 
+    def test_batch_matches_per_point_formula_bitwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            h = Homography(random_homography(rng))
+            pixels = rng.uniform([0, 0], [1280, 720], (300, 2))
+            batch = apply_homography(h, pixels)
+            assert batch.shape == (300, 2)
+            for (u, v), row in zip(pixels.tolist(), batch.tolist()):
+                w = h.matrix @ np.array([u, v, 1.0])
+                assert row == [float(w[0] / w[2]), float(w[1] / w[2])]
+                assert tuple(row) == apply_homography(h, (u, v))
+
+    def test_batch_with_one_point_at_infinity(self):
+        h = Homography(np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1.0]]))  # vanishing line u = -1
+        pixels = np.array([[0.0, 0.0], [3.0, 4.0], [-1.0, 5.0], [2.0, 2.0]])
+        with pytest.raises(PointAtInfinityError, match=r"pixel \(-1.0, 5.0\)"):
+            apply_homography(h, pixels)
+
+    def test_empty_batch(self):
+        assert apply_homography(Homography(np.eye(3)), np.empty((0, 2))).shape == (0, 2)
+
     def test_singular_matrix_rejected(self):
         with pytest.raises(DataError):
             Homography(np.ones((3, 3)))

@@ -75,7 +75,7 @@ class TestTrajectoryGeneration:
             trajs = parse_trajectories(csvs[seg.segment_id], spec.fps)
             assert len(trajs) > 0
             for traj in trajs:
-                frames = traj.frames()
+                frames = traj.frames.tolist()
                 assert all(b > a for a, b in zip(frames, frames[1:]))
 
     def test_truck_fraction_converges(self):

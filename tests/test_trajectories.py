@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from netsafety import trajectories
 from netsafety.errors import DataError, ParameterError, SchemaError
 from netsafety.trajectories import (
-    Trajectory,
+    TrackPoint,
     VehicleClass,
     box_length_along_axis,
     classify_by_length,
@@ -18,7 +19,9 @@ from netsafety.trajectories import (
     smooth_savitzky_golay,
 )
 
-from oracles import sg_window_fit_oracle
+from oracles import fill_gaps_oracle, sg_window_fit_oracle
+
+HEADER = "frame,vehicle_id,x1,y1,x2,y2\n"
 
 
 def make_traj(frames_xy, fps=1.0, vid="v1", size=2.0):
@@ -50,6 +53,61 @@ class TestParse:
         text = "frame,vehicle_id,x1,y1,x2,y2\n0,a,0,0,2,1\n1,a,1,0,3\n"
         with pytest.raises(SchemaError, match="line 3"):
             parse_trajectories(text, fps=30.0)
+
+    @pytest.mark.parametrize(
+        "body,error,match",
+        [
+            ("0,a,0,0,1,1\n1,a,1,0,2\n", SchemaError, "line 3: expected 6 fields, got 5"),
+            ("0,a,0,0,1,1\nx,a,1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
+            ("0,a,0,0,1,1\n1,a,1,abc,2,1\n", SchemaError, "line 3: malformed numeric field"),
+            ("0,a,0,0,1,1\n1.5,a,1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
+            ("0,a,0,0,1,1\n1, ,1,0,2,1\n", SchemaError, "line 3: empty vehicle_id"),
+            ("0,a,0,0,1,1\n1,a,nan,0,2,1\n", SchemaError, "line 3: non-finite coordinate"),
+            ("0,a,0,0,1,1\n1,a,1,0,inf,1\n", SchemaError, "line 3: non-finite coordinate"),
+            ("0,a,0,0,1,1\n1,a,1,-inf,2,1\n", SchemaError, "line 3: non-finite coordinate"),
+            ("0,a,0,0,1,1\n-1,b,1,0,2,1\n", DataError, "line 3: negative frame index -1"),
+            ("0,a,0,0,1,1\n2,a,1,0,2,1\n2,a,2,0,3,1\n", DataError,
+             r"vehicle 'a': non-monotone frame 2 after 2 \(line 4\)"),
+            ("0,a,0,0,1,1\n\n   \n1,a,1,0,2\n", SchemaError, "line 5: expected 6 fields"),
+        ],
+    )
+    def test_malformed_row_names_line(self, body, error, match):
+        with pytest.raises(error, match=match):
+            parse_trajectories(HEADER + body, fps=30.0)
+
+    def test_first_faulty_line_is_reported(self):
+        with pytest.raises(SchemaError, match="line 3: non-finite"):
+            parse_trajectories(HEADER + "0,a,0,0,1,1\n1,a,nan,0,2,1\n2,a,1,0\n", fps=30.0)
+
+    def test_whitespace_only_rows_skipped(self):
+        text = HEADER + "0,a,0,0,1,1\n\n  \n , , , , , \n,,\n1,a,1,0,2,1\n"
+        (traj,) = parse_trajectories(text, fps=30.0)
+        assert traj.frames.tolist() == [0, 1]
+
+    def test_header_columns_in_another_order(self):
+        text = HEADER + "0,a,0,0,1,1\n0,b,5,1,7,3\n1,a,1,0,2,1\n"
+        shuffled = "y2,vehicle_id,extra,x2,frame,x1,y1\n1,a,q,1,0,0,0\n3,b,q,7,0,5,1\n1,a,q,2,1,1,0\n"
+        for a, b in zip(parse_trajectories(text, 30.0), parse_trajectories(shuffled, 30.0), strict=True):
+            assert a.vehicle_id == b.vehicle_id
+            np.testing.assert_array_equal(a.frames, b.frames)
+            np.testing.assert_array_equal(a.boxes, b.boxes)
+
+    def test_arrays_normalized_in_first_appearance_order(self):
+        text = HEADER + "4,b,3,9,1,8\n0,a,0,0,1,1\n5,b,1,8,3,9\n2,a,1,0,2,1\n"
+        b, a = parse_trajectories(text, fps=2.0)
+        assert (b.vehicle_id, a.vehicle_id) == ("b", "a")
+        assert b.frames.dtype == np.int64 and b.frames.tolist() == [4, 5]
+        np.testing.assert_array_equal(b.boxes, [[1, 8, 3, 9], [1, 8, 3, 9]])
+        assert a.boxes.shape == (2, 4) and a.boxes.dtype == float
+
+    def test_points_view(self, monkeypatch):
+        traj = make_traj([(0, 0, 0), (3, 2, 0), (4, 3, 1)], fps=2.0)
+        built = []
+        monkeypatch.setattr(trajectories, "TrackPoint", lambda *a: built.append(a) or TrackPoint(*a))
+        assert len(traj.points) == 3 and built == []
+        assert traj.points[-1] == TrackPoint(4, 2.0, 2.0, 0.0, 4.0, 2.0)
+        assert [p.frame for p in traj.points] == [0, 3, 4]
+        assert len(built) == 4
 
     def test_missing_column_is_schema_error(self):
         with pytest.raises(SchemaError, match="x2"):
@@ -115,6 +173,19 @@ class TestFillGaps:
         filled, flags = fill_gaps(traj, max_gap=3)
         assert flags == []
         assert [p.frame for p in filled.points] == [0, 1, 2, 3, 4]
+
+    def test_matches_per_point_oracle_bitwise(self):
+        rng = np.random.default_rng(4)
+        steps = rng.choice([1, 1, 1, 2, 3, 5, 9, 20], size=60)
+        frames = np.cumsum(steps) + 7
+        corners = rng.normal(0, 50, (frames.size, 4))
+        rows = [HEADER] + [f"{f},v,{','.join(map(repr, box))}\n" for f, box in zip(frames.tolist(), corners.tolist())]
+        (traj,) = parse_trajectories("".join(rows), fps=30.0)
+        filled, flags = fill_gaps(traj, max_gap=8)
+        want_frames, want_rows, want_flags = fill_gaps_oracle(traj.frames, traj.boxes, 8)
+        assert flags == want_flags and len(flags) > 0
+        assert filled.frames.tolist() == want_frames
+        assert filled.boxes.tolist() == [list(r) for r in want_rows]
 
     def test_idempotent(self):
         traj = make_traj([(0, 0, 0), (3, 6, 3), (10, 20, 10), (30, 40, 30)], fps=2.0)
