@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -129,7 +128,7 @@ def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajecto
     i_frame, i_vid, i_x1, i_y1, i_x2, i_y2 = (header.index(c) for c in TRAJECTORY_COLUMNS)
 
     seen: dict[str, list[int]] = {}  # vehicle_id -> [code, last frame], in first-appearance order
-    codes, frames, coords = array("q"), array("q"), array("d")
+    codes, frames, coords = [], [], []
     isfinite = math.isfinite
     for lineno, row in enumerate(reader, start=2):
         if len(row) < len(header):
@@ -158,10 +157,10 @@ def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajecto
         frames.append(frame)
         coords.extend((x1, y1, x2, y2))
 
-    code = np.frombuffer(codes, dtype=np.int64)
+    code = np.array(codes, dtype=np.int64)
     order = np.argsort(code, kind="stable")
-    frame_col = np.frombuffer(frames, dtype=np.int64)[order]
-    boxes = _normalized(np.frombuffer(coords).reshape(-1, 4)[order])
+    frame_col = np.array(frames, dtype=np.int64)[order]
+    boxes = _normalized(np.array(coords, dtype=float).reshape(-1, 4)[order])
     ends = np.cumsum(np.bincount(code)).tolist()
     return [Trajectory(vid, frame_col[lo:hi], boxes[lo:hi], fps) for vid, lo, hi in zip(seen, [0, *ends], ends)]
 
