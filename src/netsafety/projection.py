@@ -127,8 +127,7 @@ def apply_homography(h: Homography, pixel):
 
     One point is mapped as a batch of one; errors if any point maps to infinity.
     """
-    pts = np.asarray(pixel, dtype=float)
-    batch = pts.reshape(-1, 2)
+    batch = np.asarray(pixel, dtype=float).reshape(-1, 2)
     vec = (h.matrix @ np.column_stack([batch, np.ones(len(batch))])[..., None])[..., 0]
     lam = vec[:, 2]
     at_infinity = np.abs(lam) <= _INFINITY_EPS
@@ -136,7 +135,7 @@ def apply_homography(h: Homography, pixel):
         (u, v), scale = batch[at_infinity][0], lam[at_infinity][0]
         raise PointAtInfinityError(f"pixel ({u}, {v}) maps to infinity (scale {scale:.3e})")
     world = vec[:, :2] / lam[:, None]
-    return tuple(world[0].tolist()) if pts.ndim == 1 else world
+    return tuple(world[0].tolist()) if np.ndim(pixel) == 1 else world
 
 
 def load_keypoints(text: str, plane: TangentPlane) -> list[KeypointPair]:

@@ -202,6 +202,8 @@ def fill_gaps(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP_FRAMES) -> tuple[
     frames, boxes = traj.frames, traj.boxes
     if frames.size < 2:
         raise DataError(f"vehicle {traj.vehicle_id!r}: need at least 2 points to fill gaps")
+    if frames[-1] - frames[0] == frames.size - 1:  # no frame missing (frames strictly increase)
+        return Trajectory(traj.vehicle_id, frames, boxes, traj.fps), []
     step = np.diff(frames)
     long_gap = step - 1 > max_gap
     flagged = list(zip(frames[:-1][long_gap].tolist(), frames[1:][long_gap].tolist()))
