@@ -106,7 +106,7 @@ class _PointView(Sequence):
 def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajectory]:
     """Parse the trajectory CSV (``frame,vehicle_id,x1,y1,x2,y2``) into trajectories.
 
-    Rows stream once into flat columns, then each vehicle_id becomes one Trajectory,
+    Rows stream once into per-vehicle columns; each vehicle_id becomes one Trajectory,
     in order of first appearance; vehicles may interleave and blank rows are skipped.
     The first faulty row raises, naming its line: SchemaError for a short row, a
     malformed number, a non-finite coordinate or an empty vehicle_id; DataError for
@@ -127,8 +127,7 @@ def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajecto
         raise SchemaError(f"trajectory header missing required columns: {missing}")
     i_frame, i_vid, i_x1, i_y1, i_x2, i_y2 = (header.index(c) for c in TRAJECTORY_COLUMNS)
 
-    seen: dict[str, list[int]] = {}  # vehicle_id -> [code, last frame], in first-appearance order
-    codes, frames, coords = [], [], []
+    tracks: dict[str, tuple[list[int], list[float]]] = {}  # vehicle_id -> (frames, corners), first appearance first
     isfinite = math.isfinite
     for lineno, row in enumerate(reader, start=2):
         if len(row) < len(header):
@@ -149,20 +148,24 @@ def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajecto
         vid = row[i_vid].strip()
         if not vid:
             raise SchemaError(f"line {lineno}: empty vehicle_id")
-        state = seen.setdefault(vid, [len(seen), -1])
-        if frame <= state[1]:
-            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {state[1]} (line {lineno})")
-        state[1] = frame
-        codes.append(state[0])
-        frames.append(frame)
-        coords.extend((x1, y1, x2, y2))
+        track = tracks.get(vid)
+        if track is None:
+            track = tracks[vid] = ([], [])
+        elif frame <= track[0][-1]:
+            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {track[0][-1]} (line {lineno})")
+        if x1 > x2:
+            x1, x2 = x2, x1
+        if y1 > y2:
+            y1, y2 = y2, y1
+        track[0].append(frame)
+        track[1].extend((x1, y1, x2, y2))
 
-    code = np.array(codes, dtype=np.int64)
-    order = np.argsort(code, kind="stable")
-    frame_col = np.array(frames, dtype=np.int64)[order]
-    boxes = _normalized(np.array(coords, dtype=float).reshape(-1, 4)[order])
-    ends = np.cumsum(np.bincount(code)).tolist()
-    return [Trajectory(vid, frame_col[lo:hi], boxes[lo:hi], fps) for vid, lo, hi in zip(seen, [0, *ends], ends)]
+    # Per-vehicle arrays, not file-sized ones sliced afterwards: file-sized temporaries freed
+    # mid-heap left the process's resident memory depending on the allocator's layout.
+    return [
+        Trajectory(vid, np.array(frames, dtype=np.int64), np.array(corners, dtype=float).reshape(-1, 4), fps)
+        for vid, (frames, corners) in tracks.items()
+    ]
 
 
 def serialize_trajectories(trajectories: Iterable[Trajectory]) -> str:
