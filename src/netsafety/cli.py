@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -27,7 +26,7 @@ from .config import IntervalGrid, RunConfig, load_config
 from .errors import NetSafetyError, ParameterError
 from .geo import TangentPlane
 from .projection import apply_homography, fit_homography, load_keypoints
-from .surrogate import PairState, drac, ttc
+from .surrogate import drac, ttc  # noqa: F401  (perfbench/layers.py traces cli.ttc and cli.drac by name)
 
 
 def _fail(exc: Exception) -> int:
@@ -218,39 +217,31 @@ def cmd_ssm(args) -> int:
         raise NetSafetyError("config defines no segments")
     seg = cfg.segments[0]
     tracks = _prepare_segment_tracks(cfg, seg, Path(args.infile))
-    ux, uy = seg.travel_axis
-    # Each vehicle's passage curve: axis position made monotone run by run, against time.
-    runs_of: dict[str, list] = {}
-    for track in tracks:
-        runs_of.setdefault(track.vehicle_id, []).append(track)
-    passage = {
-        vid: (np.concatenate([np.maximum.accumulate(r.x * ux + r.y * uy) for r in runs]),
-              np.concatenate([r.t for r in runs]))
-        for vid, runs in runs_of.items()
-    }
-
     table = network_metrics.SampleTable.build(tracks, seg.travel_axis)
-    follower, leader = table.leader_pairs()
-    t = (table.frame / cfg.fps).tolist()
-    pos = table.axis_pos.tolist()
-    vel = table.axis_speed.tolist()
-    vid = [table.vids[c] for c in table.vid_code.tolist()]
-    out_buf = io.StringIO()
-    writer = csv.writer(out_buf, lineterminator="\n")
-    writer.writerow(["t", "follower_id", "leader_id", "ttc", "drac", "pet", "gap", "v_follower", "v_leader"])
-    for f, l in zip(follower.tolist(), leader.tolist()):
-        state = PairState(x_leader=pos[l], x_follower=pos[f], v_leader=vel[l], v_follower=vel[f])
-        lead_pos, lead_t = passage[vid[l]]
-        pet_v = None
-        if lead_pos[0] <= pos[f] <= lead_pos[-1]:
-            t_pass = float(np.interp(pos[f], lead_pos, lead_t))
-            if t_pass <= t[f]:
-                pet_v = t[f] - t_pass
-        row = (t[f], vid[f], vid[l], ttc(state), drac(state), pet_v, pos[l] - pos[f], vel[f], vel[l])
-        writer.writerow([trajectories.format_cell(v) for v in row])
+    follower, leader, gap, closing, pair_ttc = table.leader_pairs()
+    t = table.frame / cfg.fps
+    # PET: the follower's time minus when its leader passed the follower's position, on the
+    # leader's passage curve (axis position made monotone over its whole track); absent if later.
+    t_pass = np.full(follower.size, np.nan)
+    rows_of = network_metrics.index_groups(table.vid_code)
+    for code, mine in network_metrics.index_groups(table.vid_code[leader]).items():
+        curve = np.maximum.accumulate(table.axis_pos[rows_of[code]])
+        t_pass[mine] = np.interp(table.axis_pos[follower[mine]], curve, t[rows_of[code]], left=np.nan, right=np.nan)
+    pet = t[follower] - t_pass
+    vid = np.array(table.vids, dtype=object)[table.vid_code]
+    columns = {
+        "t": t[follower], "follower_id": vid[follower], "leader_id": vid[leader],
+        "ttc": np.where(closing > 0, pair_ttc, None),
+        "drac": np.where(closing > 0, closing * closing / gap, 0.0),
+        "pet": np.where(pet >= 0, pet, None),
+        "gap": gap, "v_follower": table.axis_speed[follower], "v_leader": table.axis_speed[leader],
+    }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(out_buf.getvalue())
+    with out.open("w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*(map(trajectories.format_cell, col.tolist()) for col in columns.values())))
     return 0
 
 

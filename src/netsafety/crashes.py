@@ -113,6 +113,8 @@ def parse_crashes(stream: io.TextIOBase | str) -> list[CrashRecord]:
             lon = float(row[idx["lon"]])
         except ValueError as exc:
             raise SchemaError(f"line {lineno}: malformed coordinate ({exc})") from exc
+        if not (np.isfinite(lat) and np.isfinite(lon)):
+            raise SchemaError(f"line {lineno}: non-finite coordinate ({lat}, {lon})")
         records.append(CrashRecord(stamp, lat, lon, _parse_type(row[idx["type"]], unknown_seen)))
     return records
 

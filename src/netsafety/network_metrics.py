@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, SchemaError
 from .trajectories import PreparedTrack, VehicleClass, format_cell
 
 VEHICLE_CLASSES = (VehicleClass.CAR, VehicleClass.TRUCK)
@@ -135,6 +135,13 @@ class IntervalMetrics:
     e_ttc: float | None = None
 
 
+def index_groups(codes: np.ndarray) -> dict[int, np.ndarray]:
+    """Positions of each distinct value in ``codes``, in ascending order, keyed by the value."""
+    order = np.argsort(codes, kind="stable")
+    values, starts = np.unique(codes[order], return_index=True)
+    return dict(zip(values.tolist(), np.split(order, starts[1:])))
+
+
 def _single_linkage_labels(px: np.ndarray, py: np.ndarray, threshold: float) -> np.ndarray:
     """Connected-component labels under pairwise Euclidean distance <= threshold."""
     n = px.size
@@ -175,12 +182,8 @@ def cluster_frame(
         raise DataError("vehicle positions must be finite")
     labels = _single_linkage_labels(pts[:, 0], pts[:, 1], distance_threshold)
 
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        groups.setdefault(int(label), []).append(i)
-
     clusters = []
-    for members in groups.values():
+    for members in index_groups(labels).values():
         member_ids = frozenset(ids[i] for i in members)
         centroid = pts[members].mean(axis=0)
         velocity = None
@@ -457,19 +460,26 @@ class SampleTable:
             classes=classes,
         )
 
-    def leader_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices ``(follower, leader)`` of every follower/leader pair.
+    def leader_pairs(self) -> tuple[np.ndarray, ...]:
+        """Every follower/leader pair as arrays ``(follower, leader, gap, closing, ttc)``.
 
         Within each frame, vehicles are ordered along the travel axis (ties by
         vehicle id) and each is paired with the next one downstream; pairs
         with a zero gap are dropped. Pairs come ordered by frame, then by
-        follower position.
+        follower position. ``follower``/``leader`` are row indices, ``gap`` is
+        the leader's axis position minus the follower's, ``closing`` the
+        follower's axis speed minus the leader's, and ``ttc`` is gap / closing
+        where closing > 0 and nan elsewhere.
         """
         id_rank = np.argsort(np.argsort(np.array(self.vids, dtype=str)))
         order = np.lexsort((id_rank[self.vid_code], self.axis_pos, self.frame))
         follower, leader = order[:-1], order[1:]
-        keep = (self.frame[follower] == self.frame[leader]) & (self.axis_pos[leader] > self.axis_pos[follower])
-        return follower[keep], leader[keep]
+        gap = self.axis_pos[leader] - self.axis_pos[follower]
+        keep = (self.frame[follower] == self.frame[leader]) & (gap > 0)
+        follower, leader, gap = follower[keep], leader[keep], gap[keep]
+        closing = self.axis_speed[follower] - self.axis_speed[leader]
+        ttc = np.divide(gap, closing, out=np.full(gap.size, np.nan), where=closing > 0)
+        return follower, leader, gap, closing, ttc
 
     def free_flow_speed(self) -> float | None:
         """Reference free-flow speed: 85th percentile of per-frame mean speeds."""
@@ -513,11 +523,9 @@ def compute_interval_metrics(
         fmin, fmax = int(table.frame[0]), int(table.frame[-1])
         if free_flow is None:
             free_flow = table.free_flow_speed()
-        follower, leader = table.leader_pairs()
-        closing = table.axis_speed[follower] - table.axis_speed[leader]
-        is_closing = closing > 0
-        pair_frame = table.frame[follower[is_closing]]
-        pair_ttc = (table.axis_pos[leader] - table.axis_pos[follower])[is_closing] / closing[is_closing]
+        follower, _, _, closing, ttc = table.leader_pairs()
+        pair_frame = table.frame[follower[closing > 0]]
+        pair_ttc = ttc[closing > 0]
     membership_stride = max(1, round(fps / cluster_cfg.membership_rate))
 
     for t0, t1 in windows:
@@ -536,8 +544,7 @@ def compute_interval_metrics(
             results.append(row)
             continue
 
-        left = np.searchsorted(table.frame, lo, side="left")
-        right = np.searchsorted(table.frame, hi, side="left")
+        left, right = np.searchsorted(table.frame, (lo, hi))
         frame = table.frame[left:right]
         x = table.x[left:right]
         y = table.y[left:right]
@@ -546,23 +553,16 @@ def compute_interval_metrics(
         axis_speed = table.axis_speed[left:right]
         code = table.vid_code[left:right]
 
-        # Per-vehicle grouping for the speed-based metrics.
-        order = np.argsort(code, kind="stable")
-        codes_sorted = code[order]
-        speeds_sorted = speed[order]
-        uniq_codes, starts = np.unique(codes_sorted, return_index=True)
-        bounds = np.append(starts, codes_sorted.size)
-        speeds_by_vehicle = {
-            table.vids[c]: speeds_sorted[bounds[i] : bounds[i + 1]] for i, c in enumerate(uniq_codes)
-        }
-        row.n_vehicles = len(uniq_codes)
+        rows_of = index_groups(code)
+        speeds_by_vehicle = {table.vids[c]: speed[rows] for c, rows in rows_of.items()}
+        row.n_vehicles = len(rows_of)
         if row.n_vehicles:
             row.ivvr = ivvr(speeds_by_vehicle)
             row.ovvr = ovvr(speeds_by_vehicle)
             max_speeds = {vid: float(s.max()) for vid, s in speeds_by_vehicle.items()}
             row.osr = osr(max_speeds, segment.speed_limit, segment.osr_thresholds)
             counts = {vc.value: 0 for vc in VEHICLE_CLASSES}
-            for c in uniq_codes:
+            for c in rows_of:
                 counts[table.classes[c].value] += 1
             row.tci, row.f_c = tci(counts)
 
@@ -642,8 +642,6 @@ def write_metrics_csv(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[
 
 def read_metrics_csv(text: str) -> list[IntervalMetrics]:
     """Parse the metrics CSV back into IntervalMetrics rows."""
-    from .errors import SchemaError
-
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -653,13 +651,17 @@ def read_metrics_csv(text: str) -> list[IntervalMetrics]:
     if not required <= set(header):
         raise SchemaError(f"metrics header missing {sorted(required - set(header))}")
     col = {name: i for i, name in enumerate(header)}
-    osr_cols = [(float(name[len("osr_") :]), i) for i, name in enumerate(header) if name.startswith("osr_")]
+    osr_cols = [(float(name[len("osr_") :]), name) for name in header if name.startswith("osr_")]
 
-    def fval(row, name):
+    def fval(row, name, blank_ok=True):
         i = col.get(name)
-        if i is None or i >= len(row) or row[i] == "":
+        cell = row[i] if i is not None and i < len(row) else ""
+        if cell == "" and blank_ok:
             return None
-        return float(row[i])
+        try:
+            return float(cell)
+        except ValueError:
+            raise SchemaError(f"line {reader.line_num}: column {name!r} is not a number: {cell!r}") from None
 
     rows = []
     for row in reader:
@@ -667,19 +669,19 @@ def read_metrics_csv(text: str) -> list[IntervalMetrics]:
             continue
         m = IntervalMetrics(
             segment_id=row[col["segment_id"]],
-            t_start=float(row[col["interval_start"]]),
-            t_end=float(row[col["interval_end"]]),
+            t_start=fval(row, "interval_start", blank_ok=False),
+            t_end=fval(row, "interval_end", blank_ok=False),
             ttc_cv=fval(row, "ttc_cv"),
             ivvr=fval(row, "ivvr"),
             ovvr=fval(row, "ovvr"),
             tci=fval(row, "tci"),
             ntc=fval(row, "ntc"),
             trt=fval(row, "trt"),
-            n_vehicles=int(float(row[col["n_vehicles"]])) if fval(row, "n_vehicles") is not None else 0,
+            n_vehicles=int(fval(row, "n_vehicles") or 0),
             coverage=fval(row, "coverage") or 0.0,
             e_ttc=fval(row, "e_ttc"),
         )
-        m.osr = {theta: float(row[i]) for theta, i in osr_cols if i < len(row) and row[i] != ""}
+        m.osr = {theta: v for theta, name in osr_cols if (v := fval(row, name)) is not None}
         f_truck = fval(row, "f_truck")
         if f_truck is not None:
             m.f_c = {VehicleClass.TRUCK.value: f_truck, VehicleClass.CAR.value: 1.0 - f_truck}

@@ -148,9 +148,12 @@ def load_keypoints(text: str, plane: TangentPlane) -> list[KeypointPair]:
         raise SchemaError("keypoints JSON must be a top-level array")
     pairs = []
     for i, entry in enumerate(raw):
-        missing = {"u", "v", "lat", "lon"} - set(entry)
-        if missing:
-            raise SchemaError(f"keypoint {i} missing fields: {sorted(missing)}")
-        world = plane.to_xy(float(entry["lat"]), float(entry["lon"]))
-        pairs.append(KeypointPair(pixel=(float(entry["u"]), float(entry["v"])), world=world))
+        values = {}
+        for key in ("u", "v", "lat", "lon"):
+            try:
+                values[key] = float(entry[key])
+            except (KeyError, TypeError, ValueError):
+                raise SchemaError(f"keypoint {i}: field {key!r} missing or not a number in {entry!r}") from None
+        world = plane.to_xy(values["lat"], values["lon"])
+        pairs.append(KeypointPair(pixel=(values["u"], values["v"]), world=world))
     return pairs

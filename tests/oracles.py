@@ -136,6 +136,55 @@ def pairwise_ttc_oracle(positions, speeds):
     return out
 
 
+def ssm_rows_oracle(tracks, travel_axis, fps):
+    """The ``ssm`` CSV by a per-pair loop over scalar surrogate functions.
+
+    Per frame, vehicles sorted by (axis position, vehicle id) pair with the
+    next one downstream when strictly ahead; each pair gets ``PairState`` +
+    ``surrogate.ttc``/``drac``, and PET from one ``np.interp`` on the leader's
+    passage curve (axis position made monotone over its whole track, against
+    time).
+    """
+    import csv
+    import io
+
+    from netsafety.surrogate import PairState, drac, pet, ttc
+    from netsafety.trajectories import format_cell
+
+    ux, uy = travel_axis
+    by_frame: dict[int, list] = {}
+    passage: dict[str, tuple[list, list]] = {}
+    for tr in tracks:
+        pos = (tr.x * ux + tr.y * uy).tolist()
+        vel = (tr.vx * ux + tr.vy * uy).tolist()
+        for frame, p, v in zip(tr.frames.tolist(), pos, vel):
+            by_frame.setdefault(frame, []).append((p, tr.vehicle_id, v))
+        curve_pos, curve_t = passage.setdefault(tr.vehicle_id, ([], []))
+        curve_pos += pos
+        curve_t += tr.t.tolist()
+    curves = {vid: (np.maximum.accumulate(p), np.array(t)) for vid, (p, t) in passage.items()}
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "follower_id", "leader_id", "ttc", "drac", "pet", "gap", "v_follower", "v_leader"])
+    for frame in sorted(by_frame):
+        t = frame / fps
+        ordered = sorted(by_frame[frame])
+        for (x_f, id_f, v_f), (x_l, id_l, v_l) in zip(ordered, ordered[1:]):
+            if x_l <= x_f:
+                continue
+            state = PairState(x_leader=x_l, x_follower=x_f, v_leader=v_l, v_follower=v_f)
+            lead_pos, lead_t = curves[id_l]
+            pet_v = None
+            if lead_pos[0] <= x_f <= lead_pos[-1]:
+                t_pass = float(np.interp(x_f, lead_pos, lead_t))
+                if t_pass <= t:
+                    pet_v = pet(t_pass, t)
+            row = (t, id_f, id_l, ttc(state), drac(state), pet_v, state.gap(), v_f, v_l)
+            writer.writerow([format_cell(v) for v in row])
+    return out.getvalue()
+
+
 def chi2_sf_oracle(x, df):
     from scipy import stats as st
 

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netsafety.cli import main
+from netsafety.cli import _prepare_segment_tracks, main
+from netsafety.config import load_config
 from netsafety.network_metrics import read_metrics_csv
 from netsafety.synth import ScenarioSpec
 from netsafety.trajectories import parse_trajectories
+
+from oracles import ssm_rows_oracle
 
 
 def write_spec(path: Path, **kw) -> Path:
@@ -331,6 +334,130 @@ class TestSsmCommand:
             else:
                 assert row.e_ttc is None
         assert any(r.e_ttc is not None for r in rows)
+
+    def test_matches_per_pair_oracle_byte_for_byte(self, tmp_path):
+        out = run_bundle(tmp_path)
+        config = out / "config.json"
+        infile = out / "trajectories_S1.csv"
+        assert main(["ssm", "--config", str(config), "--in", str(infile), "--out", str(out / "ssm.csv")]) == 0
+        assert (out / "ssm.csv").read_text() == ssm_oracle_csv(config, infile)
+
+        # Edited copy: rows interleaved, and the most frequent leader's track cut by a gap
+        # longer than max_gap into two runs, the first moved forward to end 20 m ahead of
+        # where the second starts, so the second run starts behind the first's furthest point.
+        leaders = [row["leader_id"] for row in csv.DictReader((out / "ssm.csv").open())]
+        vid = max(set(leaders), key=leaders.count)
+        header, *rows = infile.read_text().splitlines(keepends=True)
+        own = [i for i, row in enumerate(rows) if row.split(",")[1] == vid]
+        cut = len(own) // 2
+        gap = load_config(config).prep.max_gap_frames + 5
+        last_x, next_x = (float(rows[own[k]].split(",")[2]) for k in (cut - 1, cut + gap))
+        for i in own[:cut]:
+            fields = rows[i].rstrip("\n").split(",")
+            for c in (2, 4):  # x1, x2
+                fields[c] = repr(float(fields[c]) + (next_x - last_x) + 20.0)
+            rows[i] = ",".join(fields) + "\n"
+        dropped = set(own[cut : cut + gap])
+        infile.write_text(interleave_rows(header + "".join(r for i, r in enumerate(rows) if i not in dropped), 1))
+        assert main(["ssm", "--config", str(config), "--in", str(infile), "--out", str(out / "ssm.csv")]) == 0
+        edited = (out / "ssm.csv").read_text()
+        assert edited == ssm_oracle_csv(config, infile)
+        t_split = int(rows[own[cut + gap]].split(",")[0]) / load_config(config).fps
+        assert any(r["leader_id"] == vid and r["pet"] and float(r["t"]) >= t_split
+                   for r in csv.DictReader(edited.splitlines()))
+
+    def test_pet_on_a_leader_whose_second_run_starts_behind(self, tmp_path):
+        # Leader L: run 1 at x = 0, 10, ..., 40 (frames 0-4), then a 3-frame gap (> max_gap 2),
+        # run 2 at x = 25, 35, 45, 55 (frames 8-11). Its passage curve, made monotone over the
+        # whole track: positions 0 10 20 30 40 40 40 45 55 at times 0 1 2 3 4 8 9 10 11.
+        # Follower F at x = 12, 22, 32, 42 (frames 8-11) passes where L was at t = 1.2, 2.2,
+        # 3.2 and, on the flat part then the rise to 45 m, 9 + (42 - 40) / 5 = 9.4.
+        config = write_hand_config(tmp_path, prep={"max_gap_frames": 2})
+        rows = ["frame,vehicle_id,x1,y1,x2,y2"]
+        for vid, frames, x0 in (("L", range(0, 5), 0.0), ("L", range(8, 12), -55.0), ("F", range(8, 12), -68.0)):
+            rows += [f"{f},{vid},{x0 + 10.0 * f - 2.0},-1.0,{x0 + 10.0 * f + 2.0},1.0" for f in frames]
+        infile = tmp_path / "traj.csv"
+        infile.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "ssm.csv"
+        assert main(["ssm", "--config", str(config), "--in", str(infile), "--out", str(out)]) == 0
+        pairs = list(csv.DictReader(out.open()))
+        assert [(p["t"], p["follower_id"], p["leader_id"]) for p in pairs] == [
+            (f"{f}.0", "F", "L") for f in range(8, 12)
+        ]
+        assert [float(p["pet"]) for p in pairs] == pytest.approx([6.8, 6.8, 6.8, 1.6], rel=1e-12)
+        assert out.read_text() == ssm_oracle_csv(config, infile)
+
+
+def ssm_oracle_csv(config: Path, infile: Path) -> str:
+    """What ``ssm`` should write for ``infile``, by the per-pair oracle."""
+    cfg = load_config(config)
+    seg = cfg.segments[0]
+    return ssm_rows_oracle(_prepare_segment_tracks(cfg, seg, infile), seg.travel_axis, cfg.fps)
+
+
+class TestQuarterTurnInvariance:
+    def test_turning_boxes_with_the_travel_axis_changes_no_output(self, tmp_path):
+        # (x, y) -> (-y, x) maps box (x1, y1, x2, y2) to (-y2, x1, -y1, x2). Only quarter turns
+        # keep boxes axis-aligned; at other angles box_length_along_axis (and with it the
+        # vehicle class and ntc) changes, so they are not invariant.
+        out = run_bundle(tmp_path)
+        config = json.loads((out / "config.json").read_text())
+        config["segments"] = config["segments"][:1]
+        header, *rows = (out / "trajectories_S1.csv").read_text().splitlines()
+        turned = [header]
+        for row in rows:
+            frame, vid, x1, y1, x2, y2 = row.split(",")
+            turned.append(",".join([frame, vid, repr(-float(y2)), x1, repr(-float(y1)), x2]))
+        (out / "turned_S1.csv").write_text("\n".join(turned) + "\n")
+
+        outputs = []
+        for axis, name in (([1.0, 0.0], "trajectories_S1.csv"), ([0.0, 1.0], "turned_S1.csv")):
+            config["segments"][0]["travel_axis"] = axis
+            (out / "one.json").write_text(json.dumps(config))
+            one, infile = str(out / "one.json"), str(out / name)
+            assert main(["metrics", "--config", one, "--in", infile, "--out", str(out / "m.csv")]) == 0
+            assert main(["ssm", "--config", one, "--in", infile, "--out", str(out / "s.csv")]) == 0
+            outputs.append(((out / "m.csv").read_text(), (out / "s.csv").read_text()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count("\n") == 7 and outputs[0][1].count("\n") > 100
+
+
+class TestMalformedInputExits2:
+    """Bad cells in the inputs of ``associate`` and ``project`` exit 2 with a JSON error naming them."""
+
+    def run(self, argv, capsys):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        return err["message"]
+
+    def test_non_finite_crash_coordinate(self, tmp_path, capsys):
+        out = run_bundle(tmp_path)
+        assert main(["metrics", "--config", str(out / "config.json")]) == 0
+        header, first, *rest = (out / "crashes.csv").read_text().splitlines(keepends=True)
+        stamp, _, _, kind = first.split(",")
+        (out / "crashes.csv").write_text(header + ",".join([stamp, "nan", "inf", kind]) + "".join(rest))
+        message = self.run(["associate", "--config", str(out / "config.json")], capsys)
+        assert message.startswith("line 2: non-finite coordinate")
+
+    def test_metrics_cell_not_a_number(self, tmp_path, capsys):
+        out = run_bundle(tmp_path)
+        assert main(["metrics", "--config", str(out / "config.json")]) == 0
+        rows = list(csv.reader((out / "metrics.csv").read_text().splitlines()))
+        rows[3][rows[0].index("ivvr")] = "abc"
+        (out / "metrics.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        message = self.run(["associate", "--config", str(out / "config.json")], capsys)
+        assert message == "line 4: column 'ivvr' is not a number: 'abc'"
+
+    def test_keypoint_field_not_a_number(self, tmp_path, capsys):
+        out = run_bundle(tmp_path)
+        keypoints = json.loads((out / "keypoints.json").read_text())
+        keypoints[2]["u"] = "abc"
+        (out / "keypoints.json").write_text(json.dumps(keypoints))
+        message = self.run(["project", "--config", str(out / "config.json"), "--in",
+                            str(out / "trajectories_S1.csv"), "--out", str(out / "world_S1.csv")], capsys)
+        assert message.startswith("keypoint 2: field 'u' missing or not a number")
+        assert not (out / "world_S1.csv").exists()
 
 
 def write_hand_config(path: Path, segment_extra=None, **sections) -> Path:

@@ -51,6 +51,13 @@ class TestParse:
         with pytest.raises(SchemaError, match="type"):
             parse_crashes("timestamp,lat,lon\n")
 
+    @pytest.mark.parametrize("lat,lon", [("nan", "inf"), ("33.46", "-inf"), ("NaN", "-112.06")])
+    def test_non_finite_coordinate_names_line(self, lat, lon):
+        # Before the check such a record was returned and bin_crashes silently dropped it.
+        text = f"timestamp,lat,lon,type\n2020-01-01T08:00:00,1,2,REAR_END\n2020-01-01T08:00:00,{lat},{lon},REAR_END\n"
+        with pytest.raises(SchemaError, match="^line 3: non-finite coordinate"):
+            parse_crashes(text)
+
 
 class TestBinning:
     def test_direct_binning(self):
