@@ -240,6 +240,11 @@ def cross_segment_analysis(
             row.unevaluable = True
         holdout.append(row)
 
+    seg_r = {
+        (s, j): _abs_pearson_or_none(per_segment[s].x[:, j], per_segment[s].y)
+        for s in seg_ids
+        for j in range(len(names))
+    }
     combinations: list[CombinationRow] = []
     for size in range(1, len(seg_ids) + 1):
         pooled_acc: dict[str, list[float]] = {n: [] for n in names}
@@ -252,10 +257,7 @@ def cross_segment_analysis(
                 r = _abs_pearson_or_none(x[:, j], y)
                 if r is not None:
                     pooled_acc[name].append(r)
-                per_seg = [
-                    _abs_pearson_or_none(per_segment[s].x[:, j], per_segment[s].y) for s in combo
-                ]
-                per_seg = [r for r in per_seg if r is not None]
+                per_seg = [seg_r[s, j] for s in combo if seg_r[s, j] is not None]
                 if per_seg:
                     segavg_acc[name].append(float(np.mean(per_seg)))
         combinations.append(

@@ -142,24 +142,38 @@ def index_groups(codes: np.ndarray) -> dict[int, np.ndarray]:
     return dict(zip(values.tolist(), np.split(order, starts[1:])))
 
 
-def _single_linkage_labels(px: np.ndarray, py: np.ndarray, threshold: float) -> np.ndarray:
-    """Connected-component labels under pairwise Euclidean distance <= threshold."""
-    n = px.size
-    parent = np.arange(n)
+def _single_linkage(frame: np.ndarray, x: np.ndarray, y: np.ndarray, threshold: float) -> np.ndarray:
+    """Per row, the smallest row index of its single-linkage component (distance <= threshold) in its frame.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    d2 = (px[:, None] - px[None, :]) ** 2 + (py[:, None] - py[None, :]) ** 2
-    ii, jj = np.nonzero(np.triu(d2 <= threshold * threshold, k=1))
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return np.array([find(i) for i in range(n)], dtype=int)
+    Rows sorted by (frame, x) are swept at growing offsets while ``(x_j - x_i)**2 <= thr**2``, a term
+    the squared distance never falls below. Roots hook to their smallest neighbouring root, then pointer-jump.
+    """
+    order = np.lexsort((x, frame))
+    xs, ys = x[order], y[order]
+    last = np.searchsorted(frame[order], frame[order], side="right") - 1  # last row of the same frame
+    thr2 = threshold * threshold
+    ends: list[np.ndarray] = [np.zeros((2, 0), dtype=int)]
+    i = np.arange(order.size)
+    d = 1
+    while i.size:
+        i = i[i + d <= last[i]]
+        i = i[(xs[i + d] - xs[i]) ** 2 <= thr2]
+        j = i + d
+        edge = (xs[j] - xs[i]) ** 2 + (ys[j] - ys[i]) ** 2 <= thr2
+        ends.append(order[np.stack((i[edge], j[edge]))])
+        d += 1
+    a, b = np.concatenate(ends, axis=1)
+    label = np.arange(order.size)
+    while a.size:
+        la, lb = label[a], label[b]
+        low = np.minimum(la, lb)
+        np.minimum.at(label, la, low)
+        np.minimum.at(label, lb, low)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        split = label[a] != label[b]
+        a, b = a[split], b[split]
+    return label
 
 
 def cluster_frame(
@@ -180,52 +194,43 @@ def cluster_frame(
     pts = np.array([p for _, p in positions], dtype=float).reshape(len(ids), 2)
     if not np.all(np.isfinite(pts)):
         raise DataError("vehicle positions must be finite")
-    labels = _single_linkage_labels(pts[:, 0], pts[:, 1], distance_threshold)
+    labels = _single_linkage(np.zeros(len(ids), dtype=int), pts[:, 0], pts[:, 1], distance_threshold)
 
     clusters = []
     for members in index_groups(labels).values():
-        member_ids = frozenset(ids[i] for i in members)
-        centroid = pts[members].mean(axis=0)
-        velocity = None
-        if speeds is not None:
-            velocity = float(np.mean([speeds[ids[i]] for i in members]))
-        clusters.append(VehicleCluster(member_ids, (float(centroid[0]), float(centroid[1])), velocity))
+        cx, cy = pts[members].mean(axis=0)
+        velocity = None if speeds is None else float(np.mean([speeds[ids[i]] for i in members]))
+        clusters.append(VehicleCluster(frozenset(ids[i] for i in members), (float(cx), float(cy)), velocity))
     clusters.sort(key=lambda c: min(c.members))
     return clusters
 
 
-def _cttc_from_arrays(axis_pos: np.ndarray, axis_vel: np.ndarray) -> list[float]:
-    """Cluster TTCs given axis positions/velocities, one entry per cluster with a
-    strictly slower nearest-downstream leader (equal-speed leaders yield nothing)."""
-    order = np.argsort(axis_pos, kind="stable")
-    p = axis_pos[order]
-    v = axis_vel[order]
-    values: list[float] = []
-    n = p.size
-    for i in range(n - 1):
-        v_i = v[i]
-        for j in range(i + 1, n):
-            if p[j] <= p[i]:  # co-located cluster is not downstream
-                continue
-            if v[j] <= v_i:
-                if v[j] < v_i:
-                    values.append(float((p[j] - p[i]) / (v_i - v[j])))
-                break
-    return values
+def _cluster_ttc(frame: np.ndarray, axis_pos: np.ndarray, axis_vel: np.ndarray, travel_axis: tuple[float, float],
+                 collision_point: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """``cluster_ttc`` over clusters listed by frame: ``(cluster index, ttc)`` arrays, grouped by frame.
 
-
-def _cluster_ttc_values(
-    axis_pos: np.ndarray,
-    axis_vel: np.ndarray,
-    travel_axis: tuple[float, float],
-    collision_point: tuple[float, float] | None,
-) -> list[float]:
-    """Cluster TTCs toward the nearest slower downstream cluster or, when a
-    collision point is set, toward that fixed point (distance over speed)."""
-    if collision_point is None:
-        return _cttc_from_arrays(axis_pos, axis_vel)
-    point = collision_point[0] * travel_axis[0] + collision_point[1] * travel_axis[1]
-    return [float((point - p) / v) for p, v in zip(axis_pos, axis_vel) if v > 0 and point > p]
+    Clusters at one axis position keep their given order, as do values toward a collision point."""
+    if collision_point is not None:
+        point = collision_point[0] * travel_axis[0] + collision_point[1] * travel_axis[1]
+        who = np.flatnonzero((axis_vel > 0) & (point > axis_pos))
+        return who, (point - axis_pos[who]) / axis_vel[who]
+    order = np.lexsort((axis_pos, frame))
+    p, v = axis_pos[order], axis_vel[order]
+    last = np.searchsorted(frame[order], frame[order], side="right") - 1  # last cluster of the same frame
+    leader = np.full(order.size, -1)
+    open_ = np.arange(order.size)  # clusters still looking for a leader
+    d = 1
+    while open_.size:
+        open_ = open_[open_ + d <= last[open_]]
+        j = open_ + d
+        found = (p[j] > p[open_]) & (v[j] <= v[open_])
+        leader[open_[found]] = j[found]
+        open_ = open_[~found]
+        d += 1
+    i = np.flatnonzero(leader >= 0)
+    i = i[v[i] > v[leader[i]]]  # an equally fast leader yields no value
+    j = leader[i]
+    return order[i], (p[j] - p[i]) / (v[i] - v[j])
 
 
 def cluster_ttc(
@@ -243,29 +248,24 @@ def cluster_ttc(
     cluster approaching the point contributes distance/speed instead.
     """
     ux, uy = travel_axis
-    for c in clusters:
-        if c.velocity is None:
-            raise ParameterError("cluster velocities must be set before computing cluster TTC")
-    axis_pos = np.array([c.centroid[0] * ux + c.centroid[1] * uy for c in clusters])
-    axis_vel = np.array([c.velocity for c in clusters])
-    return FrameClusterTTC(
-        frame=frame,
-        cttc_values=_cluster_ttc_values(axis_pos, axis_vel, travel_axis, collision_point),
-        n_vehicles=sum(c.size for c in clusters),
-        n_clusters=len(clusters),
-    )
+    if any(c.velocity is None for c in clusters):
+        raise ParameterError("cluster velocities must be set before computing cluster TTC")
+    axis_pos = np.array([c.centroid[0] * ux + c.centroid[1] * uy for c in clusters], dtype=float)
+    axis_vel = np.array([c.velocity for c in clusters], dtype=float)
+    _, values = _cluster_ttc(np.zeros(len(clusters), dtype=int), axis_pos, axis_vel, travel_axis, collision_point)
+    return FrameClusterTTC(frame, values.tolist(), sum(c.size for c in clusters), len(clusters))
 
 
-def _ttc_cv_from_pairs(frames: Iterable[tuple[Sequence[float], float]]) -> float | None:
-    per_frame = []
-    for values, rho in frames:
-        if len(values) < 2:
-            continue
-        vals = np.asarray(values, dtype=float)
-        per_frame.append(float(vals.std(ddof=1) / vals.mean() * rho))
-    if not per_frame:
-        return None
-    return float(np.mean(per_frame))
+def _frame_cv(values: np.ndarray, owner: np.ndarray, rho: np.ndarray) -> float | None:
+    """Mean of std(ddof=1) / mean * rho over frames with 2+ ``values``, grouped by ``owner`` (an index into ``rho``)."""
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    counts = np.diff(np.append(starts, values.size))
+    mean = np.add.reduceat(values, starts) / counts
+    dev = values - np.repeat(mean, counts)
+    multi = counts > 1
+    std = np.sqrt(np.add.reduceat(dev * dev, starts)[multi] / (counts[multi] - 1))
+    cv = std / mean[multi] * rho[owner[starts[multi]]]
+    return float(np.mean(cv)) if cv.size else None
 
 
 def ttc_cv(frames: Iterable[FrameClusterTTC]) -> float | None:
@@ -275,7 +275,10 @@ def ttc_cv(frames: Iterable[FrameClusterTTC]) -> float | None:
     The coefficient of variation uses the sample standard deviation (n - 1);
     frames with fewer than two cluster TTCs carry no dispersion information
     and are skipped. None when no frame qualifies."""
-    return _ttc_cv_from_pairs((f.cttc_values, f.rho) for f in frames)
+    frames = list(frames)
+    values = np.array([v for f in frames for v in f.cttc_values], dtype=float)
+    owner = np.repeat(np.arange(len(frames)), [len(f.cttc_values) for f in frames])
+    return _frame_cv(values, owner, np.array([f.rho for f in frames], dtype=float))
 
 
 def ivvr(speeds_by_vehicle: Mapping[str, Sequence[float]]) -> float | None:
@@ -423,41 +426,28 @@ class SampleTable:
     @classmethod
     def build(cls, tracks: Sequence[PreparedTrack], travel_axis: tuple[float, float]) -> "SampleTable":
         ux, uy = travel_axis
-        vids: list[str] = []
-        code_of: dict[str, int] = {}
-        lengths: list[float] = []
-        classes: list[VehicleClass] = []
-        frames, xs, ys, axis_pos, speeds, axis_speeds, codes = [], [], [], [], [], [], []
+        first: dict[str, PreparedTrack] = {}  # each vehicle's first track gives its length and class
         for track in tracks:
-            if track.vehicle_id not in code_of:
-                code_of[track.vehicle_id] = len(vids)
-                vids.append(track.vehicle_id)
-                lengths.append(track.length_m)
-                classes.append(track.vclass)
-            code = code_of[track.vehicle_id]
-            frames.append(track.frames)
-            xs.append(track.x)
-            ys.append(track.y)
-            axis_pos.append(track.x * ux + track.y * uy)
-            speeds.append(track.speed)
-            axis_speeds.append(track.vx * ux + track.vy * uy)
-            codes.append(np.full(track.frames.size, code, dtype=int))
-        if not frames:
-            empty = np.array([])
-            return cls(empty.astype(int), empty, empty, empty, empty, empty, empty.astype(int), [], empty, [])
-        frame = np.concatenate(frames)
+            first.setdefault(track.vehicle_id, track)
+        code_of = {vid: code for code, vid in enumerate(first)}
+        frame = np.concatenate([np.zeros(0, dtype=int)] + [t.frames for t in tracks])
         order = np.argsort(frame, kind="stable")
+
+        def column(values) -> np.ndarray:
+            return np.concatenate([np.zeros(0)] + [values(t) for t in tracks])[order]
+
+        codes = np.array([code_of[t.vehicle_id] for t in tracks], dtype=int)
         return cls(
             frame=frame[order],
-            x=np.concatenate(xs)[order],
-            y=np.concatenate(ys)[order],
-            axis_pos=np.concatenate(axis_pos)[order],
-            speed=np.concatenate(speeds)[order],
-            axis_speed=np.concatenate(axis_speeds)[order],
-            vid_code=np.concatenate(codes)[order],
-            vids=vids,
-            lengths=np.array(lengths),
-            classes=classes,
+            x=column(lambda t: t.x),
+            y=column(lambda t: t.y),
+            axis_pos=column(lambda t: t.x * ux + t.y * uy),
+            speed=column(lambda t: t.speed),
+            axis_speed=column(lambda t: t.vx * ux + t.vy * uy),
+            vid_code=np.repeat(codes, [t.frames.size for t in tracks])[order],
+            vids=list(first),
+            lengths=np.array([t.length_m for t in first.values()]),
+            classes=[t.vclass for t in first.values()],
         )
 
     def leader_pairs(self) -> tuple[np.ndarray, ...]:
@@ -481,18 +471,61 @@ class SampleTable:
         ttc = np.divide(gap, closing, out=np.full(gap.size, np.nan), where=closing > 0)
         return follower, leader, gap, closing, ttc
 
+    def frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct frames, their first rows and row counts."""
+        present, starts = np.unique(self.frame, return_index=True)
+        return present, starts, np.diff(np.append(starts, self.frame.size))
+
     def free_flow_speed(self) -> float | None:
         """Reference free-flow speed: 85th percentile of per-frame mean speeds."""
-        if self.frame.size == 0:
-            return None
-        _, starts = np.unique(self.frame, return_index=True)
-        means = np.add.reduceat(self.speed, starts) / np.diff(np.append(starts, self.frame.size))
-        return float(np.percentile(means, FREE_FLOW_PERCENTILE))
+        _, starts, sizes = self.frames()
+        means = np.add.reduceat(self.speed, starts) / sizes
+        return float(np.percentile(means, FREE_FLOW_PERCENTILE)) if means.size else None
 
 
 def segment_free_flow_speed(tracks: Sequence[PreparedTrack], travel_axis=(1.0, 0.0)) -> float | None:
     """Reference free-flow speed: 85th percentile of per-frame mean speeds."""
     return SampleTable.build(tracks, travel_axis).free_flow_speed()
+
+
+def _window_ttc_cv(table: SampleTable, rows: slice, present: np.ndarray, sizes: np.ndarray, stride: int,
+                   threshold: float, segment: SegmentConfig) -> float | None:
+    """TTC-CV of one window's rows, which fill the frames ``present`` with ``sizes`` rows each.
+
+    Memberships refresh at the window's first frame, then at the first frame
+    at least ``stride`` frames after the last refresh. Each row takes its
+    vehicle's cluster at the last refresh; a vehicle unseen there rides alone
+    under the label ``-code - 1``. Clusters are ordered by frame, then label.
+    """
+    x, y, code = table.x[rows], table.y[rows], table.vid_code[rows]
+    fid = np.repeat(np.arange(present.size), sizes)
+    step = np.searchsorted(present, present + stride).tolist()
+    refresh = np.zeros(present.size, dtype=bool)
+    k = 0
+    while k < present.size:
+        refresh[k] = True
+        k = step[k]
+    at_refresh = np.flatnonzero(refresh[fid])
+    comp = at_refresh[_single_linkage(fid[at_refresh], x[at_refresh], y[at_refresh], threshold)]
+
+    # Key each row by (its frame's last refresh, vehicle) and find it among the refresh rows.
+    n_codes = len(table.vids)
+    key = (np.cumsum(refresh) - 1)[fid] * n_codes + code
+    order = np.argsort(key[at_refresh], kind="stable")
+    known = key[at_refresh][order]
+    pos = np.searchsorted(known, key, side="right") - 1
+    hit = (pos >= 0) & (known[pos] == key)
+    label = np.where(hit, comp[order[pos]], -code - 1)
+
+    span = n_codes + code.size  # label + n_codes lies in [0, span)
+    groups, inv = np.unique(fid * span + label + n_codes, return_inverse=True)
+    members = np.bincount(inv)
+    cpos = np.bincount(inv, weights=table.axis_pos[rows]) / members
+    cvel = np.bincount(inv, weights=table.axis_speed[rows]) / members
+    gframe = groups // span
+    rho = sizes / np.bincount(gframe, minlength=present.size)
+    who, values = _cluster_ttc(gframe, cpos, cvel, segment.travel_axis, segment.collision_point)
+    return _frame_cv(values, gframe[who], rho)
 
 
 def compute_interval_metrics(
@@ -517,92 +550,53 @@ def compute_interval_metrics(
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
     table = SampleTable.build(tracks, segment.travel_axis)
-    results: list[IntervalMetrics] = []
-    have_data = table.frame.size > 0
-    if have_data:
-        fmin, fmax = int(table.frame[0]), int(table.frame[-1])
-        if free_flow is None:
-            free_flow = table.free_flow_speed()
-        follower, _, _, closing, ttc = table.leader_pairs()
-        pair_frame = table.frame[follower[closing > 0]]
-        pair_ttc = ttc[closing > 0]
+    present, starts, sizes = table.frames()
+    bounds = np.append(starts, table.frame.size)
+    frame_length = np.add.reduceat(table.lengths[table.vid_code], starts)
+    frame_speed = np.add.reduceat(table.speed, starts) / sizes
+    if free_flow is None:
+        free_flow = table.free_flow_speed()
+    follower, _, _, closing, ttc = table.leader_pairs()
+    pair_frame = table.frame[follower[closing > 0]]
+    pair_ttc = ttc[closing > 0]
     membership_stride = max(1, round(fps / cluster_cfg.membership_rate))
 
+    results: list[IntervalMetrics] = []
     for t0, t1 in windows:
         if t1 <= t0:
             raise ParameterError(f"empty window [{t0}, {t1})")
         f0 = math.ceil(t0 * fps - 1e-9)
         f1 = math.ceil(t1 * fps - 1e-9)
         row = IntervalMetrics(segment_id=segment.segment_id, t_start=t0, t_end=t1)
-        if not have_data:
-            results.append(row)
-            continue
-        lo = max(f0, fmin)
-        hi = min(f1, fmax + 1)
+        results.append(row)
+        lo, hi = (max(f0, int(present[0])), min(f1, int(present[-1]) + 1)) if present.size else (f0, f0)
         row.coverage = max(0, hi - lo) / (f1 - f0)
         if hi <= lo:
-            results.append(row)
             continue
 
-        left, right = np.searchsorted(table.frame, (lo, hi))
-        frame = table.frame[left:right]
-        x = table.x[left:right]
-        y = table.y[left:right]
-        axis_pos = table.axis_pos[left:right]
-        speed = table.speed[left:right]
-        axis_speed = table.axis_speed[left:right]
-        code = table.vid_code[left:right]
-
-        rows_of = index_groups(code)
-        speeds_by_vehicle = {table.vids[c]: speed[rows] for c, rows in rows_of.items()}
+        window = slice(*np.searchsorted(present, (lo, hi)))
+        rows = slice(bounds[window.start], bounds[window.stop])
+        speed = table.speed[rows]
+        rows_of = index_groups(table.vid_code[rows])
+        speeds_by_vehicle = {table.vids[c]: speed[r] for c, r in rows_of.items()}
         row.n_vehicles = len(rows_of)
         if row.n_vehicles:
             row.ivvr = ivvr(speeds_by_vehicle)
             row.ovvr = ovvr(speeds_by_vehicle)
             max_speeds = {vid: float(s.max()) for vid, s in speeds_by_vehicle.items()}
             row.osr = osr(max_speeds, segment.speed_limit, segment.osr_thresholds)
-            counts = {vc.value: 0 for vc in VEHICLE_CLASSES}
-            for c in rows_of:
-                counts[table.classes[c].value] += 1
-            row.tci, row.f_c = tci(counts)
+            row.tci, row.f_c = tci({vc.value: sum(table.classes[c] is vc for c in rows_of) for vc in VEHICLE_CLASSES})
+            row.ttc_cv = _window_ttc_cv(table, rows, present[window], sizes[window], membership_stride,
+                                        cluster_cfg.distance_threshold, segment)
+            if free_flow is not None:
+                series = zip((present[window] / fps).tolist(), frame_speed[window].tolist())
+                row.trt = trt(detect_congestion_events(list(series), free_flow, trt_theta, trt_t_min))
 
-        # Frame-by-frame pass: density, clustering, cluster TTC.
-        frame_totals = np.zeros(hi - lo)
-        present_frames, fstarts = np.unique(frame, return_index=True)
-        fbounds = np.append(fstarts, frame.size)
-        mean_speed_series: list[tuple[float, float]] = []
-        cluster_values: list[tuple[list[float], float]] = []
-        label_of: dict[int, int] = {}  # vid_code -> cluster label from the last refresh
-        next_membership = lo
-        for i, f in enumerate(present_frames):
-            sl = slice(fstarts[i], fbounds[i + 1])
-            codes_f = code[sl]
-            frame_totals[int(f) - lo] = table.lengths[codes_f].sum()
-            mean_speed_series.append((f / fps, float(speed[sl].mean())))
-
-            if f >= next_membership:
-                labels = _single_linkage_labels(x[sl], y[sl], cluster_cfg.distance_threshold)
-                label_of = {int(c): int(lbl) for c, lbl in zip(codes_f, labels)}
-                next_membership = f + membership_stride
-
-            # Vehicles unseen at the last refresh ride alone (fresh negative label).
-            frame_labels = np.array([label_of.get(int(c), -int(c) - 1) for c in codes_f])
-            uniq, inv = np.unique(frame_labels, return_inverse=True)
-            counts = np.bincount(inv)
-            cpos = np.bincount(inv, weights=axis_pos[sl]) / counts
-            cvel = np.bincount(inv, weights=axis_speed[sl]) / counts
-            values = _cluster_ttc_values(cpos, cvel, segment.travel_axis, segment.collision_point)
-            cluster_values.append((values, codes_f.size / uniq.size))
-
-        row.ttc_cv = _ttc_cv_from_pairs(cluster_values)
+        frame_totals = np.bincount(present[window] - lo, weights=frame_length[window], minlength=hi - lo)
         row.ntc = ntc(frame_totals, segment.lane_count, segment.length_m)
         p0, p1 = np.searchsorted(pair_frame, (lo, hi))
         if p1 > p0:
             row.e_ttc = float(pair_ttc[p0:p1].mean())
-        if free_flow is not None and mean_speed_series:
-            events = detect_congestion_events(mean_speed_series, free_flow, trt_theta, trt_t_min)
-            row.trt = trt(events)
-        results.append(row)
     return results
 
 
@@ -651,18 +645,23 @@ def read_metrics_csv(text: str) -> list[IntervalMetrics]:
     if not required <= set(header):
         raise SchemaError(f"metrics header missing {sorted(required - set(header))}")
     col = {name: i for i, name in enumerate(header)}
-    osr_cols = [(float(name[len("osr_") :]), name) for name in header if name.startswith("osr_")]
 
-    def fval(row, name, blank_ok=True):
+    def number(cell, name, what="a number", ok=lambda v: True):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise SchemaError(f"line {reader.line_num}: column {name!r} is not {what}: {cell!r}")
+        return value
+
+    def fval(row, name, blank_ok=True, **check):
         i = col.get(name)
         cell = row[i] if i is not None and i < len(row) else ""
-        if cell == "" and blank_ok:
-            return None
-        try:
-            return float(cell)
-        except ValueError:
-            raise SchemaError(f"line {reader.line_num}: column {name!r} is not a number: {cell!r}") from None
+        return None if cell == "" and blank_ok else number(cell, name, **check)
 
+    osr_names = [name for name in header if name.startswith("osr_")]
+    osr_cols = [(number(name[len("osr_") :], name, "a finite threshold", math.isfinite), name) for name in osr_names]
     rows = []
     for row in reader:
         if not row:
@@ -677,8 +676,8 @@ def read_metrics_csv(text: str) -> list[IntervalMetrics]:
             tci=fval(row, "tci"),
             ntc=fval(row, "ntc"),
             trt=fval(row, "trt"),
-            n_vehicles=int(fval(row, "n_vehicles") or 0),
-            coverage=fval(row, "coverage") or 0.0,
+            n_vehicles=int(fval(row, "n_vehicles", what="a count", ok=lambda v: v >= 0 and v.is_integer()) or 0),
+            coverage=fval(row, "coverage", what="finite", ok=math.isfinite) or 0.0,
             e_ttc=fval(row, "e_ttc"),
         )
         m.osr = {theta: v for theta, name in osr_cols if (v := fval(row, name)) is not None}

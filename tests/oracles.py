@@ -136,6 +136,162 @@ def pairwise_ttc_oracle(positions, speeds):
     return out
 
 
+def _union_find_labels(px, py, threshold):
+    """Connected-component labels under pairwise Euclidean distance <= threshold,
+    from the full distance matrix and a union-find over its edges."""
+    n = px.size
+    parent = np.arange(n)
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    d2 = (px[:, None] - px[None, :]) ** 2 + (py[:, None] - py[None, :]) ** 2
+    ii, jj = np.nonzero(np.triu(d2 <= threshold * threshold, k=1))
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    return np.array([find(i) for i in range(n)], dtype=int)
+
+
+def _cttc_from_arrays(axis_pos, axis_vel):
+    """Cluster TTCs by a double loop: each cluster scans downstream in position
+    order for the first strictly-ahead cluster moving no faster."""
+    order = np.argsort(axis_pos, kind="stable")
+    p = axis_pos[order]
+    v = axis_vel[order]
+    values = []
+    n = p.size
+    for i in range(n - 1):
+        v_i = v[i]
+        for j in range(i + 1, n):
+            if p[j] <= p[i]:  # co-located cluster is not downstream
+                continue
+            if v[j] <= v_i:
+                if v[j] < v_i:
+                    values.append(float((p[j] - p[i]) / (v_i - v[j])))
+                break
+    return values
+
+
+def single_linkage_bfs_oracle(px, py, threshold):
+    """Components by breadth-first search over all pairs: one set of row indices per component."""
+    n = len(px)
+    seen = [False] * n
+    parts = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        part, queue = [start], [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if not seen[j] and (px[i] - px[j]) ** 2 + (py[i] - py[j]) ** 2 <= threshold * threshold:
+                    seen[j] = True
+                    part.append(j)
+                    queue.append(j)
+        parts.append(frozenset(part))
+    return set(parts)
+
+
+def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
+                            trt_theta=0.5, trt_t_min=30.0, free_flow=None):
+    """``compute_interval_metrics`` by a loop over each window's frames.
+
+    Per frame: length total and mean speed; at a refresh, union-find labels of
+    the frame's vehicles; then per-frame cluster centroids/velocities by
+    ``np.bincount`` over the vehicles' labels (unseen vehicles ride alone under
+    ``-code - 1``), cluster TTCs by ``_cttc_from_arrays`` or toward the
+    collision point, and the per-frame coefficient of variation.
+    """
+    from netsafety import network_metrics as nm
+
+    def cluster_values(axis_pos, axis_vel):
+        if segment.collision_point is None:
+            return _cttc_from_arrays(axis_pos, axis_vel)
+        ux, uy = segment.travel_axis
+        point = segment.collision_point[0] * ux + segment.collision_point[1] * uy
+        return [float((point - p) / v) for p, v in zip(axis_pos, axis_vel) if v > 0 and point > p]
+
+    table = nm.SampleTable.build(tracks, segment.travel_axis)
+    results = []
+    have_data = table.frame.size > 0
+    if have_data:
+        fmin, fmax = int(table.frame[0]), int(table.frame[-1])
+        if free_flow is None:
+            free_flow = table.free_flow_speed()
+        follower, _, _, closing, ttc = table.leader_pairs()
+        pair_frame = table.frame[follower[closing > 0]]
+        pair_ttc = ttc[closing > 0]
+    stride = max(1, round(fps / cluster_cfg.membership_rate))
+    for t0, t1 in windows:
+        f0 = math.ceil(t0 * fps - 1e-9)
+        f1 = math.ceil(t1 * fps - 1e-9)
+        row = nm.IntervalMetrics(segment_id=segment.segment_id, t_start=t0, t_end=t1)
+        results.append(row)
+        if not have_data:
+            continue
+        lo, hi = max(f0, fmin), min(f1, fmax + 1)
+        row.coverage = max(0, hi - lo) / (f1 - f0)
+        if hi <= lo:
+            continue
+        left, right = np.searchsorted(table.frame, (lo, hi))
+        sl_w = slice(left, right)
+        frame, x, y = table.frame[sl_w], table.x[sl_w], table.y[sl_w]
+        axis_pos, speed = table.axis_pos[sl_w], table.speed[sl_w]
+        axis_speed, code = table.axis_speed[sl_w], table.vid_code[sl_w]
+
+        rows_of = nm.index_groups(code)
+        speeds_by_vehicle = {table.vids[c]: speed[rows] for c, rows in rows_of.items()}
+        row.n_vehicles = len(rows_of)
+        if row.n_vehicles:
+            row.ivvr = nm.ivvr(speeds_by_vehicle)
+            row.ovvr = nm.ovvr(speeds_by_vehicle)
+            row.osr = nm.osr({v: float(s.max()) for v, s in speeds_by_vehicle.items()},
+                             segment.speed_limit, segment.osr_thresholds)
+            counts = {vc.value: 0 for vc in nm.VEHICLE_CLASSES}
+            for c in rows_of:
+                counts[table.classes[c].value] += 1
+            row.tci, row.f_c = nm.tci(counts)
+
+        frame_totals = np.zeros(hi - lo)
+        present, fstarts = np.unique(frame, return_index=True)
+        fbounds = np.append(fstarts, frame.size)
+        series, per_frame = [], []
+        label_of = {}
+        next_refresh = lo
+        for i, f in enumerate(present):
+            sl = slice(fstarts[i], fbounds[i + 1])
+            codes_f = code[sl]
+            frame_totals[int(f) - lo] = table.lengths[codes_f].sum()
+            series.append((f / fps, float(speed[sl].mean())))
+            if f >= next_refresh:
+                labels = _union_find_labels(x[sl], y[sl], cluster_cfg.distance_threshold)
+                label_of = {int(c): int(lbl) for c, lbl in zip(codes_f, labels)}
+                next_refresh = f + stride
+            frame_labels = np.array([label_of.get(int(c), -int(c) - 1) for c in codes_f])
+            uniq, inv = np.unique(frame_labels, return_inverse=True)
+            counts = np.bincount(inv)
+            values = cluster_values(np.bincount(inv, weights=axis_pos[sl]) / counts,
+                                    np.bincount(inv, weights=axis_speed[sl]) / counts)
+            if len(values) >= 2:
+                vals = np.asarray(values, dtype=float)
+                per_frame.append(float(vals.std(ddof=1) / vals.mean() * (codes_f.size / uniq.size)))
+        if per_frame:
+            row.ttc_cv = float(np.mean(per_frame))
+        row.ntc = nm.ntc(frame_totals, segment.lane_count, segment.length_m)
+        p0, p1 = np.searchsorted(pair_frame, (lo, hi))
+        if p1 > p0:
+            row.e_ttc = float(pair_ttc[p0:p1].mean())
+        if free_flow is not None and series:
+            row.trt = nm.trt(nm.detect_congestion_events(series, free_flow, trt_theta, trt_t_min))
+    return results
+
+
 def ssm_rows_oracle(tracks, travel_axis, fps):
     """The ``ssm`` CSV by a per-pair loop over scalar surrogate functions.
 

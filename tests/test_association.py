@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as st
 
+from netsafety import association
 from netsafety.association import (
     AnalysisConfig,
     build_dataset,
@@ -267,6 +268,25 @@ class TestCrossSegment:
 
         j = list(PREDICTORS).index("osr_1.0")
         assert full.mean_abs_pooled_r["osr_1.0"] == pytest.approx(abs(pearson(x[:, j], y)))
+
+
+    def test_each_segment_correlated_once_per_predictor(self, monkeypatch):
+        # Per-segment |r| comes from one pearson call per (segment, predictor); the pooled
+        # size-1 subsets pass the same columns once more, so no input is seen three times.
+        per_segment = segment_datasets(np.random.default_rng(16))
+        seen: dict[tuple[bytes, bytes], int] = {}
+        real = association.pearson
+
+        def counting(x, y):
+            key = (np.asarray(x).tobytes(), np.asarray(y).tobytes())
+            seen[key] = seen.get(key, 0) + 1
+            return real(x, y)
+
+        monkeypatch.setattr(association, "pearson", counting)
+        _, combos = cross_segment_analysis(per_segment)
+        monkeypatch.undo()
+        assert max(seen.values()) == 2
+        assert combos == cross_segment_analysis(per_segment)[1]
 
 
 class TestShapleyAnalysis:

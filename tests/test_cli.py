@@ -449,6 +449,27 @@ class TestMalformedInputExits2:
         message = self.run(["associate", "--config", str(out / "config.json")], capsys)
         assert message == "line 4: column 'ivvr' is not a number: 'abc'"
 
+    @pytest.mark.parametrize("column, cell, message", [
+        ("n_vehicles", "nan", "line 4: column 'n_vehicles' is not a count: 'nan'"),
+        ("n_vehicles", "2.5", "line 4: column 'n_vehicles' is not a count: '2.5'"),
+        ("coverage", "inf", "line 4: column 'coverage' is not finite: 'inf'"),
+    ])
+    def test_metrics_cell_out_of_range(self, tmp_path, capsys, column, cell, message):
+        out = run_bundle(tmp_path)
+        assert main(["metrics", "--config", str(out / "config.json")]) == 0
+        rows = list(csv.reader((out / "metrics.csv").read_text().splitlines()))
+        rows[3][rows[0].index(column)] = cell
+        (out / "metrics.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        assert self.run(["associate", "--config", str(out / "config.json")], capsys) == message
+
+    def test_metrics_header_threshold_not_a_number(self, tmp_path, capsys):
+        out = run_bundle(tmp_path)
+        assert main(["metrics", "--config", str(out / "config.json")]) == 0
+        header, rest = (out / "metrics.csv").read_text().split("\n", 1)
+        (out / "metrics.csv").write_text(header.replace("osr_1.0", "osr_abc") + "\n" + rest)
+        message = self.run(["associate", "--config", str(out / "config.json")], capsys)
+        assert message == "line 1: column 'osr_abc' is not a finite threshold: 'abc'"
+
     def test_keypoint_field_not_a_number(self, tmp_path, capsys):
         out = run_bundle(tmp_path)
         keypoints = json.loads((out / "keypoints.json").read_text())

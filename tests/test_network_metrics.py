@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from netsafety import cli
+from netsafety.config import load_config
 from netsafety.errors import DataError, ParameterError
 from netsafety.network_metrics import (
+    _single_linkage,
     ClusterConfig,
     CongestionEvent,
     FrameClusterTTC,
@@ -26,7 +31,7 @@ from netsafety.network_metrics import (
 )
 from netsafety.trajectories import PreparedTrack, VehicleClass
 
-from oracles import pairwise_ttc_oracle
+from oracles import interval_metrics_oracle, pairwise_ttc_oracle, single_linkage_bfs_oracle
 
 
 def seg(**kw):
@@ -424,3 +429,132 @@ class TestMetricsCsv:
         row = IntervalMetrics(segment_id="S1", t_start=0.0, t_end=600.0)
         line = write_metrics_csv([row], [1.0]).splitlines()[1]
         assert line.split(",")[3] == ""  # ttc_cv empty, not zero
+
+
+def assert_rows_match(got, want, rel=1e-12):
+    """Same interval rows: counts, coverage and absence exactly, numbers within ``rel``."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        where = (g.segment_id, g.t_start, g.t_end)
+        assert (g.segment_id, g.t_start, g.t_end, g.n_vehicles, g.coverage) == (
+            w.segment_id, w.t_start, w.t_end, w.n_vehicles, w.coverage), where
+        for name in ("ttc_cv", "ivvr", "ovvr", "tci", "ntc", "trt", "e_ttc"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a is None) == (b is None), (where, name, a, b)
+            if b is not None:
+                assert a == pytest.approx(b, rel=rel, abs=0.0), (where, name)
+        for name in ("osr", "f_c"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.keys() == b.keys() and all(a[k] == pytest.approx(b[k], rel=rel, abs=0.0) for k in b), name
+
+
+def random_scene(rng, fps=8.0, n_frames=96, gap=(40, 46)):
+    """Vehicles entering at random frames, some twinned in another lane (co-located at
+    equal speed), with no frames in ``gap``. Positions are dyadic rationals, so equal
+    speeds and crossings are exact. Three fixed vehicles make the order of co-located
+    clusters matter: at frame 16, "c0" and "c1" are both at x = 24 (at 12 and 8 m/s, two
+    lanes apart) and "c2" closes on them from x = 12 at 16 m/s."""
+    fixed = [(0, 40, 0.0, 12.0, 0.0, 0.0), (0, 40, 8.0, 8.0, 0.0, 7.0), (0, 40, -20.0, 16.0, 0.0, 3.5)]
+    tracks, twin = [], None
+    for k in range(19):
+        if k >= 16:
+            start, stop, x0, v, a, lane = fixed[k - 16]
+        elif twin is not None and k % 3 == 2:
+            start, stop, x0, v, a = twin  # same motion one lane over
+        else:
+            start = int(rng.integers(0, n_frames - 12))
+            stop = int(rng.integers(start + 8, n_frames + 1))
+            x0 = float(rng.integers(0, 60)) * 2.0
+            v = float(rng.choice([8.0, 10.0, 12.0, 12.0, 16.0]))
+            a = float(rng.choice([0.0, 0.0, 0.5, -0.5]))
+        if k < 16:
+            twin = (start, stop, x0, v, a)
+            lane = float(rng.integers(0, 3)) * 3.5
+        truck = rng.random() < 0.3
+        frames = np.arange(start, stop)
+        frames = frames[(frames < gap[0]) | (frames >= gap[1])]
+        for run in (frames[frames < gap[0]], frames[frames >= gap[1]]):
+            if run.size < 2:
+                continue
+            t = (run - start) / fps
+            tracks.append(track(
+                f"v{k:02d}" if k < 16 else f"c{k - 16}", run, x0 + v * t + 0.5 * a * t * t, np.full(run.size, lane), fps=fps,
+                vclass=VehicleClass.TRUCK if truck else VehicleClass.CAR, length=12.0 if truck else 4.5,
+            ))
+    return tracks
+
+
+class TestFrameBatchedKernel:
+    """The array kernels against the per-frame loop they replaced (``tests/oracles.py``)."""
+
+    WINDOWS = [(0.0, 2.5), (2.5, 5.0), (1.0, 9.0), (4.875, 12.5), (11.0, 14.0)]
+
+    @pytest.mark.parametrize("threshold", [0.0, 2.0, 30.0, 200.0])
+    @pytest.mark.parametrize("rate", [1.0, 3.0])  # strides 8 and 3 frames; 3 divides no window
+    def test_random_scenes_match_per_frame_oracle(self, threshold, rate):
+        segments = [
+            seg(length_m=400.0),
+            seg(length_m=400.0, travel_axis=(3.0, 4.0)),
+            seg(length_m=400.0, collision_point=(150.0, 3.5)),
+        ]
+        for seed in range(4):
+            tracks = random_scene(np.random.default_rng(seed))
+            for s in segments:
+                args = (tracks, s, ClusterConfig(threshold, rate), 8.0, self.WINDOWS)
+                kw = dict(trt_t_min=0.5, free_flow=24.0)
+                assert_rows_match(compute_interval_metrics(*args, **kw), interval_metrics_oracle(*args, **kw))
+
+    def test_golden_bundle_matches_per_frame_oracle(self, tmp_path):
+        spec = Path(__file__).resolve().parent / "golden" / "spec.json"
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+        cfg = load_config(tmp_path / "config.json")
+        for s in cfg.segments:
+            tracks = cli._prepare_segment_tracks(cfg, s, cfg.trajectory_paths[s.segment_id])
+            windows = cli._windows_for(cfg, tracks)
+            for cluster in (cfg.cluster, ClusterConfig(0.0, 1.0), ClusterConfig(200.0, 0.3)):
+                args = (tracks, s, cluster, cfg.fps, windows)
+                kw = dict(trt_theta=cfg.trt.theta, trt_t_min=cfg.trt.t_min_seconds, free_flow=cfg.trt.free_flow)
+                assert_rows_match(compute_interval_metrics(*args, **kw), interval_metrics_oracle(*args, **kw))
+
+    def test_batched_linkage_partitions_like_bfs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            sizes = rng.integers(0, 14, int(rng.integers(1, 5)))
+            frame = np.repeat(np.arange(sizes.size), sizes)
+            perm = rng.permutation(frame.size)  # rows of a frame need not be adjacent
+            frame = frame[perm]
+            x = rng.integers(0, 30, frame.size) * 1.5  # coarse grid: ties and duplicate points
+            y = rng.integers(0, 4, frame.size) * 3.5
+            threshold = float(rng.choice([0.0, 1.5, 3.5, 6.0, 200.0]))
+            labels = _single_linkage(frame, x, y, threshold)
+            for f in range(sizes.size):
+                rows = np.flatnonzero(frame == f)
+                got = {frozenset(rows[labels[rows] == lbl].tolist()) for lbl in set(labels[rows].tolist())}
+                parts = single_linkage_bfs_oracle(x[rows].tolist(), y[rows].tolist(), threshold)
+                assert got == {frozenset(rows[list(p)].tolist()) for p in parts}
+                assert all(labels[r] == min(p) for p in got for r in p)
+
+    def test_zero_threshold_pipeline_matches_pairwise_oracle(self):
+        # d_C = 0 with distinct positions: every vehicle is its own cluster (rho = 1), so
+        # the interval TTC-CV is the per-frame CV of pairwise TTCs, averaged over frames.
+        rng = np.random.default_rng(9)
+        fps = 2.0
+        tracks = []
+        for k in range(9):
+            start = int(rng.integers(0, 10))
+            frames = np.arange(start, start + int(rng.integers(6, 24)))
+            xs = k * 35.0 + rng.uniform(10, 30) * (frames - start) / fps + rng.normal(0, 0.4, frames.size)
+            tracks.append(track(f"v{k}", frames, xs, fps=fps))
+        windows = [(0.0, 5.0), (5.0, 9.0), (2.0, 17.0)]
+        rows = compute_interval_metrics(tracks, seg(length_m=900.0), ClusterConfig(0.0, 1.0), fps, windows)
+        for (t0, t1), row in zip(windows, rows):
+            per_frame = []
+            for f in range(int(t0 * fps), int(t1 * fps)):
+                at = [(float(t.x[i]), float(t.vx[i])) for t in tracks for i in np.flatnonzero(t.frames == f)]
+                pos = [p for p, _ in at]
+                assert len(set(pos)) == len(pos)
+                values = list(pairwise_ttc_oracle(pos, [v for _, v in at]).values())
+                if len(values) >= 2:
+                    per_frame.append(np.std(values, ddof=1) / np.mean(values))
+            assert per_frame
+            assert row.ttc_cv == pytest.approx(float(np.mean(per_frame)), rel=1e-12, abs=0.0)
