@@ -213,7 +213,8 @@ def cross_segment_analysis(
     reported unclamped; it can go negative). Combinations: for every subset
     of segments, the absolute Pearson correlation of each predictor with the
     response over the pooled rows, averaged across subsets of the same size;
-    the per-segment-averaged variant is reported alongside.
+    the per-segment-averaged variant is reported alongside. Pooled |r| is
+    computed from per-segment sums, not from stacked rows.
     """
     seg_ids = sorted(per_segment)
     if len(seg_ids) < 2:
@@ -240,44 +241,60 @@ def cross_segment_analysis(
             row.unevaluable = True
         holdout.append(row)
 
-    seg_r = {
-        (s, j): _abs_pearson_or_none(per_segment[s].x[:, j], per_segment[s].y)
-        for s in seg_ids
-        for j in range(len(names))
-    }
+    seg_r = np.array(
+        [[_abs_pearson_or_none(per_segment[s].x[:, j], per_segment[s].y) for j in range(len(names))] for s in seg_ids],
+        dtype=float,
+    )  # (segments, M), nan where undefined
+    # Per-segment count, means, centred sums of squares and cross-products with y
+    # (y is column M), min and max. A subset pools them by the pairwise update of
+    # Chan, Golub & LeVeque (1983); its column is constant iff pooled min == max.
+    z = [np.column_stack([per_segment[s].x, per_segment[s].y]) for s in seg_ids]
+    count = np.array([a.shape[0] for a in z], dtype=float)
+    mean = np.array([a.mean(axis=0) for a in z])
+    ss = np.array([((a - mu) ** 2).sum(axis=0) for a, mu in zip(z, mean)])
+    sp = np.array([(a - mu).T @ (a[:, -1] - mu[-1]) for a, mu in zip(z, mean)])
+    lo, hi = np.array([a.min(axis=0) for a in z]), np.array([a.max(axis=0) for a in z])
     combinations: list[CombinationRow] = []
     for size in range(1, len(seg_ids) + 1):
-        pooled_acc: dict[str, list[float]] = {n: [] for n in names}
-        segavg_acc: dict[str, list[float]] = {n: [] for n in names}
-        combos = list(itertools.combinations(seg_ids, size))
-        for combo in combos:
-            x = np.vstack([per_segment[s].x for s in combo])
-            y = np.concatenate([per_segment[s].y for s in combo])
-            for j, name in enumerate(names):
-                r = _abs_pearson_or_none(x[:, j], y)
-                if r is not None:
-                    pooled_acc[name].append(r)
-                per_seg = [seg_r[s, j] for s in combo if seg_r[s, j] is not None]
-                if per_seg:
-                    segavg_acc[name].append(float(np.mean(per_seg)))
+        combos = list(itertools.combinations(range(len(seg_ids)), size))
+        w = np.array([[s in combo for s in range(len(seg_ids))] for combo in combos], dtype=float)
+        n = w @ count
+        dev = mean - (w @ (count[:, None] * mean) / n[:, None])[:, None]  # (subsets, segments, M + 1)
+        wn = (w * count)[:, :, None]
+        sxx = w @ ss + (wn * dev * dev).sum(axis=1)
+        sxy = w @ sp + (wn * dev * dev[:, :, -1:]).sum(axis=1)
+        member = w[:, :, None] > 0
+        flat = np.where(member, lo, np.inf).min(axis=1) == np.where(member, hi, -np.inf).max(axis=1)
+        ok = ~(flat[:, :-1] | flat[:, -1:])
+        pooled = np.abs(sxy[:, :-1]) / np.sqrt(np.where(ok, sxx[:, :-1] * sxx[:, -1:], 1.0))
+        seg_n = w @ ~np.isnan(seg_r)
+        seg_mean = (w @ np.nan_to_num(seg_r)) / np.maximum(seg_n, 1)
         combinations.append(
             CombinationRow(
                 size=size,
                 n_combinations=len(combos),
-                mean_abs_pooled_r={
-                    n: (float(np.mean(v)) if v else None) for n, v in pooled_acc.items()
-                },
-                mean_abs_segment_r={
-                    n: (float(np.mean(v)) if v else None) for n, v in segavg_acc.items()
-                },
+                mean_abs_pooled_r=_column_means(names, pooled, ok),
+                mean_abs_segment_r=_column_means(names, seg_mean, seg_n > 0),
             )
         )
     return holdout, combinations
 
 
+def _column_means(names: Sequence[str], values: np.ndarray, valid: np.ndarray) -> dict[str, float | None]:
+    """Per column, the mean of its valid entries; None when it has none."""
+    return {n: (float(np.mean(values[valid[:, j], j])) if valid[:, j].any() else None) for j, n in enumerate(names)}
+
+
 def shapley_analysis(d: Dataset) -> ShapleyReport:
     """Shapley attribution of adjusted R-squared across the predictors."""
     return shapley_values(d)
+
+
+def _shapley_entry(d: Dataset) -> dict:
+    try:
+        return shapley_analysis(d).to_dict()
+    except (DataError, ParameterError) as exc:
+        return {"insufficient_data": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -328,43 +345,42 @@ def run_association(
             continue
         entry["n_rows"] = d.n
         entry["dropped"] = dict(d.dropped)
-        entry["correlations"] = {
-            method: row for method, row in per_metric_correlations(d, cfg.methods).items()
-        }
+        entry["correlations"] = per_metric_correlations(d, cfg.methods)
         try:
             models = full_model_analysis(d, cfg)
             entry["full_model"] = {kind: rep.to_dict() for kind, rep in models.items()}
         except DataError as exc:
             entry["full_model"] = {"insufficient_data": str(exc)}
-        try:
-            entry["shapley"] = shapley_analysis(d).to_dict()
-        except (DataError, ParameterError) as exc:
-            entry["shapley"] = {"insufficient_data": str(exc)}
+        entry["shapley"] = _shapley_entry(d)
         report.families[family] = entry
 
         if len(segment_ids) >= 2:
-            per_segment = {}
             try:
-                for sid in segment_ids:
-                    seg_metrics = [m for m in metrics if m.segment_id == sid]
-                    per_segment[sid] = build_dataset(
-                        seg_metrics, binning, family, cfg.predictors, cfg.exclude_slots
-                    )
+                per_segment = {
+                    sid: build_dataset([m for m in metrics if m.segment_id == sid], binning, family,
+                                       cfg.predictors, cfg.exclude_slots)
+                    for sid in segment_ids
+                }
                 holdout, combos = cross_segment_analysis(per_segment)
                 report.cross_segment[family] = {
                     "holdout": [vars(h) for h in holdout],
-                    "combinations": [
-                        {
-                            "size": c.size,
-                            "n_combinations": c.n_combinations,
-                            "mean_abs_pooled_r": c.mean_abs_pooled_r,
-                            "mean_abs_segment_r": c.mean_abs_segment_r,
-                        }
-                        for c in combos
-                    ],
+                    "combinations": [vars(c) for c in combos],
                 }
             except (DataError, ParameterError) as exc:
                 report.cross_segment[family] = {"insufficient_data": str(exc)}
+    return report
+
+
+def run_shapley(metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: AnalysisConfig) -> AssociationReport:
+    """Only the per-family Shapley entries of ``run_association``, for ``shapley_table_csv``."""
+    report = AssociationReport(config=cfg, n_intervals=len(metrics))
+    for family in cfg.families:
+        try:
+            d = build_dataset(metrics, binning, family, cfg.predictors, cfg.exclude_slots)
+        except DataError as exc:
+            report.families[family] = {"insufficient_data": str(exc)}
+            continue
+        report.families[family] = {"shapley": _shapley_entry(d)}
     return report
 
 
@@ -397,18 +413,9 @@ def full_model_table_csv(report: AssociationReport) -> str:
         models = report.families.get(family, {}).get("full_model")
         if not models or "insufficient_data" in models:
             continue
-        linear = models["linear"]
-        poisson = models["poisson"]
-        writer.writerow(
-            [
-                family,
-                format_cell(linear["f_pvalue"]),
-                format_cell(linear["r2"]),
-                format_cell(linear["adj_r2"]),
-                format_cell(linear["n_mse"]),
-                format_cell(poisson["n_mse"]),
-            ]
-        )
+        linear, poisson = models["linear"], models["poisson"]
+        cells = [linear["f_pvalue"], linear["r2"], linear["adj_r2"], linear["n_mse"], poisson["n_mse"]]
+        writer.writerow([family] + [format_cell(v) for v in cells])
     return out.getvalue()
 
 
@@ -429,9 +436,7 @@ def cross_segment_tables_csv(report: AssociationReport) -> tuple[str, str]:
     """Returns (combinations_csv, holdout_csv)."""
     combos_out = io.StringIO()
     writer = csv.writer(combos_out, lineterminator="\n")
-    writer.writerow(
-        ["family", "size", "n_combinations", "aggregation"] + list(report.config.predictors)
-    )
+    writer.writerow(["family", "size", "n_combinations", "aggregation"] + list(report.config.predictors))
     for family in report.config.families:
         cs = report.cross_segment.get(family)
         if not cs or "insufficient_data" in cs:
@@ -451,15 +456,6 @@ def cross_segment_tables_csv(report: AssociationReport) -> tuple[str, str]:
         if not cs or "insufficient_data" in cs:
             continue
         for row in cs["holdout"]:
-            writer.writerow(
-                [
-                    family,
-                    row["held_out"],
-                    row["n_test"],
-                    format_cell(row["r2"]),
-                    format_cell(row["adj_r2"]),
-                    format_cell(row["n_mse"]),
-                    str(row["unevaluable"]).lower(),
-                ]
-            )
+            scores = [format_cell(row[k]) for k in ("r2", "adj_r2", "n_mse")]
+            writer.writerow([family, row["held_out"], row["n_test"], *scores, str(row["unevaluable"]).lower()])
     return combos_out.getvalue(), holdout_out.getvalue()

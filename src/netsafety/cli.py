@@ -245,7 +245,8 @@ def cmd_ssm(args) -> int:
     return 0
 
 
-def _run_association(cfg: RunConfig):
+def _association_inputs(cfg: RunConfig):
+    """The metric rows and the crash binning that ``associate`` and ``shapley`` analyse."""
     if cfg.metrics_path is None:
         raise NetSafetyError("config has no paths.metrics entry")
     if cfg.crashes_path is None:
@@ -259,14 +260,14 @@ def _run_association(cfg: RunConfig):
         cfg.tangent_plane(),
         year_range=cfg.crash_years,
     )
-    return association.run_association(rows, binning, cfg.analysis)
+    return rows, binning
 
 
 def cmd_associate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.analysis.seed = args.seed
-    report = _run_association(cfg)
+    report = association.run_association(*_association_inputs(cfg), cfg.analysis)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
@@ -287,7 +288,7 @@ def cmd_shapley(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.analysis.seed = args.seed
-    report = _run_association(cfg)
+    report = association.run_shapley(*_association_inputs(cfg), cfg.analysis)
     text = association.shapley_table_csv(report)
     if args.out:
         out = Path(args.out)

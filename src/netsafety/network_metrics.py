@@ -635,7 +635,10 @@ def write_metrics_csv(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[
 
 
 def read_metrics_csv(text: str) -> list[IntervalMetrics]:
-    """Parse the metrics CSV back into IntervalMetrics rows."""
+    """Parse the metrics CSV back into IntervalMetrics rows.
+
+    A blank cell is an absent metric; any other cell must be a finite number.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -646,12 +649,13 @@ def read_metrics_csv(text: str) -> list[IntervalMetrics]:
         raise SchemaError(f"metrics header missing {sorted(required - set(header))}")
     col = {name: i for i, name in enumerate(header)}
 
-    def number(cell, name, what="a number", ok=lambda v: True):
+    def number(cell, name, what=None, ok=math.isfinite):
         try:
             value = float(cell)
         except ValueError:
             value = None
         if value is None or not ok(value):
+            what = what or ("a number" if value is None else "finite")
             raise SchemaError(f"line {reader.line_num}: column {name!r} is not {what}: {cell!r}")
         return value
 
@@ -677,7 +681,7 @@ def read_metrics_csv(text: str) -> list[IntervalMetrics]:
             ntc=fval(row, "ntc"),
             trt=fval(row, "trt"),
             n_vehicles=int(fval(row, "n_vehicles", what="a count", ok=lambda v: v >= 0 and v.is_integer()) or 0),
-            coverage=fval(row, "coverage", what="finite", ok=math.isfinite) or 0.0,
+            coverage=fval(row, "coverage") or 0.0,
             e_ttc=fval(row, "e_ttc"),
         )
         m.osr = {theta: v for theta, name in osr_cols if (v := fval(row, name)) is not None}

@@ -112,32 +112,22 @@ def _design(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.shape[0]), x])
 
 
-def _check_rank(design: np.ndarray, names: list[str]) -> None:
-    rank = np.linalg.matrix_rank(design)
-    if rank == design.shape[1]:
-        return
-    # Greedy pass: columns that do not grow the rank are the collinear ones.
-    bad = []
-    kept = design[:, :1]
-    for j in range(1, design.shape[1]):
-        candidate = np.column_stack([kept, design[:, j]])
-        if np.linalg.matrix_rank(candidate) > kept.shape[1]:
-            kept = candidate
-        else:
-            bad.append(names[j - 1])
-    raise SingularDesignError(f"design matrix is rank deficient; collinear columns: {bad}", columns=bad)
-
-
 def independent_columns(x: np.ndarray) -> list[int]:
     """Greedy left-to-right maximal set of linearly independent predictor columns."""
     kept_idx: list[int] = []
-    design = np.ones((x.shape[0], 1))
     for j in range(x.shape[1]):
-        candidate = np.column_stack([design, x[:, j]])
-        if np.linalg.matrix_rank(candidate) > design.shape[1]:
-            design = candidate
+        if np.linalg.matrix_rank(np.column_stack([np.ones(x.shape[0]), x[:, kept_idx + [j]]])) == len(kept_idx) + 2:
             kept_idx.append(j)
     return kept_idx
+
+
+def _check_rank(design: np.ndarray, names: list[str]) -> None:
+    if np.linalg.matrix_rank(design) == design.shape[1]:
+        return
+    # Columns that do not grow the rank of the greedy pass are the collinear ones.
+    keep = independent_columns(design[:, 1:])
+    bad = [name for j, name in enumerate(names) if j not in keep]
+    raise SingularDesignError(f"design matrix is rank deficient; collinear columns: {bad}", columns=bad)
 
 
 def adjusted_r2(r2: float, n: int, p: int) -> float:

@@ -3,15 +3,23 @@
 Players are predictors; the value of a coalition is the adjusted R-squared
 of the OLS model built from exactly those columns (empty coalition: 0).
 Exact enumeration over all 2^M coalitions, so M is capped at 16.
+
+Every coalition fit comes from one QR factorization ``[1, X, y] = QR``.
+Q has orthonormal columns, so the least-squares problem of coalition S on
+the n data rows is the same problem on the (M+2)-row slice ``R[:, [0, *S]]``
+against ``R[:, -1]``; the coalitions of one size are factored as one stack.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..errors import ParameterError, SingularDesignError
+import numpy as np
+
+from ..errors import DataError, ParameterError
 from .regression import Dataset, adjusted_r2, independent_columns, ols_fit
 
 MAX_PLAYERS = 16
@@ -19,9 +27,11 @@ MAX_PLAYERS = 16
 
 @dataclass
 class ShapleyReport:
+    """``coalition_values[mask]`` is the value of the coalition whose players are the set bits of mask."""
+
     predictor_names: list[str]
     phi: list[float]
-    coalition_values: dict[frozenset[int], float]
+    coalition_values: np.ndarray
     degenerate_coalitions: list[frozenset[int]] = field(default_factory=list)
 
     def by_name(self) -> dict[str, float]:
@@ -35,63 +45,66 @@ class ShapleyReport:
         }
 
 
-def shapley_from_game(n_players: int, value_fn: Callable[[frozenset[int]], float]) -> ShapleyReport:
-    """Shapley values of an arbitrary coalition game by exact enumeration.
+def _members(mask: int, n_players: int) -> frozenset[int]:
+    return frozenset(i for i in range(n_players) if mask >> i & 1)
 
-    phi_i = sum over S not containing i of |S|!(n-|S|-1)!/n! * (v(S+i) - v(S)).
+
+def _phi(values: np.ndarray, n_players: int) -> list[float]:
+    """phi_i = sum over S not containing i of |S|!(n-|S|-1)!/n! * (v(S+i) - v(S)), v indexed by bitmask.
+
     Efficiency (sum phi = v(all) - v(empty)) holds by construction.
     """
-    if not 1 <= n_players <= MAX_PLAYERS:
-        raise ParameterError(f"exact enumeration supports 1..{MAX_PLAYERS} players, got {n_players}")
-    values: dict[frozenset[int], float] = {}
-    for mask in range(1 << n_players):
-        coalition = frozenset(i for i in range(n_players) if mask >> i & 1)
-        values[coalition] = float(value_fn(coalition))
-
+    masks = np.arange(1 << n_players)
+    sizes = sum(masks >> i & 1 for i in range(n_players))
     fact = [math.factorial(i) for i in range(n_players + 1)]
-    weights = [fact[s] * fact[n_players - s - 1] / fact[n_players] for s in range(n_players)]
+    weights = np.array([fact[s] * fact[n_players - s - 1] / fact[n_players] for s in range(n_players)])
     phi = []
     for i in range(n_players):
-        total = 0.0
-        for coalition, v in values.items():
-            if i in coalition:
-                continue
-            total += weights[len(coalition)] * (values[coalition | {i}] - v)
-        phi.append(total)
-    return ShapleyReport(
-        predictor_names=[str(i) for i in range(n_players)],
-        phi=phi,
-        coalition_values=values,
-    )
+        without = masks[(masks >> i & 1) == 0]
+        phi.append(math.fsum(weights[sizes[without]] * (values[without | 1 << i] - values[without])))
+    return phi
+
+
+def shapley_from_game(n_players: int, value_fn: Callable[[frozenset[int]], float]) -> ShapleyReport:
+    """Shapley values of an arbitrary coalition game by exact enumeration."""
+    if not 1 <= n_players <= MAX_PLAYERS:
+        raise ParameterError(f"exact enumeration supports 1..{MAX_PLAYERS} players, got {n_players}")
+    values = np.array([float(value_fn(_members(mask, n_players))) for mask in range(1 << n_players)])
+    return ShapleyReport([str(i) for i in range(n_players)], _phi(values, n_players), values)
 
 
 def shapley_values(d: Dataset) -> ShapleyReport:
     """Shapley attribution of adjusted R-squared across a dataset's predictors.
 
-    A coalition whose design is singular (duplicated or collinear columns)
-    inherits the value of its largest nested non-singular subset and is
-    flagged in the report.
+    R-squared is ESS/TSS, ESS read off the R factor of the coalition's slice. A
+    coalition whose slice fails ``numpy.linalg.matrix_rank``'s test (duplicated or
+    collinear columns) inherits the value of its greedy independent subset of
+    columns and is flagged in the report.
     """
-    if d.m > MAX_PLAYERS:
-        raise ParameterError(f"exact Shapley enumeration capped at {MAX_PLAYERS} predictors, got {d.m}")
-    if d.n <= d.m + 1:
-        raise ParameterError(f"need n > M + 1 rows for the full-coalition fit (n={d.n}, M={d.m})")
-    degenerate: list[frozenset[int]] = []
-
-    def value(coalition: frozenset[int]) -> float:
-        if not coalition:
-            return 0.0
-        idx = sorted(coalition)
-        try:
-            return ols_fit(d.subset_columns(idx)).adj_r2
-        except SingularDesignError:
-            keep = independent_columns(d.x[:, idx])
-            degenerate.append(coalition)
-            if not keep:
-                return 0.0
-            return ols_fit(d.subset_columns([idx[j] for j in keep])).adj_r2
-
-    report = shapley_from_game(d.m, value)
-    report.predictor_names = list(d.predictor_names)
-    report.degenerate_coalitions = degenerate
-    return report
+    m, n = d.m, d.n
+    if m > MAX_PLAYERS:
+        raise ParameterError(f"exact Shapley enumeration capped at {MAX_PLAYERS} predictors, got {m}")
+    if n <= m + 1:
+        raise ParameterError(f"need n > M + 1 rows for the full-coalition fit (n={n}, M={m})")
+    r = np.linalg.qr(np.column_stack([np.ones(n), d.x, d.y]), mode="r")
+    tss = float(np.sum((d.y - d.y.mean()) ** 2))
+    values = np.zeros(1 << m)
+    degenerate: list[int] = []
+    for k in range(1, m + 1):
+        combos = np.array(list(itertools.combinations(range(m), k)))
+        masks = (1 << combos).sum(axis=1)
+        cols = np.hstack([np.zeros((len(combos), 1), int), combos + 1, np.full((len(combos), 1), m + 1)])
+        slices = r[:, cols].transpose(1, 0, 2)  # (coalitions, M + 2, k + 2): intercept, S, then y
+        sv = np.linalg.svd(slices[:, :, :-1], compute_uv=False)
+        full = sv[:, -1] > sv[:, 0] * n * np.finfo(float).eps
+        if full.any():
+            if tss == 0:
+                raise DataError("R-squared undefined: response is constant (TSS = 0)")
+            ess = np.sum(np.linalg.qr(slices[full], mode="r")[:, 1:-1, -1] ** 2, axis=1)
+            values[masks[full]] = adjusted_r2(ess / tss, n, k + 1)
+        for combo, mask in zip(combos[~full], masks[~full]):
+            keep = independent_columns(d.x[:, combo])
+            values[mask] = ols_fit(d.subset_columns(combo[keep])).adj_r2 if keep else 0.0
+            degenerate.append(int(mask))
+    flagged = [_members(mask, m) for mask in sorted(degenerate)]
+    return ShapleyReport(list(d.predictor_names), _phi(values, m), values, flagged)

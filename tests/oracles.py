@@ -374,3 +374,75 @@ def pearson_oracle(x, y):
     num = float(np.sum((x - x.mean()) * (y - y.mean())))
     den = math.sqrt(float(np.sum((x - x.mean()) ** 2)) * float(np.sum((y - y.mean()) ** 2)))
     return num / den
+
+
+def shapley_oracle(d):
+    """Shapley attribution of adjusted R-squared by one ``ols_fit`` per coalition.
+
+    Returns ``(phi, values, degenerate)``: ``values`` maps each coalition
+    (frozenset of column indices) to its adjusted R-squared, and a singular
+    coalition takes the value of the greedy independent subset of its
+    columns and is listed in ``degenerate`` in bitmask order.
+    """
+    from netsafety.errors import SingularDesignError
+    from netsafety.stats.regression import independent_columns, ols_fit
+
+    values, degenerate = {}, []
+    for mask in range(1 << d.m):
+        idx = [i for i in range(d.m) if mask >> i & 1]
+        coalition = frozenset(idx)
+        if not idx:
+            values[coalition] = 0.0
+            continue
+        try:
+            values[coalition] = ols_fit(d.subset_columns(idx)).adj_r2
+        except SingularDesignError:
+            degenerate.append(coalition)
+            keep = independent_columns(d.x[:, idx])
+            values[coalition] = ols_fit(d.subset_columns([idx[j] for j in keep])).adj_r2 if keep else 0.0
+    fact = [math.factorial(i) for i in range(d.m + 1)]
+    phi = []
+    for i in range(d.m):
+        total = 0.0
+        for coalition, v in values.items():
+            if i not in coalition:
+                total += fact[len(coalition)] * fact[d.m - len(coalition) - 1] / fact[d.m] * (values[coalition | {i}] - v)
+        phi.append(total)
+    return phi, values, degenerate
+
+
+def pooled_abs_r_oracle(per_segment):
+    """Cross-segment combination rows by stacking each subset's rows and correlating them.
+
+    For every subset size, a list of ``(size, n_combinations, pooled,
+    segment_mean)``: ``pooled`` maps each predictor to the mean over subsets of
+    |r| on the subset's stacked rows, ``segment_mean`` to the mean over subsets
+    of the mean per-segment |r|; subsets where |r| is undefined (fewer than two
+    rows, or a constant column or response) are left out, and a predictor
+    with no defined subset maps to None.
+    """
+    def abs_r(x, y):
+        if x.size < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+            return None
+        return abs(pearson_oracle(x, y))
+
+    seg_ids = sorted(per_segment)
+    names = per_segment[seg_ids[0]].predictor_names
+    mean = lambda v: float(np.mean(v)) if v else None  # noqa: E731
+    rows = []
+    for size in range(1, len(seg_ids) + 1):
+        combos = list(itertools.combinations(seg_ids, size))
+        pooled, segment_mean = {}, {}
+        for j, name in enumerate(names):
+            pooled_r, seg_means = [], []
+            for combo in combos:
+                x = np.concatenate([per_segment[s].x[:, j] for s in combo])
+                y = np.concatenate([per_segment[s].y for s in combo])
+                if (r := abs_r(x, y)) is not None:
+                    pooled_r.append(r)
+                seg = [r for s in combo if (r := abs_r(per_segment[s].x[:, j], per_segment[s].y)) is not None]
+                if seg:
+                    seg_means.append(float(np.mean(seg)))
+            pooled[name], segment_mean[name] = mean(pooled_r), mean(seg_means)
+        rows.append((size, len(combos), pooled, segment_mean))
+    return rows

@@ -23,6 +23,8 @@ from netsafety.errors import DataError, ParameterError
 from netsafety.network_metrics import IntervalMetrics
 from netsafety.stats import Dataset
 
+from oracles import pooled_abs_r_oracle
+
 PREDICTORS = ("ttc_cv", "ivvr", "ovvr", "osr_1.0", "tci", "ntc")
 
 
@@ -271,8 +273,8 @@ class TestCrossSegment:
 
 
     def test_each_segment_correlated_once_per_predictor(self, monkeypatch):
-        # Per-segment |r| comes from one pearson call per (segment, predictor); the pooled
-        # size-1 subsets pass the same columns once more, so no input is seen three times.
+        # Per-segment |r| comes from one pearson call per (segment, predictor); pooled |r| comes
+        # from per-segment sums, so no input reaches pearson twice.
         per_segment = segment_datasets(np.random.default_rng(16))
         seen: dict[tuple[bytes, bytes], int] = {}
         real = association.pearson
@@ -285,8 +287,79 @@ class TestCrossSegment:
         monkeypatch.setattr(association, "pearson", counting)
         _, combos = cross_segment_analysis(per_segment)
         monkeypatch.undo()
-        assert max(seen.values()) == 2
-        assert combos == cross_segment_analysis(per_segment)[1]
+        assert max(seen.values()) == 1
+        assert_combinations_match_oracle(combos, per_segment)
+
+
+def assert_combinations_match_oracle(combos, per_segment):
+    expected = pooled_abs_r_oracle(per_segment)
+    assert [(c.size, c.n_combinations) for c in combos] == [row[:2] for row in expected]
+    for c, (_, _, pooled, segment_mean) in zip(combos, expected):
+        for got, want in ((c.mean_abs_pooled_r, pooled), (c.mean_abs_segment_r, segment_mean)):
+            assert got.keys() == want.keys()
+            for name in want:
+                if want[name] is None or got[name] is None:
+                    assert got[name] is want[name], (c.size, name)
+                else:
+                    assert got[name] == pytest.approx(want[name], rel=1e-12, abs=0), (c.size, name)
+
+
+def random_segments(seed, sizes=(30, 45, 25, 60), edit=None):
+    """Four segments of random predictors a..d with y = a + noise; ``edit(index, x, y)`` alters one in place."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i, n in enumerate(sizes):
+        x = rng.normal(size=(n, 4))
+        y = x[:, 0] + rng.normal(size=n)
+        if edit is not None:
+            edit(i, x, y)
+        out[f"S{i + 1}"] = Dataset(x, y, ["a", "b", "c", "d"])
+    return out
+
+
+class TestPooledCorrelationsAgainstOracle:
+    """Pooled |r| from per-segment sums equals |r| on the stacked rows of every subset."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_segments(self, seed):
+        per_segment = random_segments(seed)
+        assert_combinations_match_oracle(cross_segment_analysis(per_segment)[1], per_segment)
+
+    def test_column_constant_within_each_segment_at_different_levels(self):
+        def levels(i, x, y):
+            x[:, 3] = 0.1 * (i + 1)
+
+        per_segment = random_segments(3, edit=levels)
+        combos = cross_segment_analysis(per_segment)[1]
+        assert_combinations_match_oracle(combos, per_segment)
+        assert combos[0].mean_abs_pooled_r["d"] is None and combos[0].mean_abs_segment_r["d"] is None
+        assert all(c.mean_abs_pooled_r["d"] is not None for c in combos[1:])
+
+    def test_column_constant_at_one_level_everywhere(self):
+        def flat(i, x, y):
+            x[:, 2] = 0.1
+
+        per_segment = random_segments(4, edit=flat)
+        combos = cross_segment_analysis(per_segment)[1]
+        assert_combinations_match_oracle(combos, per_segment)
+        assert all(c.mean_abs_pooled_r["c"] is None and c.mean_abs_segment_r["c"] is None for c in combos)
+
+    def test_subset_with_constant_pooled_response(self):
+        def flat_response(i, x, y):
+            if i < 2:
+                y[:] = 0.3
+
+        per_segment = random_segments(5, edit=flat_response)
+        combos = cross_segment_analysis(per_segment)[1]
+        assert_combinations_match_oracle(combos, per_segment)
+
+        _, only_flat = cross_segment_analysis({s: per_segment[s] for s in ("S1", "S2")})
+        assert all(v is None for c in only_flat for v in c.mean_abs_pooled_r.values())
+
+    def test_one_row_segment(self):
+        per_segment = random_segments(6, sizes=(30, 1, 25, 40))
+        combos = cross_segment_analysis(per_segment)[1]
+        assert_combinations_match_oracle(combos, per_segment)
 
 
 class TestShapleyAnalysis:

@@ -7,6 +7,7 @@ example). A rename or an API change would otherwise only show when the
 benchmark runs with ``--trace 1``. This test only imports from ``perfbench/``.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -49,6 +50,7 @@ def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
         ["project", "--config", config, "--in", str(traj_s1), "--out", str(world_s1)],
         ["metrics", "--config", config],
         ["ssm", "--config", config, "--in", str(world_s1), "--out", str(bundle / "ssm_S1.csv")],
+        ["associate", "--config", config, "--format", "both"],
     ]
 
     table = layers.patch_table()
@@ -81,3 +83,8 @@ def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
     assert metrics["trajectories.gap_frames_filled"] == 2
     assert metrics["trajectories.runs_split"] == 1
     assert metrics["cli.project_s"] > 0 and metrics["cli.ssm_s"] > 0
+    report = json.loads((bundle / "association_report.json").read_text())
+    assert all("phi" in report["families"][family]["shapley"] for family in cfg.analysis.families)
+    assert metrics["association.coalitions"] == len(cfg.analysis.families) * 2 ** len(cfg.analysis.predictors)
+    assert metrics["association.degenerate_coalitions"] == 0
+    assert metrics["association.shapley_s"] > 0 and metrics["association.cross_segment_s"] > 0

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netsafety import association
 from netsafety.cli import _prepare_segment_tracks, main
 from netsafety.config import load_config
 from netsafety.network_metrics import read_metrics_csv
@@ -453,6 +454,10 @@ class TestMalformedInputExits2:
         ("n_vehicles", "nan", "line 4: column 'n_vehicles' is not a count: 'nan'"),
         ("n_vehicles", "2.5", "line 4: column 'n_vehicles' is not a count: '2.5'"),
         ("coverage", "inf", "line 4: column 'coverage' is not finite: 'inf'"),
+        ("ivvr", "nan", "line 4: column 'ivvr' is not finite: 'nan'"),
+        ("osr_1.0", "inf", "line 4: column 'osr_1.0' is not finite: 'inf'"),
+        ("e_ttc", "-inf", "line 4: column 'e_ttc' is not finite: '-inf'"),
+        ("interval_start", "nan", "line 4: column 'interval_start' is not finite: 'nan'"),
     ])
     def test_metrics_cell_out_of_range(self, tmp_path, capsys, column, cell, message):
         out = run_bundle(tmp_path)
@@ -563,6 +568,22 @@ class TestAssociateCommand:
         target = out / "shap.csv"
         assert main(["shapley", "--config", str(config), "--out", str(target)]) == 0
         assert target.read_text().startswith("family,")
+
+    def test_shapley_command_matches_associate_without_cv_or_cross_segment(self, tmp_path, monkeypatch):
+        out = run_bundle(tmp_path)
+        config = str(out / "config.json")
+        assert main(["metrics", "--config", config]) == 0
+        assert main(["associate", "--config", config, "--format", "both"]) == 0
+
+        def not_for_shapley(*args, **kwargs):
+            raise AssertionError("netsafety shapley ran more than the Shapley attribution")
+
+        monkeypatch.setattr(association, "kfold_cv", not_for_shapley)
+        monkeypatch.setattr(association, "cross_segment_analysis", not_for_shapley)
+        target = out / "shap.csv"
+        assert main(["shapley", "--config", config, "--out", str(target)]) == 0
+        assert target.read_bytes() == (out / "shapley.csv").read_bytes()
+        assert len(target.read_text().splitlines()) > 1
 
 
 class TestDeterminism:

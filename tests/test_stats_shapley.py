@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from netsafety.errors import ParameterError
+from netsafety.errors import DataError, ParameterError
 from netsafety.stats import Dataset, shapley_from_game, shapley_values
 
-from oracles import shapley_permutation_oracle
+from oracles import shapley_oracle, shapley_permutation_oracle
 
 
 class TestGameEnumeration:
@@ -98,3 +98,59 @@ class TestRegressionGame:
         y = 4.0 * x[:, 0] + rng.normal(0, 0.05, 200)
         values = shapley_values(Dataset(x=x, y=y, predictor_names=["s", "n1", "n2"])).by_name()
         assert abs(values["n1"]) < 0.02 and abs(values["n2"]) < 0.02
+
+
+def assert_matches_per_coalition_oracle(d):
+    """phi, every coalition value and the degenerate coalitions equal one ols_fit per coalition.
+
+    Tolerance is 1e-12 relative to the largest magnitude: an entry near zero (a null
+    predictor's phi, a noise coalition's adjusted R-squared) carries the oracle's own
+    cancellation error, which exceeds 1e-12 of that entry.
+    """
+    report = shapley_values(d)
+    phi, values, degenerate = shapley_oracle(d)
+    table = np.array([values[frozenset(i for i in range(d.m) if mask >> i & 1)] for mask in range(1 << d.m)])
+    np.testing.assert_allclose(report.phi, phi, rtol=1e-12, atol=1e-12 * np.max(np.abs(phi)))
+    np.testing.assert_allclose(report.coalition_values, table, rtol=1e-12, atol=1e-12 * np.max(np.abs(table)))
+    assert report.degenerate_coalitions == degenerate
+    return report
+
+
+def random_regression(seed, n=50, m=5):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    return x, x @ rng.normal(size=m) + rng.normal(size=n)
+
+
+class TestAgainstPerCoalitionOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_designs(self, seed):
+        x, y = random_regression(seed)
+        report = assert_matches_per_coalition_oracle(Dataset(x, y, list("abcde")))
+        assert report.degenerate_coalitions == []
+        assert len(report.coalition_values) == 32
+
+    def test_duplicated_column(self):
+        x, y = random_regression(10)
+        x[:, 3] = x[:, 1]
+        report = assert_matches_per_coalition_oracle(Dataset(x, y, list("abcde")))
+        assert frozenset({1, 3}) in report.degenerate_coalitions
+
+    def test_collinear_triple(self):
+        x, y = random_regression(11)
+        x[:, 4] = 0.5 * x[:, 0] - 2.0 * x[:, 2]
+        report = assert_matches_per_coalition_oracle(Dataset(x, y, list("abcde")))
+        assert frozenset({0, 2, 4}) in report.degenerate_coalitions
+        assert frozenset({0, 4}) not in report.degenerate_coalitions
+
+    def test_constant_column(self):
+        x, y = random_regression(12)
+        x[:, 2] = 0.7
+        report = assert_matches_per_coalition_oracle(Dataset(x, y, list("abcde")))
+        assert len(report.degenerate_coalitions) == 16
+        assert report.phi[2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_constant_response_raises(self):
+        x, _ = random_regression(13)
+        with pytest.raises(DataError, match="response is constant"):
+            shapley_values(Dataset(x, np.full(50, 2.0), list("abcde")))
