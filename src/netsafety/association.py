@@ -8,8 +8,6 @@ generalization checks, and Shapley attribution.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +33,7 @@ from .stats import (
     spearman,
 )
 from .stats.regression import adjusted_r2
-from .trajectories import VehicleClass, format_cell
+from .trajectories import VehicleClass, csv_text
 
 DEFAULT_PREDICTORS = ("ttc_cv", "ivvr", "ovvr", "osr_1.0", "tci", "ntc")
 CORRELATION_METHODS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
@@ -390,72 +388,53 @@ def run_shapley(metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: 
 
 
 def correlations_table_csv(report: AssociationReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
     columns = list(report.config.predictors) + list(BASELINE_COLUMNS)
-    writer.writerow(["method", "family"] + columns)
-    for family in report.config.families:
-        entry = report.families.get(family, {})
-        corr = entry.get("correlations")
-        if not corr:
-            continue
-        for method in report.config.methods:
-            row = corr.get(method, {})
-            writer.writerow([method, family] + [format_cell(row.get(c)) for c in columns])
-    return out.getvalue()
+    rows = [
+        [method, family] + [corr.get(method, {}).get(c) for c in columns]
+        for family in report.config.families
+        if (corr := report.families.get(family, {}).get("correlations"))
+        for method in report.config.methods
+    ]
+    return csv_text(["method", "family"] + columns, zip(*rows))
 
 
 def full_model_table_csv(report: AssociationReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["family", "f_pvalue", "r2", "adj_r2", "n_mse_linear", "n_mse_poisson"])
+    rows = []
     for family in report.config.families:
         models = report.families.get(family, {}).get("full_model")
         if not models or "insufficient_data" in models:
             continue
         linear, poisson = models["linear"], models["poisson"]
-        cells = [linear["f_pvalue"], linear["r2"], linear["adj_r2"], linear["n_mse"], poisson["n_mse"]]
-        writer.writerow([family] + [format_cell(v) for v in cells])
-    return out.getvalue()
+        rows.append([family, linear["f_pvalue"], linear["r2"], linear["adj_r2"], linear["n_mse"], poisson["n_mse"]])
+    return csv_text(["family", "f_pvalue", "r2", "adj_r2", "n_mse_linear", "n_mse_poisson"], zip(*rows))
 
 
 def shapley_table_csv(report: AssociationReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["family"] + list(report.config.predictors))
+    rows = []
     for family in report.config.families:
         shap = report.families.get(family, {}).get("shapley")
         if not shap or "insufficient_data" in shap:
             continue
-        phi = shap["phi"]
-        writer.writerow([family] + [format_cell(phi.get(p)) for p in report.config.predictors])
-    return out.getvalue()
+        rows.append([family] + [shap["phi"].get(p) for p in report.config.predictors])
+    return csv_text(["family"] + list(report.config.predictors), zip(*rows))
 
 
 def cross_segment_tables_csv(report: AssociationReport) -> tuple[str, str]:
     """Returns (combinations_csv, holdout_csv)."""
-    combos_out = io.StringIO()
-    writer = csv.writer(combos_out, lineterminator="\n")
-    writer.writerow(["family", "size", "n_combinations", "aggregation"] + list(report.config.predictors))
+    predictors = list(report.config.predictors)
+    combos, holdout = [], []
     for family in report.config.families:
         cs = report.cross_segment.get(family)
         if not cs or "insufficient_data" in cs:
             continue
         for combo in cs["combinations"]:
             for agg_key, label in (("mean_abs_pooled_r", "pooled"), ("mean_abs_segment_r", "segment_mean")):
-                writer.writerow(
-                    [family, combo["size"], combo["n_combinations"], label]
-                    + [format_cell(combo[agg_key].get(p)) for p in report.config.predictors]
-                )
-
-    holdout_out = io.StringIO()
-    writer = csv.writer(holdout_out, lineterminator="\n")
-    writer.writerow(["family", "held_out", "n_test", "r2", "adj_r2", "n_mse", "unevaluable"])
-    for family in report.config.families:
-        cs = report.cross_segment.get(family)
-        if not cs or "insufficient_data" in cs:
-            continue
+                combos.append([family, combo["size"], combo["n_combinations"], label]
+                              + [combo[agg_key].get(p) for p in predictors])
         for row in cs["holdout"]:
-            scores = [format_cell(row[k]) for k in ("r2", "adj_r2", "n_mse")]
-            writer.writerow([family, row["held_out"], row["n_test"], *scores, str(row["unevaluable"]).lower()])
-    return combos_out.getvalue(), holdout_out.getvalue()
+            holdout.append([family, row["held_out"], row["n_test"], row["r2"], row["adj_r2"], row["n_mse"],
+                            str(row["unevaluable"]).lower()])
+    return (
+        csv_text(["family", "size", "n_combinations", "aggregation"] + predictors, zip(*combos)),
+        csv_text(["family", "held_out", "n_test", "r2", "adj_r2", "n_mse", "unevaluable"], zip(*holdout)),
+    )

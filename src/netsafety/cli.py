@@ -14,7 +14,6 @@ object is printed to stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -135,12 +134,7 @@ def cmd_synth(args) -> int:
             }
             for seg in segments
         ],
-        "intervals": {
-            "count": spec.n_intervals,
-            "window_seconds": spec.interval_seconds,
-            "stride_seconds": spec.slot_seconds,
-            "start_seconds": 0.0,
-        },
+        "intervals": vars(spec.interval_grid()),
         "analysis": {"slot_minutes": spec.slot_minutes, "seed": spec.seed},
         "crash_years": [synth.BASE_DATE.year, synth.BASE_DATE.year],
     }
@@ -238,10 +232,7 @@ def cmd_ssm(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*(map(trajectories.format_cell, col.tolist()) for col in columns.values())))
+    out.write_text(trajectories.csv_text(list(columns), columns.values()))
     return 0
 
 

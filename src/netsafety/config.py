@@ -7,13 +7,14 @@ file, so a generated bundle (config + data files) is relocatable.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .association import AnalysisConfig
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
-from .network_metrics import ClusterConfig, SegmentConfig
+from .network_metrics import DEFAULT_TRT_T_MIN_S, DEFAULT_TRT_THETA, ClusterConfig, SegmentConfig
 from .trajectories import (
     DEFAULT_CLASS_THRESHOLD_M,
     DEFAULT_MAX_GAP_FRAMES,
@@ -51,8 +52,8 @@ class IntervalGrid:
 
 @dataclass
 class TrtConfig:
-    theta: float = 0.5
-    t_min_seconds: float = 30.0
+    theta: float = DEFAULT_TRT_THETA
+    t_min_seconds: float = DEFAULT_TRT_T_MIN_S
     free_flow: float | None = None  # default: 85th percentile of frame mean speeds
 
 
@@ -93,9 +94,19 @@ def _check_keys(obj: dict, known, context: str) -> dict:
     return obj
 
 
+@contextmanager
+def _typed(context: str):
+    """Report a value of the wrong type or form under ``context`` as a SchemaError."""
+    try:
+        yield
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"config {context} has a value of the wrong type: {exc}") from exc
+
+
 def _section(cls, obj: dict, context: str):
     """Build a config dataclass from a JSON object, rejecting keys it does not define."""
-    return cls(**_check_keys(obj, (f.name for f in fields(cls)), context))
+    with _typed(context):
+        return cls(**_check_keys(obj, (f.name for f in fields(cls)), context))
 
 
 _SEGMENT_KEYS = {f.name for f in fields(SegmentConfig)} | {"trajectories"}
@@ -109,8 +120,13 @@ def load_config(path: str | Path) -> RunConfig:
         raise SchemaError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config file is not valid JSON: {exc}") from exc
-    base = path.parent
+    if not isinstance(obj, dict):
+        raise SchemaError(f"config root must be a JSON object, got {type(obj).__name__}")
+    with _typed("root"):
+        return _run_config(obj, path.parent)
 
+
+def _run_config(obj: dict, base: Path) -> RunConfig:
     def resolve(p) -> Path:
         p = Path(p)
         return p if p.is_absolute() else base / p
@@ -118,17 +134,18 @@ def load_config(path: str | Path) -> RunConfig:
     segments = []
     trajectory_paths = {}
     for i, seg in enumerate(obj.get("segments", [])):
-        _check_keys(seg, _SEGMENT_KEYS, f"segments[{i}]")
-        cfg = SegmentConfig(
-            segment_id=_require(seg, "segment_id", f"segments[{i}]"),
-            lane_count=int(_require(seg, "lane_count", f"segments[{i}]")),
-            length_m=float(_require(seg, "length_m", f"segments[{i}]")),
-            speed_limit=float(_require(seg, "speed_limit", f"segments[{i}]")),
-            travel_axis=tuple(seg.get("travel_axis", (1.0, 0.0))),
-            osr_thresholds=tuple(seg.get("osr_thresholds", (1.0,))),
-            bbox=tuple(seg["bbox"]) if "bbox" in seg else None,
-            collision_point=tuple(seg["collision_point"]) if "collision_point" in seg else None,
-        )
+        with _typed(f"segments[{i}]"):
+            _check_keys(seg, _SEGMENT_KEYS, f"segments[{i}]")
+            cfg = SegmentConfig(
+                segment_id=_require(seg, "segment_id", f"segments[{i}]"),
+                lane_count=int(_require(seg, "lane_count", f"segments[{i}]")),
+                length_m=float(_require(seg, "length_m", f"segments[{i}]")),
+                speed_limit=float(_require(seg, "speed_limit", f"segments[{i}]")),
+                travel_axis=tuple(seg.get("travel_axis", (1.0, 0.0))),
+                osr_thresholds=tuple(seg.get("osr_thresholds", (1.0,))),
+                bbox=tuple(seg["bbox"]) if "bbox" in seg else None,
+                collision_point=tuple(seg["collision_point"]) if "collision_point" in seg else None,
+            )
         segments.append(cfg)
         if "trajectories" in seg:
             trajectory_paths[cfg.segment_id] = resolve(seg["trajectories"])
@@ -137,10 +154,11 @@ def load_config(path: str | Path) -> RunConfig:
     prep = _section(TrackPrepConfig, obj.get("prep", {}), "prep")
     trt = _section(TrtConfig, obj.get("trt", {}), "trt")
 
-    analysis_obj = dict(obj.get("analysis", {}))
-    for key in ("families", "methods", "predictors"):
-        if key in analysis_obj:
-            analysis_obj[key] = tuple(analysis_obj[key])
+    with _typed("analysis"):
+        analysis_obj = dict(obj.get("analysis", {}))
+        for key in ("families", "methods", "predictors"):
+            if key in analysis_obj:
+                analysis_obj[key] = tuple(analysis_obj[key])
     analysis = _section(AnalysisConfig, analysis_obj, "analysis")
 
     intervals = None

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError, SchemaError
-from .trajectories import PreparedTrack, VehicleClass, format_cell
+from .trajectories import PreparedTrack, VehicleClass, csv_text
 
 VEHICLE_CLASSES = (VehicleClass.CAR, VehicleClass.TRUCK)
 
@@ -614,30 +614,20 @@ def metrics_header(osr_thresholds: Sequence[float]) -> list[str]:
 
 def write_metrics_csv(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[float]) -> str:
     """Serialize interval metrics; absent values become empty fields."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(metrics_header(osr_thresholds))
-    for r in rows:
-        record = [r.segment_id, format_cell(float(r.t_start)), format_cell(float(r.t_end))]
-        record += [format_cell(r.ttc_cv), format_cell(r.ivvr), format_cell(r.ovvr)]
-        record += [format_cell(r.osr.get(float(t))) for t in osr_thresholds]
-        record += [
-            format_cell(r.tci),
-            format_cell(r.f_c.get(VehicleClass.TRUCK.value)),
-            format_cell(r.ntc),
-            format_cell(r.trt),
-            str(r.n_vehicles),
-            format_cell(float(r.coverage)),
-            format_cell(r.e_ttc),
-        ]
-        writer.writerow(record)
-    return out.getvalue()
+    records = [
+        [r.segment_id, float(r.t_start), float(r.t_end), r.ttc_cv, r.ivvr, r.ovvr,
+         *(r.osr.get(float(t)) for t in osr_thresholds),
+         r.tci, r.f_c.get(VehicleClass.TRUCK.value), r.ntc, r.trt, r.n_vehicles, float(r.coverage), r.e_ttc]
+        for r in rows
+    ]
+    return csv_text(metrics_header(osr_thresholds), zip(*records))
 
 
 def read_metrics_csv(text: str) -> list[IntervalMetrics]:
     """Parse the metrics CSV back into IntervalMetrics rows.
 
-    A blank cell is an absent metric; any other cell must be a finite number.
+    Every row has as many fields as the header. A blank cell is an absent metric;
+    any other cell must be a finite number.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -661,7 +651,7 @@ def read_metrics_csv(text: str) -> list[IntervalMetrics]:
 
     def fval(row, name, blank_ok=True, **check):
         i = col.get(name)
-        cell = row[i] if i is not None and i < len(row) else ""
+        cell = row[i] if i is not None else ""
         return None if cell == "" and blank_ok else number(cell, name, **check)
 
     osr_names = [name for name in header if name.startswith("osr_")]
@@ -670,6 +660,8 @@ def read_metrics_csv(text: str) -> list[IntervalMetrics]:
     for row in reader:
         if not row:
             continue
+        if len(row) < len(header):
+            raise SchemaError(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
         m = IntervalMetrics(
             segment_id=row[col["segment_id"]],
             t_start=fval(row, "interval_start", blank_ok=False),

@@ -33,17 +33,9 @@ def pearson(x, y) -> float:
 
 def _mean_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties sharing the mean of their positions."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=float)
-    sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    first = np.cumsum(counts) - counts
+    return (first + 0.5 * (counts - 1) + 1.0)[inverse]
 
 
 def spearman(x, y) -> float:

@@ -13,8 +13,6 @@ does not model traffic faithfully.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,10 +21,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .association import metric_value
+from .config import IntervalGrid
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
 from .network_metrics import IntervalMetrics, SegmentConfig
-from .trajectories import TRAJECTORY_COLUMNS
+from .trajectories import TRAJECTORY_COLUMNS, csv_text
 
 HEADWAY_S = 2.0
 CAR_LENGTH_M = 4.5
@@ -106,11 +106,12 @@ class ScenarioSpec:
             )
         return configs
 
+    def interval_grid(self) -> IntervalGrid:
+        """One window of ``interval_seconds`` at the start of each slot; ``synth`` writes it into config.json."""
+        return IntervalGrid(self.n_intervals, self.interval_seconds, self.slot_seconds)
+
     def windows(self) -> list[tuple[float, float]]:
-        return [
-            (i * self.slot_seconds, i * self.slot_seconds + self.interval_seconds)
-            for i in range(self.n_intervals)
-        ]
+        return self.interval_grid().windows()
 
     def to_json(self) -> str:
         obj = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(self).items()}
@@ -238,13 +239,13 @@ def generate_trajectories(spec: ScenarioSpec) -> dict[str, str]:
     """Trajectory CSV text per segment id, covering every interval of the scenario."""
     out: dict[str, str] = {}
     for k, sid in enumerate(spec.segment_ids()):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for i in range(spec.n_intervals):
-            for frame, vid, x1, y1, x2, y2 in _simulate_interval(spec, k, i):
-                writer.writerow([frame, vid, repr(x1), repr(y1), repr(x2), repr(y2)])
-        out[sid] = buf.getvalue()
+        parts = [csv_text(TRAJECTORY_COLUMNS, ())]
+        for i in range(spec.n_intervals):  # one interval's rows at a time keeps the temporaries small
+            rows = _simulate_interval(spec, k, i)
+            if rows:
+                frames, vids, *corners = zip(*rows)
+                parts.append(csv_text((), [np.array(frames), vids, *np.array(corners)]))
+        out[sid] = "".join(parts)
     return out
 
 
@@ -282,8 +283,6 @@ def generate_crash_counts(
     rounded), with sigma either given or chosen so the generator's own
     R-squared is ``target_r2``.
     """
-    from .association import metric_value  # local import to avoid a cycle
-
     if noise_kind not in ("poisson", "gaussian"):
         raise ParameterError(f"noise_kind must be 'poisson' or 'gaussian', got {noise_kind!r}")
     names = [n for n in beta_star if n != "intercept"]
@@ -342,9 +341,7 @@ def crash_records_csv(
     """Emit one crash CSV row per planted count, timestamped inside its slot."""
     by_id = {s.segment_id: s for s in segments}
     rng = np.random.default_rng([seed, 3])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["timestamp", "lat", "lon", "type"])
+    rows = []
     type_names = [name for name, _ in TYPE_MIX]
     type_probs = [p for _, p in TYPE_MIX]
     for (sid, slot), count in sorted(plant.counts.items()):
@@ -357,8 +354,8 @@ def crash_records_csv(
             y = float(rng.uniform(ymin + 1.0, ymax - 1.0))
             lat, lon = plane.to_latlon(x, y)
             crash_type = type_names[int(rng.choice(len(type_names), p=type_probs))]
-            writer.writerow([stamp.isoformat(), repr(lat), repr(lon), crash_type])
-    return buf.getvalue()
+            rows.append((stamp.isoformat(), lat, lon, crash_type))
+    return csv_text(["timestamp", "lat", "lon", "type"], zip(*rows))
 
 
 def identity_keypoints_json(spec: ScenarioSpec, plane: TangentPlane) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -169,21 +170,12 @@ def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajecto
 
 
 def serialize_trajectories(trajectories: Iterable[Trajectory]) -> str:
-    """Inverse of parse_trajectories; rows grouped by vehicle, ordered by frame.
-
-    Floats are written as format_cell writes them (``!r``), ids as csv.writer quotes them.
-    """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(TRAJECTORY_COLUMNS)
-    for traj in trajectories:
-        cell = io.StringIO()
-        csv.writer(cell, lineterminator="").writerow([traj.vehicle_id, ""])
-        vid = cell.getvalue()[:-1]
-        out.writelines(
-            f"{frame},{vid},{x1!r},{y1!r},{x2!r},{y2!r}\n"
-            for frame, (x1, y1, x2, y2) in zip(traj.frames.tolist(), traj.boxes.tolist())
-        )
-    return out.getvalue()
+    """Inverse of parse_trajectories; rows grouped by vehicle, ordered by frame."""
+    trajs = list(trajectories)
+    frames = np.concatenate([t.frames for t in trajs]) if trajs else np.empty(0, dtype=np.int64)
+    boxes = np.concatenate([t.boxes for t in trajs]) if trajs else np.empty((0, 4))
+    vids = [vid for t in trajs for vid in [t.vehicle_id] * t.frames.size]
+    return csv_text(TRAJECTORY_COLUMNS, [frames, vids, *boxes.T])
 
 
 def format_cell(value) -> str:
@@ -193,6 +185,35 @@ def format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # float(): numpy 2 reprs np.float64 as 'np.float64(x)'
     return str(value)
+
+
+_CSV_QUOTED = re.compile('[,"\n]')  # a cell holding one of these is quoted
+
+
+def _csv_cells(column) -> list[str]:
+    """One column's cells: float arrays by repr, int arrays by str, anything else by format_cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    cells = list(map(format_cell, column))
+    if _CSV_QUOTED.search("".join(cells)):
+        cells = ['"' + c.replace('"', '""') + '"' if _CSV_QUOTED.search(c) else c for c in cells]
+    return cells
+
+
+def csv_text(header: Sequence[str], columns: Iterable) -> str:
+    """The CSV text of a table given column by column, in the dialect of every file written.
+
+    Lines end in LF. A cell is quoted, inner quotes doubled, only when it holds a comma,
+    a quote or a newline, as csv.writer(lineterminator="\\n") quotes it. Floats are their
+    shortest round-trip repr and None is an empty cell. An empty header writes the data
+    lines alone, for text built in chunks.
+    """
+    lines = [",".join(row) for row in zip(*map(_csv_cells, columns))]
+    if header:
+        lines.insert(0, ",".join(_csv_cells(header)))
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def fill_gaps(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP_FRAMES) -> tuple[Trajectory, list[tuple[int, int]]]:

@@ -301,11 +301,7 @@ def ssm_rows_oracle(tracks, travel_axis, fps):
     passage curve (axis position made monotone over its whole track, against
     time).
     """
-    import csv
-    import io
-
     from netsafety.surrogate import PairState, drac, pet, ttc
-    from netsafety.trajectories import format_cell
 
     ux, uy = travel_axis
     by_frame: dict[int, list] = {}
@@ -320,9 +316,7 @@ def ssm_rows_oracle(tracks, travel_axis, fps):
         curve_t += tr.t.tolist()
     curves = {vid: (np.maximum.accumulate(p), np.array(t)) for vid, (p, t) in passage.items()}
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["t", "follower_id", "leader_id", "ttc", "drac", "pet", "gap", "v_follower", "v_leader"])
+    rows = []
     for frame in sorted(by_frame):
         t = frame / fps
         ordered = sorted(by_frame[frame])
@@ -336,8 +330,23 @@ def ssm_rows_oracle(tracks, travel_axis, fps):
                 t_pass = float(np.interp(x_f, lead_pos, lead_t))
                 if t_pass <= t:
                     pet_v = pet(t_pass, t)
-            row = (t, id_f, id_l, ttc(state), drac(state), pet_v, state.gap(), v_f, v_l)
-            writer.writerow([format_cell(v) for v in row])
+            rows.append((t, id_f, id_l, ttc(state), drac(state), pet_v, state.gap(), v_f, v_l))
+    header = ["t", "follower_id", "leader_id", "ttc", "drac", "pet", "gap", "v_follower", "v_leader"]
+    return csv_rows_oracle(header, rows)
+
+
+def csv_rows_oracle(header, rows):
+    """A CSV table written one ``csv.writer`` row at a time, each cell through ``format_cell``."""
+    import csv
+    import io
+
+    from netsafety.trajectories import format_cell
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format_cell(v) for v in row])
     return out.getvalue()
 
 

@@ -19,7 +19,7 @@ import spans  # noqa: E402
 from netsafety import cli, trajectories  # noqa: E402
 from netsafety.config import load_config  # noqa: E402
 
-from test_cli import run_bundle  # noqa: E402
+from test_cli import run_bundle, write_spec  # noqa: E402
 
 
 def _get(owner, attr):
@@ -88,3 +88,21 @@ def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
     assert metrics["association.coalitions"] == len(cfg.analysis.families) * 2 ** len(cfg.analysis.predictors)
     assert metrics["association.degenerate_coalitions"] == 0
     assert metrics["association.shapley_s"] > 0 and metrics["association.cross_segment_s"] > 0
+
+
+def test_synth_set_up_is_traced_as_the_benchmark_traces_it(tmp_path):
+    """``synth.rows`` counts the data rows of the trajectory files the traced set-up writes."""
+    bundle = tmp_path / "bundle"
+    tracer = spans.Tracer()
+    tracer.install(layers.patch_table())
+    try:
+        root = tracer.begin_job("setup")
+        assert cli.main(["synth", "--spec", str(write_spec(tmp_path)), "--out", str(bundle)]) == 0
+        tracer.close(root)
+    finally:
+        tracer.uninstall()
+    metrics = layers.setup_metrics(spans.SpanTable(tracer), tracer.counts[0], 0)
+    written = sorted(bundle.glob("trajectories_*.csv"))
+    assert len(written) == 2
+    assert metrics["synth.rows"] == sum(_rows(path) for path in written) > 0
+    assert metrics["synth.trajectories_s"] > 0 and metrics["synth.plant_s"] > 0

@@ -467,6 +467,16 @@ class TestMalformedInputExits2:
         (out / "metrics.csv").write_text("".join(",".join(row) + "\n" for row in rows))
         assert self.run(["associate", "--config", str(out / "config.json")], capsys) == message
 
+    def test_metrics_row_short_of_the_header(self, tmp_path, capsys):
+        # The missing trailing cell used to read as an absent e_ttc.
+        out = run_bundle(tmp_path)
+        assert main(["metrics", "--config", str(out / "config.json")]) == 0
+        rows = list(csv.reader((out / "metrics.csv").read_text().splitlines()))
+        del rows[3][-1]
+        (out / "metrics.csv").write_text("".join(",".join(row) + "\n" for row in rows))
+        message = self.run(["associate", "--config", str(out / "config.json")], capsys)
+        assert message == f"line 4: expected {len(rows[0])} fields, got {len(rows[0]) - 1}"
+
     def test_metrics_header_threshold_not_a_number(self, tmp_path, capsys):
         out = run_bundle(tmp_path)
         assert main(["metrics", "--config", str(out / "config.json")]) == 0
@@ -532,6 +542,23 @@ class TestConfigValidation:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
         assert "segments[0]" in err["message"] and "lane_cnt" in err["message"]
+
+    @pytest.mark.parametrize("edit, context", [
+        (lambda c: {**c, "fps": "abc"}, "config root"),
+        (lambda c: {**c, "segments": [{**c["segments"][0], "lane_count": "two"}]}, "config segments[0]"),
+        (lambda c: {**c, "segments": [{**c["segments"][0], "bbox": 5}]}, "config segments[0]"),
+        (lambda c: {**c, "cluster": {"distance_threshold": "x"}}, "config cluster"),
+        (lambda c: {**c, "analysis": {"families": 5}}, "config analysis"),
+        (lambda c: {**c, "paths": []}, "config root"),
+        (lambda c: [1], "config root"),
+    ], ids=["fps", "lane_count", "bbox", "cluster", "analysis", "paths", "root"])
+    def test_wrong_typed_value_exits_2(self, tmp_path, capsys, edit, context):
+        path = write_hand_config(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["metrics", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"].startswith(context)
 
 
 class TestAssociateCommand:

@@ -5,7 +5,7 @@ import pytest
 
 from netsafety import cli
 from netsafety.config import load_config
-from netsafety.errors import DataError, ParameterError
+from netsafety.errors import DataError, ParameterError, SchemaError
 from netsafety.network_metrics import (
     _single_linkage,
     ClusterConfig,
@@ -429,6 +429,14 @@ class TestMetricsCsv:
         row = IntervalMetrics(segment_id="S1", t_start=0.0, t_end=600.0)
         line = write_metrics_csv([row], [1.0]).splitlines()[1]
         assert line.split(",")[3] == ""  # ttc_cv empty, not zero
+
+    @pytest.mark.parametrize("text, message", [
+        ("interval_start,interval_end,segment_id\n0,25\n", "line 2: expected 3 fields, got 2"),
+        ("segment_id,interval_start,interval_end,ivvr\nS1,0,25\n", "line 2: expected 4 fields, got 3"),
+    ], ids=["segment_id_missing", "metric_missing"])
+    def test_short_row_is_schema_error(self, text, message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            read_metrics_csv(text)
 
 
 def assert_rows_match(got, want, rel=1e-12):

@@ -5,6 +5,7 @@ import pytest
 
 from netsafety.errors import DataError, ParameterError
 from netsafety.stats import kendall, pearson, spearman
+from netsafety.stats.correlation import _mean_ranks
 
 from oracles import pearson_oracle
 
@@ -46,6 +47,18 @@ class TestSpearman:
     def test_tie_mean_ranks(self):
         # ranks of x: [1.5, 1.5, 3]; of y: [1, 2, 3] -> Pearson = sqrt(3)/2
         assert spearman([1, 1, 2], [1, 2, 3]) == pytest.approx(math.sqrt(3) / 2)
+
+    @pytest.mark.parametrize("x", [
+        [3.0, 1.0, 2.0, 1.0, 3.0, 3.0, 0.5, 2.0],
+        [4.0] * 6,
+        [2.0, 1.0],
+        [1.0, 1.0],
+        np.random.default_rng(2).integers(0, 5, 60).astype(float),
+    ], ids=["ties", "all_equal", "n2", "n2_tied", "many_ties"])
+    def test_mean_ranks_match_scipy_average_ranks(self, x):
+        from scipy.stats import rankdata
+
+        np.testing.assert_array_equal(_mean_ranks(np.asarray(x)), rankdata(x, method="average"))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(1)

@@ -10,6 +10,7 @@ from netsafety.trajectories import (
     VehicleClass,
     box_length_along_axis,
     classify_by_length,
+    csv_text,
     drop_static_objects,
     fill_gaps,
     format_cell,
@@ -19,7 +20,7 @@ from netsafety.trajectories import (
     smooth_savitzky_golay,
 )
 
-from oracles import fill_gaps_oracle, sg_window_fit_oracle
+from oracles import csv_rows_oracle, fill_gaps_oracle, sg_window_fit_oracle
 
 HEADER = "frame,vehicle_id,x1,y1,x2,y2\n"
 
@@ -145,6 +146,37 @@ class TestFormatCell:
         assert format_cell(3) == "3"
         assert format_cell(True) == "True"
         assert format_cell("S1") == "S1"
+
+
+class TestCsvText:
+    IDS = ["plain", "a,b", 'say "hi"', "two\nlines", "cr\rinside", " leading", ""]
+
+    def test_matches_csv_writer_row_by_row(self):
+        n = len(self.IDS)
+        columns = [
+            self.IDS,
+            [None, np.float64(0.1), np.int64(7), True, 2.5, None, "x"],
+            np.linspace(-1.0, 1e-300, n),
+            np.arange(n, dtype=np.int64) - 3,
+            np.array([None, 1.5, None, 0.0, -0.0, float("nan"), 3.0], dtype=object),
+        ]
+        header = ["id", "mixed", "float, with comma", "int", "absent"]
+        assert csv_text(header, columns) == csv_rows_oracle(header, zip(*columns))
+
+    def test_empty_header_writes_data_lines_only(self):
+        columns = [np.array([1, 2]), ["a", "b"]]
+        assert csv_text([], columns) == "1,a\n2,b\n"
+        assert csv_text(["n", "id"], [np.array([], dtype=np.int64), []]) == "n,id\n"
+
+    def test_quoted_ids_round_trip(self):
+        trajs = [
+            trajectories.Trajectory(vid, np.arange(k, k + 3), np.arange(12, dtype=float).reshape(3, 4) + k, 4.0)
+            for k, vid in enumerate(["a,b", 'say "hi"', "two\nlines"])
+        ]
+        back = parse_trajectories(serialize_trajectories(trajs), fps=4.0)
+        assert [t.vehicle_id for t in back] == [t.vehicle_id for t in trajs]
+        for t1, t2 in zip(trajs, back):
+            assert np.array_equal(t1.frames, t2.frames) and np.array_equal(t1.boxes, t2.boxes)
 
 
 class TestFillGaps:
