@@ -17,7 +17,7 @@ import numpy as np
 
 from .crashes import CRASH_FAMILIES, CrashBinning
 from .errors import DataError, ParameterError
-from .network_metrics import IntervalMetrics
+from .network_metrics import IntervalMetrics, metric_value
 from .stats import (
     Dataset,
     RegressionReport,
@@ -33,7 +33,7 @@ from .stats import (
     spearman,
 )
 from .stats.regression import adjusted_r2
-from .trajectories import VehicleClass, csv_text
+from .trajectories import csv_text
 
 DEFAULT_PREDICTORS = ("ttc_cv", "ivvr", "ovvr", "osr_1.0", "tci", "ntc")
 CORRELATION_METHODS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
@@ -61,19 +61,6 @@ class AnalysisConfig:
         if bad_fam:
             raise ParameterError(f"unknown crash families: {bad_fam}")
         self.exclude_slots = tuple((str(s), int(slot)) for s, slot in self.exclude_slots)
-
-
-def metric_value(m: IntervalMetrics, name: str) -> float | None:
-    """Pull one predictor value out of an IntervalMetrics row by column name."""
-    if name.startswith("osr_"):
-        return m.osr.get(float(name[len("osr_") :]))
-    if name == "f_truck":
-        return m.f_c.get(VehicleClass.TRUCK.value)
-    if name == "volume":
-        return float(m.n_vehicles)
-    if not hasattr(m, name):
-        raise ParameterError(f"unknown metric column {name!r}")
-    return getattr(m, name)
 
 
 def build_dataset(

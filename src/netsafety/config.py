@@ -32,6 +32,12 @@ class TrackPrepConfig:
     class_threshold_m: float = DEFAULT_CLASS_THRESHOLD_M
     min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M
 
+    def __post_init__(self):
+        if not (self.max_gap_frames >= 0 and self.sg_window % 2 == 1 and self.sg_window > self.sg_order >= 0
+                and self.class_threshold_m > 0 and self.min_displacement_m >= 0):
+            raise ParameterError("prep needs max_gap_frames >= 0, an odd sg_window > sg_order >= 0, "
+                                 f"class_threshold_m > 0 and min_displacement_m >= 0, got {self}")
+
 
 @dataclass
 class IntervalGrid:
@@ -41,6 +47,10 @@ class IntervalGrid:
     window_seconds: float
     stride_seconds: float
     start_seconds: float = 0.0
+
+    def __post_init__(self):
+        if not (self.count >= 0 and self.window_seconds > 0 and self.stride_seconds > 0):
+            raise ParameterError(f"intervals need count >= 0, window_seconds > 0 and stride_seconds > 0, got {self}")
 
     def windows(self) -> list[tuple[float, float]]:
         return [
@@ -88,7 +98,7 @@ def _require(obj: dict, key: str, context: str):
 
 
 def _check_keys(obj: dict, known, context: str) -> dict:
-    unknown = sorted(set(obj) - set(known))
+    unknown = sorted(obj.keys() - set(known))  # a non-object has no keys(): a wrong-typed value
     if unknown:
         raise SchemaError(f"config {context} has unknown key(s) {unknown}")
     return obj
@@ -110,6 +120,9 @@ def _section(cls, obj: dict, context: str):
 
 
 _SEGMENT_KEYS = {f.name for f in fields(SegmentConfig)} | {"trajectories"}
+_ROOT_KEYS = {"fps", "seed", "anchor", "paths", "segments", "crash_years",
+              "cluster", "prep", "intervals", "trt", "analysis"}
+_PATH_KEYS = {"output_dir", "keypoints", "crashes", "metrics"}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -130,6 +143,9 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
     def resolve(p) -> Path:
         p = Path(p)
         return p if p.is_absolute() else base / p
+
+    _check_keys(obj, _ROOT_KEYS, "root")
+    paths = _check_keys(obj.get("paths", {}), _PATH_KEYS, "paths")
 
     segments = []
     trajectory_paths = {}
@@ -165,7 +181,6 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
     if "intervals" in obj:
         intervals = _section(IntervalGrid, obj["intervals"], "intervals")
 
-    paths = obj.get("paths", {})
     return RunConfig(
         fps=float(_require(obj, "fps", "root")),
         seed=int(obj.get("seed", 0)),

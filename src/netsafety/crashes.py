@@ -9,8 +9,6 @@ full data (consistency across time) and hours of the day differ.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -23,6 +21,7 @@ from .errors import DataError, ParameterError, SchemaError
 from .geo import TangentPlane
 from .network_metrics import SegmentConfig
 from .stats.contingency import Chi2Result, chi2_contingency_yates, chi2_oneway
+from .trajectories import CsvRecords
 
 CRASH_COLUMNS = ("timestamp", "lat", "lon", "type")
 
@@ -83,39 +82,26 @@ def _parse_type(raw: str, unknown_seen: set[str]) -> CrashType:
     return CrashType.OTHER
 
 
-def parse_crashes(stream: io.TextIOBase | str) -> list[CrashRecord]:
-    """Parse the crash CSV (``timestamp,lat,lon,type``; ISO-8601 timestamps)."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise SchemaError("crash file is empty (header required)") from None
-    missing = [c for c in CRASH_COLUMNS if c not in header]
-    if missing:
-        raise SchemaError(f"crash header missing required columns: {missing}")
-    idx = {c: header.index(c) for c in CRASH_COLUMNS}
+def parse_crashes(text: str) -> list[CrashRecord]:
+    """Parse the crash CSV (``timestamp,lat,lon,type``; ISO-8601 timestamps) by CsvRecords' rules."""
+    rows = CsvRecords(text, CRASH_COLUMNS, "crash")
+    i_stamp, i_lat, i_lon, i_type = (rows.col[c] for c in CRASH_COLUMNS)
     unknown_seen: set[str] = set()
     records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < len(header):
-            raise SchemaError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        stamp_raw = row[idx["timestamp"]].strip()
+    for row in rows:
+        stamp_raw = row[i_stamp].strip()
         try:
             stamp = datetime.fromisoformat(stamp_raw.replace("Z", "+00:00"))
         except ValueError as exc:
-            raise DataError(f"line {lineno}: unparseable timestamp {stamp_raw!r}") from exc
+            raise DataError(f"line {rows.line}: unparseable timestamp {stamp_raw!r}") from exc
         try:
-            lat = float(row[idx["lat"]])
-            lon = float(row[idx["lon"]])
+            lat = float(row[i_lat])
+            lon = float(row[i_lon])
         except ValueError as exc:
-            raise SchemaError(f"line {lineno}: malformed coordinate ({exc})") from exc
+            raise SchemaError(f"line {rows.line}: malformed coordinate ({exc})") from exc
         if not (np.isfinite(lat) and np.isfinite(lon)):
-            raise SchemaError(f"line {lineno}: non-finite coordinate ({lat}, {lon})")
-        records.append(CrashRecord(stamp, lat, lon, _parse_type(row[idx["type"]], unknown_seen)))
+            raise SchemaError(f"line {rows.line}: non-finite coordinate ({lat}, {lon})")
+        records.append(CrashRecord(stamp, lat, lon, _parse_type(row[i_type], unknown_seen)))
     return records
 
 

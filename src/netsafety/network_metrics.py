@@ -8,8 +8,6 @@ Undefined metrics are reported as None (absent), never coerced to 0.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError, SchemaError
-from .trajectories import PreparedTrack, VehicleClass, csv_text
+from .trajectories import CsvRecords, PreparedTrack, VehicleClass, csv_text
 
 VEHICLE_CLASSES = (VehicleClass.CAR, VehicleClass.TRUCK)
 
@@ -605,80 +603,68 @@ def compute_interval_metrics(
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED_COLUMNS = ("segment_id", "interval_start", "interval_end")
+_HEAD_COLUMNS = (*_REQUIRED_COLUMNS, "ttc_cv", "ivvr", "ovvr")  # then osr_<theta>...
+_TAIL_COLUMNS = ("tci", "f_truck", "ntc", "trt", "n_vehicles", "coverage", "e_ttc")
+_NUMERIC_COLUMNS = (*_HEAD_COLUMNS[1:], *_TAIL_COLUMNS)
+_FLOAT_ATTRIBUTES = {"interval_start": "t_start", "interval_end": "t_end",
+                     "coverage": "coverage", "volume": "n_vehicles"}
+_IS_COUNT = ("a count", lambda v: v >= 0 and v.is_integer())
+
+
 def metrics_header(osr_thresholds: Sequence[float]) -> list[str]:
-    head = ["segment_id", "interval_start", "interval_end", "ttc_cv", "ivvr", "ovvr"]
-    head += [f"osr_{float(t)!r}" for t in osr_thresholds]
-    head += ["tci", "f_truck", "ntc", "trt", "n_vehicles", "coverage", "e_ttc"]
-    return head
+    return [*_HEAD_COLUMNS, *(f"osr_{float(t)!r}" for t in osr_thresholds), *_TAIL_COLUMNS]
+
+
+def metric_value(m: IntervalMetrics, name: str):
+    """A row's value in the metrics-CSV column ``name``, or ``volume``: n_vehicles as a float."""
+    if name.startswith("osr_"):
+        return m.osr.get(float(name[len("osr_") :]))
+    if name == "f_truck":
+        return m.f_c.get(VehicleClass.TRUCK.value)
+    if name in _FLOAT_ATTRIBUTES:
+        return float(getattr(m, _FLOAT_ATTRIBUTES[name]))
+    if not hasattr(m, name):
+        raise ParameterError(f"unknown metric column {name!r}")
+    return getattr(m, name)
 
 
 def write_metrics_csv(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[float]) -> str:
     """Serialize interval metrics; absent values become empty fields."""
-    records = [
-        [r.segment_id, float(r.t_start), float(r.t_end), r.ttc_cv, r.ivvr, r.ovvr,
-         *(r.osr.get(float(t)) for t in osr_thresholds),
-         r.tci, r.f_c.get(VehicleClass.TRUCK.value), r.ntc, r.trt, r.n_vehicles, float(r.coverage), r.e_ttc]
-        for r in rows
-    ]
-    return csv_text(metrics_header(osr_thresholds), zip(*records))
+    header = metrics_header(osr_thresholds)
+    return csv_text(header, [[metric_value(r, name) for r in rows] for name in header])
+
+
+def _number(cell: str, name: str, line: int, what: str | None = None, ok=math.isfinite) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = None
+    if value is None or not ok(value):
+        what = what or ("a number" if value is None else "finite")
+        raise SchemaError(f"line {line}: column {name!r} is not {what}: {cell!r}")
+    return value
 
 
 def read_metrics_csv(text: str) -> list[IntervalMetrics]:
-    """Parse the metrics CSV back into IntervalMetrics rows.
+    """Parse the metrics CSV back into IntervalMetrics rows, by CsvRecords' rules.
 
-    Every row has as many fields as the header. A blank cell is an absent metric;
-    any other cell must be a finite number.
+    Only segment_id and the interval bounds are required; columns of other names are
+    ignored. A blank cell is an absent metric; any other cell must be a finite number,
+    and n_vehicles a count.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("metrics file is empty") from None
-    required = {"segment_id", "interval_start", "interval_end"}
-    if not required <= set(header):
-        raise SchemaError(f"metrics header missing {sorted(required - set(header))}")
-    col = {name: i for i, name in enumerate(header)}
-
-    def number(cell, name, what=None, ok=math.isfinite):
-        try:
-            value = float(cell)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            what = what or ("a number" if value is None else "finite")
-            raise SchemaError(f"line {reader.line_num}: column {name!r} is not {what}: {cell!r}")
-        return value
-
-    def fval(row, name, blank_ok=True, **check):
-        i = col.get(name)
-        cell = row[i] if i is not None else ""
-        return None if cell == "" and blank_ok else number(cell, name, **check)
-
-    osr_names = [name for name in header if name.startswith("osr_")]
-    osr_cols = [(number(name[len("osr_") :], name, "a finite threshold", math.isfinite), name) for name in osr_names]
-    rows = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < len(header):
-            raise SchemaError(f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}")
-        m = IntervalMetrics(
-            segment_id=row[col["segment_id"]],
-            t_start=fval(row, "interval_start", blank_ok=False),
-            t_end=fval(row, "interval_end", blank_ok=False),
-            ttc_cv=fval(row, "ttc_cv"),
-            ivvr=fval(row, "ivvr"),
-            ovvr=fval(row, "ovvr"),
-            tci=fval(row, "tci"),
-            ntc=fval(row, "ntc"),
-            trt=fval(row, "trt"),
-            n_vehicles=int(fval(row, "n_vehicles", what="a count", ok=lambda v: v >= 0 and v.is_integer()) or 0),
-            coverage=fval(row, "coverage") or 0.0,
-            e_ttc=fval(row, "e_ttc"),
-        )
-        m.osr = {theta: v for theta, name in osr_cols if (v := fval(row, name)) is not None}
-        f_truck = fval(row, "f_truck")
-        if f_truck is not None:
-            m.f_c = {VehicleClass.TRUCK.value: f_truck, VehicleClass.CAR.value: 1.0 - f_truck}
-        rows.append(m)
-    return rows
+    rows = CsvRecords(text, _REQUIRED_COLUMNS, "metrics")
+    osr_cols = [(_number(name[len("osr_") :], name, 1, "a finite threshold"), name)
+                for name in rows.col if name.startswith("osr_")]
+    numeric = [(name, i) for name, i in rows.col.items() if name in _NUMERIC_COLUMNS or name.startswith("osr_")]
+    result = []
+    for row in rows:
+        v = {name: _number(row[i], name, rows.line, *(_IS_COUNT if name == "n_vehicles" else ()))
+             for name, i in numeric if row[i] != "" or name in _REQUIRED_COLUMNS}
+        t_start, t_end, f_truck = v.pop("interval_start"), v.pop("interval_end"), v.pop("f_truck", None)
+        n_vehicles = int(v.pop("n_vehicles", 0))
+        osr = {theta: v.pop(name) for theta, name in osr_cols if name in v}
+        f_c = {} if f_truck is None else {VehicleClass.TRUCK.value: f_truck, VehicleClass.CAR.value: 1.0 - f_truck}
+        result.append(IntervalMetrics(row[rows.col["segment_id"]], t_start, t_end, osr=osr, f_c=f_c,
+                                      n_vehicles=n_vehicles, **v))
+    return result

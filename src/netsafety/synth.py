@@ -21,11 +21,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .association import metric_value
 from .config import IntervalGrid
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
-from .network_metrics import IntervalMetrics, SegmentConfig
+from .network_metrics import IntervalMetrics, SegmentConfig, metric_value
 from .trajectories import TRAJECTORY_COLUMNS, csv_text
 
 HEADWAY_S = 2.0

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -104,56 +104,40 @@ class _PointView(Sequence):
         return TrackPoint(frame, frame / traj.fps, *traj.boxes[i].tolist())
 
 
-def parse_trajectories(stream: io.TextIOBase | str, fps: float) -> list[Trajectory]:
+def parse_trajectories(text: str, fps: float) -> list[Trajectory]:
     """Parse the trajectory CSV (``frame,vehicle_id,x1,y1,x2,y2``) into trajectories.
 
     Rows stream once into per-vehicle columns; each vehicle_id becomes one Trajectory,
-    in order of first appearance; vehicles may interleave and blank rows are skipped.
-    The first faulty row raises, naming its line: SchemaError for a short row, a
+    in order of first appearance; vehicles may interleave. Besides the rules of
+    CsvRecords, the first faulty row raises, naming its line: SchemaError for a
     malformed number, a non-finite coordinate or an empty vehicle_id; DataError for
     a negative frame or one not above the vehicle's previous frame.
     """
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("trajectory file is empty (header required)") from None
-    header = [h.strip() for h in header]
-    missing = [c for c in TRAJECTORY_COLUMNS if c not in header]
-    if missing:
-        raise SchemaError(f"trajectory header missing required columns: {missing}")
-    i_frame, i_vid, i_x1, i_y1, i_x2, i_y2 = (header.index(c) for c in TRAJECTORY_COLUMNS)
+    rows = CsvRecords(text, TRAJECTORY_COLUMNS, "trajectory")
+    i_frame, i_vid, i_x1, i_y1, i_x2, i_y2 = (rows.col[c] for c in TRAJECTORY_COLUMNS)
 
     tracks: dict[str, tuple[list[int], list[float]]] = {}  # vehicle_id -> (frames, corners), first appearance first
     isfinite = math.isfinite
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) < len(header):
-            if any(c.strip() for c in row):
-                raise SchemaError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-            continue
+    for row in rows:
         try:
             frame = int(row[i_frame])
             x1, y1, x2, y2 = float(row[i_x1]), float(row[i_y1]), float(row[i_x2]), float(row[i_y2])
         except ValueError as exc:
-            if not any(c.strip() for c in row):
-                continue
-            raise SchemaError(f"line {lineno}: malformed numeric field ({exc})") from exc
+            raise SchemaError(f"line {rows.line}: malformed numeric field ({exc})") from exc
         if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-            raise SchemaError(f"line {lineno}: non-finite coordinate in ({x1}, {y1}, {x2}, {y2})")
+            raise SchemaError(f"line {rows.line}: non-finite coordinate in ({x1}, {y1}, {x2}, {y2})")
         if frame < 0:
-            raise DataError(f"line {lineno}: negative frame index {frame}")
+            raise DataError(f"line {rows.line}: negative frame index {frame}")
         vid = row[i_vid].strip()
         if not vid:
-            raise SchemaError(f"line {lineno}: empty vehicle_id")
+            raise SchemaError(f"line {rows.line}: empty vehicle_id")
         track = tracks.get(vid)
         if track is None:
             track = tracks[vid] = ([], [])
         elif frame <= track[0][-1]:
-            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {track[0][-1]} (line {lineno})")
+            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {track[0][-1]} (line {rows.line})")
         if x1 > x2:
             x1, x2 = x2, x1
         if y1 > y2:
@@ -185,6 +169,44 @@ def format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))  # float(): numpy 2 reprs np.float64 as 'np.float64(x)'
     return str(value)
+
+
+class CsvRecords:
+    """An input CSV's header index and data rows, read by the rules of every input table.
+
+    Header cells are stripped of whitespace, and ``col[name]`` is the first column so
+    named. Iterating yields the cells of each data row; rows whose cells are all blank
+    are skipped. An empty file, a header without one of ``required`` and a row shorter
+    than the header raise SchemaError, naming the file by ``what``.
+    """
+
+    def __init__(self, text: str, required: Sequence[str], what: str):
+        self._reader = csv.reader(io.StringIO(text))
+        header = next(self._reader, None)
+        if header is None:
+            raise SchemaError(f"{what} file is empty (header required)")
+        header = [h.strip() for h in header]
+        self.col = {name: header.index(name) for name in header}
+        missing = [c for c in required if c not in self.col]
+        if missing:
+            raise SchemaError(f"{what} header missing required columns: {missing}")
+        self._width = len(header)
+
+    @property
+    def line(self) -> int:
+        """The physical line the last row read ends on (a quoted cell may span lines)."""
+        return self._reader.line_num
+
+    def __iter__(self) -> Iterator[list[str]]:
+        reader, width = self._reader, self._width
+        for row in reader:
+            # Blankness is tested only on a short row or one whose first cell is blank.
+            if len(row) < width or not row[0].strip():
+                if not any(c.strip() for c in row):
+                    continue
+                if len(row) < width:
+                    raise SchemaError(f"line {reader.line_num}: expected {width} fields, got {len(row)}")
+            yield row
 
 
 _CSV_QUOTED = re.compile('[,"\n]')  # a cell holding one of these is quoted

@@ -543,6 +543,39 @@ class TestConfigValidation:
         assert err["error"] == "SchemaError"
         assert "segments[0]" in err["message"] and "lane_cnt" in err["message"]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: {**c, "paths": {"metrcs": "m.csv"}}, "config paths has unknown key(s) ['metrcs']"),
+        (lambda c: {**c, "intervls": c.pop("intervals")}, "config root has unknown key(s) ['intervls']"),
+        (lambda c: {**c, "segmets": c.pop("segments")}, "config root has unknown key(s) ['segmets']"),
+    ], ids=["paths", "intervals", "segments"])
+    def test_unknown_root_or_paths_key_exits_2(self, tmp_path, capsys, edit, message):
+        # Before the check these loaded as no metrics path, slot-aligned windows and no segments.
+        path = write_hand_config(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        assert main(["metrics", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("SchemaError", message)
+
+    @pytest.mark.parametrize("section, values", [
+        ("intervals", {"count": -1}),
+        ("intervals", {"window_seconds": 0.0}),
+        ("intervals", {"stride_seconds": 0.0}),
+        ("prep", {"max_gap_frames": -1}),
+        ("prep", {"sg_window": 20}),
+        ("prep", {"sg_window": 3, "sg_order": 3}),
+        ("prep", {"sg_order": -1}),
+        ("prep", {"class_threshold_m": 0.0}),
+        ("prep", {"min_displacement_m": -0.5}),
+    ], ids=["count", "window_seconds", "stride_seconds", "max_gap_frames", "sg_window_even",
+            "sg_window_not_above_order", "sg_order", "class_threshold_m", "min_displacement_m"])
+    def test_out_of_range_value_exits_2_at_load(self, tmp_path, capsys, monkeypatch, section, values):
+        # Before the check "stride_seconds": 0 exited 0 and repeated the first window.
+        monkeypatch.setattr("netsafety.cli._prepare_segment_tracks", None)  # never reached
+        assert main(["metrics", "--config", str(write_hand_config(tmp_path, **{section: values}))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError" and err["message"].startswith(f"{section} need")
+        assert not (tmp_path / "metrics.csv").exists()
+
     @pytest.mark.parametrize("edit, context", [
         (lambda c: {**c, "fps": "abc"}, "config root"),
         (lambda c: {**c, "segments": [{**c["segments"][0], "lane_count": "two"}]}, "config segments[0]"),
@@ -550,8 +583,9 @@ class TestConfigValidation:
         (lambda c: {**c, "cluster": {"distance_threshold": "x"}}, "config cluster"),
         (lambda c: {**c, "analysis": {"families": 5}}, "config analysis"),
         (lambda c: {**c, "paths": []}, "config root"),
+        (lambda c: {**c, "paths": "metrics.csv"}, "config root"),
         (lambda c: [1], "config root"),
-    ], ids=["fps", "lane_count", "bbox", "cluster", "analysis", "paths", "root"])
+    ], ids=["fps", "lane_count", "bbox", "cluster", "analysis", "paths", "paths_string", "root"])
     def test_wrong_typed_value_exits_2(self, tmp_path, capsys, edit, context):
         path = write_hand_config(tmp_path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))

@@ -1,0 +1,89 @@
+"""The reading rules every input CSV shares (trajectories, crash report, metrics)."""
+
+import pytest
+
+from netsafety.crashes import parse_crashes
+from netsafety.errors import SchemaError
+from netsafety.network_metrics import IntervalMetrics, read_metrics_csv, write_metrics_csv
+from netsafety.trajectories import parse_trajectories
+
+# reader, what its errors call the file, header, two good rows, a faulty row and its message
+READERS = {
+    "trajectory": (
+        lambda text: [(t.vehicle_id, f) for t in parse_trajectories(text, 4.0) for f in t.frames.tolist()],
+        "trajectory", "frame,vehicle_id,x1,y1,x2,y2", ("0,a,0,0,1,1", "1,a,1,0,2,1"),
+        "2,a,abc,0,3,1", "malformed numeric field",
+    ),
+    "crash": (
+        lambda text: [(r.timestamp.isoformat(), r.lat) for r in parse_crashes(text)],
+        "crash", "timestamp,lat,lon,type",
+        ("2021-06-15T08:30:00,33.46,-112.06,REAR_END", "2021-06-15T08:40:00,33.47,-112.06,SIDESWIPE"),
+        "2021-06-15T08:50:00,abc,-112.06,OTHER", "malformed coordinate",
+    ),
+    "metrics": (
+        lambda text: [(m.segment_id, m.t_start, m.ivvr) for m in read_metrics_csv(text)],
+        "metrics", "segment_id,interval_start,interval_end,ivvr", ("S1,0.0,25.0,0.5", "S1,600.0,625.0,"),
+        "S1,abc,1225.0,0.25", "column 'interval_start' is not a number",
+    ),
+}
+
+
+@pytest.fixture(params=list(READERS))
+def reader(request):
+    return READERS[request.param]
+
+
+def lines(*rows) -> str:
+    return "\n".join(rows) + "\n"
+
+
+def test_errors_name_the_physical_line(reader):
+    # The note of the first row is quoted across two lines, so the faulty row is
+    # the fourth line of the file and the third record.
+    read, _, header, (good, _), bad, message = reader
+    text = lines(header + ",note", good + ',"two\nlines"', bad + ",x")
+    with pytest.raises(SchemaError, match=f"^line 4: {message}"):
+        read(text)
+
+
+def test_blank_rows_are_skipped(reader):
+    read, _, header, (first, second), _, _ = reader
+    width = header.count(",") + 1
+    blank = ["", "   ", ",", "," * (width - 1), " ," * (width - 1) + " ", "\t" + "," * width]
+    assert read(lines(header, first, *blank, second)) == read(lines(header, first, second))
+    assert len(read(lines(header, first, *blank, second))) == 2
+
+
+def test_header_cells_are_stripped(reader):
+    read, _, header, rows, _, _ = reader
+    padded = ",".join(f" {name}\t" for name in header.split(","))
+    assert read(lines(padded, *rows)) == read(lines(header, *rows))
+
+
+def test_schema_errors(reader):
+    read, what, header, (good, _), _, _ = reader
+    names = header.split(",")
+    cases = [
+        ("", rf"{what} file is empty \(header required\)"),
+        (lines(",".join(names[:2])), rf"{what} header missing required columns: \['{names[2]}'"),
+        (lines(header, good.rsplit(",", 1)[0]), f"line 2: expected {len(names)} fields, got {len(names) - 1}"),
+    ]
+    for text, message in cases:
+        with pytest.raises(SchemaError, match=f"^{message}"):
+            read(text)
+
+
+def test_written_metrics_row_reads_back():
+    row = IntervalMetrics(
+        "S1", 0, 25, ttc_cv=0.5, ivvr=None, ovvr=0.125, osr={1.0: 0.25, 1.5: 0.0625}, tci=2.0,
+        f_c={"Truck": 0.25, "Car": 0.75}, ntc=0.01, trt=None, n_vehicles=7, coverage=1, e_ttc=3.5,
+    )
+    text = write_metrics_csv([row], [1.0, 1.5])
+    assert text.splitlines() == [
+        "segment_id,interval_start,interval_end,ttc_cv,ivvr,ovvr,osr_1.0,osr_1.5,tci,f_truck,ntc,trt,"
+        "n_vehicles,coverage,e_ttc",
+        "S1,0.0,25.0,0.5,,0.125,0.25,0.0625,2.0,0.25,0.01,,7,1.0,3.5",
+    ]
+    (back,) = read_metrics_csv(text)
+    assert back == row and type(back.n_vehicles) is int
+

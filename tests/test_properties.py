@@ -1,0 +1,102 @@
+"""Invariance properties of the pipeline, checked on generated scenes.
+
+Positions and speeds are dyadic rationals at 4 fps, so every time and position
+is exact and a property can ask for byte-identical output.
+"""
+
+import csv
+import dataclasses
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from netsafety.cli import main
+from netsafety.network_metrics import read_metrics_csv
+from netsafety.trajectories import TRAJECTORY_COLUMNS, csv_text
+
+from test_network_metrics import assert_rows_match
+
+FPS = 4.0
+# No shrink phase: shrinking a failure of these four-command examples ran for minutes and
+# grew the test process by ~2.5 MB/s; the first failing scene is reported as drawn.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=12, phases=[Phase.explicit, Phase.generate])
+
+
+@st.composite
+def scenes(draw):
+    """Vehicles (start frame, frame count, x0, speed, lane, length) on a two-lane segment.
+
+    A twinned vehicle drives beside another at the same position, so vehicles at
+    equal positions, ordered by id, occur.
+    """
+    vehicle = st.tuples(
+        st.integers(0, 24), st.integers(2, 48), st.integers(0, 160).map(lambda q: q / 2),
+        st.integers(8, 120).map(lambda q: q / 4), st.integers(0, 1), st.sampled_from([4.5, 16.0]),
+    )
+    scene = []
+    for v, twin in draw(st.lists(st.tuples(vehicle, st.booleans()), min_size=2, max_size=6)):
+        scene += [v, (*v[:4], 1 - v[4], v[5])] if twin else [v]
+    return scene
+
+
+def trajectory_csv(scene, ids, shift=0) -> str:
+    """One row per vehicle per frame, frames shifted by ``shift``, vehicles interleaved by frame."""
+    rows = sorted(
+        (start + j + shift, i, x0 + speed * j / FPS, lane * 3.5, length)
+        for i, (start, n, x0, speed, lane, length) in enumerate(scene)
+        for j in range(n)
+    )
+    frame, vid, x, y, length = zip(*rows)
+    return csv_text(TRAJECTORY_COLUMNS, [
+        list(frame), [ids[i] for i in vid], [a - b / 2 for a, b in zip(x, length)], [b - 1.0 for b in y],
+        [a + b / 2 for a, b in zip(x, length)], [b + 1.0 for b in y],
+    ])
+
+
+def run(trajectories: str, start_seconds: float = 0.0) -> tuple[str, str]:
+    """The ``metrics`` and ``ssm`` outputs for one segment's trajectory CSV."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "traj.csv").write_text(trajectories)
+        config = {
+            "fps": FPS, "paths": {"metrics": "metrics.csv"},
+            "segments": [{"segment_id": "S1", "lane_count": 2, "length_m": 300.0, "speed_limit": 20.0,
+                          "trajectories": "traj.csv"}],
+            "cluster": {"distance_threshold": 12.0},
+            "intervals": {"count": 3, "window_seconds": 6.0, "stride_seconds": 6.0, "start_seconds": start_seconds},
+        }
+        (out / "config.json").write_text(json.dumps(config))
+        assert main(["metrics", "--config", str(out / "config.json")]) == 0
+        assert main(["ssm", "--config", str(out / "config.json"), "--in", str(out / "traj.csv"),
+                     "--out", str(out / "ssm.csv")]) == 0
+        return (out / "metrics.csv").read_text(), (out / "ssm.csv").read_text()
+
+
+names = st.text(alphabet='Zab,"0', min_size=1, max_size=3)
+
+
+@PROPERTY
+@given(scene=scenes(), data=st.data())
+def test_order_preserving_renaming_of_vehicle_ids(scene, data):
+    ids = [f"v{i:02d}" for i in range(len(scene))]
+    renamed = sorted(data.draw(st.lists(names, min_size=len(scene), max_size=len(scene), unique=True)))
+    metrics, ssm = run(trajectory_csv(scene, ids))
+    metrics_renamed, ssm_renamed = run(trajectory_csv(scene, renamed))
+    assert metrics_renamed == metrics
+    back = dict(zip(renamed, ids))
+    header, *rows = csv.reader(io.StringIO(ssm_renamed))
+    assert [header] + [[r[0], back[r[1]], back[r[2]], *r[3:]] for r in rows] == list(csv.reader(io.StringIO(ssm)))
+
+
+@PROPERTY
+@given(scene=scenes(), shift=st.integers(1, 100_000))
+def test_whole_frame_time_shift(scene, shift):
+    ids = [f"v{i}" for i in range(len(scene))]
+    base = read_metrics_csv(run(trajectory_csv(scene, ids))[0])
+    shifted = read_metrics_csv(run(trajectory_csv(scene, ids, shift), shift / FPS)[0])
+    moved = [dataclasses.replace(m, t_start=m.t_start + shift / FPS, t_end=m.t_end + shift / FPS) for m in base]
+    assert_rows_match(shifted, moved, rel=1e-12)
