@@ -14,6 +14,7 @@ object is printed to stderr).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -26,6 +27,25 @@ from .errors import NetSafetyError, ParameterError
 from .geo import TangentPlane
 from .projection import apply_homography, fit_homography, load_keypoints
 from .surrogate import drac, ttc  # noqa: F401  (perfbench/layers.py traces cli.ttc and cli.drac by name)
+
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+except (AttributeError, OSError, TypeError):  # no glibc
+    _MALLOC_TRIM = None
+
+
+def _release_freed_heap() -> None:
+    """Hand the heap pages a command freed back to the OS (glibc's malloc_trim; elsewhere a no-op).
+
+    glibc keeps freed heap memory resident until the free space at the heap's top passes a
+    threshold that it raises as large blocks are freed. Without the trim, what a command left
+    resident, and so the peak of whatever the process runs next, would follow the allocator's
+    layout, which shifts with sizes as small as a path's length.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def _fail(exc: Exception) -> int:
@@ -222,9 +242,10 @@ def cmd_ssm(args) -> int:
         curve = np.maximum.accumulate(table.axis_pos[rows_of[code]])
         t_pass[mine] = np.interp(table.axis_pos[follower[mine]], curve, t[rows_of[code]], left=np.nan, right=np.nan)
     pet = t[follower] - t_pass
-    vid = np.array(table.vids, dtype=object)[table.vid_code]
     columns = {
-        "t": t[follower], "follower_id": vid[follower], "leader_id": vid[leader],
+        "t": t[follower],
+        "follower_id": trajectories.CodedColumn(table.vids, table.vid_code[follower]),
+        "leader_id": trajectories.CodedColumn(table.vids, table.vid_code[leader]),
         "ttc": np.where(closing > 0, pair_ttc, None),
         "drac": np.where(closing > 0, closing * closing / gap, 0.0),
         "pet": np.where(pet >= 0, pet, None),
@@ -338,6 +359,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except NetSafetyError as exc:
         return _fail(exc)
+    finally:
+        _release_freed_heap()
 
 
 if __name__ == "__main__":

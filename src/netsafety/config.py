@@ -7,6 +7,7 @@ file, so a generated bundle (config + data files) is relocatable.
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -24,6 +25,13 @@ from .trajectories import (
 )
 
 
+def _integer(value, name: str):
+    """``value``, if it is an integer (a bool is not); TypeError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class TrackPrepConfig:
     max_gap_frames: int = DEFAULT_MAX_GAP_FRAMES
@@ -33,6 +41,8 @@ class TrackPrepConfig:
     min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M
 
     def __post_init__(self):
+        for name in ("max_gap_frames", "sg_window", "sg_order"):
+            _integer(getattr(self, name), name)
         if not (self.max_gap_frames >= 0 and self.sg_window % 2 == 1 and self.sg_window > self.sg_order >= 0
                 and self.class_threshold_m > 0 and self.min_displacement_m >= 0):
             raise ParameterError("prep needs max_gap_frames >= 0, an odd sg_window > sg_order >= 0, "
@@ -49,6 +59,7 @@ class IntervalGrid:
     start_seconds: float = 0.0
 
     def __post_init__(self):
+        _integer(self.count, "count")
         if not (self.count >= 0 and self.window_seconds > 0 and self.stride_seconds > 0):
             raise ParameterError(f"intervals need count >= 0, window_seconds > 0 and stride_seconds > 0, got {self}")
 
@@ -154,7 +165,7 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
             _check_keys(seg, _SEGMENT_KEYS, f"segments[{i}]")
             cfg = SegmentConfig(
                 segment_id=_require(seg, "segment_id", f"segments[{i}]"),
-                lane_count=int(_require(seg, "lane_count", f"segments[{i}]")),
+                lane_count=_integer(_require(seg, "lane_count", f"segments[{i}]"), "lane_count"),
                 length_m=float(_require(seg, "length_m", f"segments[{i}]")),
                 speed_limit=float(_require(seg, "speed_limit", f"segments[{i}]")),
                 travel_axis=tuple(seg.get("travel_axis", (1.0, 0.0))),

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import DataError, ParameterError, SchemaError
 
 TRAJECTORY_COLUMNS = ("frame", "vehicle_id", "x1", "y1", "x2", "y2")
+_CORNERS = TRAJECTORY_COLUMNS[2:]
+_TRAJECTORY_DTYPE = np.dtype([("frame", np.int64), ("vehicle_id", object), *((c, np.float64) for c in _CORNERS)])
+_INT64 = np.iinfo(np.int64)
 
 #: Default track-repair / smoothing parameters (30 fps assumptions).
 DEFAULT_MAX_GAP_FRAMES = 15
@@ -107,50 +110,106 @@ class _PointView(Sequence):
 def parse_trajectories(text: str, fps: float) -> list[Trajectory]:
     """Parse the trajectory CSV (``frame,vehicle_id,x1,y1,x2,y2``) into trajectories.
 
-    Rows stream once into per-vehicle columns; each vehicle_id becomes one Trajectory,
-    in order of first appearance; vehicles may interleave. Besides the rules of
-    CsvRecords, the first faulty row raises, naming its line: SchemaError for a
-    malformed number, a non-finite coordinate or an empty vehicle_id; DataError for
-    a negative frame or one not above the vehicle's previous frame.
+    Each vehicle_id (stripped of whitespace) becomes one Trajectory, in order of first
+    appearance; vehicles may interleave. Besides the rules of CsvRecords, the first
+    faulty row raises, naming its line: SchemaError for a malformed number (a frame
+    outside int64 included), a non-finite coordinate or an empty vehicle_id; DataError
+    for a negative frame or one not above the vehicle's previous frame.
+
+    The body is read in one np.loadtxt pass. Where loadtxt refuses it (it refuses every
+    cell int()/float() refuse, and some they take) or a row fails a check, the rows are
+    read again one at a time through CsvRecords, to take what loadtxt refused or to
+    name the first faulty row's line.
     """
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
-    rows = CsvRecords(text, TRAJECTORY_COLUMNS, "trajectory")
-    i_frame, i_vid, i_x1, i_y1, i_x2, i_y2 = (rows.col[c] for c in TRAJECTORY_COLUMNS)
+    records = CsvRecords(text, TRAJECTORY_COLUMNS, "trajectory")
+    try:
+        table = records.table(_TRAJECTORY_DTYPE)
+    except ValueError:
+        return _read_row_by_row(records).trajectories(fps)
+    # Columns copied out, so the table and its id strings are freed before the grouping's temporaries.
+    rows = _Rows(table["frame"].copy(), table["vehicle_id"].tolist(), np.column_stack([table[c] for c in _CORNERS]))
+    del table
+    if rows.faults().any():
+        rows = _read_row_by_row(records)
+    return rows.trajectories(fps)
 
-    tracks: dict[str, tuple[list[int], list[float]]] = {}  # vehicle_id -> (frames, corners), first appearance first
-    isfinite = math.isfinite
-    for row in rows:
-        try:
-            frame = int(row[i_frame])
-            x1, y1, x2, y2 = float(row[i_x1]), float(row[i_y1]), float(row[i_x2]), float(row[i_y2])
-        except ValueError as exc:
-            raise SchemaError(f"line {rows.line}: malformed numeric field ({exc})") from exc
-        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-            raise SchemaError(f"line {rows.line}: non-finite coordinate in ({x1}, {y1}, {x2}, {y2})")
+
+class _Rows:
+    """Trajectory rows as columns, checked as masks and grouped by vehicle with one stable argsort.
+
+    ``code`` indexes ``vids``, the stripped vehicle ids in order of first appearance.
+    ``corners`` are the (n, 4) boxes as read, before normalisation.
+    """
+
+    def __init__(self, frame, ids: list[str], corners: np.ndarray):
+        index: dict[str, int] = {}
+        self.frame = np.asarray(frame, dtype=np.int64)
+        self.code = np.array([index.setdefault(vid.strip(), len(index)) for vid in ids], dtype=np.intp)
+        self.vids = list(index)
+        self.corners = corners
+        self.order = np.argsort(self.code, kind="stable")  # by vehicle, in row order within one
+
+    def faults(self) -> np.ndarray:
+        """Rows failing a check: non-finite corner, negative frame, empty id, frame not above the vehicle's last."""
+        frame = self.frame[self.order]
+        repeat = np.zeros(frame.size, dtype=bool)
+        repeat[self.order[1:]] = (np.diff(self.code[self.order]) == 0) & (frame[1:] <= frame[:-1])
+        bad = ~np.isfinite(self.corners).all(axis=1) | (self.frame < 0) | repeat
+        if "" in self.vids:
+            bad |= self.code == self.vids.index("")
+        return bad
+
+    def raise_first_fault(self, lines: list[int]) -> None:
+        """Raise the error of the first faulty row, if any; ``lines`` are the rows' physical lines."""
+        bad = self.faults()
+        if not bad.any():
+            return
+        row = int(np.argmax(bad))
+        line, frame, vid = lines[row], int(self.frame[row]), self.vids[self.code[row]]
+        x1, y1, x2, y2 = self.corners[row].tolist()
+        if not (math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2) and math.isfinite(y2)):
+            raise SchemaError(f"line {line}: non-finite coordinate in ({x1}, {y1}, {x2}, {y2})")
         if frame < 0:
-            raise DataError(f"line {rows.line}: negative frame index {frame}")
-        vid = row[i_vid].strip()
+            raise DataError(f"line {line}: negative frame index {frame}")
         if not vid:
-            raise SchemaError(f"line {rows.line}: empty vehicle_id")
-        track = tracks.get(vid)
-        if track is None:
-            track = tracks[vid] = ([], [])
-        elif frame <= track[0][-1]:
-            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {track[0][-1]} (line {rows.line})")
-        if x1 > x2:
-            x1, x2 = x2, x1
-        if y1 > y2:
-            y1, y2 = y2, y1
-        track[0].append(frame)
-        track[1].extend((x1, y1, x2, y2))
+            raise SchemaError(f"line {line}: empty vehicle_id")
+        previous = int(self.frame[self.order[np.flatnonzero(self.order == row)[0] - 1]])
+        raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {previous} (line {line})")
 
-    # Per-vehicle arrays, not file-sized ones sliced afterwards: file-sized temporaries freed
-    # mid-heap left the process's resident memory depending on the allocator's layout.
-    return [
-        Trajectory(vid, np.array(frames, dtype=np.int64), np.array(corners, dtype=float).reshape(-1, 4), fps)
-        for vid, (frames, corners) in tracks.items()
-    ]
+    def trajectories(self, fps: float) -> list[Trajectory]:
+        bounds = np.cumsum(np.bincount(self.code, minlength=len(self.vids)))[:-1]
+        frames = np.split(self.frame[self.order], bounds)
+        boxes = np.split(_normalized(self.corners)[self.order], bounds)
+        return [Trajectory(vid, f, b, fps) for vid, f, b in zip(self.vids, frames, boxes)]
+
+
+def _read_row_by_row(records: "CsvRecords") -> _Rows:
+    """The rows read one at a time, cells by int()/float(); the first faulty row raises, naming its line."""
+    i_frame, i_vid, *i_corners = (records.col[c] for c in TRAJECTORY_COLUMNS)
+    frames, ids, corners, lines = [], [], [], []
+    failure = None
+    try:
+        for row in records:
+            try:
+                frame = int(row[i_frame])
+                box = [float(row[i]) for i in i_corners]
+            except ValueError as exc:
+                raise SchemaError(f"line {records.line}: malformed numeric field ({exc})") from exc
+            if not _INT64.min <= frame <= _INT64.max:
+                raise SchemaError(f"line {records.line}: malformed numeric field (frame {frame} outside int64)")
+            frames.append(frame)
+            ids.append(row[i_vid])
+            corners.append(box)
+            lines.append(records.line)
+    except SchemaError as exc:  # a malformed or short row; a fault in the rows before it comes first
+        failure = exc
+    rows = _Rows(frames, ids, np.array(corners, dtype=float).reshape(-1, 4))
+    rows.raise_first_fault(lines)
+    if failure is not None:
+        raise failure
+    return rows
 
 
 def serialize_trajectories(trajectories: Iterable[Trajectory]) -> str:
@@ -158,7 +217,7 @@ def serialize_trajectories(trajectories: Iterable[Trajectory]) -> str:
     trajs = list(trajectories)
     frames = np.concatenate([t.frames for t in trajs]) if trajs else np.empty(0, dtype=np.int64)
     boxes = np.concatenate([t.boxes for t in trajs]) if trajs else np.empty((0, 4))
-    vids = [vid for t in trajs for vid in [t.vehicle_id] * t.frames.size]
+    vids = CodedColumn([t.vehicle_id for t in trajs], np.repeat(np.arange(len(trajs)), [t.frames.size for t in trajs]))
     return csv_text(TRAJECTORY_COLUMNS, [frames, vids, *boxes.T])
 
 
@@ -181,7 +240,8 @@ class CsvRecords:
     """
 
     def __init__(self, text: str, required: Sequence[str], what: str):
-        self._reader = csv.reader(io.StringIO(text))
+        self._text, self._stream = text, io.StringIO(text)
+        self._reader = csv.reader(self._stream)
         header = next(self._reader, None)
         if header is None:
             raise SchemaError(f"{what} file is empty (header required)")
@@ -197,6 +257,33 @@ class CsvRecords:
         """The physical line the last row read ends on (a quoted cell may span lines)."""
         return self._reader.line_num
 
+    def table(self, dtype: np.dtype) -> np.ndarray:
+        """The data rows' columns named by ``dtype``'s fields, read in one C-level np.loadtxt pass.
+
+        loadtxt reads this dialect (a ``#`` is no comment, a quoted cell may span lines), but
+        it raises ValueError on a blank row other than an empty line, on a short row and on
+        a cell ``dtype`` cannot take; the rows are then still there to iterate. On ASCII text
+        without the separators \\x1c-\\x1f it reads numbers as int()/float() do. Other text
+        raises ValueError before loadtxt runs: loadtxt takes \\x1c-\\x1f for whitespace, which
+        int()/float() refuse, and tests an integer cell's characters above \\xff with C's
+        isdigit, reading outside its table (a crash, or a digit that is none).
+        """
+        if not self._text.isascii() or any(c in self._text for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("text np.loadtxt reads differently from int()/float()")
+        names = list(dtype.names)
+        usecols = [self.col[name] for name in names]
+        if self._width - 1 not in usecols:  # so that loadtxt refuses a row shorter than the header
+            usecols.append(self._width - 1)
+            dtype = np.dtype([*((name, dtype[name]) for name in names), ("_last_column", object)])
+        start = self._stream.tell()
+        if not _NOT_BLANK.search(self._text, start):
+            return np.empty(0, dtype)  # header only: loadtxt would warn "input contained no data"
+        try:
+            return np.loadtxt(self._stream, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
+                              ndmin=1)
+        finally:
+            self._stream.seek(start)
+
     def __iter__(self) -> Iterator[list[str]]:
         reader, width = self._reader, self._width
         for row in reader:
@@ -209,11 +296,22 @@ class CsvRecords:
             yield row
 
 
+@dataclass(frozen=True)
+class CodedColumn:
+    """A column for csv_text whose cell i is ``labels[codes[i]]``: each label is formatted once."""
+
+    labels: Sequence
+    codes: np.ndarray
+
+
+_NOT_BLANK = re.compile(r"\S")
 _CSV_QUOTED = re.compile('[,"\n]')  # a cell holding one of these is quoted
 
 
 def _csv_cells(column) -> list[str]:
     """One column's cells: float arrays by repr, int arrays by str, anything else by format_cell."""
+    if isinstance(column, CodedColumn):
+        return list(map(_csv_cells(column.labels).__getitem__, column.codes.tolist()))
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return list(map(repr, column.tolist()))
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
@@ -229,8 +327,8 @@ def csv_text(header: Sequence[str], columns: Iterable) -> str:
 
     Lines end in LF. A cell is quoted, inner quotes doubled, only when it holds a comma,
     a quote or a newline, as csv.writer(lineterminator="\\n") quotes it. Floats are their
-    shortest round-trip repr and None is an empty cell. An empty header writes the data
-    lines alone, for text built in chunks.
+    shortest round-trip repr and None is an empty cell; a CodedColumn formats each label
+    once. An empty header writes the data lines alone, for text built in chunks.
     """
     lines = [",".join(row) for row in zip(*map(_csv_cells, columns))]
     if header:
@@ -273,8 +371,11 @@ def _sg_projection(window: int, order: int) -> np.ndarray:
     """window x window least-squares polynomial projection matrix.
 
     Row k evaluates the degree-``order`` fit of a full window at offset k;
-    the center row is the classic smoothing kernel.
+    the center row is the classic smoothing kernel. ParameterError unless
+    window is odd and window > order >= 0.
     """
+    if window % 2 == 0 or window <= order or order < 0:
+        raise ParameterError(f"need odd window > order >= 0, got window={window} order={order}")
     offsets = np.arange(window, dtype=float) - window // 2
     design = np.vander(offsets, order + 1, increasing=True)
     proj = design @ np.linalg.pinv(design)
@@ -290,32 +391,38 @@ def smooth_savitzky_golay(series: Sequence[float], window: int, order: int) -> n
     degree <= order exactly invariant over the whole output (mirror padding
     would break that at the edges). Output length equals input length.
     """
-    if window % 2 == 0 or window <= order or order < 0:
-        raise ParameterError(f"need odd window > order >= 0, got window={window} order={order}")
+    _sg_projection(window, order)  # checks window and order first
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1:
         raise ParameterError("series must be one-dimensional")
     if arr.size < window:
         raise ParameterError(f"series length {arr.size} shorter than window {window}")
+    return _smooth_runs(arr[:, None], np.array([0]), np.array([arr.size]), window, order)[:, 0]
+
+
+def _smooth_runs(columns: np.ndarray, lo: np.ndarray, hi: np.ndarray, window: int, order: int) -> np.ndarray:
+    """smooth_savitzky_golay of every column over each run of rows ``lo[i]:hi[i]``, at least ``window`` long.
+
+    Interiors come from one np.correlate per column over all rows, keeping the windows
+    that lie inside a run; edges from the projection rows applied to each run's first
+    and last window, one stacked matrix-vector product per column and end. Rows outside
+    the runs are copied.
+    """
     proj = _sg_projection(window, order)
     half = window // 2
-    out = np.empty_like(arr)
-    out[half : arr.size - half] = np.correlate(arr, proj[half], mode="valid")
-    out[:half] = proj[:half] @ arr[:window]
-    out[arr.size - half :] = proj[half + 1 :] @ arr[-window:]
+    out = columns.copy()
+    depth = np.zeros(columns.shape[0] + 1, dtype=np.intp)  # > 0 on rows at least half a window inside a run
+    depth[lo + half] += 1
+    depth[hi - half] -= 1
+    interior = np.flatnonzero(np.cumsum(depth[:-1]))
+    offsets = np.arange(window)
+    first, last = columns[lo[:, None] + offsets], columns[(hi - window)[:, None] + offsets]  # (runs, window, k)
+    head, tail = lo[:, None] + offsets[:half], (hi - half)[:, None] + offsets[:half]
+    for j in range(columns.shape[1]):
+        out[interior, j] = np.correlate(columns[:, j], proj[half], mode="valid")[interior - half]
+        out[head, j] = (proj[:half] @ first[:, :, j, None])[..., 0]
+        out[tail, j] = (proj[half + 1 :] @ last[:, :, j, None])[..., 0]
     return out
-
-
-def _velocity_arrays(frames: np.ndarray, xs: np.ndarray, ys: np.ndarray, fps: float):
-    """Backward-difference velocities; first sample copies the second's."""
-    dt = np.diff(frames) / fps
-    vx = np.empty_like(xs)
-    vy = np.empty_like(ys)
-    vx[1:] = np.diff(xs) / dt
-    vy[1:] = np.diff(ys) / dt
-    vx[0] = vx[1]
-    vy[0] = vy[1]
-    return vx, vy
 
 
 def classify_by_length(length_m: float, threshold_m: float = DEFAULT_CLASS_THRESHOLD_M) -> VehicleClass:
@@ -327,14 +434,23 @@ def classify_by_length(length_m: float, threshold_m: float = DEFAULT_CLASS_THRES
 
 def box_length_along_axis(traj: Trajectory, travel_axis: Sequence[float]) -> float:
     """Median bounding-box extent along the travel direction (meters)."""
+    return float(_median_box_lengths(traj.boxes, np.array([0, traj.frames.size]), travel_axis)[0])
+
+
+def _median_box_lengths(boxes: np.ndarray, bounds: np.ndarray, travel_axis: Sequence[float]) -> np.ndarray:
+    """box_length_along_axis of each group of rows ``bounds[i]:bounds[i + 1]`` (none empty), by one sort."""
     ux, uy = travel_axis
     norm = math.hypot(ux, uy)
     if norm == 0:
         raise ParameterError("travel_axis must be a nonzero vector")
     ux, uy = ux / norm, uy / norm
-    b = traj.boxes
-    extents = np.abs((b[:, 2] - b[:, 0]) * ux) + np.abs((b[:, 3] - b[:, 1]) * uy)
-    return float(np.median(extents))
+    extents = np.abs((boxes[:, 2] - boxes[:, 0]) * ux) + np.abs((boxes[:, 3] - boxes[:, 1]) * uy)
+    sizes = np.diff(bounds)
+    keys = np.empty(extents.size, dtype=complex)  # complex numbers sort by real part, then imaginary part
+    keys.real, keys.imag = np.repeat(np.arange(sizes.size), sizes), extents
+    ordered = np.sort(keys).imag
+    lower, upper = ordered[bounds[:-1] + (sizes - 1) // 2], ordered[bounds[:-1] + sizes // 2]
+    return np.where(sizes % 2 == 1, lower, (lower + upper) / 2)  # as np.median takes them
 
 
 def drop_static_objects(
@@ -382,28 +498,44 @@ def prepare_tracks(
     Tracks are split at gaps longer than ``max_gap`` and each gap-free run of
     >= 2 points becomes one PreparedTrack (same vehicle_id across runs).
     """
-    prepared: list[PreparedTrack] = []
-    for traj in drop_static_objects(trajectories, min_displacement_m):
-        if traj.frames.size < 2:
-            continue
-        filled, flagged = fill_gaps(traj, max_gap=max_gap)
-        length = box_length_along_axis(filled, travel_axis)
-        vclass = classify_by_length(length, class_threshold_m)
-        # A new run starts at the first frame after each long gap.
-        cuts = np.searchsorted(filled.frames, [after for _, after in flagged]).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, filled.frames.size]):
-            if hi - lo < 2:
-                continue
-            frames = filled.frames[lo:hi]
-            corners = filled.boxes[lo:hi]
-            if frames.size >= sg_window:
-                corners = np.column_stack(
-                    [smooth_savitzky_golay(corners[:, j], sg_window, sg_order) for j in range(4)]
-                )
-            cx = 0.5 * (corners[:, 0] + corners[:, 2])
-            cy = 0.5 * (corners[:, 1] + corners[:, 3])
-            vx, vy = _velocity_arrays(frames.astype(float), cx, cy, traj.fps)
-            prepared.append(
-                PreparedTrack(traj.vehicle_id, vclass, length, frames, frames / traj.fps, cx, cy, vx, vy)
-            )
-    return prepared
+    filled = [fill_gaps(traj, max_gap=max_gap) for traj in drop_static_objects(trajectories, min_displacement_m)
+              if traj.frames.size >= 2]
+    if not filled:
+        return []
+    # Every vehicle's rows, concatenated; vehicle v owns rows bounds[v]:bounds[v + 1].
+    frames = np.concatenate([traj.frames for traj, _ in filled])
+    boxes = np.concatenate([traj.boxes for traj, _ in filled])
+    sizes = [traj.frames.size for traj, _ in filled]
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    lengths = _median_box_lengths(boxes, bounds, travel_axis).tolist()
+    classes = [classify_by_length(length, class_threshold_m) for length in lengths]
+
+    # A new run starts at each vehicle's first row and at the first frame after each long gap.
+    cuts = [lo + cut for (traj, flagged), lo in zip(filled, bounds.tolist()) if flagged
+            for cut in np.searchsorted(traj.frames, [after for _, after in flagged]).tolist()]
+    starts = np.sort(np.concatenate([bounds[:-1], np.array(cuts, dtype=bounds.dtype)]))
+    ends = np.append(starts[1:], frames.size)
+    keep = ends - starts >= 2
+    starts, ends = starts[keep], ends[keep]
+    long = ends - starts >= sg_window
+    if long.any():
+        boxes = _smooth_runs(boxes, starts[long], ends[long], sg_window, sg_order)
+
+    fps = np.repeat([traj.fps for traj, _ in filled], sizes)
+    cx = 0.5 * (boxes[:, 0] + boxes[:, 2])
+    cy = 0.5 * (boxes[:, 1] + boxes[:, 3])
+    t = frames / fps
+    # Backward-difference velocities; a run's first sample copies its second's.
+    dt = np.diff(frames.astype(float)) / fps[1:]
+    vx, vy = np.empty_like(cx), np.empty_like(cy)
+    with np.errstate(divide="ignore", invalid="ignore"):  # differences across runs are overwritten or unused
+        vx[1:] = np.diff(cx) / dt
+        vy[1:] = np.diff(cy) / dt
+    vx[starts], vy[starts] = vx[starts + 1], vy[starts + 1]
+
+    vehicle = np.searchsorted(bounds, starts, side="right") - 1
+    return [
+        PreparedTrack(filled[v][0].vehicle_id, classes[v], lengths[v],
+                      frames[a:b], t[a:b], cx[a:b], cy[a:b], vx[a:b], vy[a:b])
+        for v, a, b in zip(vehicle.tolist(), starts.tolist(), ends.tolist())
+    ]

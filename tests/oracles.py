@@ -455,3 +455,103 @@ def pooled_abs_r_oracle(per_segment):
             pooled[name], segment_mean[name] = mean(pooled_r), mean(seg_means)
         rows.append((size, len(combos), pooled, segment_mean))
     return rows
+
+
+def parse_trajectories_oracle(text, fps):
+    """``parse_trajectories`` as one row loop: every cell by int()/float(), checks in row order.
+
+    The parser before it read whole columns; it raises the same errors, except that a
+    frame outside int64 escapes here as OverflowError when the arrays are built.
+    """
+    from netsafety.errors import DataError, ParameterError, SchemaError
+    from netsafety.trajectories import TRAJECTORY_COLUMNS, CsvRecords, Trajectory
+
+    if fps <= 0:
+        raise ParameterError(f"fps must be positive, got {fps}")
+    rows = CsvRecords(text, TRAJECTORY_COLUMNS, "trajectory")
+    i_frame, i_vid, i_x1, i_y1, i_x2, i_y2 = (rows.col[c] for c in TRAJECTORY_COLUMNS)
+
+    tracks: dict[str, tuple[list[int], list[float]]] = {}  # vehicle_id -> (frames, corners), first appearance first
+    isfinite = math.isfinite
+    for row in rows:
+        try:
+            frame = int(row[i_frame])
+            x1, y1, x2, y2 = float(row[i_x1]), float(row[i_y1]), float(row[i_x2]), float(row[i_y2])
+        except ValueError as exc:
+            raise SchemaError(f"line {rows.line}: malformed numeric field ({exc})") from exc
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+            raise SchemaError(f"line {rows.line}: non-finite coordinate in ({x1}, {y1}, {x2}, {y2})")
+        if frame < 0:
+            raise DataError(f"line {rows.line}: negative frame index {frame}")
+        vid = row[i_vid].strip()
+        if not vid:
+            raise SchemaError(f"line {rows.line}: empty vehicle_id")
+        track = tracks.get(vid)
+        if track is None:
+            track = tracks[vid] = ([], [])
+        elif frame <= track[0][-1]:
+            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {track[0][-1]} (line {rows.line})")
+        if x1 > x2:
+            x1, x2 = x2, x1
+        if y1 > y2:
+            y1, y2 = y2, y1
+        track[0].append(frame)
+        track[1].extend((x1, y1, x2, y2))
+
+    return [
+        Trajectory(vid, np.array(frames, dtype=np.int64), np.array(corners, dtype=float).reshape(-1, 4), fps)
+        for vid, (frames, corners) in tracks.items()
+    ]
+
+
+def prepare_tracks_oracle(trajectories, travel_axis, *, max_gap, sg_window, sg_order, class_threshold_m,
+                          min_displacement_m):
+    """``prepare_tracks`` one vehicle and one run at a time.
+
+    Per run: Savitzky-Golay by one np.correlate and two projection matvecs per corner,
+    velocities by np.diff; per vehicle: the length by np.median of the box extents.
+    """
+    from netsafety.trajectories import (
+        PreparedTrack,
+        _sg_projection,
+        classify_by_length,
+        drop_static_objects,
+        fill_gaps,
+    )
+
+    def smooth(arr):
+        proj = _sg_projection(sg_window, sg_order)
+        half = sg_window // 2
+        out = np.empty_like(arr)
+        out[half : arr.size - half] = np.correlate(arr, proj[half], mode="valid")
+        out[:half] = proj[:half] @ arr[:sg_window]
+        out[arr.size - half :] = proj[half + 1 :] @ arr[-sg_window:]
+        return out
+
+    ux, uy = travel_axis
+    norm = math.hypot(ux, uy)
+    ux, uy = ux / norm, uy / norm
+    prepared = []
+    for traj in drop_static_objects(trajectories, min_displacement_m):
+        if traj.frames.size < 2:
+            continue
+        filled, flagged = fill_gaps(traj, max_gap=max_gap)
+        b = filled.boxes
+        length = float(np.median(np.abs((b[:, 2] - b[:, 0]) * ux) + np.abs((b[:, 3] - b[:, 1]) * uy)))
+        vclass = classify_by_length(length, class_threshold_m)
+        cuts = np.searchsorted(filled.frames, [after for _, after in flagged]).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, filled.frames.size]):
+            if hi - lo < 2:
+                continue
+            frames = filled.frames[lo:hi]
+            corners = filled.boxes[lo:hi]
+            if frames.size >= sg_window:
+                corners = np.column_stack([smooth(corners[:, j]) for j in range(4)])
+            cx = 0.5 * (corners[:, 0] + corners[:, 2])
+            cy = 0.5 * (corners[:, 1] + corners[:, 3])
+            dt = np.diff(frames.astype(float)) / traj.fps
+            vx, vy = np.empty_like(cx), np.empty_like(cy)
+            vx[1:], vy[1:] = np.diff(cx) / dt, np.diff(cy) / dt
+            vx[0], vy[0] = vx[1], vy[1]
+            prepared.append(PreparedTrack(traj.vehicle_id, vclass, length, frames, frames / traj.fps, cx, cy, vx, vy))
+    return prepared

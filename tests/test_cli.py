@@ -2,12 +2,13 @@ import csv
 import itertools
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netsafety import association
+from netsafety import association, cli
 from netsafety.cli import _prepare_segment_tracks, main
 from netsafety.config import load_config
 from netsafety.network_metrics import read_metrics_csv
@@ -104,6 +105,21 @@ class TestProjectCommand:
         )
         assert code == 2
         assert "missing.csv" in json.loads(capsys.readouterr().err)["message"]
+
+
+    def test_frame_beyond_int64_exits_2_naming_the_line(self, tmp_path, capsys):
+        # Before the check the frame escaped as OverflowError and project exited 1 with a traceback.
+        out = run_bundle(tmp_path)
+        path = out / "trajectories_S1.csv"
+        header, first, second, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, first, "99999999999999999999" + second[second.index(","):], *rest]))
+        code = main(["project", "--config", str(out / "config.json"), "--in", str(path),
+                     "--out", str(out / "world_S1.csv")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "SchemaError", "line 3: malformed numeric field (frame 99999999999999999999 outside int64)"
+        )
 
 
 class TestNonFiniteCoordinates:
@@ -576,6 +592,32 @@ class TestConfigValidation:
         assert err["error"] == "ParameterError" and err["message"].startswith(f"{section} need")
         assert not (tmp_path / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("intervals", "count", 2.5),
+        ("intervals", "count", 2.0),
+        ("intervals", "count", True),
+        ("prep", "max_gap_frames", 15.5),
+        ("prep", "sg_window", 5.0),
+        ("prep", "sg_order", False),
+        ("segments", "lane_count", 2.5),
+        ("segments", "lane_count", True),
+    ], ids=["count", "count_float", "count_bool", "max_gap_frames", "sg_window", "sg_order_bool", "lane_count",
+            "lane_count_bool"])
+    def test_non_integer_value_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch, section, field, value):
+        # Before the check "count": 2.5 and "sg_window": 5.0 crashed with a traceback (TypeError, IndexError),
+        # and "lane_count": 2.5 ran as 2.
+        monkeypatch.setattr("netsafety.cli._prepare_segment_tracks", None)  # never reached
+        if section == "segments":
+            config = write_hand_config(tmp_path, {field: value})
+        else:
+            config = write_hand_config(tmp_path, **{section: {field: value}})
+        assert main(["metrics", "--config", str(config)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        context = "segments[0]" if section == "segments" else section
+        assert (err["error"], err["message"]) == (
+            "SchemaError", f"config {context} has a value of the wrong type: {field} must be an integer, got {value!r}"
+        )
+
     @pytest.mark.parametrize("edit, context", [
         (lambda c: {**c, "fps": "abc"}, "config root"),
         (lambda c: {**c, "segments": [{**c["segments"][0], "lane_count": "two"}]}, "config segments[0]"),
@@ -674,3 +716,16 @@ class TestDeterminism:
                 ]
             }
         assert outputs["r1"] == outputs["r2"]
+
+
+class TestFreedHeapRelease:
+    def test_every_command_trims_the_heap_whatever_its_outcome(self, tmp_path, monkeypatch, capsys):
+        pads = []
+        monkeypatch.setattr(cli, "_MALLOC_TRIM", pads.append)
+        run_bundle(tmp_path)
+        assert main(["synth", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
+        assert pads == [0, 0]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_glibc_trim_is_found(self):
+        assert cli._MALLOC_TRIM is not None

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from netsafety import trajectories
 from netsafety.errors import DataError, ParameterError, SchemaError
@@ -20,7 +23,13 @@ from netsafety.trajectories import (
     smooth_savitzky_golay,
 )
 
-from oracles import csv_rows_oracle, fill_gaps_oracle, sg_window_fit_oracle
+from oracles import (
+    csv_rows_oracle,
+    fill_gaps_oracle,
+    parse_trajectories_oracle,
+    prepare_tracks_oracle,
+    sg_window_fit_oracle,
+)
 
 HEADER = "frame,vehicle_id,x1,y1,x2,y2\n"
 
@@ -70,6 +79,16 @@ class TestParse:
             ("0,a,0,0,1,1\n2,a,1,0,2,1\n2,a,2,0,3,1\n", DataError,
              r"vehicle 'a': non-monotone frame 2 after 2 \(line 4\)"),
             ("0,a,0,0,1,1\n\n   \n1,a,1,0,2\n", SchemaError, "line 5: expected 6 fields"),
+            ("0,a,0,0,1,1\n99999999999999999999,a,1,0,2,1\n", SchemaError,
+             r"^line 3: malformed numeric field \(frame 99999999999999999999 outside int64\)$"),
+            ("0,a,0,0,1,1\n-9223372036854775809,a,1,0,2,1\n", SchemaError,
+             r"^line 3: malformed numeric field \(frame -9223372036854775809 outside int64\)$"),
+            ("0,a,0,0,1,1\n1,a,nan,0,2,1\n99999999999999999999,a,1,0,2,1\n", SchemaError, "line 3: non-finite"),
+            # np.loadtxt reads these as numbers: \x1c-\x1f as whitespace, and a non-Latin-1 character
+            # in an integer cell through C's isdigit
+            ("0,a,0,0,1,1\n1\x1f,a,1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
+            ("0,a,0,0,1,1\n1,a,\x1c1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
+            ("0,a,0,0,1,1\n1\U0009c6ca,a,1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
         ],
     )
     def test_malformed_row_names_line(self, body, error, match):
@@ -137,6 +156,89 @@ class TestParse:
                 assert (p1.frame, p1.x1, p1.y1, p1.x2, p1.y2) == (p2.frame, p2.x1, p2.y1, p2.x2, p2.y2)
 
 
+def _quoted(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+@st.composite
+def trajectory_texts(draw):
+    """Trajectory CSV text, mostly well formed, with the odd rows and cells a file can hold.
+
+    The required columns come in any order, with extra columns and padded header cells.
+    Ids hold commas, quotes, newlines, ``#``, leading spaces, a separator character or a
+    non-ASCII one. Rows may be blank,
+    whitespace-only, all-empty, short or long; cells may be non-finite, negative,
+    malformed or quoted; a vehicle's frames may repeat or go back. Lines end in LF or
+    CRLF. Frames stay inside int64.
+    """
+    columns = draw(st.permutations(["frame", "vehicle_id", "x1", "y1", "x2", "y2",
+                                    *draw(st.lists(st.sampled_from(["note", "lane"]), max_size=2))]))
+    pad = draw(st.sampled_from(["", " ", "\t"]))
+    lines = [",".join(pad + c + pad for c in columns)]
+    ids = [draw(st.sampled_from(["é", "b\x1d"])) if draw(st.integers(0, 14)) == 0 else
+           draw(st.text(alphabet=' a,"\n#7', min_size=1, max_size=4)) for _ in range(draw(st.integers(1, 4)))]
+    last: dict[int, int] = {}
+    odd = st.sampled_from(["nan", "inf", "-inf", "abc", "", " ", "1_0", "1.5", "+3", " 4 ", "٣", "0x1p3", "1e999",
+                           "1\x1f", "\x1c2", "2\u00b2", "\u00a03"])
+    for _ in range(draw(st.sampled_from(range(13)))):
+        kind = draw(st.sampled_from(["row"] * 14 + ["blank", "spaces", "empty_cells", "short", "short", "long"]))
+        if kind in ("blank", "spaces", "empty_cells"):
+            lines.append({"blank": "", "spaces": "   ", "empty_cells": "," * (len(columns) - 1)}[kind])
+            continue
+        k = draw(st.integers(0, len(ids) - 1))
+        last[k] = frame = last.get(k, draw(st.sampled_from([0, 0, 5, 5, -2, 2**63 - 100]))) + draw(
+            st.sampled_from([1] * 12 + [2, 7, 0, -1]))
+        cells = {
+            "frame": draw(st.one_of(st.just(str(frame)), odd)) if draw(st.integers(0, 29)) == 0 else str(frame),
+            "vehicle_id": ids[k],
+            "note": draw(st.text(alphabet='x,"# \n', max_size=3)),
+            "lane": draw(st.sampled_from(["1", "", "#"])),
+        }
+        for c in ("x1", "y1", "x2", "y2"):
+            value = draw(st.floats(-1e6, 1e6, allow_nan=False))
+            cells[c] = draw(odd) if draw(st.integers(0, 59)) == 0 else repr(value)
+        row = [cells[c] for c in columns]
+        row = [_quoted(c) if any(ch in c for ch in ',"\n') or draw(st.integers(0, 9)) == 0 else c for c in row]
+        if kind == "short":
+            row = row[: len(row) - draw(st.sampled_from([1, 1, 2, len(row) - 1]))]
+        if kind == "long":
+            row.append(draw(st.sampled_from(["", "9", "x,y"])))
+        lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _outcome(parse, text):
+    """A parse's trajectories, bit for bit, or its error's class and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajs = parse(text, 4.0)
+    except Exception as exc:  # noqa: BLE001 - the outcome compared is the error itself
+        return type(exc), str(exc)
+    return [(t.vehicle_id, t.fps, t.frames.dtype, t.frames.shape, t.frames.tobytes(), t.boxes.dtype, t.boxes.shape,
+             t.boxes.tobytes()) for t in trajs]
+
+
+class TestParseAgainstRowLoop:
+    @settings(derandomize=True, deadline=None, max_examples=400, phases=[Phase.explicit, Phase.generate])
+    @given(text=trajectory_texts())
+    @example(text=HEADER.replace("y2", "y2,note") + "0,a,0,0,1,1,x\n1,a,1,0,2,1\n")  # short by a column loadtxt skips
+    @example(text=HEADER + '0,"#a\n, ""b""",0,0,1,1\n1,"#a\n, ""b"" ",1,0,2,1\n')  # a quoted id spans lines
+    def test_same_trajectories_or_same_error(self, text):
+        assert _outcome(parse_trajectories, text) == _outcome(parse_trajectories_oracle, text)
+
+    def test_frames_at_the_int64_bounds(self):
+        (traj,) = parse_trajectories(HEADER + "0,a,0,0,1,1\n9223372036854775807,a,1,0,2,1\n", 4.0)
+        assert traj.frames.tolist() == [0, 2**63 - 1]
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n  \n", ",,,,,\n", "\t\n"])
+    def test_header_only_reads_no_rows_without_warning(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_trajectories(HEADER + body, 4.0) == []
+
+
 class TestFormatCell:
     def test_cells(self):
         assert format_cell(None) == ""
@@ -162,6 +264,15 @@ class TestCsvText:
         ]
         header = ["id", "mixed", "float, with comma", "int", "absent"]
         assert csv_text(header, columns) == csv_rows_oracle(header, zip(*columns))
+
+    def test_coded_column_formats_each_label_once(self, monkeypatch):
+        labels = ["plain", "a,b", 'say "hi"', "two\nlines", " leading"]
+        codes = np.array([0, 1, 1, 3, 2, 4, 0, 2])
+        want = csv_rows_oracle(["id", "n"], [(labels[c], c) for c in codes.tolist()])
+        formatted = []
+        monkeypatch.setattr(trajectories, "format_cell", lambda value: formatted.append(value) or format_cell(value))
+        assert csv_text(["id", "n"], [trajectories.CodedColumn(labels, codes), codes]) == want
+        assert formatted == labels + ["id", "n"]
 
     def test_empty_header_writes_data_lines_only(self):
         columns = [np.array([1, 2]), ["a", "b"]]
@@ -361,3 +472,45 @@ class TestPreparation:
         (track,) = prepare_tracks([traj], (1, 0), sg_window=7, sg_order=2, min_displacement_m=0.0)
         expected = smooth_savitzky_golay([p.cx for p in traj.points], 7, 2)
         np.testing.assert_allclose(track.x, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("window, order", [(5, 2), (7, 3), (21, 3)])
+    def test_matches_per_run_oracle_bitwise(self, window, order):
+        rng = np.random.default_rng(window)
+
+        def traj(vid, frames, fps=10.0, speed=12.0, length=4.5):
+            frames = np.asarray(frames)
+            x = speed * frames / fps + rng.normal(0, 0.2, frames.size)
+            half = 0.5 * (length + rng.normal(0, 0.3, frames.size))
+            y = 3.5 + rng.normal(0, 0.1, frames.size)
+            return trajectories.Trajectory(vid, frames, np.column_stack([x - half, y - 1, x + half, y + 1]), fps)
+
+        n = window
+        trajs = [
+            traj("filled", [f for f in range(3 * n) if f not in (7, 8)]),  # a short gap, filled
+            traj("split", [*range(n + 3), *range(n + 40, 2 * n + 45)], fps=12.5),  # a long gap: two runs
+            traj("shorter", range(n - 1), length=16.0),
+            traj("equal", range(5, 5 + n)),
+            traj("longer", range(4 * n), speed=-9.0),
+            traj("lone_rows", [0, *range(30, 30 + n + 2), 60]),  # a one-row run at each end, dropped
+            traj("pair", [3, 4], speed=40.0),
+            traj("single", [3]),
+            traj("static", range(2 * n), speed=0.0),
+            traj("parked", range(n + 1), speed=0.1),
+            *(traj(f"r{k}", np.cumsum(rng.choice([1, 1, 1, 2, 3, 30], size=rng.integers(2, 5 * n))), length=length)
+              for k, length in enumerate(rng.uniform(3.0, 18.0, 12))),
+        ]
+        options = dict(max_gap=3, sg_window=window, sg_order=order, class_threshold_m=8.0, min_displacement_m=2.0)
+        got = prepare_tracks(trajs, (3.0, 4.0), **options)
+        want = prepare_tracks_oracle(trajs, (3.0, 4.0), **options)
+        assert {"filled", "split", "shorter", "equal", "longer", "lone_rows", "pair"} <= {t.vehicle_id for t in got}
+        assert not {"single", "static", "parked"} & {t.vehicle_id for t in got}
+        assert [t.frames.tolist() for t in got if t.vehicle_id in ("filled", "split", "lone_rows")] == [
+            list(range(3 * n)), list(range(n + 3)), list(range(n + 40, 2 * n + 45)), list(range(30, 30 + n + 2))]
+        assert {t.vclass for t in got} == {VehicleClass.CAR, VehicleClass.TRUCK}
+
+        def fields(t):
+            arrays = (t.frames, t.t, t.x, t.y, t.vx, t.vy, t.speed)
+            return t.vehicle_id, t.vclass, repr(t.length_m), [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+        assert [fields(t) for t in got] == [fields(t) for t in want]
+
