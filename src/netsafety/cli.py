@@ -246,9 +246,9 @@ def cmd_ssm(args) -> int:
         "t": t[follower],
         "follower_id": trajectories.CodedColumn(table.vids, table.vid_code[follower]),
         "leader_id": trajectories.CodedColumn(table.vids, table.vid_code[leader]),
-        "ttc": np.where(closing > 0, pair_ttc, None),
+        "ttc": np.ma.masked_array(pair_ttc, mask=~(closing > 0)),
         "drac": np.where(closing > 0, closing * closing / gap, 0.0),
-        "pet": np.where(pet >= 0, pet, None),
+        "pet": np.ma.masked_array(pet, mask=~(pet >= 0)),
         "gap": gap, "v_follower": table.axis_speed[follower], "v_leader": table.axis_speed[leader],
     }
     out = Path(args.out)

@@ -254,16 +254,24 @@ def cluster_ttc(
     return FrameClusterTTC(frame, values.tolist(), sum(c.size for c in clusters), len(clusters))
 
 
-def _frame_cv(values: np.ndarray, owner: np.ndarray, rho: np.ndarray) -> float | None:
-    """Mean of std(ddof=1) / mean * rho over frames with 2+ ``values``, grouped by ``owner`` (an index into ``rho``)."""
+def _group_mean(group: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Mean of ``values`` over each group 0..n-1, summed in order; nan for a group without values."""
+    count = np.bincount(group, minlength=n)
+    return np.divide(np.bincount(group, weights=values, minlength=n), count, out=np.full(n, np.nan), where=count > 0)
+
+
+def _frame_cvs(values: np.ndarray, owner: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """std(ddof=1) / mean * rho of each frame with 2+ ``values``, grouped by ``owner`` (an index into ``rho``).
+
+    Returns the frames' owners, ascending, and their values."""
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
     counts = np.diff(np.append(starts, values.size))
     mean = np.add.reduceat(values, starts) / counts
     dev = values - np.repeat(mean, counts)
     multi = counts > 1
     std = np.sqrt(np.add.reduceat(dev * dev, starts)[multi] / (counts[multi] - 1))
-    cv = std / mean[multi] * rho[owner[starts[multi]]]
-    return float(np.mean(cv)) if cv.size else None
+    frames = owner[starts[multi]]
+    return frames, std / mean[multi] * rho[frames]
 
 
 def ttc_cv(frames: Iterable[FrameClusterTTC]) -> float | None:
@@ -276,7 +284,51 @@ def ttc_cv(frames: Iterable[FrameClusterTTC]) -> float | None:
     frames = list(frames)
     values = np.array([v for f in frames for v in f.cttc_values], dtype=float)
     owner = np.repeat(np.arange(len(frames)), [len(f.cttc_values) for f in frames])
-    return _frame_cv(values, owner, np.array([f.rho for f in frames], dtype=float))
+    _, cv = _frame_cvs(values, owner, np.array([f.rho for f in frames], dtype=float))
+    return float(np.mean(cv)) if cv.size else None
+
+
+def _speed_metrics(window: np.ndarray, vehicle: np.ndarray, speed: np.ndarray, n: int, speed_limit: float = 1.0,
+                   thresholds: Sequence[float] = ()) -> tuple[np.ndarray, ...]:
+    """Speed metrics of windows 0..n-1 from the samples ``speed`` of each ``window`` and ``vehicle`` (a code >= 0).
+
+    Returns the window and vehicle of each vehicle seen, by window then code, with the mask of those
+    ``ivvr`` excludes for a zero mean speed; and per window ``ivvr``, ``ovvr`` and the (n, thresholds)
+    ``osr`` rates, nan where undefined. Each vehicle's mean sums its samples in their given order.
+    """
+    span = int(vehicle.max()) + 1 if vehicle.size else 1
+    key = window * span + vehicle
+    order = np.argsort(key, kind="stable")
+    key, speed = key[order], speed[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(np.append(starts, key.size))
+    mean = np.add.reduceat(speed, starts) / count
+    vmax, vmin = np.maximum.reduceat(speed, starts), np.minimum.reduceat(speed, starts)
+    window, vehicle = np.divmod(key[starts], span)
+    use, excluded = (count >= 2) & (mean > 0), (count >= 2) & ~(mean > 0)
+    fleet = _group_mean(window, mean, n)[window]
+    ok = fleet > 0
+    osr = [_group_mean(window, vmax / speed_limit > theta, n) for theta in thresholds]
+    return (window, vehicle, excluded, _group_mean(window[use], (vmax[use] - vmin[use]) / mean[use], n),
+            _group_mean(window[ok], np.abs(mean[ok] - fleet[ok]) / fleet[ok], n), np.reshape(osr, (len(osr), n)).T)
+
+
+def _one_window(speeds_by_vehicle: Mapping[str, Sequence[float]]) -> tuple:
+    """``_speed_metrics``' first four arguments for one window, each vehicle coded by its place in the mapping."""
+    speeds = [np.asarray(s, dtype=float).ravel() for s in speeds_by_vehicle.values()]
+    vehicle = np.repeat(np.arange(len(speeds)), [s.size for s in speeds])
+    return np.zeros(vehicle.size, dtype=int), vehicle, np.concatenate([np.zeros(0), *speeds]), 1
+
+
+def _tci(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tci`` and class shares of each row of (groups, classes) ``counts``; nan for a row without vehicles."""
+    total = counts.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        return total * total / (counts.shape[1] * np.sum(counts * counts, axis=1)), counts / total[:, None]
+
+
+def _absent_if_nan(value) -> float | None:
+    return None if math.isnan(value) else float(value)
 
 
 def ivvr(speeds_by_vehicle: Mapping[str, Sequence[float]]) -> float | None:
@@ -284,33 +336,18 @@ def ivvr(speeds_by_vehicle: Mapping[str, Sequence[float]]) -> float | None:
 
     Vehicles with fewer than two samples or zero mean speed are excluded.
     """
-    terms = []
-    excluded = []
-    for vid, speeds in speeds_by_vehicle.items():
-        arr = np.asarray(speeds, dtype=float)
-        if arr.size < 2:
-            continue
-        v_av = arr.mean()
-        if v_av <= 0:
-            excluded.append(vid)
-            continue
-        terms.append(float((arr.max() - arr.min()) / v_av))
-    if excluded:
-        warnings.warn(f"ivvr: excluded vehicles with zero mean speed: {excluded}", stacklevel=2)
-    if not terms:
-        return None
-    return float(np.mean(terms))
+    _, vehicle, excluded, value, _, _ = _speed_metrics(*_one_window(speeds_by_vehicle))
+    if excluded.any():
+        vids = list(speeds_by_vehicle)
+        warnings.warn(f"ivvr: excluded vehicles with zero mean speed: {[vids[c] for c in vehicle[excluded]]}",
+                      stacklevel=2)
+    return _absent_if_nan(value[0])
 
 
 def ovvr(speeds_by_vehicle: Mapping[str, Sequence[float]]) -> float | None:
     """Mean over vehicles of |vehicle mean speed - fleet mean| / fleet mean."""
-    means = [float(np.mean(speeds)) for speeds in speeds_by_vehicle.values() if len(speeds) > 0]
-    if not means:
-        return None
-    fleet = float(np.mean(means))
-    if fleet <= 0:
-        return None
-    return float(np.mean([abs(m - fleet) / fleet for m in means]))
+    *_, value, _ = _speed_metrics(*_one_window(speeds_by_vehicle))
+    return _absent_if_nan(value[0])
 
 
 def osr(
@@ -321,8 +358,9 @@ def osr(
         raise ParameterError(f"speed limit must be positive, got {speed_limit}")
     if not max_speed_by_vehicle:
         raise DataError("over-speeding rate needs at least one vehicle")
-    ratios = np.array([v / speed_limit for v in max_speed_by_vehicle.values()])
-    return {float(theta): float(np.mean(ratios > theta)) for theta in thresholds}
+    peak = np.array(list(max_speed_by_vehicle.values()), dtype=float)
+    *_, rates = _speed_metrics(np.zeros(peak.size, dtype=int), np.arange(peak.size), peak, 1, speed_limit, thresholds)
+    return {float(theta): rate for theta, rate in zip(thresholds, rates[0].tolist())}
 
 
 def tci(class_counts: Mapping[str, int]) -> tuple[float, dict[str, float]]:
@@ -332,14 +370,11 @@ def tci(class_counts: Mapping[str, int]) -> tuple[float, dict[str, float]]:
     1/C (single class) to 1 (equal shares). Classes with zero count still
     count toward C.
     """
-    counts = np.array([class_counts[c] for c in class_counts], dtype=float)
-    total = counts.sum()
-    if total <= 0:
+    counts = np.array([list(class_counts.values())], dtype=float)
+    if counts.sum() <= 0:
         raise DataError("composition index undefined for zero vehicles")
-    c = len(counts)
-    value = float(total * total / (c * np.sum(counts * counts)))
-    shares = {name: float(class_counts[name] / total) for name in class_counts}
-    return value, shares
+    value, shares = _tci(counts)
+    return float(value[0]), dict(zip(class_counts, shares[0].tolist()))
 
 
 def ntc(per_frame_total_length: Sequence[float], lane_count: int, length_m: float) -> float:
@@ -435,13 +470,14 @@ class SampleTable:
             return np.concatenate([np.zeros(0)] + [values(t) for t in tracks])[order]
 
         codes = np.array([code_of[t.vehicle_id] for t in tracks], dtype=int)
+        x, y = column(lambda t: t.x), column(lambda t: t.y)
         return cls(
             frame=frame[order],
-            x=column(lambda t: t.x),
-            y=column(lambda t: t.y),
-            axis_pos=column(lambda t: t.x * ux + t.y * uy),
+            x=x,
+            y=y,
+            axis_pos=x * ux + y * uy,
             speed=column(lambda t: t.speed),
-            axis_speed=column(lambda t: t.vx * ux + t.vy * uy),
+            axis_speed=column(lambda t: t.vx) * ux + column(lambda t: t.vy) * uy,
             vid_code=np.repeat(codes, [t.frames.size for t in tracks])[order],
             vids=list(first),
             lengths=np.array([t.length_m for t in first.values()]),
@@ -486,44 +522,40 @@ def segment_free_flow_speed(tracks: Sequence[PreparedTrack], travel_axis=(1.0, 0
     return SampleTable.build(tracks, travel_axis).free_flow_speed()
 
 
-def _window_ttc_cv(table: SampleTable, rows: slice, present: np.ndarray, sizes: np.ndarray, stride: int,
-                   threshold: float, segment: SegmentConfig) -> float | None:
-    """TTC-CV of one window's rows, which fill the frames ``present`` with ``sizes`` rows each.
+def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``start[i]:stop[i]``."""
+    n = stop - start
+    return np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())
 
-    Memberships refresh at the window's first frame, then at the first frame
-    at least ``stride`` frames after the last refresh. Each row takes its
-    vehicle's cluster at the last refresh; a vehicle unseen there rides alone
-    under the label ``-code - 1``. Clusters are ordered by frame, then label.
+
+def _windows_ttc_cv(table: SampleTable, rows: np.ndarray, frame_of: np.ndarray, frame_rows: np.ndarray,
+                    refresh: np.ndarray, threshold: float, segment: SegmentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``_frame_cvs`` of the window frames (one frame of one window each) with sample ``rows``, ``frame_of`` each row.
+
+    ``frame_rows`` counts each window frame's rows; ``refresh`` marks those where memberships refresh. Each row
+    takes its vehicle's cluster at its window's last refresh; a vehicle unseen there rides alone under the label
+    ``-code - 1``. Clusters are ordered by window frame, then label.
     """
     x, y, code = table.x[rows], table.y[rows], table.vid_code[rows]
-    fid = np.repeat(np.arange(present.size), sizes)
-    step = np.searchsorted(present, present + stride).tolist()
-    refresh = np.zeros(present.size, dtype=bool)
-    k = 0
-    while k < present.size:
-        refresh[k] = True
-        k = step[k]
-    at_refresh = np.flatnonzero(refresh[fid])
-    comp = at_refresh[_single_linkage(fid[at_refresh], x[at_refresh], y[at_refresh], threshold)]
+    at_refresh = np.flatnonzero(refresh[frame_of])
+    comp = at_refresh[_single_linkage(frame_of[at_refresh], x[at_refresh], y[at_refresh], threshold)]
 
-    # Key each row by (its frame's last refresh, vehicle) and find it among the refresh rows.
+    # Key each row by (its window's last refresh, vehicle) and find it among the refresh rows.
     n_codes = len(table.vids)
-    key = (np.cumsum(refresh) - 1)[fid] * n_codes + code
-    order = np.argsort(key[at_refresh], kind="stable")
-    known = key[at_refresh][order]
-    pos = np.searchsorted(known, key, side="right") - 1
-    hit = (pos >= 0) & (known[pos] == key)
-    label = np.where(hit, comp[order[pos]], -code - 1)
+    _, key = np.unique((np.cumsum(refresh) - 1)[frame_of] * n_codes + code, return_inverse=True)
+    found = np.full(key.size, -1)
+    found[key[at_refresh]] = comp
+    label = np.where(found[key] >= 0, found[key], -code - 1)
 
     span = n_codes + code.size  # label + n_codes lies in [0, span)
-    groups, inv = np.unique(fid * span + label + n_codes, return_inverse=True)
+    groups, inv = np.unique(frame_of * span + label + n_codes, return_inverse=True)
     members = np.bincount(inv)
     cpos = np.bincount(inv, weights=table.axis_pos[rows]) / members
     cvel = np.bincount(inv, weights=table.axis_speed[rows]) / members
     gframe = groups // span
-    rho = sizes / np.bincount(gframe, minlength=present.size)
+    rho = frame_rows / np.bincount(gframe, minlength=frame_rows.size)
     who, values = _cluster_ttc(gframe, cpos, cvel, segment.travel_axis, segment.collision_point)
-    return _frame_cv(values, gframe[who], rho)
+    return _frame_cvs(values, gframe[who], rho)
 
 
 def compute_interval_metrics(
@@ -539,62 +571,95 @@ def compute_interval_metrics(
 ) -> list[IntervalMetrics]:
     """Compute every network-level metric for each [t_start, t_end) window.
 
-    Cluster memberships are refreshed at the configured rate (default 1 Hz)
-    while cluster TTCs are evaluated every frame with the latest memberships.
-    Coverage is the fraction of a window's frames inside the segment's
-    observed frame span. ``e_ttc`` is the mean TTC of the window's closing
-    follower/leader pairs (``SampleTable.leader_pairs``).
+    Windows may overlap and come in any order; rows follow the given windows.
+    Cluster memberships are refreshed at the configured rate (default 1 Hz),
+    starting at each window's first frame, while cluster TTCs are evaluated
+    every frame with the latest memberships. Coverage is the fraction of a
+    window's frames inside the segment's observed frame span. ``e_ttc`` is the
+    mean TTC of the window's closing follower/leader pairs
+    (``SampleTable.leader_pairs``).
     """
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
+    f0, f1 = [], []
+    for t0, t1 in windows:
+        if t1 <= t0:
+            raise ParameterError(f"empty window [{t0}, {t1})")
+        f0.append(math.ceil(t0 * fps - 1e-9))
+        f1.append(math.ceil(t1 * fps - 1e-9))
     table = SampleTable.build(tracks, segment.travel_axis)
     present, starts, sizes = table.frames()
     bounds = np.append(starts, table.frame.size)
-    frame_length = np.add.reduceat(table.lengths[table.vid_code], starts)
-    frame_speed = np.add.reduceat(table.speed, starts) / sizes
     if free_flow is None:
         free_flow = table.free_flow_speed()
     follower, _, _, closing, ttc = table.leader_pairs()
     pair_frame = table.frame[follower[closing > 0]]
     pair_ttc = ttc[closing > 0]
-    membership_stride = max(1, round(fps / cluster_cfg.membership_rate))
+
+    # Each window's frames inside the observed span, [lo, hi); of them, present[fa:fb] hold samples.
+    n = len(f0)
+    first, end = (int(present[0]), int(present[-1]) + 1) if present.size else (0, 0)
+    lo = np.maximum(np.array(f0, dtype=np.int64), first)
+    hi = np.maximum(np.minimum(np.array(f1, dtype=np.int64), end), lo)
+    fa, fb = np.searchsorted(present, lo), np.searchsorted(present, hi)
+    pa, pb = np.searchsorted(pair_frame, lo), np.searchsorted(pair_frame, hi)
+    length_at = np.zeros(end - first)  # summed vehicle length of every frame of the span
+    length_at[present - first] = np.add.reduceat(table.lengths[table.vid_code], starts)
+    frame_speed = np.add.reduceat(table.speed, starts) / sizes
+
+    # Every window's present frames ("window frames", window by window) and their sample rows.
+    frame_index = _ranges(fa, fb)
+    frame_base = np.cumsum(fb - fa) - (fb - fa)  # each window's first window frame
+    frame_rows = sizes[frame_index]
+    rows = _ranges(bounds[fa], bounds[fb])
+    frame_of = np.repeat(np.arange(frame_index.size), frame_rows)
+    window_of = np.repeat(np.arange(n), bounds[fb] - bounds[fa])
+
+    # Memberships refresh at a window's first frame, then at its first frame >= stride frames after the last.
+    stride = max(1, round(fps / cluster_cfg.membership_rate))
+    next_refresh = np.searchsorted(present, present + stride)
+    refresh = np.zeros(frame_index.size, dtype=bool)
+    k, stop, base = fa[fb > fa], fb[fb > fa], (frame_base - fa)[fb > fa]
+    while k.size:
+        refresh[base + k] = True
+        k = next_refresh[k]
+        k, stop, base = k[k < stop], stop[k < stop], base[k < stop]
+    cv_frame, cv = _windows_ttc_cv(table, rows, frame_of, frame_rows, refresh, cluster_cfg.distance_threshold, segment)
+    ca, cb = np.searchsorted(cv_frame, frame_base), np.searchsorted(cv_frame, frame_base + fb - fa)
+
+    vwin, vcode, excluded, ivvr_w, ovvr_w, osr_w = _speed_metrics(
+        window_of, table.vid_code[rows], table.speed[rows], n, segment.speed_limit, segment.osr_thresholds)
+    n_vehicles = np.bincount(vwin, minlength=n)
+    n_classes = len(VEHICLE_CLASSES)
+    vclass = np.array([VEHICLE_CLASSES.index(c) for c in table.classes], dtype=int)
+    tci_w, shares = _tci(np.bincount(vwin * n_classes + vclass[vcode], minlength=n * n_classes).reshape(n, n_classes))
+    excluded_by_window = index_groups(vwin[excluded])
 
     results: list[IntervalMetrics] = []
-    for t0, t1 in windows:
-        if t1 <= t0:
-            raise ParameterError(f"empty window [{t0}, {t1})")
-        f0 = math.ceil(t0 * fps - 1e-9)
-        f1 = math.ceil(t1 * fps - 1e-9)
+    for w, (t0, t1) in enumerate(windows):
         row = IntervalMetrics(segment_id=segment.segment_id, t_start=t0, t_end=t1)
         results.append(row)
-        lo, hi = (max(f0, int(present[0])), min(f1, int(present[-1]) + 1)) if present.size else (f0, f0)
-        row.coverage = max(0, hi - lo) / (f1 - f0)
-        if hi <= lo:
+        w_lo, w_hi = int(lo[w]), int(hi[w])
+        row.coverage = (w_hi - w_lo) / (f1[w] - f0[w])
+        if w_hi == w_lo:
             continue
-
-        window = slice(*np.searchsorted(present, (lo, hi)))
-        rows = slice(bounds[window.start], bounds[window.stop])
-        speed = table.speed[rows]
-        rows_of = index_groups(table.vid_code[rows])
-        speeds_by_vehicle = {table.vids[c]: speed[r] for c, r in rows_of.items()}
-        row.n_vehicles = len(rows_of)
+        row.n_vehicles = int(n_vehicles[w])
         if row.n_vehicles:
-            row.ivvr = ivvr(speeds_by_vehicle)
-            row.ovvr = ovvr(speeds_by_vehicle)
-            max_speeds = {vid: float(s.max()) for vid, s in speeds_by_vehicle.items()}
-            row.osr = osr(max_speeds, segment.speed_limit, segment.osr_thresholds)
-            row.tci, row.f_c = tci({vc.value: sum(table.classes[c] is vc for c in rows_of) for vc in VEHICLE_CLASSES})
-            row.ttc_cv = _window_ttc_cv(table, rows, present[window], sizes[window], membership_stride,
-                                        cluster_cfg.distance_threshold, segment)
+            row.ivvr, row.ovvr, row.tci = map(_absent_if_nan, (ivvr_w[w], ovvr_w[w], tci_w[w]))
+            row.osr = dict(zip(segment.osr_thresholds, osr_w[w].tolist()))
+            row.f_c = {vc.value: share for vc, share in zip(VEHICLE_CLASSES, shares[w].tolist())}
+            if w in excluded_by_window:
+                vids = [table.vids[c] for c in vcode[excluded][excluded_by_window[w]].tolist()]
+                warnings.warn(f"ivvr: excluded vehicles with zero mean speed: {vids}")
+            if cb[w] > ca[w]:
+                row.ttc_cv = float(cv[ca[w] : cb[w]].mean())
             if free_flow is not None:
+                window = slice(fa[w], fb[w])
                 series = zip((present[window] / fps).tolist(), frame_speed[window].tolist())
                 row.trt = trt(detect_congestion_events(list(series), free_flow, trt_theta, trt_t_min))
-
-        frame_totals = np.bincount(present[window] - lo, weights=frame_length[window], minlength=hi - lo)
-        row.ntc = ntc(frame_totals, segment.lane_count, segment.length_m)
-        p0, p1 = np.searchsorted(pair_frame, (lo, hi))
-        if p1 > p0:
-            row.e_ttc = float(pair_ttc[p0:p1].mean())
+        row.ntc = ntc(length_at[w_lo - first : w_hi - first], segment.lane_count, segment.length_m)
+        if pb[w] > pa[w]:
+            row.e_ttc = float(pair_ttc[pa[w] : pb[w]].mean())
     return results
 
 

@@ -236,13 +236,15 @@ class CsvRecords:
     Header cells are stripped of whitespace, and ``col[name]`` is the first column so
     named. Iterating yields the cells of each data row; rows whose cells are all blank
     are skipped. An empty file, a header without one of ``required`` and a row shorter
-    than the header raise SchemaError, naming the file by ``what``.
+    than the header raise SchemaError, naming the file by ``what``; so does text the csv
+    module cannot read (an unclosed quote, a carriage return inside an unquoted cell),
+    naming the line its record starts on.
     """
 
     def __init__(self, text: str, required: Sequence[str], what: str):
         self._text, self._stream = text, io.StringIO(text)
         self._reader = csv.reader(self._stream)
-        header = next(self._reader, None)
+        header = self._next()
         if header is None:
             raise SchemaError(f"{what} file is empty (header required)")
         header = [h.strip() for h in header]
@@ -284,9 +286,17 @@ class CsvRecords:
         finally:
             self._stream.seek(start)
 
+    def _next(self) -> list[str] | None:
+        """The next record's cells, None after the last."""
+        start = self._reader.line_num + 1
+        try:
+            return next(self._reader, None)
+        except csv.Error as exc:
+            raise SchemaError(f"line {start}: {exc}") from exc
+
     def __iter__(self) -> Iterator[list[str]]:
         reader, width = self._reader, self._width
-        for row in reader:
+        while (row := self._next()) is not None:
             # Blankness is tested only on a short row or one whose first cell is blank.
             if len(row) < width or not row[0].strip():
                 if not any(c.strip() for c in row):
@@ -309,9 +319,11 @@ _CSV_QUOTED = re.compile('[,"\n]')  # a cell holding one of these is quoted
 
 
 def _csv_cells(column) -> list[str]:
-    """One column's cells: float arrays by repr, int arrays by str, anything else by format_cell."""
+    """One column's cells: float arrays by repr (a masked cell empty), int arrays by str, else by format_cell."""
     if isinstance(column, CodedColumn):
         return list(map(_csv_cells(column.labels).__getitem__, column.codes.tolist()))
+    if isinstance(column, np.ma.MaskedArray) and column.dtype.kind == "f":
+        return ["" if v is None else repr(v) for v in column.tolist()]
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
         return list(map(repr, column.tolist()))
     if isinstance(column, np.ndarray) and column.dtype.kind in "iu":
@@ -327,8 +339,9 @@ def csv_text(header: Sequence[str], columns: Iterable) -> str:
 
     Lines end in LF. A cell is quoted, inner quotes doubled, only when it holds a comma,
     a quote or a newline, as csv.writer(lineterminator="\\n") quotes it. Floats are their
-    shortest round-trip repr and None is an empty cell; a CodedColumn formats each label
-    once. An empty header writes the data lines alone, for text built in chunks.
+    shortest round-trip repr, and None and the masked cells of a float np.ma array are
+    empty; a CodedColumn formats each label once. An empty header writes the data lines
+    alone, for text built in chunks.
     """
     lines = [",".join(row) for row in zip(*map(_csv_cells, columns))]
     if header:

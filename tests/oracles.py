@@ -198,6 +198,60 @@ def single_linkage_bfs_oracle(px, py, threshold):
     return set(parts)
 
 
+def ttc_cv_oracle(frames):
+    """``ttc_cv`` one frame at a time: per frame with 2+ values, std(ddof=1) / mean * rho; their mean."""
+    per_frame = []
+    for f in frames:
+        if len(f.cttc_values) >= 2:
+            vals = np.asarray(f.cttc_values, dtype=float)
+            per_frame.append(float(vals.std(ddof=1) / vals.mean() * (f.n_vehicles / f.n_clusters)))
+    return float(np.mean(per_frame)) if per_frame else None
+
+
+def ivvr_oracle(speeds_by_vehicle):
+    """``ivvr`` one vehicle at a time, each mean by np.mean; warns as ``ivvr`` does."""
+    import warnings
+
+    terms, excluded = [], []
+    for vid, speeds in speeds_by_vehicle.items():
+        arr = np.asarray(speeds, dtype=float)
+        if arr.size < 2:
+            continue
+        v_av = arr.mean()
+        if v_av <= 0:
+            excluded.append(vid)
+            continue
+        terms.append(float((arr.max() - arr.min()) / v_av))
+    if excluded:
+        warnings.warn(f"ivvr: excluded vehicles with zero mean speed: {excluded}", stacklevel=2)
+    return float(np.mean(terms)) if terms else None
+
+
+def ovvr_oracle(speeds_by_vehicle):
+    """``ovvr`` one vehicle at a time, each mean by np.mean."""
+    means = [float(np.mean(speeds)) for speeds in speeds_by_vehicle.values() if len(speeds) > 0]
+    if not means:
+        return None
+    fleet = float(np.mean(means))
+    if fleet <= 0:
+        return None
+    return float(np.mean([abs(m - fleet) / fleet for m in means]))
+
+
+def osr_oracle(max_speed_by_vehicle, speed_limit, thresholds=(1.0,)):
+    """``osr`` by one comparison per vehicle and threshold."""
+    ratios = np.array([v / speed_limit for v in max_speed_by_vehicle.values()])
+    return {float(theta): float(np.mean(ratios > theta)) for theta in thresholds}
+
+
+def tci_oracle(class_counts):
+    """``tci`` and class shares from the counts of one interval."""
+    counts = np.array([class_counts[c] for c in class_counts], dtype=float)
+    total = counts.sum()
+    value = float(total * total / (len(counts) * np.sum(counts * counts)))
+    return value, {name: float(class_counts[name] / total) for name in class_counts}
+
+
 def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
                             trt_theta=0.5, trt_t_min=30.0, free_flow=None):
     """``compute_interval_metrics`` by a loop over each window's frames.
@@ -206,7 +260,9 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
     the frame's vehicles; then per-frame cluster centroids/velocities by
     ``np.bincount`` over the vehicles' labels (unseen vehicles ride alone under
     ``-code - 1``), cluster TTCs by ``_cttc_from_arrays`` or toward the
-    collision point, and the per-frame coefficient of variation.
+    collision point, and ``ttc_cv_oracle`` over the frames. Per window: the
+    speed and composition metrics from its vehicles' speeds by the per-vehicle
+    ``ivvr_oracle``, ``ovvr_oracle``, ``osr_oracle`` and ``tci_oracle``.
     """
     from netsafety import network_metrics as nm
 
@@ -249,14 +305,14 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
         speeds_by_vehicle = {table.vids[c]: speed[rows] for c, rows in rows_of.items()}
         row.n_vehicles = len(rows_of)
         if row.n_vehicles:
-            row.ivvr = nm.ivvr(speeds_by_vehicle)
-            row.ovvr = nm.ovvr(speeds_by_vehicle)
-            row.osr = nm.osr({v: float(s.max()) for v, s in speeds_by_vehicle.items()},
-                             segment.speed_limit, segment.osr_thresholds)
+            row.ivvr = ivvr_oracle(speeds_by_vehicle)
+            row.ovvr = ovvr_oracle(speeds_by_vehicle)
+            row.osr = osr_oracle({v: float(s.max()) for v, s in speeds_by_vehicle.items()},
+                                 segment.speed_limit, segment.osr_thresholds)
             counts = {vc.value: 0 for vc in nm.VEHICLE_CLASSES}
             for c in rows_of:
                 counts[table.classes[c].value] += 1
-            row.tci, row.f_c = nm.tci(counts)
+            row.tci, row.f_c = tci_oracle(counts)
 
         frame_totals = np.zeros(hi - lo)
         present, fstarts = np.unique(frame, return_index=True)
@@ -278,11 +334,8 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
             counts = np.bincount(inv)
             values = cluster_values(np.bincount(inv, weights=axis_pos[sl]) / counts,
                                     np.bincount(inv, weights=axis_speed[sl]) / counts)
-            if len(values) >= 2:
-                vals = np.asarray(values, dtype=float)
-                per_frame.append(float(vals.std(ddof=1) / vals.mean() * (codes_f.size / uniq.size)))
-        if per_frame:
-            row.ttc_cv = float(np.mean(per_frame))
+            per_frame.append(nm.FrameClusterTTC(int(f), values, codes_f.size, uniq.size))
+        row.ttc_cv = ttc_cv_oracle(per_frame)
         row.ntc = nm.ntc(frame_totals, segment.lane_count, segment.length_m)
         p0, p1 = np.searchsorted(pair_frame, (lo, hi))
         if p1 > p0:
@@ -383,6 +436,16 @@ def pearson_oracle(x, y):
     num = float(np.sum((x - x.mean()) * (y - y.mean())))
     den = math.sqrt(float(np.sum((x - x.mean()) ** 2)) * float(np.sum((y - y.mean()) ** 2)))
     return num / den
+
+
+def kendall_pairs_oracle(x, y):
+    """Kendall tau-a by a loop over the n(n-1)/2 pairs: concordant minus discordant, over the pair count."""
+    n = len(x)
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += ((x[i] > x[j]) - (x[i] < x[j])) * ((y[i] > y[j]) - (y[i] < y[j]))
+    return 2.0 * total / (n * (n - 1))
 
 
 def shapley_oracle(d):

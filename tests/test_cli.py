@@ -226,6 +226,17 @@ class TestMetricsCommand:
         assert main(["metrics", "--config", str(out / "config.json")]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
 
+    def test_text_the_csv_module_refuses_exits_2(self, tmp_path, capsys):
+        # Before, the csv module's error escaped and metrics exited 1 with a traceback.
+        out = run_bundle(tmp_path)
+        path = out / "trajectories_S1.csv"
+        rows = path.read_text().splitlines(keepends=True)
+        rows[1] = rows[1].replace(",", ',"', 1)  # a quote never closed
+        path.write_text("".join(rows))
+        assert main(["metrics", "--config", str(out / "config.json")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("SchemaError", "line 2: field larger than field limit (131072)")
+
     def test_metrics_match_scripted_recomputation(self, tmp_path):
         # Independent straight-loop recomputation of the per-interval metrics
         # from the same prepared tracks, compared at 1e-9.

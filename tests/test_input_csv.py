@@ -73,6 +73,21 @@ def test_schema_errors(reader):
             read(text)
 
 
+@pytest.mark.parametrize("case", ["unclosed_quote", "carriage_return"])
+def test_text_the_csv_module_refuses_names_the_line(reader, case):
+    # Before, the csv module's error escaped the readers as _csv.Error.
+    read, _, header, (first, second), _, _ = reader
+    cells = second.split(",")
+    if case == "unclosed_quote":  # the quoted cell runs on past the csv module's field limit
+        cells[1] = '"' + cells[1]
+        text, message = lines(header, first, ",".join(cells), *[first] * 20000), "field larger than field limit"
+    else:
+        cells[0] = cells[0][:1] + "\r" + cells[0][1:]
+        text, message = lines(header, first, ",".join(cells), first), "new-line character seen in unquoted field"
+    with pytest.raises(SchemaError, match=f"^line 3: {message}"):
+        read(text)
+
+
 def test_written_metrics_row_reads_back():
     row = IntervalMetrics(
         "S1", 0, 25, ttc_cv=0.5, ivvr=None, ovvr=0.125, osr={1.0: 0.25, 1.5: 0.0625}, tci=2.0,

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,24 @@ from netsafety.network_metrics import (
 )
 from netsafety.trajectories import PreparedTrack, VehicleClass
 
-from oracles import interval_metrics_oracle, pairwise_ttc_oracle, single_linkage_bfs_oracle
+from oracles import (
+    interval_metrics_oracle,
+    ivvr_oracle,
+    osr_oracle,
+    ovvr_oracle,
+    pairwise_ttc_oracle,
+    single_linkage_bfs_oracle,
+    tci_oracle,
+    ttc_cv_oracle,
+)
+
+
+def with_warnings(fn, *args, **kw):
+    """``fn(*args, **kw)`` and the messages of the warnings it issued."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kw)
+    return result, [str(w.message) for w in caught]
 
 
 def seg(**kw):
@@ -173,6 +191,17 @@ class TestTtcCv:
     def test_no_qualifying_frame_absent(self):
         assert ttc_cv([FrameClusterTTC(0, [3.0], 2, 2)]) is None
 
+    def test_matches_per_frame_oracle(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            frames = []
+            for f in range(int(rng.integers(0, 6))):
+                values = rng.uniform(0.5, 30.0, int(rng.integers(0, 5))).tolist()
+                n_clusters = len(values) + int(rng.integers(1, 3))
+                frames.append(FrameClusterTTC(f, values, n_clusters + int(rng.integers(0, 6)), n_clusters))
+            want = ttc_cv_oracle(frames)
+            assert ttc_cv(frames) == (None if want is None else pytest.approx(want, rel=1e-12, abs=0.0))
+
 
 class TestSpeedMetrics:
     def test_ivvr_direct(self):
@@ -226,6 +255,22 @@ class TestSpeedMetrics:
         scaled = {k: [2.0 * s for s in v] for k, v in speeds.items()}
         assert ivvr(scaled) == pytest.approx(ivvr(speeds))
         assert ovvr(scaled) == pytest.approx(ovvr(speeds))
+
+    def test_match_per_vehicle_oracles(self):
+        # Vehicles with no sample, one sample, or standing still (excluded from ivvr with a warning).
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            speeds = {f"v{i}": rng.uniform(0.0, 40.0, int(rng.integers(0, 12))) * (rng.random() < 0.8)
+                      for i in range(int(rng.integers(0, 7)))}
+            (got, got_warnings), (want, want_warnings) = with_warnings(ivvr, speeds), with_warnings(ivvr_oracle, speeds)
+            assert got_warnings == want_warnings
+            for a, b in ((got, want), (ovvr(speeds), ovvr_oracle(speeds))):
+                assert a == (None if b is None else pytest.approx(b, rel=1e-12, abs=0.0))
+            peaks = {v: float(s.max()) for v, s in speeds.items() if s.size}
+            if peaks:
+                assert osr(peaks, 25.0, [1.0, 1.1, 1.5]) == osr_oracle(peaks, 25.0, [1.0, 1.1, 1.5])
+            counts = {"Car": int(rng.integers(0, 9)), "Truck": int(rng.integers(1, 9)), "Bus": int(rng.integers(0, 3))}
+            assert tci(counts) == tci_oracle(counts)  # exact: sums of integers
 
 
 class TestTci:
@@ -511,6 +556,48 @@ class TestFrameBatchedKernel:
                 args = (tracks, s, ClusterConfig(threshold, rate), 8.0, self.WINDOWS)
                 kw = dict(trt_t_min=0.5, free_flow=24.0)
                 assert_rows_match(compute_interval_metrics(*args, **kw), interval_metrics_oracle(*args, **kw))
+
+    def test_window_order_overlap_and_outside_the_data(self):
+        # Out of time order, overlapping, before the first frame (t < 0 included) and after the last
+        # (frame 95); rows follow the given windows.
+        windows = [(11.0, 14.0), (20.0, 30.0), (0.0, 2.5), (-6.0, -1.0), (4.875, 12.5), (-1.0, 0.5), (1.0, 9.0),
+                   (2.5, 5.0), (12.0, 12.125), (0.0, 2.5)]
+        for seed in range(3):
+            tracks = random_scene(np.random.default_rng(seed))
+            for rate in (1.0, 3.0):
+                args = (tracks, seg(length_m=400.0), ClusterConfig(30.0, rate), 8.0, windows)
+                rows = compute_interval_metrics(*args, trt_t_min=0.5)
+                assert_rows_match(rows, interval_metrics_oracle(*args, trt_t_min=0.5))
+                assert [(r.t_start, r.t_end) for r in rows] == windows
+                assert [r.coverage for r in rows][1:4:2] == [0.0, 0.0] and rows[5].coverage == 4 / 12
+                assert all(r.ntc is None and r.ivvr is None and r.n_vehicles == 0 for r in rows[1:4:2])
+
+    def test_lone_and_standing_vehicles(self):
+        # "solo" is alone in the first window; "parked" stands still, so each window it is seen in
+        # at least twice excludes it from ivvr with one warning.
+        fps = 4.0
+        tracks = [
+            track("solo", range(0, 12), 5.0 + np.arange(12) * 3.0, fps=fps),
+            track("parked", range(14, 40), np.full(26, 60.0), np.full(26, 3.5), fps=fps, length=9.0,
+                  vclass=VehicleClass.TRUCK),
+            track("b", range(16, 40), np.arange(24) * 2.5, fps=fps),
+            track("c", range(18, 40), 30.0 + np.arange(22) * 2.0, np.full(22, 7.0), fps=fps),
+        ]
+        windows = [(0.0, 2.0), (3.0, 6.0), (2.0, 3.75), (3.75, 10.0), (5.0, 7.0)]
+        expected = ["ivvr: excluded vehicles with zero mean speed: ['parked']"] * 3  # not in (0, 2) or (2, 3.75)
+        for threshold in (0.0, 10.0, 100.0):
+            args = (tracks, seg(length_m=200.0), ClusterConfig(threshold, 1.0), fps, windows)
+            got, got_warnings = with_warnings(compute_interval_metrics, *args, trt_t_min=0.5)
+            want, want_warnings = with_warnings(interval_metrics_oracle, *args, trt_t_min=0.5)
+            assert got_warnings == want_warnings == expected
+            assert_rows_match(got, want)
+            assert got[0].n_vehicles == 1 and got[0].ivvr == 0.0 and got[0].tci == 0.5
+
+    def test_empty_window_raises_naming_the_first(self):
+        tracks = [track("a", range(20), np.arange(20) * 2.0)]
+        windows = [(0.0, 5.0), (7.0, 7.0), (9.0, 8.0)]
+        with pytest.raises(ParameterError, match=r"^empty window \[7\.0, 7\.0\)$"):
+            compute_interval_metrics(tracks, seg(), ClusterConfig(), 1.0, windows)
 
     def test_golden_bundle_matches_per_frame_oracle(self, tmp_path):
         spec = Path(__file__).resolve().parent / "golden" / "spec.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from netsafety.errors import DataError, ParameterError
 from netsafety.stats import kendall, pearson, spearman
 from netsafety.stats.correlation import _mean_ranks
 
-from oracles import pearson_oracle
+from oracles import kendall_pairs_oracle, pearson_oracle
 
 
 class TestPearson:
@@ -82,6 +83,19 @@ class TestKendall:
     def test_constant_input_flags_zero(self):
         with pytest.warns(UserWarning):
             assert kendall([1, 1, 1], [1, 2, 3]) == 0.0
+
+    def test_matches_pair_loop_exactly_on_ties(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            x = rng.integers(0, int(rng.integers(1, 6)), n).astype(float)
+            y = rng.integers(-2, int(rng.integers(-1, 4)), n) * 0.5
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a constant draw warns
+                assert kendall(x, y) == kendall_pairs_oracle(x.tolist(), y.tolist())
+
+    def test_nan_gives_nan(self):
+        assert math.isnan(kendall([float("nan"), 1.0, 2.0], [1.0, 2.0, 3.0]))
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)

@@ -262,8 +262,10 @@ class TestCsvText:
             np.arange(n, dtype=np.int64) - 3,
             np.array([None, 1.5, None, 0.0, -0.0, float("nan"), 3.0], dtype=object),
         ]
-        header = ["id", "mixed", "float, with comma", "int", "absent"]
-        assert csv_text(header, columns) == csv_rows_oracle(header, zip(*columns))
+        masked = np.ma.masked_array([0.1, 1.5, np.nan, 0.0, -0.0, np.inf, 3.0], mask=[1, 0, 1, 0, 0, 0, 1])
+        header = ["id", "mixed", "float, with comma", "int", "absent", "masked"]
+        # The oracle gets the masked cells as None.
+        assert csv_text(header, [*columns, masked]) == csv_rows_oracle(header, zip(*columns, masked.tolist()))
 
     def test_coded_column_formats_each_label_once(self, monkeypatch):
         labels = ["plain", "a,b", 'say "hi"', "two\nlines", " leading"]
