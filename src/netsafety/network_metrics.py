@@ -587,6 +587,8 @@ def compute_interval_metrics(
             raise ParameterError(f"empty window [{t0}, {t1})")
         f0.append(math.ceil(t0 * fps - 1e-9))
         f1.append(math.ceil(t1 * fps - 1e-9))
+        if f1[-1] == f0[-1]:
+            raise ParameterError(f"window [{t0}, {t1}) holds no frame at {fps} fps")
     table = SampleTable.build(tracks, segment.travel_axis)
     present, starts, sizes = table.frames()
     bounds = np.append(starts, table.frame.size)

@@ -16,6 +16,8 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ParameterError(f"need two equal-length 1-D sequences, got {x.shape} vs {y.shape}")
     if x.size < 2:
         raise ParameterError(f"need at least 2 observations, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DataError("correlation undefined for a non-finite value (nan or inf)")
     return x, y
 
 
@@ -53,8 +55,6 @@ def kendall(x, y) -> float:
     x, y = _as_pair(x, y)
     if np.all(x == x[0]) or np.all(y == y[0]):
         warnings.warn("kendall tau on a constant sequence is 0 by convention", stacklevel=2)
-    if np.isnan(x).any() or np.isnan(y).any():
-        return float("nan")  # the comparisons below would take a nan for a tie
     sx = (x[:, None] > x).view(np.int8) - (x[:, None] < x).view(np.int8)
     sy = (y[:, None] > y).view(np.int8) - (y[:, None] < y).view(np.int8)
     n = x.size

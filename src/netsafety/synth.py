@@ -25,7 +25,7 @@ from .config import IntervalGrid
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
 from .network_metrics import IntervalMetrics, SegmentConfig, metric_value
-from .trajectories import TRAJECTORY_COLUMNS, csv_text
+from .trajectories import TRAJECTORY_COLUMNS, CodedColumn, csv_text
 
 HEADWAY_S = 2.0
 CAR_LENGTH_M = 4.5
@@ -130,22 +130,22 @@ class ScenarioSpec:
         return cls(**kwargs)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Vehicle:
-    vid: str
+    code: int  # creation order within the interval; the row's index into the id list
     lane: int
     x: float
     desired: float
-    jitter: float
     length: float
+    jitter: float = 0.0
 
 
 def _interval_rng(spec: ScenarioSpec, segment_idx: int, interval_idx: int) -> np.random.Generator:
     return np.random.default_rng([spec.seed, 1, segment_idx, interval_idx])
 
 
-def _simulate_interval(spec: ScenarioSpec, segment_idx: int, interval_idx: int) -> list[tuple]:
-    """One interval of one segment; returns (frame, vid, x1, y1, x2, y2) rows."""
+def _simulate_interval(spec: ScenarioSpec, segment_idx: int, interval_idx: int) -> tuple:
+    """One interval of one segment: its rows' frames, vehicle ids and (n, 4) corners, by (id, frame)."""
     rng = _interval_rng(spec, segment_idx, interval_idx)
     u = lambda rng_range: float(rng.uniform(*rng_range))  # noqa: E731
     flow = u(spec.flow_veh_per_min)
@@ -159,11 +159,9 @@ def _simulate_interval(spec: ScenarioSpec, segment_idx: int, interval_idx: int) 
     dt = 1.0 / spec.fps
     base_frame = round(interval_idx * spec.slot_seconds * spec.fps)
     y_base = segment_idx * SEGMENT_SPACING_M
-
-    counter = 0
+    fleet: list[_Vehicle] = []
 
     def new_vehicle(lane: int, x: float) -> _Vehicle:
-        nonlocal counter
         if rng.random() < overspeed_frac:
             desired = spec.speed_limit * (1.03 + 0.22 * rng.random())
         else:
@@ -171,15 +169,8 @@ def _simulate_interval(spec: ScenarioSpec, segment_idx: int, interval_idx: int) 
                           0.97 * spec.speed_limit)
             desired = max(desired, 3.0)
         length = TRUCK_LENGTH_M if rng.random() < truck_frac else CAR_LENGTH_M
-        counter += 1
-        return _Vehicle(
-            vid=f"S{segment_idx + 1}-i{interval_idx:03d}-{counter:03d}",
-            lane=lane,
-            x=x,
-            desired=desired,
-            jitter=0.0,
-            length=length,
-        )
+        fleet.append(_Vehicle(len(fleet), lane, x, desired, length))
+        return fleet[-1]
 
     lanes: list[list[_Vehicle]] = [[] for _ in range(spec.lane_count)]  # leader first
     # Seed the road at steady-state density so early frames are not empty.
@@ -196,54 +187,58 @@ def _simulate_interval(spec: ScenarioSpec, segment_idx: int, interval_idx: int) 
     # Pre-draw arrival counts per frame per lane (Poisson thinning).
     arrivals = rng.poisson(per_lane_rate * dt, size=(n_frames, spec.lane_count))
 
-    rows: list[tuple] = []
+    row_frame, row_code, row_x = [], [], []
     ar = 1.0 - math.exp(-dt)  # AR(1) jitter decay toward ~1 s memory
+    kick = jitter_std * math.sqrt(2 * ar)
     for step in range(n_frames):
         frame = base_frame + step
         for lane_idx, lane in enumerate(lanes):
             for _ in range(int(arrivals[step, lane_idx])):
                 if not lane or lane[-1].x >= MIN_SPAWN_GAP_M:
                     lane.append(new_vehicle(lane_idx, 0.0))
-            for pos, veh in enumerate(lane):
-                if jitter_std > 0:
-                    veh.jitter += ar * (-veh.jitter) + jitter_std * math.sqrt(2 * ar) * float(
-                        rng.standard_normal()
-                    )
+            if jitter_std > 0:  # one normal per vehicle, leader first
+                for veh, z in zip(lane, rng.standard_normal(len(lane)).tolist()):
+                    veh.jitter += ar * (-veh.jitter) + kick * z
+            leader = None
+            for veh in lane:
                 speed = max(veh.desired + veh.jitter, 0.5)
-                if pos > 0:
-                    leader = lane[pos - 1]
-                    gap = leader.x - veh.x
-                    if speed > 0 and gap / speed < HEADWAY_S:
-                        leader_speed = max(leader.desired + leader.jitter, 0.5)
-                        speed = min(speed, leader_speed)
+                if leader is not None and (leader.x - veh.x) / speed < HEADWAY_S:
+                    speed = min(speed, max(leader.desired + leader.jitter, 0.5))
                 veh.x += speed * dt
-                if veh.x <= spec.segment_length_m:
-                    y_c = y_base + (lane_idx + 0.5) * LANE_WIDTH_M
-                    rows.append(
-                        (
-                            frame,
-                            veh.vid,
-                            veh.x - veh.length / 2.0,
-                            y_c - VEHICLE_WIDTH_M / 2.0,
-                            veh.x + veh.length / 2.0,
-                            y_c + VEHICLE_WIDTH_M / 2.0,
-                        )
-                    )
-            lanes[lane_idx] = [v for v in lane if v.x <= spec.segment_length_m]
-    rows.sort(key=lambda r: (r[1], r[0]))
-    return rows
+                leader = veh
+            lanes[lane_idx] = lane = [v for v in lane if v.x <= spec.segment_length_m]
+            row_frame += [frame] * len(lane)
+            row_code += [v.code for v in lane]
+            row_x += [v.x for v in lane]
+
+    vids = [f"S{segment_idx + 1}-i{interval_idx:03d}-{k + 1:03d}" for k in range(len(fleet))]
+    rank = np.argsort(np.argsort(vids))  # each vehicle's place in id (string) order
+    codes = np.array(row_code, dtype=np.int64)
+    # Frames ascend within a vehicle, so a stable sort by id rank gives the (id, frame) order.
+    order = np.argsort(rank[codes], kind="stable")
+    codes = codes[order]
+    x = np.array(row_x)[order]
+    half = np.array([v.length for v in fleet])[codes] / 2.0
+    y_c = y_base + (np.array([v.lane for v in fleet], dtype=np.int64)[codes] + 0.5) * LANE_WIDTH_M
+    corners = np.column_stack([x - half, y_c - VEHICLE_WIDTH_M / 2.0, x + half, y_c + VEHICLE_WIDTH_M / 2.0])
+    return np.array(row_frame, dtype=np.int64)[order], CodedColumn(vids, codes), corners
 
 
 def generate_trajectories(spec: ScenarioSpec) -> dict[str, str]:
-    """Trajectory CSV text per segment id, covering every interval of the scenario."""
+    """Trajectory CSV text per segment id, covering every interval of the scenario.
+
+    The text is a pure function of the spec, and the order of the random draws is part
+    of that contract: each (segment, interval) has its own generator, which draws the
+    interval's knobs, the initial vehicles, the arrival counts, and then per frame and
+    lane the spawned vehicles followed by one jitter normal per vehicle, leader first.
+    Any rewrite must keep that stream, so that the files stay byte-identical.
+    """
     out: dict[str, str] = {}
     for k, sid in enumerate(spec.segment_ids()):
         parts = [csv_text(TRAJECTORY_COLUMNS, ())]
         for i in range(spec.n_intervals):  # one interval's rows at a time keeps the temporaries small
-            rows = _simulate_interval(spec, k, i)
-            if rows:
-                frames, vids, *corners = zip(*rows)
-                parts.append(csv_text((), [np.array(frames), vids, *np.array(corners)]))
+            frames, vids, corners = _simulate_interval(spec, k, i)
+            parts.append(csv_text((), [frames, vids, *corners.T]))
         out[sid] = "".join(parts)
     return out
 
@@ -337,24 +332,27 @@ def crash_records_csv(
     plane: TangentPlane,
     seed: int = 0,
 ) -> str:
-    """Emit one crash CSV row per planted count, timestamped inside its slot."""
+    """Emit one crash CSV row per planted count, timestamped inside its slot.
+
+    The draw order is part of the output contract: crashes go by (segment id, slot),
+    and each takes four doubles of one generator, as ``uniform`` over the slot's
+    minutes, the bbox's x and then y range (1 m inside), then ``choice(p=TYPE_MIX)``.
+    """
     by_id = {s.segment_id: s for s in segments}
-    rng = np.random.default_rng([seed, 3])
-    rows = []
-    type_names = [name for name, _ in TYPE_MIX]
-    type_probs = [p for _, p in TYPE_MIX]
-    for (sid, slot), count in sorted(plant.counts.items()):
-        seg = by_id[sid]
-        xmin, ymin, xmax, ymax = seg.bbox
-        for _ in range(count):
-            minute_of_day = slot * slot_minutes + float(rng.uniform(0, slot_minutes))
-            stamp = BASE_DATE + timedelta(minutes=minute_of_day)
-            x = float(rng.uniform(xmin + 1.0, xmax - 1.0))
-            y = float(rng.uniform(ymin + 1.0, ymax - 1.0))
-            lat, lon = plane.to_latlon(x, y)
-            crash_type = type_names[int(rng.choice(len(type_names), p=type_probs))]
-            rows.append((stamp.isoformat(), lat, lon, crash_type))
-    return csv_text(["timestamp", "lat", "lon", "type"], zip(*rows))
+    cells = sorted(plant.counts.items())
+    count = [c for _, c in cells]
+    slot = np.repeat([s for (_, s), _ in cells], count)
+    box = np.repeat([by_id[sid].bbox for (sid, _), _ in cells], count, axis=0).reshape(-1, 4)
+    u = np.random.default_rng([seed, 3]).random((slot.size, 4))
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * u, and choice(p=) searches the normalised cdf.
+    minute_of_day = slot * slot_minutes + slot_minutes * u[:, 0]
+    lo, hi = box[:, :2] + 1.0, box[:, 2:] - 1.0
+    x, y = (lo + (hi - lo) * u[:, 1:3]).T
+    cdf = np.cumsum([p for _, p in TYPE_MIX])
+    crash_type = CodedColumn([name for name, _ in TYPE_MIX], np.searchsorted(cdf / cdf[-1], u[:, 3], side="right"))
+    stamps = [(BASE_DATE + timedelta(minutes=m)).isoformat() for m in minute_of_day.tolist()]
+    lat, lon = np.array([plane.to_latlon(*xy) for xy in zip(x.tolist(), y.tolist())]).reshape(-1, 2).T
+    return csv_text(["timestamp", "lat", "lon", "type"], [stamps, lat, lon, crash_type])
 
 
 def identity_keypoints_json(spec: ScenarioSpec, plane: TangentPlane) -> str:

@@ -618,3 +618,116 @@ def prepare_tracks_oracle(trajectories, travel_axis, *, max_gap, sg_window, sg_o
             vx[0], vy[0] = vx[1], vy[1]
             prepared.append(PreparedTrack(traj.vehicle_id, vclass, length, frames, frames / traj.fps, cx, cy, vx, vy))
     return prepared
+
+
+def generate_trajectories_oracle(spec):
+    """``synth.generate_trajectories`` one scalar draw and one row tuple at a time.
+
+    Every vehicle draws its own jitter normal inside the car-following loop, the rows
+    are sorted by (vehicle id, frame) with a key function, and each segment's text is
+    written one ``csv.writer`` row at a time.
+    """
+    from netsafety.synth import (
+        CAR_LENGTH_M,
+        HEADWAY_S,
+        LANE_WIDTH_M,
+        MIN_SPAWN_GAP_M,
+        SEGMENT_SPACING_M,
+        TRUCK_LENGTH_M,
+        VEHICLE_WIDTH_M,
+        _interval_rng,
+    )
+    from netsafety.trajectories import TRAJECTORY_COLUMNS
+
+    def simulate(segment_idx, interval_idx):
+        rng = _interval_rng(spec, segment_idx, interval_idx)
+        u = lambda rng_range: float(rng.uniform(*rng_range))  # noqa: E731
+        flow = u(spec.flow_veh_per_min)
+        v_mean = u(spec.speed_mean)
+        v_std = u(spec.speed_std)
+        jitter_std = u(spec.speed_jitter)
+        truck_frac = u(spec.truck_fraction)
+        overspeed_frac = u(spec.overspeed_fraction)
+
+        n_frames = round(spec.interval_seconds * spec.fps)
+        dt = 1.0 / spec.fps
+        base_frame = round(interval_idx * spec.slot_seconds * spec.fps)
+        y_base = segment_idx * SEGMENT_SPACING_M
+        counter = 0
+
+        def new_vehicle(lane, x):  # [vid, lane, x, desired, jitter, length]
+            nonlocal counter
+            if rng.random() < overspeed_frac:
+                desired = spec.speed_limit * (1.03 + 0.22 * rng.random())
+            else:
+                desired = min(float(rng.normal(v_mean, v_std)) if v_std > 0 else v_mean,
+                              0.97 * spec.speed_limit)
+                desired = max(desired, 3.0)
+            length = TRUCK_LENGTH_M if rng.random() < truck_frac else CAR_LENGTH_M
+            counter += 1
+            return [f"S{segment_idx + 1}-i{interval_idx:03d}-{counter:03d}", lane, x, desired, 0.0, length]
+
+        lanes = [[] for _ in range(spec.lane_count)]
+        per_lane_rate = flow / 60.0 / spec.lane_count
+        expected = per_lane_rate * spec.segment_length_m / max(v_mean, 1.0)
+        for lane in range(spec.lane_count):
+            k0 = int(rng.poisson(expected))
+            xs = np.sort(rng.uniform(0.0, spec.segment_length_m, size=k0))[::-1]
+            for x in xs:
+                if lanes[lane] and lanes[lane][-1][2] - x < MIN_SPAWN_GAP_M:
+                    continue
+                lanes[lane].append(new_vehicle(lane, float(x)))
+        arrivals = rng.poisson(per_lane_rate * dt, size=(n_frames, spec.lane_count))
+
+        rows = []
+        ar = 1.0 - math.exp(-dt)
+        for step in range(n_frames):
+            frame = base_frame + step
+            for lane_idx, lane in enumerate(lanes):
+                for _ in range(int(arrivals[step, lane_idx])):
+                    if not lane or lane[-1][2] >= MIN_SPAWN_GAP_M:
+                        lane.append(new_vehicle(lane_idx, 0.0))
+                for pos, veh in enumerate(lane):
+                    if jitter_std > 0:
+                        veh[4] += ar * (-veh[4]) + jitter_std * math.sqrt(2 * ar) * float(rng.standard_normal())
+                    speed = max(veh[3] + veh[4], 0.5)
+                    if pos > 0:
+                        leader = lane[pos - 1]
+                        if (leader[2] - veh[2]) / speed < HEADWAY_S:
+                            speed = min(speed, max(leader[3] + leader[4], 0.5))
+                    veh[2] += speed * dt
+                    if veh[2] <= spec.segment_length_m:
+                        y_c = y_base + (lane_idx + 0.5) * LANE_WIDTH_M
+                        rows.append((frame, veh[0], veh[2] - veh[5] / 2.0, y_c - VEHICLE_WIDTH_M / 2.0,
+                                     veh[2] + veh[5] / 2.0, y_c + VEHICLE_WIDTH_M / 2.0))
+                lanes[lane_idx] = [v for v in lane if v[2] <= spec.segment_length_m]
+        rows.sort(key=lambda r: (r[1], r[0]))
+        return rows
+
+    return {
+        sid: csv_rows_oracle(TRAJECTORY_COLUMNS, [row for i in range(spec.n_intervals) for row in simulate(k, i)])
+        for k, sid in enumerate(spec.segment_ids())
+    }
+
+
+def crash_records_csv_oracle(plant, segments, slot_minutes, plane, seed=0):
+    """``synth.crash_records_csv`` with four scalar draws per crash: uniform x3, then choice(p=...)."""
+    from datetime import timedelta
+
+    from netsafety.synth import BASE_DATE, TYPE_MIX
+
+    by_id = {s.segment_id: s for s in segments}
+    rng = np.random.default_rng([seed, 3])
+    type_names = [name for name, _ in TYPE_MIX]
+    type_probs = [p for _, p in TYPE_MIX]
+    rows = []
+    for (sid, slot), count in sorted(plant.counts.items()):
+        xmin, ymin, xmax, ymax = by_id[sid].bbox
+        for _ in range(count):
+            minute_of_day = slot * slot_minutes + float(rng.uniform(0, slot_minutes))
+            x = float(rng.uniform(xmin + 1.0, xmax - 1.0))
+            y = float(rng.uniform(ymin + 1.0, ymax - 1.0))
+            lat, lon = plane.to_latlon(x, y)
+            crash_type = type_names[int(rng.choice(len(type_names), p=type_probs))]
+            rows.append(((BASE_DATE + timedelta(minutes=minute_of_day)).isoformat(), lat, lon, crash_type))
+    return csv_rows_oracle(["timestamp", "lat", "lon", "type"], rows)

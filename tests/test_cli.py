@@ -603,6 +603,14 @@ class TestConfigValidation:
         assert err["error"] == "ParameterError" and err["message"].startswith(f"{section} need")
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_window_without_a_frame_exits_2(self, tmp_path, capsys):
+        # At 1 fps the window [0.3, 0.6) holds no frame instant: its coverage divided by zero (exit 1, traceback).
+        config = write_hand_config(tmp_path, intervals={"count": 3, "window_seconds": 0.3, "stride_seconds": 0.3})
+        assert main(["metrics", "--config", str(config)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ParameterError", "window [0.3, 0.6) holds no frame at 1.0 fps")
+        assert not (tmp_path / "metrics.csv").exists()
+
     @pytest.mark.parametrize("section, field, value", [
         ("intervals", "count", 2.5),
         ("intervals", "count", 2.0),

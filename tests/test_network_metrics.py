@@ -599,6 +599,11 @@ class TestFrameBatchedKernel:
         with pytest.raises(ParameterError, match=r"^empty window \[7\.0, 7\.0\)$"):
             compute_interval_metrics(tracks, seg(), ClusterConfig(), 1.0, windows)
 
+    def test_window_between_frame_instants_raises(self):
+        tracks = [track("a", range(20), np.arange(20) * 2.0)]
+        with pytest.raises(ParameterError, match=r"^window \[2\.25, 2\.75\) holds no frame at 1\.0 fps$"):
+            compute_interval_metrics(tracks, seg(), ClusterConfig(), 1.0, [(0.0, 5.0), (2.25, 2.75)])
+
     def test_golden_bundle_matches_per_frame_oracle(self, tmp_path):
         spec = Path(__file__).resolve().parent / "golden" / "spec.json"
         assert cli.main(["synth", "--spec", str(spec), "--out", str(tmp_path)]) == 0

@@ -94,9 +94,6 @@ class TestKendall:
                 warnings.simplefilter("ignore")  # a constant draw warns
                 assert kendall(x, y) == kendall_pairs_oracle(x.tolist(), y.tolist())
 
-    def test_nan_gives_nan(self):
-        assert math.isnan(kendall([float("nan"), 1.0, 2.0], [1.0, 2.0, 3.0]))
-
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=30)
@@ -106,6 +103,14 @@ class TestKendall:
 
 
 class TestSharedProperties:
+    @pytest.mark.parametrize("fn", [pearson, spearman, kendall], ids=["pearson", "spearman", "kendall"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_raises(self, fn, bad):
+        # Before, pearson and kendall returned nan, and spearman([nan, 1, 2], [1, 2, 3]) was -0.5.
+        for x, y in (([bad, 1.0, 2.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, bad, 3.0])):
+            with pytest.raises(DataError, match="non-finite"):
+                fn(x, y)
+
     def test_range_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

@@ -1,13 +1,20 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 
 from netsafety.association import metric_value
+from netsafety.cli import main
 from netsafety.crashes import parse_crashes
 from netsafety.errors import ParameterError
 from netsafety.geo import TangentPlane
 from netsafety.network_metrics import ClusterConfig, compute_interval_metrics
 from netsafety.stats import pearson
 from netsafety.synth import (
+    PlantResult,
     ScenarioSpec,
     crash_records_csv,
     generate_crash_counts,
@@ -15,6 +22,8 @@ from netsafety.synth import (
     identity_keypoints_json,
 )
 from netsafety.trajectories import parse_trajectories, prepare_tracks
+
+from oracles import crash_records_csv_oracle, generate_trajectories_oracle
 
 
 def small_spec(**kw):
@@ -201,3 +210,81 @@ class TestSpecSerialization:
     def test_unknown_field_rejected(self):
         with pytest.raises(Exception, match="unknown"):
             ScenarioSpec.from_json('{"bogus": 1}')
+
+
+def _ranges(lo, hi, or_zero=True):
+    """(lo, hi) pairs inside [lo, hi], and (0, 0) when ``or_zero``."""
+    pair = st.tuples(st.floats(lo, hi), st.floats(lo, hi)).map(lambda p: (min(p), max(p)))
+    return st.one_of(st.just((0.0, 0.0)), pair) if or_zero else pair
+
+
+@st.composite
+def small_specs(draw):
+    return ScenarioSpec(
+        seed=draw(st.integers(0, 2**16)),
+        fps=draw(st.sampled_from([1.0, 2.0, 4.0, 5.0])),
+        n_segments=draw(st.integers(1, 2)),
+        n_intervals=draw(st.integers(1, 3)),
+        interval_seconds=draw(st.floats(2.0, 12.0)),
+        lane_count=draw(st.integers(1, 3)),
+        segment_length_m=draw(st.floats(30.0, 300.0)),
+        flow_veh_per_min=draw(_ranges(10.0, 200.0, or_zero=False)),  # zero flow: EDGE_SPECS
+        speed_mean=draw(_ranges(1.0, 35.0, or_zero=False)),
+        speed_std=draw(_ranges(0.0, 4.0)),
+        speed_jitter=draw(_ranges(0.0, 2.0)),
+        truck_fraction=draw(_ranges(0.0, 1.0)),
+        overspeed_fraction=draw(_ranges(0.0, 1.0)),
+    )
+
+
+SYNTH_PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, phases=[Phase.explicit, Phase.generate])
+EDGE_SPECS = [
+    small_spec(n_intervals=2, speed_jitter=(0.0, 0.0)),
+    small_spec(n_intervals=2, flow_veh_per_min=(0.0, 0.0)),
+    small_spec(n_intervals=2, lane_count=1, flow_veh_per_min=(30.0, 40.0)),
+    # Over 999 vehicles in one interval: "...-1000" sorts before "...-999", as strings do.
+    small_spec(n_intervals=1, fps=1.0, interval_seconds=400.0, lane_count=3, segment_length_m=60.0,
+               flow_veh_per_min=(3000.0, 3000.0), speed_mean=(25.0, 25.0)),
+]
+
+
+class TestAgainstScalarDrawOracle:
+    """The array-built bundle equals the scalar-draw, row-tuple generator byte for byte."""
+
+    @SYNTH_PROPERTY
+    @given(spec=small_specs())
+    @example(spec=EDGE_SPECS[0])
+    @example(spec=EDGE_SPECS[1])
+    @example(spec=EDGE_SPECS[2])
+    @example(spec=EDGE_SPECS[3])
+    def test_trajectories(self, spec):
+        assert generate_trajectories(spec) == generate_trajectories_oracle(spec)
+
+    @SYNTH_PROPERTY
+    @given(spec=small_specs(), counts=st.lists(st.integers(0, 6), min_size=6, max_size=6))
+    @example(spec=EDGE_SPECS[0], counts=[0] * 6)
+    def test_crash_records(self, spec, counts):
+        keys = [(sid, slot) for sid in spec.segment_ids() for slot in range(spec.n_intervals)]  # at most 6
+        plant = PlantResult(dict(zip(keys, counts)), {}, None, {})
+        args = (plant, spec.segment_configs(), spec.slot_minutes, TangentPlane(spec.anchor_lat, spec.anchor_lon))
+        assert crash_records_csv(*args, seed=spec.seed) == crash_records_csv_oracle(*args, seed=spec.seed)
+
+
+# sha256 of every file ``netsafety synth`` writes for tests/golden/spec.json, pinned when the
+# simulation drew one scalar normal per vehicle and the crashes drew scalar by scalar.
+GOLDEN_SPEC_DIGESTS = {
+    "config.json": "312984fb9da51b89ab701784404479ba49b8b5129a39e197a6272f21371ba21a",
+    "crashes.csv": "e91e28ef6b613af656f8a9fc4a4c09ba3a1015ab696a118acf30253a73be4168",
+    "keypoints.json": "8b9703ee870d8f51f3f5e95a4b926471c19eeebdce3e4ce87676345c3e671984",
+    "plant.json": "be2ae8ee33ba091f2f6bd2475ed5be0715a672b72d93243ee4692c48357fbb7d",
+    "scenario.json": "ce57a95a35d5a421eed4e0316a98be0fa12969cb8e180cf3d2bc758518d4b4b0",
+    "trajectories_S1.csv": "8b60b66465368c0718ec0b8db0893f1781c2cd0bfb1939197d6ebe18ccdbef17",
+    "trajectories_S2.csv": "a9581a6b2c19d65fae2422c6ab483efe97e2a38828da8aea989294ef9b2d0a97",
+}
+
+
+def test_synth_bundle_bytes_are_pinned(tmp_path):
+    spec = Path(__file__).resolve().parent / "golden" / "spec.json"
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == GOLDEN_SPEC_DIGESTS
