@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .crashes import CRASH_FAMILIES, CrashBinning
+from .crashes import CRASH_FAMILIES, SLOT_MINUTES, CrashBinning
 from .errors import DataError, ParameterError
 from .network_metrics import IntervalMetrics, metric_value
 from .stats import (
@@ -52,8 +52,10 @@ class AnalysisConfig:
     exclude_slots: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if self.slot_minutes not in (10, 15, 20, 30, 60):
-            raise ParameterError(f"slot_minutes must be one of 10/15/20/30/60, got {self.slot_minutes}")
+        if self.slot_minutes not in SLOT_MINUTES:
+            raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {self.slot_minutes}")
+        if self.cv_folds < 2:
+            raise ParameterError(f"cv_folds must be at least 2, got {self.cv_folds}")
         bad = [m for m in self.methods if m not in CORRELATION_METHODS]
         if bad:
             raise ParameterError(f"unknown correlation methods: {bad}")
@@ -123,33 +125,42 @@ def build_dataset(
     )
 
 
+def segment_datasets(d: Dataset, segment_ids: Sequence[str]) -> dict[str, Dataset]:
+    """Each segment's rows of a family's join, in join order: what ``build_dataset`` gives on its rows alone.
+
+    A segment without a joined row raises DataError naming it.
+    """
+    out = {}
+    for sid in segment_ids:
+        rows = [i for i, (s, _) in enumerate(d.row_keys) if s == sid]
+        if not rows:
+            raise DataError(f"segment {sid!r} has no joined rows")
+        out[sid] = d.subset_rows(rows)
+    return out
+
+
+def _correlation_or_none(fn, x: np.ndarray, y: np.ndarray) -> float | None:
+    """``fn`` over the rows where ``x`` is defined; None for fewer than 2 rows, a constant column or response."""
+    defined = ~np.isnan(x)
+    x, y = x[defined], y[defined]
+    if x.size < 2 or np.all(x == x[0]) or np.all(y == y[0]):
+        return None
+    try:
+        return fn(x, y)
+    except DataError:
+        return None
+
+
 def per_metric_correlations(d: Dataset, methods: Sequence[str]) -> dict[str, dict[str, float | None]]:
     """Correlation of each predictor (and each baseline) with the response.
 
     Returns {method: {column: r or None}}; None marks columns that are
     constant or (for baselines) have no defined values.
     """
-    out: dict[str, dict[str, float | None]] = {}
-    columns: list[tuple[str, np.ndarray]] = [
-        (name, d.x[:, j]) for j, name in enumerate(d.predictor_names)
-    ]
-    for name in BASELINE_COLUMNS:
-        if name in d.extras:
-            columns.append((name, d.extras[name]))
-    for method in methods:
-        fn = CORRELATION_METHODS[method]
-        row: dict[str, float | None] = {}
-        for name, col in columns:
-            mask = ~np.isnan(col)
-            if mask.sum() < 2 or np.all(col[mask] == col[mask][0]) or np.all(d.y[mask] == d.y[mask][0]):
-                row[name] = None
-                continue
-            try:
-                row[name] = fn(col[mask], d.y[mask])
-            except DataError:
-                row[name] = None
-        out[method] = row
-    return out
+    columns = [(name, d.x[:, j]) for j, name in enumerate(d.predictor_names)]
+    columns += [(name, d.extras[name]) for name in BASELINE_COLUMNS if name in d.extras]
+    return {method: {name: _correlation_or_none(CORRELATION_METHODS[method], col, d.y) for name, col in columns}
+            for method in methods}
 
 
 def full_model_analysis(d: Dataset, cfg: AnalysisConfig) -> dict[str, RegressionReport]:
@@ -183,12 +194,6 @@ class CombinationRow:
     mean_abs_segment_r: dict[str, float | None]
 
 
-def _abs_pearson_or_none(x: np.ndarray, y: np.ndarray) -> float | None:
-    if x.size < 2 or np.all(x == x[0]) or np.all(y == y[0]):
-        return None
-    return abs(pearson(x, y))
-
-
 def cross_segment_analysis(
     per_segment: Mapping[str, Dataset],
 ) -> tuple[list[HoldoutRow], list[CombinationRow]]:
@@ -205,9 +210,8 @@ def cross_segment_analysis(
     if len(seg_ids) < 2:
         raise ParameterError("cross-segment analysis needs at least 2 segments")
     names = per_segment[seg_ids[0]].predictor_names
-    for sid in seg_ids:
-        if per_segment[sid].predictor_names != names:
-            raise ParameterError("all segments must share the same predictor columns")
+    if any(per_segment[sid].predictor_names != names for sid in seg_ids):
+        raise ParameterError("all segments must share the same predictor columns")
 
     holdout: list[HoldoutRow] = []
     for sid in seg_ids:
@@ -216,8 +220,7 @@ def cross_segment_analysis(
         train_y = np.concatenate([per_segment[s].y for s in seg_ids if s != sid])
         row = HoldoutRow(held_out=sid, n_test=test.n)
         try:
-            model = ols_fit(Dataset(train_x, train_y, list(names)))
-            yhat = predict(model, test.x)
+            yhat = predict(ols_fit(Dataset(train_x, train_y, list(names))), test.x)
             row.r2 = r2_score(test.y, yhat)
             p = len(names) + 1
             row.adj_r2 = adjusted_r2(row.r2, test.n, p) if test.n > p else None
@@ -226,10 +229,11 @@ def cross_segment_analysis(
             row.unevaluable = True
         holdout.append(row)
 
-    seg_r = np.array(
-        [[_abs_pearson_or_none(per_segment[s].x[:, j], per_segment[s].y) for j in range(len(names))] for s in seg_ids],
+    seg_r = np.abs(np.array(
+        [[_correlation_or_none(pearson, per_segment[s].x[:, j], per_segment[s].y) for j in range(len(names))]
+         for s in seg_ids],
         dtype=float,
-    )  # (segments, M), nan where undefined
+    ))  # (segments, M), nan where undefined
     # Per-segment count, means, centred sums of squares and cross-products with y
     # (y is column M), min and max. A subset pools them by the pairwise update of
     # Chan, Golub & LeVeque (1983); its column is constant iff pooled min == max.
@@ -295,45 +299,43 @@ class AssociationReport:
     cross_segment: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        config = {f.name: getattr(self.config, f.name) for f in fields(self.config) if f.name != "exclude_slots"}
         return {
-            "config": {
-                "slot_minutes": self.config.slot_minutes,
-                "families": list(self.config.families),
-                "methods": list(self.config.methods),
-                "cv_folds": self.config.cv_folds,
-                "seed": self.config.seed,
-                "predictors": list(self.config.predictors),
-            },
+            "config": {k: list(v) if isinstance(v, tuple) else v for k, v in config.items()},
             "n_intervals": self.n_intervals,
             "families": self.families,
             "cross_segment": self.cross_segment,
         }
 
 
-def run_association(
-    metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: AnalysisConfig
-) -> AssociationReport:
-    """Run every configured analysis for every crash family.
-
-    Family analyses that cannot run (empty join, constant response, ...)
-    are marked ``insufficient_data`` with the reason instead of failing the
-    whole report.
-    """
-    report = AssociationReport(config=cfg, n_intervals=len(metrics))
-    segment_ids = sorted({m.segment_id for m in metrics})
+def _joined_families(
+    metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: AnalysisConfig, report: AssociationReport
+) -> Iterator[tuple[str, Dataset]]:
+    """Each configured family with its one join; a family whose join fails is marked in ``report`` instead."""
     for family in cfg.families:
-        entry: dict = {}
         try:
             d = build_dataset(metrics, binning, family, cfg.predictors, cfg.exclude_slots)
         except DataError as exc:
             report.families[family] = {"insufficient_data": str(exc)}
-            continue
-        entry["n_rows"] = d.n
-        entry["dropped"] = dict(d.dropped)
-        entry["correlations"] = per_metric_correlations(d, cfg.methods)
+        else:
+            yield family, d
+
+
+def run_association(
+    metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: AnalysisConfig
+) -> AssociationReport:
+    """Run every configured analysis for every crash family, on one join per family.
+
+    Family analyses that cannot run (empty join, constant response, fewer
+    rows than CV folds, ...) are marked ``insufficient_data`` with the reason
+    instead of failing the whole report.
+    """
+    report = AssociationReport(config=cfg, n_intervals=len(metrics))
+    segment_ids = sorted({m.segment_id for m in metrics})
+    for family, d in _joined_families(metrics, binning, cfg, report):
+        entry = {"n_rows": d.n, "dropped": dict(d.dropped), "correlations": per_metric_correlations(d, cfg.methods)}
         try:
-            models = full_model_analysis(d, cfg)
-            entry["full_model"] = {kind: rep.to_dict() for kind, rep in models.items()}
+            entry["full_model"] = {kind: rep.to_dict() for kind, rep in full_model_analysis(d, cfg).items()}
         except DataError as exc:
             entry["full_model"] = {"insufficient_data": str(exc)}
         entry["shapley"] = _shapley_entry(d)
@@ -341,16 +343,9 @@ def run_association(
 
         if len(segment_ids) >= 2:
             try:
-                per_segment = {
-                    sid: build_dataset([m for m in metrics if m.segment_id == sid], binning, family,
-                                       cfg.predictors, cfg.exclude_slots)
-                    for sid in segment_ids
-                }
-                holdout, combos = cross_segment_analysis(per_segment)
-                report.cross_segment[family] = {
-                    "holdout": [vars(h) for h in holdout],
-                    "combinations": [vars(c) for c in combos],
-                }
+                holdout, combos = cross_segment_analysis(segment_datasets(d, segment_ids))
+                report.cross_segment[family] = {"holdout": [vars(h) for h in holdout],
+                                                "combinations": [vars(c) for c in combos]}
             except (DataError, ParameterError) as exc:
                 report.cross_segment[family] = {"insufficient_data": str(exc)}
     return report
@@ -359,12 +354,7 @@ def run_association(
 def run_shapley(metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: AnalysisConfig) -> AssociationReport:
     """Only the per-family Shapley entries of ``run_association``, for ``shapley_table_csv``."""
     report = AssociationReport(config=cfg, n_intervals=len(metrics))
-    for family in cfg.families:
-        try:
-            d = build_dataset(metrics, binning, family, cfg.predictors, cfg.exclude_slots)
-        except DataError as exc:
-            report.families[family] = {"insufficient_data": str(exc)}
-            continue
+    for family, d in _joined_families(metrics, binning, cfg, report):
         report.families[family] = {"shapley": _shapley_entry(d)}
     return report
 
@@ -374,35 +364,37 @@ def run_shapley(metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: 
 # ---------------------------------------------------------------------------
 
 
+def _sections_run(report: AssociationReport, key: str) -> Iterator[tuple[str, dict]]:
+    """(family, section) for each configured family whose ``key`` section is present and not ``insufficient_data``.
+
+    ``key`` names a part of a family's entry, or is "cross_segment".
+    """
+    for family in report.config.families:
+        entry = report.cross_segment if key == "cross_segment" else report.families.get(family, {})
+        section = entry.get(family if key == "cross_segment" else key)
+        if section and "insufficient_data" not in section:
+            yield family, section
+
+
 def correlations_table_csv(report: AssociationReport) -> str:
     columns = list(report.config.predictors) + list(BASELINE_COLUMNS)
     rows = [
         [method, family] + [corr.get(method, {}).get(c) for c in columns]
-        for family in report.config.families
-        if (corr := report.families.get(family, {}).get("correlations"))
+        for family, corr in _sections_run(report, "correlations")
         for method in report.config.methods
     ]
     return csv_text(["method", "family"] + columns, zip(*rows))
 
 
 def full_model_table_csv(report: AssociationReport) -> str:
-    rows = []
-    for family in report.config.families:
-        models = report.families.get(family, {}).get("full_model")
-        if not models or "insufficient_data" in models:
-            continue
-        linear, poisson = models["linear"], models["poisson"]
-        rows.append([family, linear["f_pvalue"], linear["r2"], linear["adj_r2"], linear["n_mse"], poisson["n_mse"]])
+    rows = [[family, *(m["linear"][k] for k in ("f_pvalue", "r2", "adj_r2", "n_mse")), m["poisson"]["n_mse"]]
+            for family, m in _sections_run(report, "full_model")]
     return csv_text(["family", "f_pvalue", "r2", "adj_r2", "n_mse_linear", "n_mse_poisson"], zip(*rows))
 
 
 def shapley_table_csv(report: AssociationReport) -> str:
-    rows = []
-    for family in report.config.families:
-        shap = report.families.get(family, {}).get("shapley")
-        if not shap or "insufficient_data" in shap:
-            continue
-        rows.append([family] + [shap["phi"].get(p) for p in report.config.predictors])
+    rows = [[family] + [shap["phi"].get(p) for p in report.config.predictors]
+            for family, shap in _sections_run(report, "shapley")]
     return csv_text(["family"] + list(report.config.predictors), zip(*rows))
 
 
@@ -410,10 +402,7 @@ def cross_segment_tables_csv(report: AssociationReport) -> tuple[str, str]:
     """Returns (combinations_csv, holdout_csv)."""
     predictors = list(report.config.predictors)
     combos, holdout = [], []
-    for family in report.config.families:
-        cs = report.cross_segment.get(family)
-        if not cs or "insufficient_data" in cs:
-            continue
+    for family, cs in _sections_run(report, "cross_segment"):
         for combo in cs["combinations"]:
             for agg_key, label in (("mean_abs_pooled_r", "pooled"), ("mean_abs_segment_r", "segment_mean")):
                 combos.append([family, combo["size"], combo["n_combinations"], label]

@@ -186,6 +186,8 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
         for key in ("families", "methods", "predictors"):
             if key in analysis_obj:
                 analysis_obj[key] = tuple(analysis_obj[key])
+        for key in ("slot_minutes", "cv_folds", "seed"):
+            _integer(analysis_obj.get(key, 0), key)
     analysis = _section(AnalysisConfig, analysis_obj, "analysis")
 
     intervals = None

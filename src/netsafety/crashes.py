@@ -33,6 +33,7 @@ class CrashType(str, Enum):
 
 
 CRASH_FAMILIES = ("AllType", "RearEnd", "Sideswipe")
+SLOT_MINUTES = (10, 15, 20, 30, 60)  # the slot lengths a run config or a synth spec may use
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,7 @@ def bin_crashes(
         if seg.bbox is None:
             raise ParameterError(f"segment {seg.segment_id!r} has no bbox for crash matching")
     slots_per_day = 24 * 60 // slot_minutes
+    records = list(records)
 
     if year_range is not None:
         y0, y1 = year_range
@@ -151,13 +153,9 @@ def bin_crashes(
         for slot in range(slots_per_day)
     }
     assigned = dropped = multi = 0
-    for rec in records:
-        x, y = plane.to_xy(rec.lat, rec.lon)
-        matches = [
-            seg.segment_id
-            for seg in segments
-            if seg.bbox[0] <= x <= seg.bbox[2] and seg.bbox[1] <= y <= seg.bbox[3]
-        ]
+    xs, ys = plane.to_xy(np.array([r.lat for r in records]), np.array([r.lon for r in records]))
+    for rec, x, y in zip(records, xs.tolist(), ys.tolist()):
+        matches = [s.segment_id for s in segments if s.bbox[0] <= x <= s.bbox[2] and s.bbox[1] <= y <= s.bbox[3]]
         if not matches:
             dropped += 1
             continue

@@ -2,7 +2,8 @@
 
 An equirectangular approximation anchored at a reference latitude/longitude.
 Adequate for the sub-kilometer road segments this toolkit works on; expect
-centimeter-level distortion at 1 km from the anchor.
+centimeter-level distortion at 1 km from the anchor. Both directions map
+floats or numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import math
 from dataclasses import dataclass
 
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius
+# The factors math.radians/math.degrees (and numpy's) multiply by, so that floats
+# and arrays map alike, to the same bits.
+DEG_TO_RAD = math.pi / 180.0
+RAD_TO_DEG = 180.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -20,12 +25,12 @@ class TangentPlane:
     lat0: float
     lon0: float
 
-    def to_xy(self, lat: float, lon: float) -> tuple[float, float]:
-        x = math.radians(lon - self.lon0) * EARTH_RADIUS_M * math.cos(math.radians(self.lat0))
-        y = math.radians(lat - self.lat0) * EARTH_RADIUS_M
+    def to_xy(self, lat, lon):
+        x = (lon - self.lon0) * DEG_TO_RAD * EARTH_RADIUS_M * math.cos(math.radians(self.lat0))
+        y = (lat - self.lat0) * DEG_TO_RAD * EARTH_RADIUS_M
         return x, y
 
-    def to_latlon(self, x: float, y: float) -> tuple[float, float]:
-        lat = self.lat0 + math.degrees(y / EARTH_RADIUS_M)
-        lon = self.lon0 + math.degrees(x / (EARTH_RADIUS_M * math.cos(math.radians(self.lat0))))
+    def to_latlon(self, x, y):
+        lat = self.lat0 + y / EARTH_RADIUS_M * RAD_TO_DEG
+        lon = self.lon0 + x / (EARTH_RADIUS_M * math.cos(math.radians(self.lat0))) * RAD_TO_DEG
         return lat, lon

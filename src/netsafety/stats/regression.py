@@ -259,12 +259,15 @@ def kfold_cv(d: Dataset, k: int, seed: int, model_kind: str = "linear") -> Regre
 
     The returned beta and (for linear models) F statistics come from the
     full-data fit; r2/adj_r2/n_mse are held-out averages. Folds whose
-    held-out response is constant are skipped with a warning.
+    held-out response is constant are skipped with a warning. Fewer rows
+    than folds is a DataError: the data, not the call, is short.
     """
     if model_kind not in ("linear", "poisson"):
         raise ParameterError(f"model_kind must be 'linear' or 'poisson', got {model_kind!r}")
-    if not 2 <= k <= d.n:
-        raise ParameterError(f"need 2 <= k <= n folds, got k={k}, n={d.n}")
+    if k < 2:
+        raise ParameterError(f"need k >= 2 folds, got k={k}")
+    if k > d.n:
+        raise DataError(f"{d.n} rows cannot fill {k} cross-validation folds")
     fit = ols_fit if model_kind == "linear" else poisson_fit
     full = fit(d)
     rng = np.random.default_rng(seed)

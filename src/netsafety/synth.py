@@ -22,6 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import IntervalGrid
+from .crashes import SLOT_MINUTES
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
 from .network_metrics import IntervalMetrics, SegmentConfig, metric_value
@@ -68,6 +69,8 @@ class ScenarioSpec:
             raise ParameterError("fps and interval_seconds must be positive")
         if self.noise_kind not in ("poisson", "gaussian"):
             raise ParameterError(f"noise_kind must be 'poisson' or 'gaussian', got {self.noise_kind!r}")
+        if self.slot_minutes not in SLOT_MINUTES:
+            raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {self.slot_minutes}")
         slots_per_day = 24 * 60 // self.slot_minutes
         if self.n_intervals > slots_per_day:
             raise ParameterError(
@@ -351,7 +354,7 @@ def crash_records_csv(
     cdf = np.cumsum([p for _, p in TYPE_MIX])
     crash_type = CodedColumn([name for name, _ in TYPE_MIX], np.searchsorted(cdf / cdf[-1], u[:, 3], side="right"))
     stamps = [(BASE_DATE + timedelta(minutes=m)).isoformat() for m in minute_of_day.tolist()]
-    lat, lon = np.array([plane.to_latlon(*xy) for xy in zip(x.tolist(), y.tolist())]).reshape(-1, 2).T
+    lat, lon = plane.to_latlon(x, y)
     return csv_text(["timestamp", "lat", "lon", "type"], [stamps, lat, lon, crash_type])
 
 

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as hst
 from scipy import stats as st
 
 from netsafety import association
@@ -404,3 +406,67 @@ class TestReportAssembly:
         binning = make_binning({("S1", 99): 1})  # no overlap
         report = run_association(rows, binning, AnalysisConfig(seed=0, families=("AllType",)))
         assert "insufficient_data" in report.families["AllType"]
+
+    def test_segment_without_joined_rows_marks_cross_segment(self):
+        rng = np.random.default_rng(20)
+        rows = make_rows("S1", 30, rng) + make_rows("S2", 30, rng) + make_rows("S3", 30, rng)
+        binning = _mk(plant_counts([m for m in rows if m.segment_id != "S2"], {"ntc": 30.0}, rng=rng, sigma=0.1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_association(rows, binning, AnalysisConfig(seed=0, families=("AllType",)))
+        assert report.families["AllType"]["n_rows"] == 60
+        assert report.cross_segment["AllType"] == {"insufficient_data": "segment 'S2' has no joined rows"}
+
+    def test_config_serializes_every_field_but_the_exclusions(self):
+        cfg = AnalysisConfig(slot_minutes=15, cv_folds=4, seed=3, exclude_slots=(("S1", 2),))
+        assert run_association([], make_binning({}), cfg).to_dict()["config"] == {
+            "slot_minutes": 15, "families": list(cfg.families), "methods": list(cfg.methods), "cv_folds": 4,
+            "seed": 3, "predictors": list(cfg.predictors),
+        }
+
+
+def _metric_rows(draw, segment_ids):
+    """Metric rows on the given segments, interleaved, on slots 0-7, some with an absent predictor."""
+    value = hst.floats(0.0, 4.0)
+    rows = []
+    for _ in range(draw(hst.integers(1, 24))):
+        sid, slot = draw(hst.sampled_from(segment_ids)), draw(hst.integers(0, 7))
+        rows.append(IntervalMetrics(
+            segment_id=sid, t_start=slot * 600.0 + draw(hst.sampled_from([0.0, 25.0])), t_end=slot * 600.0 + 50.0,
+            ttc_cv=draw(hst.none() | value), ivvr=draw(value), ovvr=draw(value), osr={1.0: draw(value)},
+            tci=draw(value), ntc=draw(value), n_vehicles=draw(hst.integers(0, 9)), e_ttc=draw(hst.none() | value),
+        ))
+    return rows
+
+
+# No shrink phase: shrinking a failing example of these many draws took minutes.
+@settings(derandomize=True, deadline=None, max_examples=80, phases=[Phase.explicit, Phase.generate])
+@given(data=hst.data())
+def test_each_segment_of_the_family_join_is_that_segments_own_join(data):
+    segment_ids = [f"S{k}" for k in range(data.draw(hst.integers(2, 4)))]
+    rows = _metric_rows(data.draw, segment_ids)
+    binned = data.draw(hst.lists(hst.sampled_from(segment_ids), min_size=1, unique=True))  # the rest are not binned
+    cells = {(sid, slot): data.draw(hst.integers(0, 5))
+             for sid in binned for slot in range(8) if data.draw(hst.integers(0, 3))}  # a quarter of slots unbinned
+    binning = make_binning(cells)
+    excluded = data.draw(hst.lists(hst.tuples(hst.sampled_from(segment_ids), hst.integers(0, 7)), max_size=4))
+    join = lambda metrics: build_dataset(metrics, binning, "RearEnd", PREDICTORS, excluded)  # noqa: E731
+    try:
+        d = join(rows)
+    except DataError:
+        d = None
+    for sid in segment_ids:
+        try:
+            own = join([m for m in rows if m.segment_id == sid])
+        except DataError:
+            own = None
+        if own is None:
+            if d is not None:
+                with pytest.raises(DataError, match=f"^segment '{sid}' has no joined rows$"):
+                    association.segment_datasets(d, [sid])
+            continue
+        part = association.segment_datasets(d, [sid])[sid]
+        assert part.row_keys == own.row_keys
+        assert part.predictor_names == own.predictor_names
+        for a, b in ((part.x, own.x), (part.y, own.y)):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

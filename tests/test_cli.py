@@ -70,6 +70,17 @@ class TestSynthCommand:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err and "error" in err
 
+    def test_slot_length_the_config_refuses_exits_2(self, tmp_path, capsys):
+        # A 7-minute slot used to give a bundle (exit 0) whose config.json every other command refused.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_segments": 2, "n_intervals": 6, "interval_seconds": 20.0, "slot_minutes": 7}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "ParameterError", "slot_minutes must be one of (10, 15, 20, 30, 60), got 7"
+        )
+        assert not (tmp_path / "o").exists()
+
 
 class TestProjectCommand:
     def test_identity_projection_round_trip(self, tmp_path):
@@ -620,11 +631,14 @@ class TestConfigValidation:
         ("prep", "sg_order", False),
         ("segments", "lane_count", 2.5),
         ("segments", "lane_count", True),
+        ("analysis", "cv_folds", 2.5),
+        ("analysis", "seed", 1.5),
+        ("analysis", "slot_minutes", 10.0),
     ], ids=["count", "count_float", "count_bool", "max_gap_frames", "sg_window", "sg_order_bool", "lane_count",
-            "lane_count_bool"])
+            "lane_count_bool", "cv_folds", "analysis_seed", "slot_minutes"])
     def test_non_integer_value_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch, section, field, value):
         # Before the check "count": 2.5 and "sg_window": 5.0 crashed with a traceback (TypeError, IndexError),
-        # and "lane_count": 2.5 ran as 2.
+        # and "lane_count": 2.5 ran as 2; so did `associate` on "cv_folds": 2.5 or an analysis "seed": 1.5.
         monkeypatch.setattr("netsafety.cli._prepare_segment_tracks", None)  # never reached
         if section == "segments":
             config = write_hand_config(tmp_path, {field: value})
@@ -682,6 +696,45 @@ class TestAssociateCommand:
         assert main(["associate", "--config", str(config), "--format", "json"]) == 0
         assert not (out / "correlations.csv").exists()
         assert (out / "association_report.json").exists()
+
+    def test_more_folds_than_joined_rows_marks_the_full_model_insufficient(self, tmp_path):
+        # 11 joined rows against 30 folds used to exit 2 with a ParameterError and no report.
+        out = run_bundle(tmp_path)
+        config = out / "config.json"
+        obj = json.loads(config.read_text())
+        obj["analysis"]["cv_folds"] = 30
+        config.write_text(json.dumps(obj))
+        assert main(["metrics", "--config", str(config)]) == 0
+        assert main(["associate", "--config", str(config)]) == 0
+        report = json.loads((out / "association_report.json").read_text())
+        assert report["config"]["cv_folds"] == 30
+        for entry in report["families"].values():
+            assert entry["n_rows"] == 11
+            assert entry["full_model"] == {"insufficient_data": "11 rows cannot fill 30 cross-validation folds"}
+            assert "phi" in entry["shapley"]
+        assert (out / "full_model.csv").read_text() == "family,f_pvalue,r2,adj_r2,n_mse_linear,n_mse_poisson\n"
+
+    def test_fewer_than_two_folds_exits_2_at_load(self, tmp_path, capsys):
+        assert main(["associate", "--config", str(write_hand_config(tmp_path, analysis={"cv_folds": 1}))]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ParameterError", "cv_folds must be at least 2, got 1")
+
+    def test_each_family_is_joined_once(self, tmp_path, monkeypatch):
+        # Cross-segment analysis used to join every family again per segment: 3 x (1 + 2) joins here.
+        out = run_bundle(tmp_path)
+        config = str(out / "config.json")
+        assert main(["metrics", "--config", config]) == 0
+        joined, build_dataset = [], association.build_dataset
+
+        def counting_build_dataset(metrics, binning, family, *args):
+            joined.append((len(metrics), family))
+            return build_dataset(metrics, binning, family, *args)
+
+        monkeypatch.setattr(association, "build_dataset", counting_build_dataset)
+        assert main(["associate", "--config", config]) == 0
+        assert joined == [(12, "AllType"), (12, "RearEnd"), (12, "Sideswipe")]
+        report = json.loads((out / "association_report.json").read_text())
+        assert all("holdout" in report["cross_segment"][family] for family in ("AllType", "RearEnd", "Sideswipe"))
 
     def test_shapley_command_writes_table(self, tmp_path):
         out = run_bundle(tmp_path)

@@ -107,6 +107,13 @@ class TestBinning:
         binning = bin_crashes(parse_crashes(text), [segment()], 60, PLANE, year_range=(2015, 2019))
         assert binning.years_covered == 5
 
+    def test_one_shot_iterable_without_year_range(self):
+        # Counting the distinct years used to exhaust the iterator, so the loop assigned nothing.
+        records = parse_crashes("timestamp,lat,lon,type\n" + crash_row(50, 5) + "\n")
+        binning = bin_crashes(iter(records), [segment()], 60, PLANE)
+        assert (binning.n_assigned, binning.years_covered) == (1, 1)
+        assert binning.counts[("S1", 12)].counts["AllType"] == 1
+
     def test_bad_slot_minutes(self):
         with pytest.raises(ParameterError):
             bin_crashes([], [segment()], 45, PLANE)

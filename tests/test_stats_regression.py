@@ -180,6 +180,11 @@ class TestKfold:
         with pytest.raises(ParameterError):
             kfold_cv(dataset(np.arange(5.0), np.arange(5.0) + 0.5), k=1, seed=0)
 
+    def test_more_folds_than_rows_is_a_data_error(self):
+        # Short data, not a bad call: callers that mark short data insufficient_data catch DataError.
+        with pytest.raises(DataError, match="^5 rows cannot fill 6 cross-validation folds$"):
+            kfold_cv(dataset(np.arange(5.0), np.arange(5.0) + 0.5), k=6, seed=0)
+
 
 class TestPredictAndScore:
     def test_r2_score_can_be_negative(self):
