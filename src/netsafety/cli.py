@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import functools
 import json
 import sys
 from pathlib import Path
@@ -168,22 +169,17 @@ def cmd_project(args) -> int:
         raise NetSafetyError("config has no paths.keypoints entry")
     pairs = load_keypoints(_read(cfg.keypoints_path), cfg.tangent_plane())
     h = fit_homography(pairs)
-    trajs = trajectories.parse_trajectories(_read(Path(args.infile)), cfg.fps)
-    boxes = np.concatenate([t.boxes for t in trajs]) if trajs else np.empty((0, 4))
+    frames, vids, boxes = trajectories.trajectory_columns(
+        trajectories.parse_trajectories(_read(Path(args.infile)), cfg.fps))  # freed before the corners are mapped
     # Every corner (x1, y1), (x1, y2), (x2, y1), (x2, y2) of every box in one call.
     world = apply_homography(h, boxes[:, [0, 1, 0, 3, 2, 1, 2, 3]].reshape(-1, 2)).reshape(-1, 4, 2)
     lo = hi = world[:, 0]
     for j in (1, 2, 3):  # (x, y) min()/max() over the corners, keeping the element the builtins keep
         lo = np.where(world[:, j] < lo, world[:, j], lo)
         hi = np.where(world[:, j] > hi, world[:, j], hi)
-    splits = np.cumsum([t.frames.size for t in trajs[:-1]], dtype=int)
-    projected = [
-        trajectories.Trajectory(t.vehicle_id, t.frames, world_boxes, t.fps)
-        for t, world_boxes in zip(trajs, np.split(np.hstack([lo, hi]), splits))
-    ]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(trajectories.serialize_trajectories(projected))
+    trajectories.write_csv(out, trajectories.TRAJECTORY_COLUMNS, [frames, vids, *lo.T, *hi.T])
     out.with_suffix(out.suffix + ".homography.json").write_text(h.to_json())
     return 0
 
@@ -221,7 +217,7 @@ def cmd_metrics(args) -> int:
         )
     out = Path(args.out) if args.out else (cfg.metrics_path or cfg.output_dir / "metrics.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(network_metrics.write_metrics_csv(rows, thresholds))
+    trajectories.write_csv(out, *network_metrics.metrics_table(rows, thresholds))
     return 0
 
 
@@ -253,7 +249,7 @@ def cmd_ssm(args) -> int:
     }
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(trajectories.csv_text(list(columns), columns.values()))
+    trajectories.write_csv(out, list(columns), columns.values())
     return 0
 
 
@@ -311,6 +307,7 @@ def cmd_shapley(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; main() is called once per step of a batch job
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="netsafety", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -319,44 +316,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="scenario spec JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("project", help="fit the keypoint homography and project trajectories")
     p.add_argument("--config", required=True)
     p.add_argument("--in", dest="infile", required=True, help="pixel-domain trajectory CSV")
     p.add_argument("--out", required=True, help="world-frame trajectory CSV")
-    p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("metrics", help="compute per-interval network metrics")
     p.add_argument("--config", required=True)
     p.add_argument("--in", dest="infile", default=None, help="trajectory CSV (single-segment runs)")
     p.add_argument("--out", default=None, help="metrics CSV (default from config)")
-    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("ssm", help="emit pairwise surrogate safety metrics")
     p.add_argument("--config", required=True)
     p.add_argument("--in", dest="infile", required=True, help="world-frame trajectory CSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ssm)
 
     p = sub.add_parser("associate", help="run the crash-association analyses")
     p.add_argument("--config", required=True)
     p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     p.add_argument("--seed", type=int, default=None, help="override the analysis seed")
-    p.set_defaults(func=cmd_associate)
 
     p = sub.add_parser("shapley", help="Shapley attribution table only")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None, help="override the analysis seed")
-    p.set_defaults(func=cmd_shapley)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a patched cmd_<name> runs
     except NetSafetyError as exc:
         return _fail(exc)
     finally:

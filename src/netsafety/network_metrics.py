@@ -696,10 +696,15 @@ def metric_value(m: IntervalMetrics, name: str):
     return getattr(m, name)
 
 
+def metrics_table(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[float]) -> tuple[list[str], list[list]]:
+    """The metrics CSV's header and columns, an absent value None."""
+    header = metrics_header(osr_thresholds)
+    return header, [[metric_value(r, name) for r in rows] for name in header]
+
+
 def write_metrics_csv(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[float]) -> str:
     """Serialize interval metrics; absent values become empty fields."""
-    header = metrics_header(osr_thresholds)
-    return csv_text(header, [[metric_value(r, name) for r in rows] for name in header])
+    return csv_text(*metrics_table(rows, osr_thresholds))
 
 
 def _number(cell: str, name: str, line: int, what: str | None = None, ok=math.isfinite) -> float:

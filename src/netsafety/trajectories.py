@@ -15,7 +15,7 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -25,6 +25,7 @@ TRAJECTORY_COLUMNS = ("frame", "vehicle_id", "x1", "y1", "x2", "y2")
 _CORNERS = TRAJECTORY_COLUMNS[2:]
 _TRAJECTORY_DTYPE = np.dtype([("frame", np.int64), ("vehicle_id", object), *((c, np.float64) for c in _CORNERS)])
 _INT64 = np.iinfo(np.int64)
+CSV_CHUNK_ROWS = 1024
 
 #: Default track-repair / smoothing parameters (30 fps assumptions).
 DEFAULT_MAX_GAP_FRAMES = 15
@@ -212,12 +213,16 @@ def _read_row_by_row(records: "CsvRecords") -> _Rows:
     return rows
 
 
+def trajectory_columns(trajs: Sequence[Trajectory]) -> tuple[np.ndarray, "CodedColumn", np.ndarray]:
+    """The frames, vehicle ids and (n, 4) boxes of every row, grouped by vehicle and ordered by frame."""
+    return (np.concatenate([t.frames for t in trajs] or [np.empty(0, dtype=np.int64)]),
+            CodedColumn([t.vehicle_id for t in trajs], np.arange(len(trajs)).repeat([t.frames.size for t in trajs])),
+            np.concatenate([t.boxes for t in trajs] or [np.empty((0, 4))]))
+
+
 def serialize_trajectories(trajectories: Iterable[Trajectory]) -> str:
     """Inverse of parse_trajectories; rows grouped by vehicle, ordered by frame."""
-    trajs = list(trajectories)
-    frames = np.concatenate([t.frames for t in trajs]) if trajs else np.empty(0, dtype=np.int64)
-    boxes = np.concatenate([t.boxes for t in trajs]) if trajs else np.empty((0, 4))
-    vids = CodedColumn([t.vehicle_id for t in trajs], np.repeat(np.arange(len(trajs)), [t.frames.size for t in trajs]))
+    frames, vids, boxes = trajectory_columns(list(trajectories))
     return csv_text(TRAJECTORY_COLUMNS, [frames, vids, *boxes.T])
 
 
@@ -242,8 +247,8 @@ class CsvRecords:
     """
 
     def __init__(self, text: str, required: Sequence[str], what: str):
-        self._text, self._stream = text, io.StringIO(text)
-        self._reader = csv.reader(self._stream)
+        self._text, self._stream = text, io.BytesIO(text.encode("utf-8", "surrogatepass"))  # StringIO takes 4 B/char
+        self._reader = csv.reader(map(partial(bytes.decode, encoding="utf-8", errors="surrogatepass"), self._stream))
         header = self._next()
         if header is None:
             raise SchemaError(f"{what} file is empty (header required)")
@@ -277,7 +282,7 @@ class CsvRecords:
         if self._width - 1 not in usecols:  # so that loadtxt refuses a row shorter than the header
             usecols.append(self._width - 1)
             dtype = np.dtype([*((name, dtype[name]) for name in names), ("_last_column", object)])
-        start = self._stream.tell()
+        start = self._stream.tell()  # a character offset too, the text being ASCII
         if not _NOT_BLANK.search(self._text, start):
             return np.empty(0, dtype)  # header only: loadtxt would warn "input contained no data"
         try:
@@ -313,6 +318,12 @@ class CodedColumn:
     labels: Sequence
     codes: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> "CodedColumn":
+        return CodedColumn(self.labels, self.codes[rows])
+
 
 _NOT_BLANK = re.compile(r"\S")
 _CSV_QUOTED = re.compile('[,"\n]')  # a cell holding one of these is quoted
@@ -320,8 +331,8 @@ _CSV_QUOTED = re.compile('[,"\n]')  # a cell holding one of these is quoted
 
 def _csv_cells(column) -> list[str]:
     """One column's cells: float arrays by repr (a masked cell empty), int arrays by str, else by format_cell."""
-    if isinstance(column, CodedColumn):
-        return list(map(_csv_cells(column.labels).__getitem__, column.codes.tolist()))
+    if isinstance(column, CodedColumn):  # its labels are cells already, as csv_chunks passes it
+        return list(map(column.labels.__getitem__, column.codes.tolist()))
     if isinstance(column, np.ma.MaskedArray) and column.dtype.kind == "f":
         return ["" if v is None else repr(v) for v in column.tolist()]
     if isinstance(column, np.ndarray) and column.dtype.kind == "f":
@@ -334,6 +345,16 @@ def _csv_cells(column) -> list[str]:
     return cells
 
 
+def csv_chunks(header: Sequence[str], columns: Iterable) -> Iterator[str]:
+    """The text of csv_text(header, columns): the header line, then CSV_CHUNK_ROWS rows at a time."""
+    columns = [CodedColumn(_csv_cells(c.labels), c.codes) if isinstance(c, CodedColumn) else c for c in columns]
+    if header:
+        yield ",".join(_csv_cells(header)) + "\n"
+    for lo in range(0, min(map(len, columns), default=0), CSV_CHUNK_ROWS):
+        chunk = zip(*(_csv_cells(column[lo : lo + CSV_CHUNK_ROWS]) for column in columns))  # cut at the shortest
+        yield "\n".join(map(",".join, chunk)) + "\n"
+
+
 def csv_text(header: Sequence[str], columns: Iterable) -> str:
     """The CSV text of a table given column by column, in the dialect of every file written.
 
@@ -343,10 +364,13 @@ def csv_text(header: Sequence[str], columns: Iterable) -> str:
     empty; a CodedColumn formats each label once. An empty header writes the data lines
     alone, for text built in chunks.
     """
-    lines = [",".join(row) for row in zip(*map(_csv_cells, columns))]
-    if header:
-        lines.insert(0, ",".join(_csv_cells(header)))
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(csv_chunks(header, columns))
+
+
+def write_csv(path, header: Sequence[str], columns: Iterable) -> None:
+    """Write csv_text(header, columns) to ``path`` as Path.write_text would, one chunk at a time."""
+    with open(path, "w") as out:
+        out.writelines(csv_chunks(header, columns))
 
 
 def fill_gaps(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP_FRAMES) -> tuple[Trajectory, list[tuple[int, int]]]:

@@ -232,6 +232,17 @@ class TestParseAgainstRowLoop:
         (traj,) = parse_trajectories(HEADER + "0,a,0,0,1,1\n9223372036854775807,a,1,0,2,1\n", 4.0)
         assert traj.frames.tolist() == [0, 2**63 - 1]
 
+    def test_clean_text_is_read_without_the_row_loop(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        code = np.arange(20_000) % 50
+        vids = trajectories.CodedColumn([f"v{i}" for i in range(49)] + ["a,b"], code)  # one id quoted
+        corners = rng.normal(0, 99, (4, 20_000))
+        text = csv_text(trajectories.TRAJECTORY_COLUMNS, [np.arange(20_000) // 50, vids, *corners])
+        want = _outcome(parse_trajectories_oracle, text)
+        monkeypatch.setattr(trajectories, "_read_row_by_row", lambda records: pytest.fail("read row by row"))
+        assert _outcome(parse_trajectories, text) == want
+        assert len(want) == 50
+
     @pytest.mark.parametrize("body", ["", "\n", "\n  \n", ",,,,,\n", "\t\n"])
     def test_header_only_reads_no_rows_without_warning(self, body):
         with warnings.catch_warnings():
@@ -276,6 +287,10 @@ class TestCsvText:
         assert csv_text(["id", "n"], [trajectories.CodedColumn(labels, codes), codes]) == want
         assert formatted == labels + ["id", "n"]
 
+    def test_coded_column_formats_each_label_once_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(trajectories, "CSV_CHUNK_ROWS", 3)  # the table's 8 rows span 3 chunks
+        self.test_coded_column_formats_each_label_once(monkeypatch)
+
     def test_empty_header_writes_data_lines_only(self):
         columns = [np.array([1, 2]), ["a", "b"]]
         assert csv_text([], columns) == "1,a\n2,b\n"
@@ -290,6 +305,26 @@ class TestCsvText:
         assert [t.vehicle_id for t in back] == [t.vehicle_id for t in trajs]
         for t1, t2 in zip(trajs, back):
             assert np.array_equal(t1.frames, t2.frames) and np.array_equal(t1.boxes, t2.boxes)
+
+
+class TestWriteCsv:
+    C = trajectories.CSV_CHUNK_ROWS
+
+    @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+    def test_file_bytes_equal_csv_text_at_chunk_boundaries(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        labels = ["plain", "a,b", 'say "hi"', "two\nlines", " leading"]
+        codes = rng.integers(0, len(labels), n)
+        floats = rng.normal(0, 1e3, n)
+        masked = np.ma.masked_array(rng.normal(size=n), mask=rng.random(n) < 0.3)
+        ints = rng.integers(-(10**12), 10**12, n)
+        generic = [None if i % 3 == 0 else i / 7 if i % 3 == 1 else f"g,{i}" for i in range(n)]
+        header = ["float", "masked", "int", "id", "generic"]
+        columns = [floats, masked, ints, trajectories.CodedColumn(labels, codes), generic]
+        trajectories.write_csv(tmp_path / "t.csv", header, columns)
+        # The oracle gets the masked cells as None.
+        want = csv_rows_oracle(header, zip(floats, masked.tolist(), ints, [labels[c] for c in codes], generic))
+        assert (tmp_path / "t.csv").read_bytes() == csv_text(header, columns).encode() == want.encode()
 
 
 class TestFillGaps:
