@@ -59,6 +59,8 @@ def _read(path: Path) -> str:
         return Path(path).read_text()
     except FileNotFoundError:
         raise NetSafetyError(f"input file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise NetSafetyError(f"input file is not {exc.encoding} text: {path} (byte {exc.start})") from None
 
 
 def _prepare_segment_tracks(cfg: RunConfig, segment, path: Path):

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
 from typing import Mapping, Sequence
 
@@ -37,6 +39,21 @@ SEGMENT_SPACING_M = 200.0
 MIN_SPAWN_GAP_M = 10.0
 BASE_DATE = datetime(2021, 6, 15)
 TYPE_MIX = (("REAR_END", 0.55), ("SIDESWIPE", 0.30), ("OTHER", 0.15))
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """A finite number of ``kind``; a bool is not a number."""
+    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+_FIELD_TYPES = {  # a ScenarioSpec field's annotation -> (its test, what the value must be)
+    "int": (lambda v: _is_number(v, numbers.Integral), "an integer"),
+    "float": (_is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[float, float]": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_number, v)),
+                            "a list of two numbers"),
+    "dict[str, float]": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())), "an object of numbers"),
+}
 
 
 @dataclass
@@ -65,24 +82,25 @@ class ScenarioSpec:
     target_r2: float = 0.6
 
     def __post_init__(self):
+        for f in fields(self):
+            (test, what), value = _FIELD_TYPES[f.type], getattr(self, f.name)
+            if not test(value):
+                raise SchemaError(f"scenario field {f.name!r} must be {what}, got {value!r}")
+            if f.type == "tuple[float, float]" and not 0 <= value[0] <= value[1]:
+                raise ParameterError(f"{f.name} must be a range 0 <= lo <= hi, got {value}")
+        for name, low in (("seed", 0), ("n_segments", 1)):
+            if getattr(self, name) < low:
+                raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.fps <= 0 or self.interval_seconds <= 0:
             raise ParameterError("fps and interval_seconds must be positive")
         if self.noise_kind not in ("poisson", "gaussian"):
             raise ParameterError(f"noise_kind must be 'poisson' or 'gaussian', got {self.noise_kind!r}")
         if self.slot_minutes not in SLOT_MINUTES:
             raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {self.slot_minutes}")
-        slots_per_day = 24 * 60 // self.slot_minutes
-        if self.n_intervals > slots_per_day:
-            raise ParameterError(
-                f"{self.n_intervals} intervals do not fit in one day of {self.slot_minutes}-min slots"
-            )
+        if self.n_intervals > 24 * 60 // self.slot_minutes:
+            raise ParameterError(f"{self.n_intervals} intervals do not fit in one day of {self.slot_minutes}-min slots")
         if self.interval_seconds > self.slot_minutes * 60:
             raise ParameterError("interval_seconds cannot exceed the slot length")
-        for name in ("flow_veh_per_min", "speed_mean", "speed_std", "speed_jitter",
-                     "truck_fraction", "overspeed_fraction"):
-            lo, hi = getattr(self, name)
-            if hi < lo:
-                raise ParameterError(f"{name} range is inverted: ({lo}, {hi})")
 
     @property
     def slot_seconds(self) -> float:
@@ -92,21 +110,13 @@ class ScenarioSpec:
         return [f"S{k + 1}" for k in range(self.n_segments)]
 
     def segment_configs(self) -> list[SegmentConfig]:
-        configs = []
-        for k, sid in enumerate(self.segment_ids()):
-            y0 = k * SEGMENT_SPACING_M
-            y1 = y0 + self.lane_count * LANE_WIDTH_M
-            configs.append(
-                SegmentConfig(
-                    segment_id=sid,
-                    lane_count=self.lane_count,
-                    length_m=self.segment_length_m,
-                    speed_limit=self.speed_limit,
-                    travel_axis=(1.0, 0.0),
-                    bbox=(-5.0, y0 - 5.0, self.segment_length_m + 5.0, y1 + 5.0),
-                )
-            )
-        return configs
+        return [
+            SegmentConfig(segment_id=sid, lane_count=self.lane_count, length_m=self.segment_length_m,
+                          speed_limit=self.speed_limit, travel_axis=(1.0, 0.0),
+                          bbox=(-5.0, k * SEGMENT_SPACING_M - 5.0, self.segment_length_m + 5.0,
+                                k * SEGMENT_SPACING_M + self.lane_count * LANE_WIDTH_M + 5.0))
+            for k, sid in enumerate(self.segment_ids())
+        ]
 
     def interval_grid(self) -> IntervalGrid:
         """One window of ``interval_seconds`` at the start of each slot; ``synth`` writes it into config.json."""
@@ -125,6 +135,8 @@ class ScenarioSpec:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"scenario spec is not valid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise SchemaError(f"scenario spec must be a JSON object, got {type(obj).__name__}")
         kwargs = {}
         for name, value in obj.items():
             if name not in cls.__dataclass_fields__:
@@ -133,98 +145,100 @@ class ScenarioSpec:
         return cls(**kwargs)
 
 
-@dataclass(slots=True)
-class _Vehicle:
-    code: int  # creation order within the interval; the row's index into the id list
-    lane: int
-    x: float
-    desired: float
-    length: float
-    jitter: float = 0.0
-
-
 def _interval_rng(spec: ScenarioSpec, segment_idx: int, interval_idx: int) -> np.random.Generator:
     return np.random.default_rng([spec.seed, 1, segment_idx, interval_idx])
 
 
-def _simulate_interval(spec: ScenarioSpec, segment_idx: int, interval_idx: int) -> tuple:
-    """One interval of one segment: its rows' frames, vehicle ids and (n, 4) corners, by (id, frame)."""
-    rng = _interval_rng(spec, segment_idx, interval_idx)
-    u = lambda rng_range: float(rng.uniform(*rng_range))  # noqa: E731
-    flow = u(spec.flow_veh_per_min)
-    v_mean = u(spec.speed_mean)
-    v_std = u(spec.speed_std)
-    jitter_std = u(spec.speed_jitter)
-    truck_frac = u(spec.truck_fraction)
-    overspeed_frac = u(spec.overspeed_fraction)
+def _simulate_segment(spec: ScenarioSpec, segment_idx: int) -> tuple:
+    """Every interval of one segment, advanced together one frame at a time.
 
-    n_frames = round(spec.interval_seconds * spec.fps)
-    dt = 1.0 / spec.fps
-    base_frame = round(interval_idx * spec.slot_seconds * spec.fps)
-    y_base = segment_idx * SEGMENT_SPACING_M
-    fleet: list[_Vehicle] = []
+    A queue is one lane of one interval, leader first; its slots hold each vehicle's x,
+    desired speed, jitter and number (creation order in the segment). Returns the vehicles'
+    ids, queues and lengths by number, and the rows (number, step, x) frame by frame.
+    """
+    n_intervals, n_lanes = spec.n_intervals, spec.lane_count
+    n_frames, dt = round(spec.interval_seconds * spec.fps), 1.0 / spec.fps
+    rngs = [_interval_rng(spec, segment_idx, i) for i in range(n_intervals)]
+    knobs = [[float(rng.uniform(*bounds)) for bounds in (spec.flow_veh_per_min, spec.speed_mean, spec.speed_std,
+              spec.speed_jitter, spec.truck_fraction, spec.overspeed_fraction)] for rng in rngs]
+    state = np.zeros((4, n_intervals * n_lanes, 8))  # x, desired, jitter, number by (queue, slot)
+    count = np.zeros(n_intervals * n_lanes, dtype=np.int64)
+    queue = np.arange(count.size)[:, None]
+    ids, queues, lengths, made = [], [], [], [0] * n_intervals
 
-    def new_vehicle(lane: int, x: float) -> _Vehicle:
+    def enter(i: int, lane: int, x: float) -> None:
+        """A vehicle of interval i at x, if it is MIN_SPAWN_GAP_M behind the lane's last one."""
+        nonlocal state
+        q, (rng, (_, v_mean, v_std, _, truck_frac, overspeed_frac)) = i * n_lanes + lane, (rngs[i], knobs[i])
+        slot = int(count[q])
+        if slot and state[0, q, slot - 1] - x < MIN_SPAWN_GAP_M:
+            return
         if rng.random() < overspeed_frac:
             desired = spec.speed_limit * (1.03 + 0.22 * rng.random())
         else:
-            desired = min(float(rng.normal(v_mean, v_std)) if v_std > 0 else v_mean,
-                          0.97 * spec.speed_limit)
+            desired = min(float(rng.normal(v_mean, v_std)) if v_std > 0 else v_mean, 0.97 * spec.speed_limit)
             desired = max(desired, 3.0)
-        length = TRUCK_LENGTH_M if rng.random() < truck_frac else CAR_LENGTH_M
-        fleet.append(_Vehicle(len(fleet), lane, x, desired, length))
-        return fleet[-1]
+        lengths.append(TRUCK_LENGTH_M if rng.random() < truck_frac else CAR_LENGTH_M)
+        made[i] += 1
+        ids.append(f"S{segment_idx + 1}-i{i:03d}-{made[i]:03d}")
+        queues.append(q)
+        if slot == state.shape[2]:
+            state = np.concatenate([state, np.zeros_like(state)], axis=2)
+        state[:, q, slot] = x, desired, 0.0, len(ids) - 1
+        count[q] = slot + 1
 
-    lanes: list[list[_Vehicle]] = [[] for _ in range(spec.lane_count)]  # leader first
-    # Seed the road at steady-state density so early frames are not empty.
-    per_lane_rate = flow / 60.0 / spec.lane_count
-    expected = per_lane_rate * spec.segment_length_m / max(v_mean, 1.0)
-    for lane in range(spec.lane_count):
-        k0 = int(rng.poisson(expected))
-        xs = np.sort(rng.uniform(0.0, spec.segment_length_m, size=k0))[::-1]
-        for x in xs:
-            if lanes[lane] and lanes[lane][-1].x - x < MIN_SPAWN_GAP_M:
-                continue
-            lanes[lane].append(new_vehicle(lane, float(x)))
-
-    # Pre-draw arrival counts per frame per lane (Poisson thinning).
-    arrivals = rng.poisson(per_lane_rate * dt, size=(n_frames, spec.lane_count))
-
-    row_frame, row_code, row_x = [], [], []
+    arrivals = []
+    for i, (rng, (flow, v_mean, *_)) in enumerate(zip(rngs, knobs)):
+        # Seed the road at steady-state density so early frames are not empty.
+        per_lane_rate = flow / 60.0 / n_lanes
+        expected = per_lane_rate * spec.segment_length_m / max(v_mean, 1.0)
+        for lane in range(n_lanes):
+            k0 = int(rng.poisson(expected))
+            for x in np.sort(rng.uniform(0.0, spec.segment_length_m, size=k0))[::-1].tolist():
+                enter(i, lane, x)
+        arrivals.append(rng.poisson(per_lane_rate * dt, size=(n_frames, n_lanes)))  # Poisson thinning
+    arrivals = np.reshape(arrivals, (n_intervals, n_frames, n_lanes)).transpose(1, 0, 2)
+    arrivals = arrivals.reshape(n_frames, count.size) > 0  # by frame, then queue
+    jittery = [kn[3] > 0 for kn in knobs]
+    drawn = np.repeat(np.array(jittery, dtype=bool), n_lanes)[:, None]
     ar = 1.0 - math.exp(-dt)  # AR(1) jitter decay toward ~1 s memory
-    kick = jitter_std * math.sqrt(2 * ar)
+    kick = np.repeat([kn[3] * math.sqrt(2 * ar) for kn in knobs], n_lanes)[:, None]
+    rows = []
     for step in range(n_frames):
-        frame = base_frame + step
-        for lane_idx, lane in enumerate(lanes):
-            for _ in range(int(arrivals[step, lane_idx])):
-                if not lane or lane[-1].x >= MIN_SPAWN_GAP_M:
-                    lane.append(new_vehicle(lane_idx, 0.0))
-            if jitter_std > 0:  # one normal per vehicle, leader first
-                for veh, z in zip(lane, rng.standard_normal(len(lane)).tolist()):
-                    veh.jitter += ar * (-veh.jitter) + kick * z
-            leader = None
-            for veh in lane:
-                speed = max(veh.desired + veh.jitter, 0.5)
-                if leader is not None and (leader.x - veh.x) / speed < HEADWAY_S:
-                    speed = min(speed, max(leader.desired + leader.jitter, 0.5))
-                veh.x += speed * dt
-                leader = veh
-            lanes[lane_idx] = lane = [v for v in lane if v.x <= spec.segment_length_m]
-            row_frame += [frame] * len(lane)
-            row_code += [v.code for v in lane]
-            row_x += [v.x for v in lane]
-
-    vids = [f"S{segment_idx + 1}-i{interval_idx:03d}-{k + 1:03d}" for k in range(len(fleet))]
-    rank = np.argsort(np.argsort(vids))  # each vehicle's place in id (string) order
-    codes = np.array(row_code, dtype=np.int64)
-    # Frames ascend within a vehicle, so a stable sort by id rank gives the (id, frame) order.
-    order = np.argsort(rank[codes], kind="stable")
-    codes = codes[order]
-    x = np.array(row_x)[order]
-    half = np.array([v.length for v in fleet])[codes] / 2.0
-    y_c = y_base + (np.array([v.lane for v in fleet], dtype=np.int64)[codes] + 0.5) * LANE_WIDTH_M
-    corners = np.column_stack([x - half, y_c - VEHICLE_WIDTH_M / 2.0, x + half, y_c + VEHICLE_WIDTH_M / 2.0])
-    return np.array(row_frame, dtype=np.int64)[order], CodedColumn(vids, codes), corners
+        # A lane takes one vehicle if one arrives and its last is MIN_SPAWN_GAP_M in; a second arrival
+        # in the frame then finds the new one at 0 and is dropped.
+        tail = state[0, queue[:, 0], np.maximum(count - 1, 0)]
+        spawns = (arrivals[step] & ((count == 0) | (tail >= MIN_SPAWN_GAP_M))).reshape(n_intervals, n_lanes).tolist()
+        per_interval = count.reshape(n_intervals, n_lanes).sum(axis=1).tolist()
+        z = []  # the jitter normals by interval, lane and slot: each interval's draws in stream order
+        for i, (lanes, n) in enumerate(zip(spawns, per_interval)):
+            if any(lanes):  # spawn draws come between the lanes' normals
+                for lane, spawn in enumerate(lanes):
+                    if spawn:
+                        enter(i, lane, 0.0)
+                    if jittery[i]:
+                        z.append(rngs[i].standard_normal(count[i * n_lanes + lane]))
+            elif n and jittery[i]:  # no spawn: the lanes' normals are contiguous
+                z.append(rngs[i].standard_normal(n))
+        x, desired, jitter, number = state
+        held = np.arange(state.shape[2]) < count[:, None]
+        noise = np.zeros(held.shape)
+        noise[held & drawn] = np.concatenate(z) if z else 0.0
+        jitter += ar * -jitter + kick * noise  # an interval without jitter keeps 0.0
+        free = np.maximum(desired + jitter, 0.5)
+        x[:, 0] += free[:, 0] * dt
+        for d in range(1, count.max(initial=0)):  # a follower sees its leader's advanced x
+            own = free[:, d]
+            x[:, d] += np.where((x[:, d - 1] - x[:, d]) / own < HEADWAY_S, np.minimum(own, free[:, d - 1]), own) * dt
+        stay = held & (x <= spec.segment_length_m)
+        rows.append((number[stay], x[stay]))
+        if count.sum() > stay.sum():  # a vehicle leaves from any slot; the rest keep their order
+            state = state[:, queue, np.argsort(~stay, axis=1, kind="stable")]
+            count = stay.sum(axis=1)
+    number = np.concatenate([n for n, _ in rows] or [[]]).astype(np.int64)
+    step = np.repeat(np.arange(n_frames), [n.size for n, _ in rows])
+    x = np.concatenate([x for _, x in rows] or [[]])
+    return ids, np.array(queues, dtype=np.int64), np.array(lengths), number, step, x
 
 
 def generate_trajectories(spec: ScenarioSpec) -> dict[str, str]:
@@ -234,15 +248,25 @@ def generate_trajectories(spec: ScenarioSpec) -> dict[str, str]:
     of that contract: each (segment, interval) has its own generator, which draws the
     interval's knobs, the initial vehicles, the arrival counts, and then per frame and
     lane the spawned vehicles followed by one jitter normal per vehicle, leader first.
-    Any rewrite must keep that stream, so that the files stay byte-identical.
+    The intervals share no generator, so a segment's intervals advance together frame
+    by frame; only the order of each generator's own draws is kept. In a frame without
+    a spawn an interval's normals are contiguous and come from one call. Any rewrite
+    must keep that stream, so that the files stay byte-identical.
     """
     out: dict[str, str] = {}
+    base_frame = np.array([round(i * spec.slot_seconds * spec.fps) for i in range(spec.n_intervals)], dtype=np.int64)
     for k, sid in enumerate(spec.segment_ids()):
-        parts = [csv_text(TRAJECTORY_COLUMNS, ())]
-        for i in range(spec.n_intervals):  # one interval's rows at a time keeps the temporaries small
-            frames, vids, corners = _simulate_interval(spec, k, i)
-            parts.append(csv_text((), [frames, vids, *corners.T]))
-        out[sid] = "".join(parts)
+        ids, queues, lengths, number, step, x = _simulate_segment(spec, k)
+        # Frames ascend within a vehicle, so a stable sort by id (string) rank gives the (id, frame) order.
+        rank = np.argsort(np.argsort(ids))
+        order = np.argsort(rank[number], kind="stable")
+        number, x, half = number[order], x[order], lengths[number[order]] / 2.0
+        interval, lane = np.divmod(queues[number], spec.lane_count)
+        y_c = k * SEGMENT_SPACING_M + (np.arange(spec.lane_count) + 0.5) * LANE_WIDTH_M
+        out[sid] = csv_text(TRAJECTORY_COLUMNS, [
+            base_frame[interval] + step[order], CodedColumn(ids, number), x - half,
+            CodedColumn(y_c - VEHICLE_WIDTH_M / 2.0, lane), x + half, CodedColumn(y_c + VEHICLE_WIDTH_M / 2.0, lane),
+        ])
     return out
 
 
@@ -258,20 +282,12 @@ class PlantResult:
 
 def _standardize(column: np.ndarray) -> np.ndarray:
     std = column.std()
-    if std == 0:
-        return np.zeros_like(column)
-    return (column - column.mean()) / std
+    return np.zeros_like(column) if std == 0 else (column - column.mean()) / std
 
 
-def generate_crash_counts(
-    metrics: Sequence[IntervalMetrics],
-    beta_star: Mapping[str, float],
-    noise_kind: str = "poisson",
-    seed: int = 0,
-    slot_minutes: int = 10,
-    sigma: float | None = None,
-    target_r2: float = 0.6,
-) -> PlantResult:
+def generate_crash_counts(metrics: Sequence[IntervalMetrics], beta_star: Mapping[str, float],
+                          noise_kind: str = "poisson", seed: int = 0, slot_minutes: int = 10,
+                          sigma: float | None = None, target_r2: float = 0.6) -> PlantResult:
     """Draw crash counts from log-linear rates on standardized metric columns.
 
     ``beta_star`` maps predictor column names to coefficients, plus an
@@ -282,19 +298,14 @@ def generate_crash_counts(
     """
     if noise_kind not in ("poisson", "gaussian"):
         raise ParameterError(f"noise_kind must be 'poisson' or 'gaussian', got {noise_kind!r}")
-    names = [n for n in beta_star if n != "intercept"]
-    intercept = float(beta_star.get("intercept", 0.0))
-    cols = {}
-    for name in names:
+    eta = np.full(len(metrics), float(beta_star.get("intercept", 0.0)))
+    for name in (n for n in beta_star if n != "intercept"):
         raw = np.array([metric_value(m, name) for m in metrics], dtype=float)  # None -> nan
         if np.isnan(raw).all():
             raw = np.zeros(len(metrics))
         elif np.isnan(raw).any():  # absent values carry no plant signal
             raw = np.where(np.isnan(raw), np.nanmean(raw), raw)
-        cols[name] = _standardize(raw)
-    eta = np.full(len(metrics), intercept)
-    for name in names:
-        eta = eta + float(beta_star[name]) * cols[name]
+        eta = eta + float(beta_star[name]) * _standardize(raw)
     lam = np.exp(eta)
 
     rng = np.random.default_rng([seed, 2])
@@ -318,23 +329,13 @@ def generate_crash_counts(
         counts = np.maximum(np.rint(lam + sigma * noise), 0.0).astype(int)
         sigma_used = sigma
 
-    slot_seconds = slot_minutes * 60
-    keys = [(m.segment_id, int(m.t_start // slot_seconds)) for m in metrics]
-    return PlantResult(
-        counts={k: int(c) for k, c in zip(keys, counts)},
-        lam={k: float(v) for k, v in zip(keys, lam)},
-        sigma=sigma_used,
-        beta_star=dict(beta_star),
-    )
+    keys = [(m.segment_id, int(m.t_start // (slot_minutes * 60))) for m in metrics]
+    return PlantResult({k: int(c) for k, c in zip(keys, counts)}, {k: float(v) for k, v in zip(keys, lam)},
+                       sigma_used, dict(beta_star))
 
 
-def crash_records_csv(
-    plant: PlantResult,
-    segments: Sequence[SegmentConfig],
-    slot_minutes: int,
-    plane: TangentPlane,
-    seed: int = 0,
-) -> str:
+def crash_records_csv(plant: PlantResult, segments: Sequence[SegmentConfig], slot_minutes: int, plane: TangentPlane,
+                      seed: int = 0) -> str:
     """Emit one crash CSV row per planted count, timestamped inside its slot.
 
     The draw order is part of the output contract: crashes go by (segment id, slot),
@@ -361,14 +362,9 @@ def crash_records_csv(
 def identity_keypoints_json(spec: ScenarioSpec, plane: TangentPlane) -> str:
     """Keypoints whose pixel coordinates equal their world coordinates (identity fit)."""
     y_max = (spec.n_segments - 1) * SEGMENT_SPACING_M + spec.lane_count * LANE_WIDTH_M
-    corners = [
-        (0.0, 0.0),
-        (spec.segment_length_m, 0.0),
-        (0.0, y_max + 10.0),
-        (spec.segment_length_m, y_max + 10.0),
-        (spec.segment_length_m / 2.0, y_max / 2.0),
-        (spec.segment_length_m / 4.0, y_max / 3.0 + 1.0),
-    ]
+    length = spec.segment_length_m
+    corners = [(0.0, 0.0), (length, 0.0), (0.0, y_max + 10.0), (length, y_max + 10.0),
+               (length / 2.0, y_max / 2.0), (length / 4.0, y_max / 3.0 + 1.0)]
     entries = []
     for u, v in corners:
         lat, lon = plane.to_latlon(u, v)

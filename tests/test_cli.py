@@ -81,6 +81,28 @@ class TestSynthCommand:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec, error, message", [
+        ("[1]", "SchemaError", "scenario spec must be a JSON object, got list"),
+        ('{"n_intervals": 2.5}', "SchemaError", "scenario field 'n_intervals' must be an integer, got 2.5"),
+        ('{"fps": "4"}', "SchemaError", "scenario field 'fps' must be a number, got '4'"),
+        ('{"flow_veh_per_min": [5]}', "SchemaError",
+         "scenario field 'flow_veh_per_min' must be a list of two numbers, got (5,)"),
+        # n_segments 0 used to exit 0 with a bundle that every other command refused.
+        ('{"n_segments": 0}', "ParameterError", "n_segments must be >= 1, got 0"),
+        ('{"seed": -1}', "ParameterError", "seed must be >= 0, got -1"),
+        ('{"fps": NaN}', "SchemaError", "scenario field 'fps' must be a number, got nan"),
+        ('{"beta_star": [1]}', "SchemaError", "scenario field 'beta_star' must be an object of numbers, got [1]"),
+        ('{"flow_veh_per_min": [-5, 1]}', "ParameterError",
+         "flow_veh_per_min must be a range 0 <= lo <= hi, got (-5, 1)"),
+    ], ids=["not-an-object", "fractional-count", "string-number", "one-number-range", "no-segments", "negative-seed",
+            "nan-number", "plant-not-an-object", "negative-range"])
+    def test_malformed_spec_exits_2_naming_the_field(self, tmp_path, capsys, spec, error, message):
+        (tmp_path / "spec.json").write_text(spec)
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (error, message)
+        assert not (tmp_path / "o").exists()
+
 
 class TestProjectCommand:
     def test_identity_projection_round_trip(self, tmp_path):
@@ -522,6 +544,18 @@ class TestMalformedInputExits2:
         (out / "metrics.csv").write_text(header.replace("osr_1.0", "osr_abc") + "\n" + rest)
         message = self.run(["associate", "--config", str(out / "config.json")], capsys)
         assert message == "line 1: column 'osr_abc' is not a finite threshold: 'abc'"
+
+    def test_input_that_is_not_utf8_text(self, tmp_path, capsys):
+        # The decode error used to escape from Path.read_text as a traceback (exit 1).
+        out = run_bundle(tmp_path)
+        text = (out / "trajectories_S1.csv").read_bytes()
+        (out / "bad.csv").write_bytes(text.replace(b"S1-", b"S1\xff-", 1))
+        assert main(["ssm", "--config", str(out / "config.json"), "--in", str(out / "bad.csv"),
+                     "--out", str(out / "ssm.csv")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NetSafetyError"
+        assert err["message"].startswith(f"input file is not utf-8 text: {out / 'bad.csv'}")
+        assert not (out / "ssm.csv").exists()
 
     def test_keypoint_field_not_a_number(self, tmp_path, capsys):
         out = run_bundle(tmp_path)

@@ -246,6 +246,16 @@ EDGE_SPECS = [
     small_spec(n_intervals=1, fps=1.0, interval_seconds=400.0, lane_count=3, segment_length_m=60.0,
                flow_veh_per_min=(3000.0, 3000.0), speed_mean=(25.0, 25.0)),
 ]
+# Hazards of advancing a segment's intervals in lockstep, each checked to occur in its spec.
+LOCKSTEP_SPECS = [
+    # One interval stays empty while others queue up to 24 deep, in one segment.
+    small_spec(seed=17, n_intervals=8, interval_seconds=10.0, flow_veh_per_min=(0.0, 200.0)),
+    # A fast follower overtakes its slow leader and leaves the 30 m road from mid-queue.
+    small_spec(seed=5, n_intervals=3, interval_seconds=10.0, segment_length_m=30.0, speed_mean=(3.0, 30.0),
+               speed_std=(5.0, 10.0), flow_veh_per_min=(100.0, 200.0), overspeed_fraction=(0.2, 0.5)),
+    small_spec(n_intervals=3, interval_seconds=10.0, lane_count=4, flow_veh_per_min=(40.0, 120.0)),
+    small_spec(n_intervals=3, interval_seconds=10.0, speed_std=(0.0, 0.0)),  # a spawn draws no speed normal
+]
 
 
 class TestAgainstScalarDrawOracle:
@@ -257,6 +267,10 @@ class TestAgainstScalarDrawOracle:
     @example(spec=EDGE_SPECS[1])
     @example(spec=EDGE_SPECS[2])
     @example(spec=EDGE_SPECS[3])
+    @example(spec=LOCKSTEP_SPECS[0])
+    @example(spec=LOCKSTEP_SPECS[1])
+    @example(spec=LOCKSTEP_SPECS[2])
+    @example(spec=LOCKSTEP_SPECS[3])
     def test_trajectories(self, spec):
         assert generate_trajectories(spec) == generate_trajectories_oracle(spec)
 
