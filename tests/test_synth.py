@@ -1,4 +1,5 @@
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -302,3 +303,37 @@ def test_synth_bundle_bytes_are_pinned(tmp_path):
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path)]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert digests == GOLDEN_SPEC_DIGESTS
+
+
+# sha256 of every file ``netsafety synth`` writes for an intercept-only plant (the spec's default
+# beta_star), pinned while synth still ran the metrics pass whose columns such a plant never reads.
+INTERCEPT_ONLY_SPEC = {"n_segments": 2, "n_intervals": 6, "interval_seconds": 20.0}
+INTERCEPT_ONLY_DIGESTS = {
+    3: {
+        "config.json": "ead8d9caac174289455d098038db655d2554213dd8807980dff3fa5fb30ea13e",
+        "crashes.csv": "57a12769b34116bb2f66ead3eeb9021a5d14dc2d63883457a60359a7a892fccd",
+        "keypoints.json": "8b9703ee870d8f51f3f5e95a4b926471c19eeebdce3e4ce87676345c3e671984",
+        "plant.json": "1e4ef0fc6bc1db183ef4bfa600e12aaf48ef700f45ef1cb55d4f79f99bb8f816",
+        "scenario.json": "5ba6054ef221d5d2493c2a662922e8c5abad415a79af02a9abcc63190ef8439d",
+        "trajectories_S1.csv": "90be454b98f55a2e04b4592e7864e327dfadcc43d3347b0821a0fb00126d58ea",
+        "trajectories_S2.csv": "47640e02ceb7e60a0c8e55a26cd90baeb98b7b14e15b1a6dc8d26e1b7b244cef",
+    },
+    4: {
+        "config.json": "38c6bc5436f654cf6bf7ba836c3e573049a141921e3dc5f5b230349944c7b9f9",
+        "crashes.csv": "a8933ffb8bcdf4c0f18cd3a0b0ab64635f358e5f61b18f4c3854877599054918",
+        "keypoints.json": "8b9703ee870d8f51f3f5e95a4b926471c19eeebdce3e4ce87676345c3e671984",
+        "plant.json": "1e4ef0fc6bc1db183ef4bfa600e12aaf48ef700f45ef1cb55d4f79f99bb8f816",
+        "scenario.json": "2bf173429bc60fffbd55ba742ce133e600bd0f08c2087486532355edf87b9d0c",
+        "trajectories_S1.csv": "e118b432fe1415e6f8068fee0083c3f5ddcf5d8a89f9cc8a286ba719441020c2",
+        "trajectories_S2.csv": "3d39cfe97ee6a92c093e2446d3b3caada2faf9ac7b6eb6e4682fed65d7c4dec7",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(INTERCEPT_ONLY_DIGESTS))
+def test_intercept_only_synth_bundle_bytes_are_pinned(tmp_path, seed):
+    (tmp_path / "spec.json").write_text(json.dumps(INTERCEPT_ONLY_SPEC))
+    out = tmp_path / "bundle"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out), "--seed", str(seed)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == INTERCEPT_ONLY_DIGESTS[seed]
