@@ -104,19 +104,24 @@ def cmd_synth(args) -> int:
         (out / f"trajectories_{sid}.csv").write_text(text)
     (out / "keypoints.json").write_text(synth.identity_keypoints_json(spec, plane))
 
-    # Interval metrics feed the planted crash model.
-    rows = []
-    for seg in segments:
-        trajs = trajectories.parse_trajectories(traj_csvs[seg.segment_id], spec.fps)
-        tracks = trajectories.prepare_tracks(trajs, seg.travel_axis)
-        rows.extend(
-            network_metrics.compute_interval_metrics(
-                tracks, seg, network_metrics.ClusterConfig(), spec.fps, spec.windows()
+    # Interval metrics feed the planted crash model. An intercept-only plant reads no metric, only
+    # each row's segment and window, so its rows are bare and the metrics pass is skipped.
+    beta_star, windows = spec.beta_star or {"intercept": 1.5}, spec.windows()
+    if beta_star.keys() <= {"intercept"}:
+        rows = [network_metrics.IntervalMetrics(seg.segment_id, t0, t1) for seg in segments for t0, t1 in windows]
+    else:
+        rows = []
+        for seg in segments:
+            trajs = trajectories.parse_trajectories(traj_csvs[seg.segment_id], spec.fps)
+            tracks = trajectories.prepare_tracks(trajs, seg.travel_axis)
+            rows.extend(
+                network_metrics.compute_interval_metrics(
+                    tracks, seg, network_metrics.ClusterConfig(), spec.fps, windows
+                )
             )
-        )
     plant = synth.generate_crash_counts(
         rows,
-        spec.beta_star or {"intercept": 1.5},
+        beta_star,
         noise_kind=spec.noise_kind,
         seed=spec.seed,
         slot_minutes=spec.slot_minutes,

@@ -142,6 +142,8 @@ def load_config(path: str | Path) -> RunConfig:
         obj = json.loads(path.read_text())
     except FileNotFoundError:
         raise SchemaError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"config file is not {exc.encoding} text: {path} (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

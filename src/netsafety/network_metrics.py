@@ -558,6 +558,24 @@ def _windows_ttc_cv(table: SampleTable, rows: np.ndarray, frame_of: np.ndarray, 
     return _frame_cvs(values, gframe[who], rho)
 
 
+def window_frames(windows: Sequence[tuple[float, float]], fps: float) -> tuple[list[int], list[int]]:
+    """Each [t_start, t_end) window's first frame and end frame at ``fps``.
+
+    ParameterError for a non-positive ``fps``, an empty window or a window that holds no frame instant.
+    """
+    if fps <= 0:
+        raise ParameterError(f"fps must be positive, got {fps}")
+    f0, f1 = [], []
+    for t0, t1 in windows:
+        if t1 <= t0:
+            raise ParameterError(f"empty window [{t0}, {t1})")
+        f0.append(math.ceil(t0 * fps - 1e-9))
+        f1.append(math.ceil(t1 * fps - 1e-9))
+        if f1[-1] == f0[-1]:
+            raise ParameterError(f"window [{t0}, {t1}) holds no frame at {fps} fps")
+    return f0, f1
+
+
 def compute_interval_metrics(
     tracks: Sequence[PreparedTrack],
     segment: SegmentConfig,
@@ -579,16 +597,7 @@ def compute_interval_metrics(
     mean TTC of the window's closing follower/leader pairs
     (``SampleTable.leader_pairs``).
     """
-    if fps <= 0:
-        raise ParameterError(f"fps must be positive, got {fps}")
-    f0, f1 = [], []
-    for t0, t1 in windows:
-        if t1 <= t0:
-            raise ParameterError(f"empty window [{t0}, {t1})")
-        f0.append(math.ceil(t0 * fps - 1e-9))
-        f1.append(math.ceil(t1 * fps - 1e-9))
-        if f1[-1] == f0[-1]:
-            raise ParameterError(f"window [{t0}, {t1}) holds no frame at {fps} fps")
+    f0, f1 = window_frames(windows, fps)
     table = SampleTable.build(tracks, segment.travel_axis)
     present, starts, sizes = table.frames()
     bounds = np.append(starts, table.frame.size)
@@ -681,6 +690,11 @@ _IS_COUNT = ("a count", lambda v: v >= 0 and v.is_integer())
 
 def metrics_header(osr_thresholds: Sequence[float]) -> list[str]:
     return [*_HEAD_COLUMNS, *(f"osr_{float(t)!r}" for t in osr_thresholds), *_TAIL_COLUMNS]
+
+
+def metric_columns(osr_thresholds: Sequence[float]) -> list[str]:
+    """The metrics CSV's metric columns: its header without the row key (segment and interval bounds)."""
+    return metrics_header(osr_thresholds)[len(_REQUIRED_COLUMNS) :]
 
 
 def metric_value(m: IntervalMetrics, name: str):

@@ -27,7 +27,7 @@ from .config import IntervalGrid
 from .crashes import SLOT_MINUTES
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
-from .network_metrics import IntervalMetrics, SegmentConfig, metric_value
+from .network_metrics import IntervalMetrics, SegmentConfig, metric_columns, metric_value, window_frames
 from .trajectories import TRAJECTORY_COLUMNS, CodedColumn, csv_text
 
 HEADWAY_S = 2.0
@@ -101,6 +101,11 @@ class ScenarioSpec:
             raise ParameterError(f"{self.n_intervals} intervals do not fit in one day of {self.slot_minutes}-min slots")
         if self.interval_seconds > self.slot_minutes * 60:
             raise ParameterError("interval_seconds cannot exceed the slot length")
+        window_frames(self.windows(), self.fps)  # every window holds a frame, as the metrics pass requires
+        known = ("intercept", "volume", *metric_columns(self.segment_configs()[0].osr_thresholds))
+        for name in self.beta_star:
+            if name not in known:
+                raise SchemaError(f"unknown beta_star key {name!r}; the plant reads one of {list(known)}")
 
     @property
     def slot_seconds(self) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netsafety import association, cli
+from netsafety import association, cli, network_metrics, trajectories
 from netsafety.cli import _prepare_segment_tracks, main
 from netsafety.config import load_config
 from netsafety.network_metrics import read_metrics_csv
@@ -102,6 +102,51 @@ class TestSynthCommand:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["message"]) == (error, message)
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("beta_star", [{}, {"intercept": 1.5, "ovvr": 0.3}], ids=["intercept-only", "metric"])
+    def test_window_without_a_frame_exits_2_before_writing(self, tmp_path, capsys, beta_star):
+        # This used to write trajectories_S1.csv and keypoints.json before the metrics pass refused the window.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 3, "fps": 0.0015, "beta_star": beta_star}))
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "ParameterError", "window [600.0, 625.0) holds no frame at 0.0015 fps"
+        )
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["osr_abc", "segment_id", "foo", "osr_2.0"])
+    def test_plant_key_that_is_no_metric_column_exits_2_before_writing(self, tmp_path, capsys, key):
+        # Before the check "osr_abc" and "segment_id" crashed with a ValueError traceback, "foo" exited 2
+        # after writing the trajectory and keypoint files, and "osr_2.0" (synth's segments have only the
+        # 1.0 threshold) exited 0 with an all-zero column that planted nothing.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 2, "beta_star": {"intercept": 1.5, key: 1}}))
+        out = tmp_path / "o"
+        out.mkdir()
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"].startswith(f"unknown beta_star key {key!r}")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("beta_star, passes", [
+        ({}, 0), ({"intercept": 0.5}, 0), ({"volume": 0.2}, 2), ({"intercept": 1.5, "f_truck": 0.2}, 2),
+    ], ids=["default", "intercept", "volume", "metric"])
+    def test_metrics_pass_runs_only_for_a_plant_that_names_a_metric(self, tmp_path, monkeypatch, beta_star, passes):
+        calls = []
+        for module, name in ((trajectories, "parse_trajectories"), (trajectories, "prepare_tracks"),
+                             (network_metrics, "compute_interval_metrics")):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        spec = write_spec(tmp_path, beta_star=beta_star)
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 0
+        assert sorted(calls) == sorted(["parse_trajectories", "prepare_tracks", "compute_interval_metrics"] * passes)
 
 
 class TestProjectCommand:
@@ -556,6 +601,15 @@ class TestMalformedInputExits2:
         assert err["error"] == "NetSafetyError"
         assert err["message"].startswith(f"input file is not utf-8 text: {out / 'bad.csv'}")
         assert not (out / "ssm.csv").exists()
+
+    def test_config_that_is_not_utf8_text(self, tmp_path, capsys):
+        # The decode error used to escape from load_config as a traceback (exit 1).
+        out = run_bundle(tmp_path)
+        config = out / "config.json"
+        config.write_bytes(config.read_bytes().replace(b'"fps"', b'"fps\xff"', 1))
+        message = self.run(["metrics", "--config", str(config)], capsys)
+        assert message.startswith(f"config file is not utf-8 text: {config}")
+        assert not (out / "metrics.csv").exists()
 
     def test_keypoint_field_not_a_number(self, tmp_path, capsys):
         out = run_bundle(tmp_path)

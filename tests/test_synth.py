@@ -337,3 +337,17 @@ def test_intercept_only_synth_bundle_bytes_are_pinned(tmp_path, seed):
     assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out), "--seed", str(seed)]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert digests == INTERCEPT_ONLY_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("noise_kind", ["poisson", "gaussian"])
+def test_intercept_only_crashes_match_the_plant_on_the_full_metrics_pass(tmp_path, noise_kind):
+    spec = ScenarioSpec(seed=5, n_segments=2, n_intervals=6, interval_seconds=20.0, noise_kind=noise_kind)
+    (tmp_path / "spec.json").write_text(spec.to_json())
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 0
+    rows = extract_metrics(spec, generate_trajectories(spec), ClusterConfig())
+    assert any(r.n_vehicles for r in rows)
+    plant = generate_crash_counts(rows, {"intercept": 1.5}, noise_kind=noise_kind, seed=spec.seed,
+                                  slot_minutes=spec.slot_minutes, target_r2=spec.target_r2)
+    plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
+    expected = crash_records_csv(plant, spec.segment_configs(), spec.slot_minutes, plane, seed=spec.seed)
+    assert (tmp_path / "o" / "crashes.csv").read_text() == expected
