@@ -42,6 +42,11 @@ def run_bundle(tmp_path: Path) -> Path:
     return out
 
 
+NO_FRAME = "window [600.0, 625.0) holds no frame at 0.0015 fps"
+PLANT_KEYS = ["intercept", "volume", "ttc_cv", "ivvr", "ovvr", "osr_1.0", "tci", "f_truck", "ntc", "trt", "n_vehicles",
+              "coverage", "e_ttc"]
+
+
 class TestSynthCommand:
     def test_bundle_contents(self, tmp_path):
         out = run_bundle(tmp_path)
@@ -94,44 +99,25 @@ class TestSynthCommand:
         ('{"beta_star": [1]}', "SchemaError", "scenario field 'beta_star' must be an object of numbers, got [1]"),
         ('{"flow_veh_per_min": [-5, 1]}', "ParameterError",
          "flow_veh_per_min must be a range 0 <= lo <= hi, got (-5, 1)"),
+        # These used to write trajectories_S1.csv and keypoints.json before the metrics pass refused the window.
+        ('{"n_segments": 1, "n_intervals": 3, "fps": 0.0015}', "ParameterError", NO_FRAME),
+        ('{"n_segments": 1, "n_intervals": 3, "fps": 0.0015, "beta_star": {"ovvr": 0.3}}', "ParameterError", NO_FRAME),
+        # "osr_abc" and "segment_id" crashed with a ValueError traceback, "foo" exited 2 after writing the
+        # trajectory and keypoint files, and "osr_2.0" (synth's segments have only the 1.0 threshold) exited 0
+        # with an all-zero column that planted nothing.
+        *((f'{{"beta_star": {{"intercept": 1.5, "{key}": 1}}}}', "SchemaError",
+           f"unknown beta_star key {key!r}; the plant reads one of {PLANT_KEYS}")
+          for key in ("osr_abc", "segment_id", "foo", "osr_2.0")),
     ], ids=["not-an-object", "fractional-count", "string-number", "one-number-range", "no-segments", "negative-seed",
-            "nan-number", "plant-not-an-object", "negative-range"])
+            "nan-number", "plant-not-an-object", "negative-range", "window-without-a-frame-intercept-only",
+            "window-without-a-frame-metric-plant", "plant-key-osr_abc", "plant-key-segment_id", "plant-key-foo",
+            "plant-key-osr_2.0"])
     def test_malformed_spec_exits_2_naming_the_field(self, tmp_path, capsys, spec, error, message):
         (tmp_path / "spec.json").write_text(spec)
         assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["message"]) == (error, message)
         assert not (tmp_path / "o").exists()
-
-
-    @pytest.mark.parametrize("beta_star", [{}, {"intercept": 1.5, "ovvr": 0.3}], ids=["intercept-only", "metric"])
-    def test_window_without_a_frame_exits_2_before_writing(self, tmp_path, capsys, beta_star):
-        # This used to write trajectories_S1.csv and keypoints.json before the metrics pass refused the window.
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 3, "fps": 0.0015, "beta_star": beta_star}))
-        out = tmp_path / "o"
-        out.mkdir()
-        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert (err["error"], err["message"]) == (
-            "ParameterError", "window [600.0, 625.0) holds no frame at 0.0015 fps"
-        )
-        assert list(out.iterdir()) == []
-
-    @pytest.mark.parametrize("key", ["osr_abc", "segment_id", "foo", "osr_2.0"])
-    def test_plant_key_that_is_no_metric_column_exits_2_before_writing(self, tmp_path, capsys, key):
-        # Before the check "osr_abc" and "segment_id" crashed with a ValueError traceback, "foo" exited 2
-        # after writing the trajectory and keypoint files, and "osr_2.0" (synth's segments have only the
-        # 1.0 threshold) exited 0 with an all-zero column that planted nothing.
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 2, "beta_star": {"intercept": 1.5, key: 1}}))
-        out = tmp_path / "o"
-        out.mkdir()
-        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "SchemaError"
-        assert err["message"].startswith(f"unknown beta_star key {key!r}")
-        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("beta_star, passes", [
         ({}, 0), ({"intercept": 0.5}, 0), ({"volume": 0.2}, 2), ({"intercept": 1.5, "f_truck": 0.2}, 2),
