@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -862,6 +863,65 @@ class TestDeterminism:
                 ]
             }
         assert outputs["r1"] == outputs["r2"]
+
+
+# sha256 of metrics.csv and every associate output for two seed-1 bundles, pinned while the metrics
+# still went through one row object per window: a metric plant read at two OSR thresholds, and the
+# network-style predictors (f_truck, volume and several osr_<theta>).
+PINNED_BUNDLES = {
+    "plant-two-osr": (
+        {"n_segments": 2, "n_intervals": 12, "interval_seconds": 20.0,
+         "beta_star": {"intercept": 1.5, "osr_1.0": 0.3, "ovvr": 0.2}},
+        {"every_segment": {"osr_thresholds": [1.0, 1.1]}},
+    ),
+    "network-predictors": (
+        {"n_segments": 3, "n_intervals": 16, "interval_seconds": 10.0, "flow_veh_per_min": [6.0, 14.0],
+         "beta_star": {"intercept": 2.3, "osr_1.0": 0.18, "ovvr": 0.18, "ntc": 0.18}, "noise_kind": "gaussian"},
+        {"every_segment": {"osr_thresholds": [1.0, 1.05, 1.1, 1.2]},
+         "analysis": {"predictors": ["ivvr", "ovvr", "osr_1.0", "osr_1.05", "osr_1.1", "osr_1.2", "tci", "ntc",
+                                     "f_truck", "volume"]}},
+    ),
+}
+PINNED_DIGESTS = {
+    "plant-two-osr": {
+        "metrics.csv": "e538085cc6b4433b3b76ef390b7aadc387d2bf8e74f6ee761e3d74ab05766bf2",
+        "association_report.json": "dd91c15c07e71e3967f6fc15a5e6576faf6d5c2af6e54fb9013d81e21d91392a",
+        "correlations.csv": "8c77f3ae0c162c4918754b91d2608fa17846130fede8578ccfd75516c1dcf684",
+        "full_model.csv": "69bbba96eca32a90faebf4365e2df9b39b1c8e7c3d7ba24014ba1f6a62a824a0",
+        "shapley.csv": "efebdbaa70f78ded4c9427bf9a5d9adade47900116e6845405a5a484ecd8a24d",
+        "cross_segment_correlations.csv": "177bda0dc7b084b845223e584d472270e03dea1c31cc2a740c1857503f1c42a9",
+        "cross_segment_holdout.csv": "3b08c83a56c2494ce56c06fae0ea16129b8f5b47a6b5c9f4c29b8f6cf74331e8",
+    },
+    "network-predictors": {
+        "metrics.csv": "f1f1f3c8adf22419ec6890c353f50f863d2208a033d061408aa1ddf7e8ee513c",
+        "association_report.json": "abcaaacdbd3e7081b5e8ceef19f9eeb03b17ae19d64231caa8ab2748c14eeb9a",
+        "correlations.csv": "77d9ea4da7d09e782141a465567a3330e84c6be939541f16defa1924300eaff8",
+        "full_model.csv": "76fc1976a1b4ca18185d758a9efda1eeae78d906524b216308563ee410682115",
+        "shapley.csv": "cf2b9ea69ec6f147e7fab40236409667eafa7a0f697ac25ea7c2a328c901f6d8",
+        "cross_segment_correlations.csv": "38338f0372f9bd84e23c046145eddad9a5a7f5b8a2cbae0ca3c03715919348d8",
+        "cross_segment_holdout.csv": "2e89d4a2fe786cc1da45aad47b3979068f828e7943957ec2d20f2c2ad9e64b2b",
+    },
+}
+
+
+@pytest.mark.parametrize("bundle", sorted(PINNED_BUNDLES))
+def test_metrics_and_association_bytes_are_pinned(tmp_path, bundle):
+    spec, edits = PINNED_BUNDLES[bundle]
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "bundle"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out), "--seed", "1"]) == 0
+    config = json.loads((out / "config.json").read_text())
+    for seg in config["segments"]:
+        seg.update(edits["every_segment"])
+    config["analysis"].update(edits.get("analysis", {}))
+    (out / "config.json").write_text(json.dumps(config))
+    with pytest.warns(UserWarning):  # the small bundles trip the small-sample warnings
+        assert main(["metrics", "--config", str(out / "config.json")]) == 0
+        assert main(["associate", "--config", str(out / "config.json"), "--format", "both"]) == 0
+    names = ["metrics.csv", "association_report.json", "correlations.csv", "full_model.csv", "shapley.csv",
+             "cross_segment_correlations.csv", "cross_segment_holdout.csv"]
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+    assert digests == PINNED_DIGESTS[bundle]
 
 
 class TestFreedHeapRelease:
