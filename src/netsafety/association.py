@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .crashes import CRASH_FAMILIES, SLOT_MINUTES, CrashBinning
 from .errors import DataError, ParameterError
-from .network_metrics import IntervalMetrics, metric_value
+from .network_metrics import MetricsTable
 from .stats import (
     Dataset,
     RegressionReport,
@@ -62,11 +62,16 @@ class AnalysisConfig:
         bad_fam = [f for f in self.families if f not in CRASH_FAMILIES]
         if bad_fam:
             raise ParameterError(f"unknown crash families: {bad_fam}")
+        if not self.predictors:
+            raise ParameterError("predictors must name at least one metric column")
+        twice = list(dict.fromkeys(p for p in self.predictors if self.predictors.count(p) > 1))
+        if twice:
+            raise ParameterError(f"predictors name {twice} more than once")
         self.exclude_slots = tuple((str(s), int(slot)) for s, slot in self.exclude_slots)
 
 
 def build_dataset(
-    metrics: Sequence[IntervalMetrics],
+    metrics: MetricsTable | Iterable[MetricsTable],
     binning: CrashBinning,
     family: str,
     predictors: Sequence[str] = DEFAULT_PREDICTORS,
@@ -79,50 +84,39 @@ def build_dataset(
     Baseline columns (traffic volume, mean pairwise TTC) ride along in
     ``extras``.
     """
-    slot_seconds = binning.slot_minutes * 60
+    table = MetricsTable.concat(metrics)
     slots_per_day = 24 * 60 // binning.slot_minutes
-    excluded = {(str(s), int(slot)) for s, slot in exclude_slots}
-    rows_x: list[list[float]] = []
-    rows_y: list[float] = []
-    keys: list[tuple] = []
-    extras: dict[str, list[float]] = {name: [] for name in BASELINE_COLUMNS}
-    dropped = {"no_crash_data": 0, "absent_metric": 0, "excluded": 0}
-    for m in metrics:
-        slot = int(m.t_start // slot_seconds)
-        if not 0 <= slot < slots_per_day:
-            raise DataError(
-                f"interval start {m.t_start}s falls outside the slot grid "
-                f"(slot {slot} of {slots_per_day}); intervals must lie within one day"
-            )
-        if (m.segment_id, slot) in excluded:
-            dropped["excluded"] += 1
-            continue
-        cell = binning.counts.get((m.segment_id, slot))
-        if cell is None:
-            dropped["no_crash_data"] += 1
-            continue
-        values = [metric_value(m, p) for p in predictors]
-        if any(v is None for v in values):
-            dropped["absent_metric"] += 1
-            continue
-        rows_x.append([float(v) for v in values])
-        rows_y.append(cell.mean_count(family))
-        keys.append((m.segment_id, slot))
-        extras["volume"].append(float(m.n_vehicles))
-        extras["e_ttc"].append(float("nan") if m.e_ttc is None else float(m.e_ttc))
-    if not rows_x:
-        raise DataError(
-            f"empty join for family {family!r}: no metric interval matched a crash slot "
-            f"(dropped: {dropped})"
-        )
-    return Dataset(
-        x=np.array(rows_x),
-        y=np.array(rows_y),
-        predictor_names=list(predictors),
-        row_keys=keys,
-        extras={k: np.array(v) for k, v in extras.items()},
-        dropped=dropped,
-    )
+    t_start = table.columns["interval_start"]
+    slot = t_start // (binning.slot_minutes * 60)
+    off_grid = np.flatnonzero((slot < 0) | (slot >= slots_per_day))
+    if off_grid.size:
+        i = off_grid[0]
+        raise DataError(f"interval start {t_start[i]}s falls outside the slot grid (slot {int(slot[i])} of "
+                        f"{slots_per_day}); intervals must lie within one day")
+    # The crash grid and the exclusion list as flat arrays over the table's segments, at segment * slots_per_day + slot.
+    segments, segment = np.unique(table.segment_id.astype(str), return_inverse=True)
+    at = {sid: i * slots_per_day for i, sid in enumerate(segments.tolist())}
+    count = np.full(len(segments) * slots_per_day, np.nan)  # nan: no crash data
+    for (sid, k), cell in binning.counts.items():
+        if sid in at and 0 <= k < slots_per_day:
+            count[at[sid] + k] = cell.mean_count(family)
+    on_list = np.zeros(count.size, dtype=bool)
+    for sid, k in exclude_slots:
+        if str(sid) in at and 0 <= int(k) < slots_per_day:
+            on_list[at[str(sid)] + int(k)] = True
+    code = segment * slots_per_day + slot.astype(np.int64)
+    x = np.column_stack([table.column(p) for p in predictors])
+    excluded = on_list[code]
+    no_data = ~excluded & np.isnan(count[code])
+    absent = ~(excluded | no_data) & np.isnan(x).any(axis=1)
+    dropped = {"no_crash_data": int(no_data.sum()), "absent_metric": int(absent.sum()), "excluded": int(excluded.sum())}
+    keep = ~(excluded | no_data | absent)
+    if not keep.any():
+        raise DataError(f"empty join for family {family!r}: no metric interval matched a crash slot "
+                        f"(dropped: {dropped})")
+    return Dataset(x[keep], count[code[keep]], list(predictors),
+                   row_keys=list(zip(table.segment_id[keep].tolist(), slot[keep].astype(int).tolist())),
+                   extras={name: table.column(name)[keep] for name in BASELINE_COLUMNS}, dropped=dropped)
 
 
 def segment_datasets(d: Dataset, segment_ids: Sequence[str]) -> dict[str, Dataset]:
@@ -309,30 +303,32 @@ class AssociationReport:
 
 
 def _joined_families(
-    metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: AnalysisConfig, report: AssociationReport
+    table: MetricsTable, binning: CrashBinning, cfg: AnalysisConfig, report: AssociationReport
 ) -> Iterator[tuple[str, Dataset]]:
-    """Each configured family with its one join; a family whose join fails is marked in ``report`` instead."""
+    """Each configured family with its one join; a family whose join fails is marked in ``report`` instead.
+
+    A predictor the table has no column for raises SchemaError before any family is joined."""
+    for name in cfg.predictors:
+        table.column(name)
     for family in cfg.families:
         try:
-            d = build_dataset(metrics, binning, family, cfg.predictors, cfg.exclude_slots)
+            d = build_dataset(table, binning, family, cfg.predictors, cfg.exclude_slots)
         except DataError as exc:
             report.families[family] = {"insufficient_data": str(exc)}
         else:
             yield family, d
 
 
-def run_association(
-    metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: AnalysisConfig
-) -> AssociationReport:
+def run_association(table: MetricsTable, binning: CrashBinning, cfg: AnalysisConfig) -> AssociationReport:
     """Run every configured analysis for every crash family, on one join per family.
 
     Family analyses that cannot run (empty join, constant response, fewer
     rows than CV folds, ...) are marked ``insufficient_data`` with the reason
     instead of failing the whole report.
     """
-    report = AssociationReport(config=cfg, n_intervals=len(metrics))
-    segment_ids = sorted({m.segment_id for m in metrics})
-    for family, d in _joined_families(metrics, binning, cfg, report):
+    report = AssociationReport(config=cfg, n_intervals=len(table))
+    segment_ids = sorted(set(table.segment_id.tolist()))
+    for family, d in _joined_families(table, binning, cfg, report):
         entry = {"n_rows": d.n, "dropped": dict(d.dropped), "correlations": per_metric_correlations(d, cfg.methods)}
         try:
             entry["full_model"] = {kind: rep.to_dict() for kind, rep in full_model_analysis(d, cfg).items()}
@@ -351,10 +347,10 @@ def run_association(
     return report
 
 
-def run_shapley(metrics: Sequence[IntervalMetrics], binning: CrashBinning, cfg: AnalysisConfig) -> AssociationReport:
+def run_shapley(table: MetricsTable, binning: CrashBinning, cfg: AnalysisConfig) -> AssociationReport:
     """Only the per-family Shapley entries of ``run_association``, for ``shapley_table_csv``."""
-    report = AssociationReport(config=cfg, n_intervals=len(metrics))
-    for family, d in _joined_families(metrics, binning, cfg, report):
+    report = AssociationReport(config=cfg, n_intervals=len(table))
+    for family, d in _joined_families(table, binning, cfg, report):
         report.families[family] = {"shapley": _shapley_entry(d)}
     return report
 

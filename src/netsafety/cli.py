@@ -105,28 +105,21 @@ def cmd_synth(args) -> int:
     (out / "keypoints.json").write_text(synth.identity_keypoints_json(spec, plane))
 
     # Interval metrics feed the planted crash model. An intercept-only plant reads no metric, only
-    # each row's segment and window, so its rows are bare and the metrics pass is skipped.
+    # each row's segment and window, so its table holds the keys alone and the metrics pass is skipped.
     beta_star, windows = spec.beta_star or {"intercept": 1.5}, spec.windows()
-    if beta_star.keys() <= {"intercept"}:
-        rows = [network_metrics.IntervalMetrics(seg.segment_id, t0, t1) for seg in segments for t0, t1 in windows]
-    else:
-        rows = []
-        for seg in segments:
+    tables = []
+    for seg in segments:
+        if beta_star.keys() <= {"intercept"}:
+            tables.append(network_metrics.MetricsTable.build(
+                [seg.segment_id] * len(windows), seg.osr_thresholds,
+                interval_start=[t0 for t0, _ in windows], interval_end=[t1 for _, t1 in windows]))
+        else:
             trajs = trajectories.parse_trajectories(traj_csvs[seg.segment_id], spec.fps)
             tracks = trajectories.prepare_tracks(trajs, seg.travel_axis)
-            rows.extend(
-                network_metrics.compute_interval_metrics(
-                    tracks, seg, network_metrics.ClusterConfig(), spec.fps, windows
-                )
-            )
-    plant = synth.generate_crash_counts(
-        rows,
-        beta_star,
-        noise_kind=spec.noise_kind,
-        seed=spec.seed,
-        slot_minutes=spec.slot_minutes,
-        target_r2=spec.target_r2,
-    )
+            tables.append(network_metrics.compute_interval_metrics(
+                tracks, seg, network_metrics.ClusterConfig(), spec.fps, windows))
+    plant = synth.generate_crash_counts(tables, beta_star, noise_kind=spec.noise_kind, seed=spec.seed,
+                                        slot_minutes=spec.slot_minutes, target_r2=spec.target_r2)
     (out / "crashes.csv").write_text(
         synth.crash_records_csv(plant, segments, spec.slot_minutes, plane, seed=spec.seed)
     )
@@ -195,36 +188,25 @@ def cmd_metrics(args) -> int:
     cfg = load_config(args.config)
     if not cfg.segments:
         raise NetSafetyError("config defines no segments")
-    thresholds = cfg.segments[0].osr_thresholds
-    for seg in cfg.segments[1:]:
-        if seg.osr_thresholds != thresholds:
-            raise ParameterError("all segments must share osr_thresholds for one metrics file")
+    if len({seg.osr_thresholds for seg in cfg.segments}) > 1:
+        raise ParameterError("all segments must share osr_thresholds for one metrics file")
     if args.infile is not None:
         if len(cfg.segments) != 1:
             raise ParameterError("--in requires a single-segment config")
         paths = {cfg.segments[0].segment_id: Path(args.infile)}
     else:
         paths = cfg.trajectory_paths
-    rows: list[network_metrics.IntervalMetrics] = []
+    tables = []
     for seg in cfg.segments:
         if seg.segment_id not in paths:
             raise NetSafetyError(f"no trajectory path configured for segment {seg.segment_id!r}")
         tracks = _prepare_segment_tracks(cfg, seg, paths[seg.segment_id])
-        rows.extend(
-            network_metrics.compute_interval_metrics(
-                tracks,
-                seg,
-                cfg.cluster,
-                cfg.fps,
-                _windows_for(cfg, tracks),
-                trt_theta=cfg.trt.theta,
-                trt_t_min=cfg.trt.t_min_seconds,
-                free_flow=cfg.trt.free_flow,
-            )
-        )
+        tables.append(network_metrics.compute_interval_metrics(
+            tracks, seg, cfg.cluster, cfg.fps, _windows_for(cfg, tracks), trt_theta=cfg.trt.theta,
+            trt_t_min=cfg.trt.t_min_seconds, free_flow=cfg.trt.free_flow))
     out = Path(args.out) if args.out else (cfg.metrics_path or cfg.output_dir / "metrics.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    trajectories.write_csv(out, *network_metrics.metrics_table(rows, thresholds))
+    out.write_text(network_metrics.write_metrics_csv(network_metrics.MetricsTable.concat(tables)))
     return 0
 
 
@@ -261,21 +243,15 @@ def cmd_ssm(args) -> int:
 
 
 def _association_inputs(cfg: RunConfig):
-    """The metric rows and the crash binning that ``associate`` and ``shapley`` analyse."""
+    """The metrics table and the crash binning that ``associate`` and ``shapley`` analyse."""
     if cfg.metrics_path is None:
         raise NetSafetyError("config has no paths.metrics entry")
     if cfg.crashes_path is None:
         raise NetSafetyError("config has no paths.crashes entry")
-    rows = network_metrics.read_metrics_csv(_read(cfg.metrics_path))
+    table = network_metrics.read_metrics_csv(_read(cfg.metrics_path))
     records = crashes.parse_crashes(_read(cfg.crashes_path))
-    binning = crashes.bin_crashes(
-        records,
-        cfg.segments,
-        cfg.analysis.slot_minutes,
-        cfg.tangent_plane(),
-        year_range=cfg.crash_years,
-    )
-    return rows, binning
+    return table, crashes.bin_crashes(records, cfg.segments, cfg.analysis.slot_minutes, cfg.tangent_plane(),
+                                      year_range=cfg.crash_years)
 
 
 def cmd_associate(args) -> int:

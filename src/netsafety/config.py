@@ -187,6 +187,9 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
         analysis_obj = dict(obj.get("analysis", {}))
         for key in ("families", "methods", "predictors"):
             if key in analysis_obj:
+                if not isinstance(analysis_obj[key], list) or not all(isinstance(v, str) for v in analysis_obj[key]):
+                    raise SchemaError(f"config analysis field {key!r} must be a list of strings, got "
+                                      f"{analysis_obj[key]!r}")
                 analysis_obj[key] = tuple(analysis_obj[key])
         for key in ("slot_minutes", "cv_folds", "seed"):
             _integer(analysis_obj.get(key, 0), key)

@@ -3,15 +3,16 @@
 Seven aggregate indicators of traffic-flow safety: cluster-TTC variation,
 per-vehicle and fleet speed-variation rates, over-speeding rate, traffic
 composition balance, length-weighted density, and congestion recovery time.
-Undefined metrics are reported as None (absent), never coerced to 0.
+Undefined metrics are absent (None from the one-interval functions, nan in a
+MetricsTable), never coerced to 0.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -111,26 +112,6 @@ class CongestionEvent:
     @property
     def duration(self) -> float:
         return self.t_recover - self.t_begin
-
-
-@dataclass
-class IntervalMetrics:
-    """One (segment, interval) row of network-level metrics; None marks absent values."""
-
-    segment_id: str
-    t_start: float
-    t_end: float
-    ttc_cv: float | None = None
-    ivvr: float | None = None
-    ovvr: float | None = None
-    osr: dict[float, float] = field(default_factory=dict)
-    tci: float | None = None
-    f_c: dict[str, float] = field(default_factory=dict)
-    ntc: float | None = None
-    trt: float | None = None
-    n_vehicles: int = 0
-    coverage: float = 0.0
-    e_ttc: float | None = None
 
 
 def index_groups(codes: np.ndarray) -> dict[int, np.ndarray]:
@@ -586,10 +567,10 @@ def compute_interval_metrics(
     trt_theta: float = DEFAULT_TRT_THETA,
     trt_t_min: float = DEFAULT_TRT_T_MIN_S,
     free_flow: float | None = None,
-) -> list[IntervalMetrics]:
+) -> MetricsTable:
     """Compute every network-level metric for each [t_start, t_end) window.
 
-    Windows may overlap and come in any order; rows follow the given windows.
+    Windows may overlap and come in any order; the table's rows follow the given windows.
     Cluster memberships are refreshed at the configured rate (default 1 Hz),
     starting at each window's first frame, while cluster TTCs are evaluated
     every frame with the latest memberships. Coverage is the fraction of a
@@ -644,38 +625,33 @@ def compute_interval_metrics(
     n_classes = len(VEHICLE_CLASSES)
     vclass = np.array([VEHICLE_CLASSES.index(c) for c in table.classes], dtype=int)
     tci_w, shares = _tci(np.bincount(vwin * n_classes + vclass[vcode], minlength=n * n_classes).reshape(n, n_classes))
-    excluded_by_window = index_groups(vwin[excluded])
+    for vehicles in index_groups(vwin[excluded]).values():  # window by window
+        vids = [table.vids[c] for c in vcode[excluded][vehicles].tolist()]
+        warnings.warn(f"ivvr: excluded vehicles with zero mean speed: {vids}")
 
-    results: list[IntervalMetrics] = []
-    for w, (t0, t1) in enumerate(windows):
-        row = IntervalMetrics(segment_id=segment.segment_id, t_start=t0, t_end=t1)
-        results.append(row)
-        w_lo, w_hi = int(lo[w]), int(hi[w])
-        row.coverage = (w_hi - w_lo) / (f1[w] - f0[w])
-        if w_hi == w_lo:
-            continue
-        row.n_vehicles = int(n_vehicles[w])
-        if row.n_vehicles:
-            row.ivvr, row.ovvr, row.tci = map(_absent_if_nan, (ivvr_w[w], ovvr_w[w], tci_w[w]))
-            row.osr = dict(zip(segment.osr_thresholds, osr_w[w].tolist()))
-            row.f_c = {vc.value: share for vc, share in zip(VEHICLE_CLASSES, shares[w].tolist())}
-            if w in excluded_by_window:
-                vids = [table.vids[c] for c in vcode[excluded][excluded_by_window[w]].tolist()]
-                warnings.warn(f"ivvr: excluded vehicles with zero mean speed: {vids}")
-            if cb[w] > ca[w]:
-                row.ttc_cv = float(cv[ca[w] : cb[w]].mean())
-            if free_flow is not None:
-                window = slice(fa[w], fb[w])
-                series = zip((present[window] / fps).tolist(), frame_speed[window].tolist())
-                row.trt = trt(detect_congestion_events(list(series), free_flow, trt_theta, trt_t_min))
-        row.ntc = ntc(length_at[w_lo - first : w_hi - first], segment.lane_count, segment.length_m)
-        if pb[w] > pa[w]:
-            row.e_ttc = float(pair_ttc[pa[w] : pb[w]].mean())
-    return results
+    def each_window(value, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """``value(a, b)`` of each window's [start, stop), nan where that range is empty."""
+        return np.array([value(a, b) if b > a else None for a, b in zip(start.tolist(), stop.tolist())], dtype=float)
+
+    def window_trt(a: int, b: int) -> float | None:
+        series = zip((present[a:b] / fps).tolist(), frame_speed[a:b].tolist())
+        return trt(detect_congestion_events(list(series), free_flow, trt_theta, trt_t_min))
+
+    def window_ntc(a: int, b: int) -> float:
+        return ntc(length_at[a - first : b - first], segment.lane_count, segment.length_m)
+
+    return MetricsTable.build(
+        [segment.segment_id] * n, segment.osr_thresholds,
+        interval_start=[t0 for t0, _ in windows], interval_end=[t1 for _, t1 in windows],
+        ttc_cv=each_window(lambda a, b: cv[a:b].mean(), ca, cb), ivvr=ivvr_w, ovvr=ovvr_w,
+        **{_osr_column(theta): osr_w[:, k] for k, theta in enumerate(segment.osr_thresholds)},
+        tci=tci_w, f_truck=shares[:, VEHICLE_CLASSES.index(VehicleClass.TRUCK)], ntc=each_window(window_ntc, lo, hi),
+        trt=np.full(n, np.nan) if free_flow is None else each_window(window_trt, fa, fb), n_vehicles=n_vehicles,
+        coverage=(hi - lo) / np.subtract(f1, f0), e_ttc=each_window(lambda a, b: pair_ttc[a:b].mean(), pa, pb))
 
 
 # ---------------------------------------------------------------------------
-# Metrics CSV serialization
+# The metrics table and its CSV
 # ---------------------------------------------------------------------------
 
 
@@ -683,42 +659,78 @@ _REQUIRED_COLUMNS = ("segment_id", "interval_start", "interval_end")
 _HEAD_COLUMNS = (*_REQUIRED_COLUMNS, "ttc_cv", "ivvr", "ovvr")  # then osr_<theta>...
 _TAIL_COLUMNS = ("tci", "f_truck", "ntc", "trt", "n_vehicles", "coverage", "e_ttc")
 _NUMERIC_COLUMNS = (*_HEAD_COLUMNS[1:], *_TAIL_COLUMNS)
-_FLOAT_ATTRIBUTES = {"interval_start": "t_start", "interval_end": "t_end",
-                     "coverage": "coverage", "volume": "n_vehicles"}
-_IS_COUNT = ("a count", lambda v: v >= 0 and v.is_integer())
+_IS_COUNT = ("a count", lambda v: 0 <= v <= 2**53 and v.is_integer())  # exact as a float
+
+
+def _osr_column(theta: float) -> str:
+    return f"osr_{float(theta)!r}"
 
 
 def metrics_header(osr_thresholds: Sequence[float]) -> list[str]:
-    return [*_HEAD_COLUMNS, *(f"osr_{float(t)!r}" for t in osr_thresholds), *_TAIL_COLUMNS]
+    return [*_HEAD_COLUMNS, *map(_osr_column, osr_thresholds), *_TAIL_COLUMNS]
 
 
-def metric_columns(osr_thresholds: Sequence[float]) -> list[str]:
-    """The metrics CSV's metric columns: its header without the row key (segment and interval bounds)."""
-    return metrics_header(osr_thresholds)[len(_REQUIRED_COLUMNS) :]
+def column_names(osr_thresholds: Sequence[float]) -> list[str]:
+    """The names ``MetricsTable.column`` takes: ``volume`` (n_vehicles) and the metric columns, the header without
+    the row key (segment and interval bounds)."""
+    return ["volume", *metrics_header(osr_thresholds)[len(_REQUIRED_COLUMNS) :]]
 
 
-def metric_value(m: IntervalMetrics, name: str):
-    """A row's value in the metrics-CSV column ``name``, or ``volume``: n_vehicles as a float."""
-    if name.startswith("osr_"):
-        return m.osr.get(float(name[len("osr_") :]))
-    if name == "f_truck":
-        return m.f_c.get(VehicleClass.TRUCK.value)
-    if name in _FLOAT_ATTRIBUTES:
-        return float(getattr(m, _FLOAT_ATTRIBUTES[name]))
-    if not hasattr(m, name):
-        raise ParameterError(f"unknown metric column {name!r}")
-    return getattr(m, name)
+@dataclass(frozen=True, eq=False)  # no == over arrays
+class MetricsTable:
+    """Network-level metrics by (segment, interval): the metrics CSV as columns.
+
+    ``columns`` holds one array per ``metrics_header(thresholds)`` column after
+    ``segment_id``, in header order: ``n_vehicles`` int, the rest float with nan
+    marking an absent value. Iterating yields one-row tables, so a list extended
+    by tables is one ``concat`` away from a table.
+    """
+
+    segment_id: np.ndarray  # of str
+    thresholds: tuple[float, ...]
+    columns: dict[str, np.ndarray]
+
+    @classmethod
+    def build(cls, segment_id: Sequence[str], thresholds: Sequence[float], **columns) -> MetricsTable:
+        """Rows of ``segment_id`` with the given ``columns``; a column not given is absent (n_vehicles 0)."""
+        n = len(segment_id)
+        full = {name: np.full(n, np.nan) for name in metrics_header(thresholds)[1:]}
+        full["n_vehicles"] = np.zeros(n, dtype=np.int64)
+        for name, values in columns.items():
+            full[name] = np.asarray(values, dtype=full[name].dtype)
+        return cls(np.array(segment_id, dtype=object), tuple(map(float, thresholds)), full)
+
+    @classmethod
+    def concat(cls, tables: MetricsTable | Iterable[MetricsTable]) -> MetricsTable:
+        """The rows of ``tables`` in order, as one table; a table is its own. ParameterError for no table or tables
+        of different thresholds."""
+        if isinstance(tables, MetricsTable):
+            return tables
+        tables = list(tables)
+        if not tables or any(t.thresholds != tables[0].thresholds for t in tables):
+            raise ParameterError("concatenated metrics tables must be one or more, with the same osr thresholds")
+        return cls(np.concatenate([t.segment_id for t in tables]), tables[0].thresholds,
+                   {name: np.concatenate([t.columns[name] for t in tables]) for name in tables[0].columns})
+
+    def __len__(self) -> int:
+        return len(self.segment_id)
+
+    def __iter__(self) -> Iterator[MetricsTable]:
+        for i in range(len(self)):
+            row = slice(i, i + 1)
+            yield MetricsTable(self.segment_id[row], self.thresholds, {k: v[row] for k, v in self.columns.items()})
+
+    def column(self, name: str) -> np.ndarray:
+        """The floats of metric column ``name``, or of ``volume`` (n_vehicles); SchemaError naming any other key."""
+        if name not in column_names(self.thresholds):
+            raise SchemaError(f"unknown metric column {name!r}; the metrics table has {column_names(self.thresholds)}")
+        return self.columns["n_vehicles" if name == "volume" else name].astype(float)
 
 
-def metrics_table(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[float]) -> tuple[list[str], list[list]]:
-    """The metrics CSV's header and columns, an absent value None."""
-    header = metrics_header(osr_thresholds)
-    return header, [[metric_value(r, name) for r in rows] for name in header]
-
-
-def write_metrics_csv(rows: Sequence[IntervalMetrics], osr_thresholds: Sequence[float]) -> str:
-    """Serialize interval metrics; absent values become empty fields."""
-    return csv_text(*metrics_table(rows, osr_thresholds))
+def write_metrics_csv(table: MetricsTable) -> str:
+    """The metrics CSV text of ``table``; absent values become empty fields."""
+    cells = [np.ma.masked_array(c, mask=np.isnan(c)) if c.dtype.kind == "f" else c for c in table.columns.values()]
+    return csv_text(metrics_header(table.thresholds), [table.segment_id, *cells])
 
 
 def _number(cell: str, name: str, line: int, what: str | None = None, ok=math.isfinite) -> float:
@@ -732,25 +744,34 @@ def _number(cell: str, name: str, line: int, what: str | None = None, ok=math.is
     return value
 
 
-def read_metrics_csv(text: str) -> list[IntervalMetrics]:
-    """Parse the metrics CSV back into IntervalMetrics rows, by CsvRecords' rules.
+def read_metrics_csv(text: str) -> MetricsTable:
+    """Parse the metrics CSV into a MetricsTable, by CsvRecords' rules.
 
     Only segment_id and the interval bounds are required; columns of other names are
-    ignored. A blank cell is an absent metric; any other cell must be a finite number,
-    and n_vehicles a count.
+    ignored, and a metric column the file lacks is absent throughout. The table's
+    thresholds are those of the file's osr_<theta> columns, in file order; two columns
+    that name one threshold (osr_1 and osr_1.0) raise SchemaError. A blank cell is an
+    absent metric (n_vehicles 0); any other cell must be a finite number, and
+    n_vehicles a count.
     """
     rows = CsvRecords(text, _REQUIRED_COLUMNS, "metrics")
-    osr_cols = [(_number(name[len("osr_") :], name, 1, "a finite threshold"), name)
-                for name in rows.col if name.startswith("osr_")]
-    numeric = [(name, i) for name, i in rows.col.items() if name in _NUMERIC_COLUMNS or name.startswith("osr_")]
-    result = []
+    thresholds, named = [], {}  # named: table column -> file column, in file order
+    for name in rows.col:
+        if name.startswith("osr_"):
+            theta = _number(name[len("osr_") :], name, 1, "a finite threshold")
+            if _osr_column(theta) in named:
+                raise SchemaError(f"line 1: columns {named[_osr_column(theta)]!r} and {name!r} name one osr threshold")
+            thresholds.append(theta)
+            named[_osr_column(theta)] = name
+        elif name in _NUMERIC_COLUMNS:
+            named[name] = name
+    segment_id, columns = [], {key: [] for key in named}
+    cells = [(columns[key], rows.col[name], name) for key, name in named.items()]
     for row in rows:
-        v = {name: _number(row[i], name, rows.line, *(_IS_COUNT if name == "n_vehicles" else ()))
-             for name, i in numeric if row[i] != "" or name in _REQUIRED_COLUMNS}
-        t_start, t_end, f_truck = v.pop("interval_start"), v.pop("interval_end"), v.pop("f_truck", None)
-        n_vehicles = int(v.pop("n_vehicles", 0))
-        osr = {theta: v.pop(name) for theta, name in osr_cols if name in v}
-        f_c = {} if f_truck is None else {VehicleClass.TRUCK.value: f_truck, VehicleClass.CAR.value: 1.0 - f_truck}
-        result.append(IntervalMetrics(row[rows.col["segment_id"]], t_start, t_end, osr=osr, f_c=f_c,
-                                      n_vehicles=n_vehicles, **v))
-    return result
+        segment_id.append(row[rows.col["segment_id"]])
+        for column, i, name in cells:
+            if row[i] == "" and name not in _REQUIRED_COLUMNS:
+                column.append(0 if name == "n_vehicles" else math.nan)
+            else:
+                column.append(_number(row[i], name, rows.line, *(_IS_COUNT if name == "n_vehicles" else ())))
+    return MetricsTable.build(segment_id, thresholds, **columns)

@@ -19,7 +19,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .config import IntervalGrid
 from .crashes import SLOT_MINUTES
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
-from .network_metrics import IntervalMetrics, SegmentConfig, metric_columns, metric_value, window_frames
+from .network_metrics import MetricsTable, SegmentConfig, column_names, window_frames
 from .trajectories import TRAJECTORY_COLUMNS, CodedColumn, csv_text
 
 HEADWAY_S = 2.0
@@ -102,7 +102,7 @@ class ScenarioSpec:
         if self.interval_seconds > self.slot_minutes * 60:
             raise ParameterError("interval_seconds cannot exceed the slot length")
         window_frames(self.windows(), self.fps)  # every window holds a frame, as the metrics pass requires
-        known = ("intercept", "volume", *metric_columns(self.segment_configs()[0].osr_thresholds))
+        known = ("intercept", *column_names(self.segment_configs()[0].osr_thresholds))
         for name in self.beta_star:
             if name not in known:
                 raise SchemaError(f"unknown beta_star key {name!r}; the plant reads one of {list(known)}")
@@ -290,7 +290,7 @@ def _standardize(column: np.ndarray) -> np.ndarray:
     return np.zeros_like(column) if std == 0 else (column - column.mean()) / std
 
 
-def generate_crash_counts(metrics: Sequence[IntervalMetrics], beta_star: Mapping[str, float],
+def generate_crash_counts(metrics: MetricsTable | Iterable[MetricsTable], beta_star: Mapping[str, float],
                           noise_kind: str = "poisson", seed: int = 0, slot_minutes: int = 10,
                           sigma: float | None = None, target_r2: float = 0.6) -> PlantResult:
     """Draw crash counts from log-linear rates on standardized metric columns.
@@ -303,11 +303,12 @@ def generate_crash_counts(metrics: Sequence[IntervalMetrics], beta_star: Mapping
     """
     if noise_kind not in ("poisson", "gaussian"):
         raise ParameterError(f"noise_kind must be 'poisson' or 'gaussian', got {noise_kind!r}")
-    eta = np.full(len(metrics), float(beta_star.get("intercept", 0.0)))
+    table = MetricsTable.concat(metrics)
+    eta = np.full(len(table), float(beta_star.get("intercept", 0.0)))
     for name in (n for n in beta_star if n != "intercept"):
-        raw = np.array([metric_value(m, name) for m in metrics], dtype=float)  # None -> nan
+        raw = table.column(name)
         if np.isnan(raw).all():
-            raw = np.zeros(len(metrics))
+            raw = np.zeros(len(table))
         elif np.isnan(raw).any():  # absent values carry no plant signal
             raw = np.where(np.isnan(raw), np.nanmean(raw), raw)
         eta = eta + float(beta_star[name]) * _standardize(raw)
@@ -334,9 +335,9 @@ def generate_crash_counts(metrics: Sequence[IntervalMetrics], beta_star: Mapping
         counts = np.maximum(np.rint(lam + sigma * noise), 0.0).astype(int)
         sigma_used = sigma
 
-    keys = [(m.segment_id, int(m.t_start // (slot_minutes * 60))) for m in metrics]
-    return PlantResult({k: int(c) for k, c in zip(keys, counts)}, {k: float(v) for k, v in zip(keys, lam)},
-                       sigma_used, dict(beta_star))
+    slot = (table.columns["interval_start"] // (slot_minutes * 60)).astype(int)
+    keys = list(zip(table.segment_id.tolist(), slot.tolist()))
+    return PlantResult(dict(zip(keys, counts.tolist())), dict(zip(keys, lam.tolist())), sigma_used, dict(beta_star))
 
 
 def crash_records_csv(plant: PlantResult, segments: Sequence[SegmentConfig], slot_minutes: int, plane: TangentPlane,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -252,6 +253,61 @@ def tci_oracle(class_counts):
     return value, {name: float(class_counts[name] / total) for name in class_counts}
 
 
+@dataclass
+class MetricsRow:
+    """One (segment, interval) row of network-level metrics, None marking an absent value.
+
+    The row form of a ``MetricsTable``, which the oracles build and tests read:
+    ``metrics_rows`` and ``metrics_table_of`` convert between the two."""
+
+    segment_id: str
+    t_start: float
+    t_end: float
+    ttc_cv: float | None = None
+    ivvr: float | None = None
+    ovvr: float | None = None
+    osr: dict[float, float] = field(default_factory=dict)
+    tci: float | None = None
+    f_truck: float | None = None
+    ntc: float | None = None
+    trt: float | None = None
+    n_vehicles: int = 0
+    coverage: float | None = 0.0
+    e_ttc: float | None = None
+
+
+_ROW_METRICS = ("ttc_cv", "ivvr", "ovvr", "tci", "f_truck", "ntc", "trt", "coverage", "e_ttc")
+
+
+def metrics_rows(table):
+    """A ``MetricsTable`` as one ``MetricsRow`` per row, cell by cell."""
+    def cells(name):
+        return [None if math.isnan(v) else v for v in table.columns[name].tolist()]
+
+    osr = {theta: cells(f"osr_{theta!r}") for theta in table.thresholds}
+    metrics = {name: cells(name) for name in _ROW_METRICS}
+    return [
+        MetricsRow(sid, t0, t1, osr={theta: v[i] for theta, v in osr.items() if v[i] is not None},
+                   n_vehicles=n, **{name: v[i] for name, v in metrics.items()})
+        for i, (sid, t0, t1, n) in enumerate(zip(table.segment_id.tolist(), table.columns["interval_start"].tolist(),
+                                                 table.columns["interval_end"].tolist(),
+                                                 table.columns["n_vehicles"].tolist()))
+    ]
+
+
+def metrics_table_of(rows, thresholds=(1.0,)):
+    """``MetricsRow`` rows as a ``MetricsTable`` of the given osr thresholds, cell by cell."""
+    from netsafety.network_metrics import MetricsTable
+
+    def cells(value):
+        return [math.nan if value(r) is None else value(r) for r in rows]
+
+    columns = {name: cells(lambda r, name=name: getattr(r, name)) for name in _ROW_METRICS}
+    columns.update({f"osr_{float(t)!r}": cells(lambda r, t=t: r.osr.get(t)) for t in thresholds})
+    return MetricsTable.build([r.segment_id for r in rows], thresholds, interval_start=[r.t_start for r in rows],
+                              interval_end=[r.t_end for r in rows], n_vehicles=[r.n_vehicles for r in rows], **columns)
+
+
 def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
                             trt_theta=0.5, trt_t_min=30.0, free_flow=None):
     """``compute_interval_metrics`` by a loop over each window's frames.
@@ -287,7 +343,7 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
     for t0, t1 in windows:
         f0 = math.ceil(t0 * fps - 1e-9)
         f1 = math.ceil(t1 * fps - 1e-9)
-        row = nm.IntervalMetrics(segment_id=segment.segment_id, t_start=t0, t_end=t1)
+        row = MetricsRow(segment_id=segment.segment_id, t_start=t0, t_end=t1)
         results.append(row)
         if not have_data:
             continue
@@ -312,7 +368,8 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
             counts = {vc.value: 0 for vc in nm.VEHICLE_CLASSES}
             for c in rows_of:
                 counts[table.classes[c].value] += 1
-            row.tci, row.f_c = tci_oracle(counts)
+            row.tci, shares = tci_oracle(counts)
+            row.f_truck = shares[nm.VehicleClass.TRUCK.value]
 
         frame_totals = np.zeros(hi - lo)
         present, fstarts = np.unique(frame, return_index=True)

@@ -14,7 +14,6 @@ from netsafety.association import (
     cross_segment_analysis,
     full_model_analysis,
     full_model_table_csv,
-    metric_value,
     per_metric_correlations,
     run_association,
     shapley_analysis,
@@ -22,10 +21,9 @@ from netsafety.association import (
 )
 from netsafety.crashes import CrashBinning, CrashCounts
 from netsafety.errors import DataError, ParameterError
-from netsafety.network_metrics import IntervalMetrics
 from netsafety.stats import Dataset
 
-from oracles import pooled_abs_r_oracle
+from oracles import MetricsRow, metrics_table_of, pooled_abs_r_oracle
 
 PREDICTORS = ("ttc_cv", "ivvr", "ovvr", "osr_1.0", "tci", "ntc")
 
@@ -34,7 +32,7 @@ def make_rows(seg, n, rng, missing_ttc=()):
     rows = []
     for i in range(n):
         rows.append(
-            IntervalMetrics(
+            MetricsRow(
                 segment_id=seg,
                 t_start=i * 600.0,
                 t_end=i * 600.0 + 600.0,
@@ -43,7 +41,7 @@ def make_rows(seg, n, rng, missing_ttc=()):
                 ovvr=float(rng.uniform(0, 0.3)),
                 osr={1.0: float(rng.uniform(0, 0.6))},
                 tci=float(rng.uniform(0.5, 1.0)),
-                f_c={"Car": 0.8, "Truck": 0.2},
+                f_truck=0.2,
                 ntc=float(rng.uniform(0.01, 0.09)),
                 n_vehicles=int(rng.integers(3, 20)),
                 coverage=1.0,
@@ -63,11 +61,12 @@ def make_binning(counts, slot_minutes=10):
 
 
 def plant_counts(rows, coef, rng=None, sigma=0.0, slot_minutes=10, offset=0.0):
+    table = metrics_table_of(rows)
+    base = offset + sum(weight * table.column(name) for name, weight in coef.items())
     counts = {}
-    for m in rows:
-        base = offset + sum(weight * metric_value(m, name) for name, weight in coef.items())
+    for m, b in zip(rows, base.tolist()):
         noise = float(rng.normal(0, sigma)) if rng is not None and sigma > 0 else 0.0
-        counts[(m.segment_id, int(m.t_start // (slot_minutes * 60)))] = max(base + noise, 0.0)
+        counts[(m.segment_id, int(m.t_start // (slot_minutes * 60)))] = max(b + noise, 0.0)
     return counts
 
 
@@ -85,7 +84,7 @@ class TestBuildDataset:
         rng = np.random.default_rng(0)
         rows = make_rows("S1", 10, rng)
         binning = make_binning({("S1", i): i for i in range(10)})
-        d = build_dataset(rows, binning, "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), binning, "AllType", PREDICTORS)
         assert d.n == 10
         assert d.dropped == {"no_crash_data": 0, "absent_metric": 0, "excluded": 0}
         assert d.predictor_names == list(PREDICTORS)
@@ -95,33 +94,34 @@ class TestBuildDataset:
         rng = np.random.default_rng(1)
         rows = make_rows("S1", 10, rng)
         counts = {("S1", i): i for i in range(10) if i != 4}
-        d = build_dataset(rows, make_binning(counts), "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), make_binning(counts), "AllType", PREDICTORS)
         assert d.n == 9 and d.dropped["no_crash_data"] == 1
 
     def test_absent_metric_dropped(self):
         rng = np.random.default_rng(2)
         rows = make_rows("S1", 10, rng, missing_ttc={2, 5})
-        d = build_dataset(rows, make_binning({("S1", i): 1 + i for i in range(10)}), "AllType", PREDICTORS)
+        binning = make_binning({("S1", i): 1 + i for i in range(10)})
+        d = build_dataset(metrics_table_of(rows), binning, "AllType", PREDICTORS)
         assert d.n == 8 and d.dropped["absent_metric"] == 2
 
     def test_disjoint_grids_error(self):
         rng = np.random.default_rng(3)
         rows = make_rows("S1", 5, rng)
         with pytest.raises(DataError, match="empty join"):
-            build_dataset(rows, make_binning({("S2", 0): 1}), "AllType", PREDICTORS)
+            build_dataset(metrics_table_of(rows), make_binning({("S2", 0): 1}), "AllType", PREDICTORS)
 
     def test_row_accounting(self):
         rng = np.random.default_rng(4)
         rows = make_rows("S1", 12, rng, missing_ttc={0})
         counts = {("S1", i): i for i in range(1, 12)}
-        d = build_dataset(rows, make_binning(counts), "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), make_binning(counts), "AllType", PREDICTORS)
         assert d.n + sum(d.dropped.values()) == 12
 
     def test_exclusion_list(self):
         rng = np.random.default_rng(40)
         rows = make_rows("S1", 10, rng)
         binning = make_binning({("S1", i): i for i in range(10)})
-        d = build_dataset(rows, binning, "AllType", PREDICTORS, exclude_slots=[("S1", 3), ("S1", 7)])
+        d = build_dataset(metrics_table_of(rows), binning, "AllType", PREDICTORS, exclude_slots=[("S1", 3), ("S1", 7)])
         assert d.n == 8 and d.dropped["excluded"] == 2
         assert ("S1", 3) not in d.row_keys
 
@@ -131,7 +131,7 @@ class TestPerMetricCorrelations:
         rng = np.random.default_rng(5)
         rows = make_rows("S1", 40, rng)
         counts = plant_counts(rows, {"osr_1.0": 2.0})
-        d = build_dataset(rows, _mk(counts), "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), _mk(counts), "AllType", PREDICTORS)
         corr = per_metric_correlations(d, ["pearson", "spearman", "kendall"])
         for method in ("pearson", "spearman", "kendall"):
             assert corr[method]["osr_1.0"] == pytest.approx(1.0)
@@ -140,7 +140,7 @@ class TestPerMetricCorrelations:
         rng = np.random.default_rng(6)
         rows = make_rows("S1", 30, rng)
         counts = plant_counts(rows, {"ntc": 1.0})
-        d = build_dataset(rows, _mk(counts), "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), _mk(counts), "AllType", PREDICTORS)
         corr = per_metric_correlations(d, ["pearson", "spearman", "kendall"])
         for method in ("pearson", "spearman", "kendall"):
             assert corr[method]["ntc"] == pytest.approx(1.0)
@@ -154,7 +154,7 @@ class TestPerMetricCorrelations:
             rng = np.random.default_rng(1000 + seed)
             rows = make_rows("S1", n, rng)
             counts = {("S1", i): float(rng.uniform(1, 5)) for i in range(n)}
-            d = build_dataset(rows, _mk(counts), "AllType", PREDICTORS)
+            d = build_dataset(metrics_table_of(rows), _mk(counts), "AllType", PREDICTORS)
             r = per_metric_correlations(d, ["pearson"])["pearson"]["ivvr"]
             hits += abs(r) < threshold
         assert hits / trials >= 0.90
@@ -164,7 +164,8 @@ class TestPerMetricCorrelations:
         rows = make_rows("S1", 10, rng)
         for m in rows:
             m.tci = 0.75
-        d = build_dataset(rows, make_binning({("S1", i): i for i in range(10)}), "AllType", PREDICTORS)
+        binning = make_binning({("S1", i): i for i in range(10)})
+        d = build_dataset(metrics_table_of(rows), binning, "AllType", PREDICTORS)
         corr = per_metric_correlations(d, ["pearson"])
         assert corr["pearson"]["tci"] is None
 
@@ -174,7 +175,7 @@ class TestFullModel:
         rng = np.random.default_rng(8)
         rows = make_rows("S1", 120, rng)
         counts = plant_counts(rows, {"osr_1.0": 5.0, "ntc": 40.0}, rng=rng, sigma=0.05)
-        d = build_dataset(rows, _mk(counts), "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), _mk(counts), "AllType", PREDICTORS)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports = full_model_analysis(d, AnalysisConfig(seed=0))
@@ -198,7 +199,7 @@ class TestFullModel:
         rng = np.random.default_rng(9)
         rows = make_rows("S1", 60, rng)
         counts = plant_counts(rows, {"ovvr": 3.0}, rng=rng, sigma=0.2)
-        d = build_dataset(rows, _mk(counts), "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), _mk(counts), "AllType", PREDICTORS)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             a = full_model_analysis(d, AnalysisConfig(seed=4))
@@ -209,7 +210,8 @@ class TestFullModel:
     def test_small_sample_warns(self):
         rng = np.random.default_rng(10)
         rows = make_rows("S1", 12, rng)
-        d = build_dataset(rows, make_binning({("S1", i): 1 + i for i in range(12)}), "AllType", PREDICTORS)
+        binning = make_binning({("S1", i): 1 + i for i in range(12)})
+        d = build_dataset(metrics_table_of(rows), binning, "AllType", PREDICTORS)
         with pytest.warns(UserWarning, match="recommend"):
             full_model_analysis(d, AnalysisConfig(seed=0))
 
@@ -222,7 +224,7 @@ def segment_datasets(rng, n_per=60, invert=None, sigma=0.05):
         counts = plant_counts(
             rows, {"osr_1.0": sign * 5.0, "ntc": sign * 40.0}, rng=rng, sigma=sigma, offset=10.0
         )
-        out[sid] = build_dataset(rows, _mk(counts), "AllType", PREDICTORS)
+        out[sid] = build_dataset(metrics_table_of(rows), _mk(counts), "AllType", PREDICTORS)
     return out
 
 
@@ -369,7 +371,7 @@ class TestShapleyAnalysis:
         rng = np.random.default_rng(16)
         rows = make_rows("S1", 80, rng)
         counts = plant_counts(rows, {"ovvr": 10.0}, rng=rng, sigma=0.05)
-        d = build_dataset(rows, _mk(counts), "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), _mk(counts), "AllType", PREDICTORS)
         values = shapley_analysis(d).by_name()
         assert values["ovvr"] == max(values.values())
 
@@ -377,7 +379,7 @@ class TestShapleyAnalysis:
         rng = np.random.default_rng(17)
         rows = make_rows("S1", 100, rng)
         counts = {("S1", i): float(rng.uniform(1, 5)) for i in range(100)}
-        d = build_dataset(rows, _mk(counts), "AllType", PREDICTORS)
+        d = build_dataset(metrics_table_of(rows), _mk(counts), "AllType", PREDICTORS)
         values = shapley_analysis(d).by_name()
         assert all(abs(v) < 0.08 for v in values.values())
 
@@ -391,7 +393,7 @@ class TestReportAssembly:
         cfg = AnalysisConfig(seed=0, families=("AllType", "Sideswipe"))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = run_association(rows, binning, cfg)
+            report = run_association(metrics_table_of(rows), binning, cfg)
         assert report.families["AllType"]["n_rows"] == 120
         assert "full_model" in report.families["AllType"]
         assert "holdout" in report.cross_segment["AllType"]
@@ -404,7 +406,7 @@ class TestReportAssembly:
         rng = np.random.default_rng(19)
         rows = make_rows("S1", 5, rng)
         binning = make_binning({("S1", 99): 1})  # no overlap
-        report = run_association(rows, binning, AnalysisConfig(seed=0, families=("AllType",)))
+        report = run_association(metrics_table_of(rows), binning, AnalysisConfig(seed=0, families=("AllType",)))
         assert "insufficient_data" in report.families["AllType"]
 
     def test_segment_without_joined_rows_marks_cross_segment(self):
@@ -413,13 +415,13 @@ class TestReportAssembly:
         binning = _mk(plant_counts([m for m in rows if m.segment_id != "S2"], {"ntc": 30.0}, rng=rng, sigma=0.1))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            report = run_association(rows, binning, AnalysisConfig(seed=0, families=("AllType",)))
+            report = run_association(metrics_table_of(rows), binning, AnalysisConfig(seed=0, families=("AllType",)))
         assert report.families["AllType"]["n_rows"] == 60
         assert report.cross_segment["AllType"] == {"insufficient_data": "segment 'S2' has no joined rows"}
 
     def test_config_serializes_every_field_but_the_exclusions(self):
         cfg = AnalysisConfig(slot_minutes=15, cv_folds=4, seed=3, exclude_slots=(("S1", 2),))
-        assert run_association([], make_binning({}), cfg).to_dict()["config"] == {
+        assert run_association(metrics_table_of([]), make_binning({}), cfg).to_dict()["config"] == {
             "slot_minutes": 15, "families": list(cfg.families), "methods": list(cfg.methods), "cv_folds": 4,
             "seed": 3, "predictors": list(cfg.predictors),
         }
@@ -431,7 +433,7 @@ def _metric_rows(draw, segment_ids):
     rows = []
     for _ in range(draw(hst.integers(1, 24))):
         sid, slot = draw(hst.sampled_from(segment_ids)), draw(hst.integers(0, 7))
-        rows.append(IntervalMetrics(
+        rows.append(MetricsRow(
             segment_id=sid, t_start=slot * 600.0 + draw(hst.sampled_from([0.0, 25.0])), t_end=slot * 600.0 + 50.0,
             ttc_cv=draw(hst.none() | value), ivvr=draw(value), ovvr=draw(value), osr={1.0: draw(value)},
             tci=draw(value), ntc=draw(value), n_vehicles=draw(hst.integers(0, 9)), e_ttc=draw(hst.none() | value),
@@ -450,7 +452,7 @@ def test_each_segment_of_the_family_join_is_that_segments_own_join(data):
              for sid in binned for slot in range(8) if data.draw(hst.integers(0, 3))}  # a quarter of slots unbinned
     binning = make_binning(cells)
     excluded = data.draw(hst.lists(hst.tuples(hst.sampled_from(segment_ids), hst.integers(0, 7)), max_size=4))
-    join = lambda metrics: build_dataset(metrics, binning, "RearEnd", PREDICTORS, excluded)  # noqa: E731
+    join = lambda rows: build_dataset(metrics_table_of(rows), binning, "RearEnd", PREDICTORS, excluded)  # noqa: E731
     try:
         d = join(rows)
     except DataError:

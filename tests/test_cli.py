@@ -16,7 +16,7 @@ from netsafety.network_metrics import read_metrics_csv
 from netsafety.synth import ScenarioSpec
 from netsafety.trajectories import parse_trajectories
 
-from oracles import ssm_rows_oracle
+from oracles import metrics_rows, ssm_rows_oracle
 
 
 def write_spec(path: Path, **kw) -> Path:
@@ -261,7 +261,7 @@ class TestMetricsCommand:
     def test_metrics_csv_written(self, tmp_path):
         out = run_bundle(tmp_path)
         assert main(["metrics", "--config", str(out / "config.json")]) == 0
-        rows = read_metrics_csv((out / "metrics.csv").read_text())
+        rows = metrics_rows(read_metrics_csv((out / "metrics.csv").read_text()))
         assert len(rows) == 12  # 2 segments x 6 intervals
         assert {r.segment_id for r in rows} == {"S1", "S2"}
 
@@ -270,7 +270,7 @@ class TestMetricsCommand:
         (out / "trajectories_S1.csv").write_text("frame,vehicle_id,x1,y1,x2,y2\n")
         (out / "trajectories_S2.csv").write_text("frame,vehicle_id,x1,y1,x2,y2\n")
         assert main(["metrics", "--config", str(out / "config.json")]) == 0
-        rows = read_metrics_csv((out / "metrics.csv").read_text())
+        rows = metrics_rows(read_metrics_csv((out / "metrics.csv").read_text()))
         assert all(r.n_vehicles == 0 and r.ivvr is None for r in rows)
 
     def test_empty_input_auto_grid_header_only(self, tmp_path):
@@ -311,7 +311,7 @@ class TestMetricsCommand:
         out = run_bundle(tmp_path)
         cfg = load_config(out / "config.json")
         assert main(["metrics", "--config", str(out / "config.json")]) == 0
-        rows = read_metrics_csv((out / "metrics.csv").read_text())
+        rows = metrics_rows(read_metrics_csv((out / "metrics.csv").read_text()))
         seg = cfg.segments[0]
         tracks = prepare_tracks(
             parse_trajectories((out / "trajectories_S1.csv").read_text(), cfg.fps),
@@ -417,7 +417,8 @@ class TestSsmCommand:
         }
         assert followers == expected_followers and len(pairs) == len(followers)
 
-        rows = [r for r in read_metrics_csv((out / "metrics.csv").read_text()) if r.segment_id == seg.segment_id]
+        rows = metrics_rows(read_metrics_csv((out / "metrics.csv").read_text()))
+        rows = [r for r in rows if r.segment_id == seg.segment_id]
         for row in rows:
             f0, f1 = math.ceil(row.t_start * cfg.fps - 1e-9), math.ceil(row.t_end * cfg.fps - 1e-9)
             ttcs = [float(p["ttc"]) for p in pairs
@@ -630,11 +631,11 @@ class TestConfigValidation:
     def test_collision_point_reaches_metrics(self, tmp_path):
         # Leaders outrun followers, so only the collision point yields cluster TTCs.
         assert main(["metrics", "--config", str(write_hand_config(tmp_path))]) == 0
-        (plain,) = read_metrics_csv((tmp_path / "metrics.csv").read_text())
+        (plain,) = metrics_rows(read_metrics_csv((tmp_path / "metrics.csv").read_text()))
         assert plain.ttc_cv is None
         config = write_hand_config(tmp_path, {"collision_point": [1000.0, 0.0]})
         assert main(["metrics", "--config", str(config)]) == 0
-        (row,) = read_metrics_csv((tmp_path / "metrics.csv").read_text())
+        (row,) = metrics_rows(read_metrics_csv((tmp_path / "metrics.csv").read_text()))
         per_frame = []
         for f in range(10):
             ttcs = np.array([(1000.0 - (x0 + v * f)) / v for x0, v in ((0.0, 10.0), (100.0, 15.0), (250.0, 20.0))])
@@ -744,8 +745,54 @@ class TestConfigValidation:
         assert err["error"] == "SchemaError"
         assert err["message"].startswith(context)
 
+    @pytest.mark.parametrize("analysis, error, message", [
+        # An empty list crashed associate with a ZeroDivisionError traceback (exit 1).
+        ({"predictors": []}, "ParameterError", "predictors must name at least one metric column"),
+        # A repeated predictor exited 0 with a shapley.csv of two ivvr columns from a one-key phi.
+        ({"predictors": ["ivvr", "ivvr"]}, "ParameterError", "predictors name ['ivvr'] more than once"),
+        # A string was split into characters: "ivvr" read as the unknown metric column 'i'.
+        *(({key: value}, "SchemaError", f"config analysis field {key!r} must be a list of strings, got {value!r}")
+          for key, value in (("families", "AllType"), ("methods", "pearson"), ("predictors", "ivvr"))),
+    ], ids=["empty-predictors", "repeated-predictor", "families-string", "methods-string", "predictors-string"])
+    def test_analysis_list_exits_2_naming_the_key(self, tmp_path, capsys, analysis, error, message):
+        out = run_bundle(tmp_path)
+        config = out / "config.json"
+        assert main(["metrics", "--config", str(config)]) == 0
+        obj = json.loads(config.read_text())
+        obj["analysis"].update(analysis)
+        config.write_text(json.dumps(obj))
+        assert main(["associate", "--config", str(config)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (error, message)
+        assert not (out / "association_report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def metrics_bundle(tmp_path_factory):
+    """A synth bundle with its metrics.csv."""
+    out = run_bundle(tmp_path_factory.mktemp("metrics_bundle"))
+    assert main(["metrics", "--config", str(out / "config.json")]) == 0
+    return out
+
 
 class TestAssociateCommand:
+    @pytest.mark.parametrize("command", ["associate", "shapley"])
+    @pytest.mark.parametrize("name", ["osr_abc", "segment_id", "f_c", "osr", "t_start", "interval_start", "osr_2.0",
+                                      "osr_1"])
+    def test_predictor_that_is_no_metric_column_exits_2_naming_it(self, metrics_bundle, capsys, command, name):
+        # osr_abc and segment_id exited 1 with a ValueError traceback, f_c and osr with a TypeError one;
+        # t_start and interval_start ran as predictors, osr_1 as an alias of osr_1.0, and osr_2.0 (a threshold
+        # metrics.csv lacks) exited 0 with every family "absent_metric".
+        config = json.loads((metrics_bundle / "config.json").read_text())
+        config["analysis"]["predictors"] = ["ivvr", name]
+        path = metrics_bundle / f"config_{name}.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert (json.loads(err)["error"], json.loads(err)["message"]) == (
+            "SchemaError", f"unknown metric column {name!r}; the metrics table has {PLANT_KEYS[1:]}")
+        assert out == "" and not (metrics_bundle / "association_report.json").exists()
+
     def test_end_to_end_report(self, tmp_path):
         out = run_bundle(tmp_path)
         config = out / "config.json"

@@ -4,8 +4,10 @@ import pytest
 
 from netsafety.crashes import parse_crashes
 from netsafety.errors import SchemaError
-from netsafety.network_metrics import IntervalMetrics, read_metrics_csv, write_metrics_csv
+from netsafety.network_metrics import read_metrics_csv, write_metrics_csv
 from netsafety.trajectories import parse_trajectories
+
+from oracles import MetricsRow, metrics_rows, metrics_table_of
 
 # reader, what its errors call the file, header, two good rows, a faulty row and its message
 READERS = {
@@ -21,7 +23,7 @@ READERS = {
         "2021-06-15T08:50:00,abc,-112.06,OTHER", "malformed coordinate",
     ),
     "metrics": (
-        lambda text: [(m.segment_id, m.t_start, m.ivvr) for m in read_metrics_csv(text)],
+        lambda text: [(m.segment_id, m.t_start, m.ivvr) for m in metrics_rows(read_metrics_csv(text))],
         "metrics", "segment_id,interval_start,interval_end,ivvr", ("S1,0.0,25.0,0.5", "S1,600.0,625.0,"),
         "S1,abc,1225.0,0.25", "column 'interval_start' is not a number",
     ),
@@ -89,16 +91,16 @@ def test_text_the_csv_module_refuses_names_the_line(reader, case):
 
 
 def test_written_metrics_row_reads_back():
-    row = IntervalMetrics(
+    row = MetricsRow(
         "S1", 0, 25, ttc_cv=0.5, ivvr=None, ovvr=0.125, osr={1.0: 0.25, 1.5: 0.0625}, tci=2.0,
-        f_c={"Truck": 0.25, "Car": 0.75}, ntc=0.01, trt=None, n_vehicles=7, coverage=1, e_ttc=3.5,
+        f_truck=0.25, ntc=0.01, trt=None, n_vehicles=7, coverage=1, e_ttc=3.5,
     )
-    text = write_metrics_csv([row], [1.0, 1.5])
+    text = write_metrics_csv(metrics_table_of([row], [1.0, 1.5]))
     assert text.splitlines() == [
         "segment_id,interval_start,interval_end,ttc_cv,ivvr,ovvr,osr_1.0,osr_1.5,tci,f_truck,ntc,trt,"
         "n_vehicles,coverage,e_ttc",
         "S1,0.0,25.0,0.5,,0.125,0.25,0.0625,2.0,0.25,0.01,,7,1.0,3.5",
     ]
-    (back,) = read_metrics_csv(text)
+    (back,) = metrics_rows(read_metrics_csv(text))
     assert back == row and type(back.n_vehicles) is int
 

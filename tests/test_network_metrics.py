@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsafety import cli
 from netsafety.config import load_config
@@ -12,7 +14,7 @@ from netsafety.network_metrics import (
     ClusterConfig,
     CongestionEvent,
     FrameClusterTTC,
-    IntervalMetrics,
+    MetricsTable,
     SegmentConfig,
     VehicleCluster,
     cluster_frame,
@@ -33,7 +35,10 @@ from netsafety.network_metrics import (
 from netsafety.trajectories import PreparedTrack, VehicleClass
 
 from oracles import (
+    MetricsRow,
     interval_metrics_oracle,
+    metrics_rows,
+    metrics_table_of,
     ivvr_oracle,
     osr_oracle,
     ovvr_oracle,
@@ -372,7 +377,7 @@ class TestConfigs:
 class TestIntervalExtraction:
     def test_single_vehicle_constant_speed(self):
         tracks = [track("a", range(20), np.arange(20) * 2.0)]
-        rows = compute_interval_metrics(tracks, seg(), ClusterConfig(10.0), 1.0, [(0.0, 20.0)])
+        rows = metrics_rows(compute_interval_metrics(tracks, seg(), ClusterConfig(10.0), 1.0, [(0.0, 20.0)]))
         row = rows[0]
         assert row.n_vehicles == 1
         assert row.ivvr == pytest.approx(0.0)
@@ -382,7 +387,7 @@ class TestIntervalExtraction:
         assert row.coverage == pytest.approx(1.0)
 
     def test_empty_input_gives_absent_rows(self):
-        rows = compute_interval_metrics([], seg(), ClusterConfig(), 1.0, [(0.0, 10.0)])
+        rows = metrics_rows(compute_interval_metrics([], seg(), ClusterConfig(), 1.0, [(0.0, 10.0)]))
         row = rows[0]
         assert row.n_vehicles == 0 and row.coverage == 0.0
         assert row.ivvr is None and row.ntc is None and row.ttc_cv is None
@@ -393,13 +398,13 @@ class TestIntervalExtraction:
             track("a", range(10), np.arange(10) * 2.0, length=4.5),
             track("b", range(15, 20), 50 + np.arange(5) * 2.0, length=4.5),
         ]
-        rows = compute_interval_metrics(tracks, seg(), ClusterConfig(5.0), 1.0, [(0.0, 20.0)])
+        rows = metrics_rows(compute_interval_metrics(tracks, seg(), ClusterConfig(5.0), 1.0, [(0.0, 20.0)]))
         expected = (10 * 4.5 + 5 * 0.0 + 5 * 4.5) / 20 / (2 * 100.0)
         assert rows[0].ntc == pytest.approx(expected)
 
     def test_coverage_partial_window(self):
         tracks = [track("a", range(10), np.arange(10) * 2.0)]
-        rows = compute_interval_metrics(tracks, seg(), ClusterConfig(), 1.0, [(0.0, 40.0)])
+        rows = metrics_rows(compute_interval_metrics(tracks, seg(), ClusterConfig(), 1.0, [(0.0, 40.0)]))
         assert rows[0].coverage == pytest.approx(0.25)
 
     def test_cluster_pipeline_ttc_cv_present_with_three_platoons(self):
@@ -408,9 +413,9 @@ class TestIntervalExtraction:
             track("b", range(10), 120 + np.arange(10) * 24.0),
             track("c", range(10), 260 + np.arange(10) * 18.0),
         ]
-        rows = compute_interval_metrics(
+        rows = metrics_rows(compute_interval_metrics(
             tracks, seg(length_m=600.0), ClusterConfig(10.0), 1.0, [(0.0, 10.0)]
-        )
+        ))
         assert rows[0].ttc_cv is not None and rows[0].ttc_cv > 0
 
     def test_e_ttc_matches_hand_value(self):
@@ -419,7 +424,8 @@ class TestIntervalExtraction:
             track("f", range(5), np.arange(5) * 30.0),
             track("l", range(5), 100 + np.arange(5) * 20.0),
         ]
-        rows = compute_interval_metrics(tracks, seg(length_m=300.0), ClusterConfig(5.0), 1.0, [(0.0, 5.0)])
+        rows = metrics_rows(
+            compute_interval_metrics(tracks, seg(length_m=300.0), ClusterConfig(5.0), 1.0, [(0.0, 5.0)]))
         gaps = [100 - 10 * i for i in range(5)]
         assert rows[0].e_ttc == pytest.approx(np.mean([g / 10.0 for g in gaps]))
 
@@ -445,34 +451,34 @@ class TestCollisionPointHook:
             track("b", range(5), 40 + np.arange(5) * 10.0),
         ]
         s = seg(length_m=600.0, collision_point=(500.0, 0.0))
-        rows = compute_interval_metrics(tracks, s, ClusterConfig(5.0), 1.0, [(0.0, 5.0)])
+        rows = metrics_rows(compute_interval_metrics(tracks, s, ClusterConfig(5.0), 1.0, [(0.0, 5.0)]))
         assert rows[0].ttc_cv is not None  # both approach the point -> two values per frame
 
 
 class TestMetricsCsv:
     def test_round_trip(self):
         rows = [
-            IntervalMetrics(
+            MetricsRow(
                 segment_id="S1", t_start=0.0, t_end=600.0, ttc_cv=1.25, ivvr=0.1,
                 ovvr=0.2, osr={1.0: 0.3, 1.2: 0.1}, tci=0.9,
-                f_c={"Car": 0.75, "Truck": 0.25}, ntc=0.04, trt=None,
+                f_truck=0.25, ntc=0.04, trt=None,
                 n_vehicles=12, coverage=1.0, e_ttc=8.5,
             ),
-            IntervalMetrics(segment_id="S1", t_start=600.0, t_end=1200.0),
+            MetricsRow(segment_id="S1", t_start=600.0, t_end=1200.0),
         ]
-        text = write_metrics_csv(rows, osr_thresholds=[1.0, 1.2])
+        text = write_metrics_csv(metrics_table_of(rows, [1.0, 1.2]))
         header = text.splitlines()[0]
         assert header == ",".join(metrics_header([1.0, 1.2]))
-        parsed = read_metrics_csv(text)
+        parsed = metrics_rows(read_metrics_csv(text))
         assert parsed[0].osr == {1.0: 0.3, 1.2: 0.1}
         assert parsed[0].ttc_cv == 1.25
-        assert parsed[0].f_c["Truck"] == 0.25
+        assert parsed[0].f_truck == 0.25
         assert parsed[0].trt is None
         assert parsed[1].ivvr is None and parsed[1].n_vehicles == 0
 
     def test_absent_serialized_empty(self):
-        row = IntervalMetrics(segment_id="S1", t_start=0.0, t_end=600.0)
-        line = write_metrics_csv([row], [1.0]).splitlines()[1]
+        row = MetricsRow(segment_id="S1", t_start=0.0, t_end=600.0)
+        line = write_metrics_csv(metrics_table_of([row], [1.0])).splitlines()[1]
         assert line.split(",")[3] == ""  # ttc_cv empty, not zero
 
     @pytest.mark.parametrize("text, message", [
@@ -483,22 +489,57 @@ class TestMetricsCsv:
         with pytest.raises(SchemaError, match=f"^{message}$"):
             read_metrics_csv(text)
 
+    def test_two_columns_of_one_threshold_are_a_schema_error(self):
+        # The last of osr_1 and osr_1.0 used to win silently.
+        text = "segment_id,interval_start,interval_end,osr_1,osr_1.0\nS1,0,25,0.25,0.5\n"
+        with pytest.raises(SchemaError, match=r"^line 1: columns 'osr_1' and 'osr_1\.0' name one osr threshold$"):
+            read_metrics_csv(text)
+
+    def test_two_equal_column_names_keep_the_first(self):
+        table = read_metrics_csv("segment_id,interval_start,interval_end,osr_1.0,osr_1.0\nS1,0,25,0.25,0.5\n")
+        assert table.thresholds == (1.0,) and table.columns["osr_1.0"].tolist() == [0.25]
+
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(data=st.data())
+    def test_written_table_reads_back_column_for_column(self, data):
+        # Random thresholds, absent cells (nan) and segment ids. The ids leave out a carriage return: csv_text
+        # writes it unquoted, as csv.writer does, and the reader refuses such a cell (both pinned in other tests).
+        thresholds = data.draw(st.lists(st.floats(0.5, 5.0), max_size=4, unique=True))
+        n = data.draw(st.integers(0, 6))
+        segment_id = st.text(st.sampled_from('S1 ,"\n\tx\u00e9'), max_size=4)  # some need quoting
+        ids = data.draw(st.lists(segment_id, min_size=n, max_size=n))
+        number = st.floats(allow_nan=False, allow_infinity=False)
+        cells = st.lists(st.none() | number, min_size=n, max_size=n).map(
+            lambda values: [np.nan if v is None else v for v in values])
+        columns = {name: data.draw(cells) for name in metrics_header(thresholds)[3:] if name != "n_vehicles"}
+        table = MetricsTable.build(ids, thresholds, **columns,
+                                   interval_start=data.draw(st.lists(number, min_size=n, max_size=n)),
+                                   interval_end=data.draw(st.lists(number, min_size=n, max_size=n)),
+                                   n_vehicles=data.draw(st.lists(st.integers(0, 2**53), min_size=n, max_size=n)))
+        back = read_metrics_csv(write_metrics_csv(table))
+        assert back.segment_id.tolist() == ids and back.thresholds == table.thresholds
+        assert list(back.columns) == list(table.columns)
+        for name, column in table.columns.items():
+            assert back.columns[name].dtype == column.dtype and back.columns[name].tobytes() == column.tobytes(), name
+
 
 def assert_rows_match(got, want, rel=1e-12):
-    """Same interval rows: counts, coverage and absence exactly, numbers within ``rel``."""
+    """Same interval rows: counts, coverage and absence exactly, numbers within ``rel``.
+
+    ``got`` is a MetricsTable, ``want`` MetricsRow rows."""
+    got = metrics_rows(got)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         where = (g.segment_id, g.t_start, g.t_end)
         assert (g.segment_id, g.t_start, g.t_end, g.n_vehicles, g.coverage) == (
             w.segment_id, w.t_start, w.t_end, w.n_vehicles, w.coverage), where
-        for name in ("ttc_cv", "ivvr", "ovvr", "tci", "ntc", "trt", "e_ttc"):
+        for name in ("ttc_cv", "ivvr", "ovvr", "tci", "f_truck", "ntc", "trt", "e_ttc"):
             a, b = getattr(g, name), getattr(w, name)
             assert (a is None) == (b is None), (where, name, a, b)
             if b is not None:
                 assert a == pytest.approx(b, rel=rel, abs=0.0), (where, name)
-        for name in ("osr", "f_c"):
-            a, b = getattr(g, name), getattr(w, name)
-            assert a.keys() == b.keys() and all(a[k] == pytest.approx(b[k], rel=rel, abs=0.0) for k in b), name
+        a, b = g.osr, w.osr
+        assert a.keys() == b.keys() and all(a[k] == pytest.approx(b[k], rel=rel, abs=0.0) for k in b), "osr"
 
 
 def random_scene(rng, fps=8.0, n_frames=96, gap=(40, 46)):
@@ -566,8 +607,9 @@ class TestFrameBatchedKernel:
             tracks = random_scene(np.random.default_rng(seed))
             for rate in (1.0, 3.0):
                 args = (tracks, seg(length_m=400.0), ClusterConfig(30.0, rate), 8.0, windows)
-                rows = compute_interval_metrics(*args, trt_t_min=0.5)
-                assert_rows_match(rows, interval_metrics_oracle(*args, trt_t_min=0.5))
+                table = compute_interval_metrics(*args, trt_t_min=0.5)
+                assert_rows_match(table, interval_metrics_oracle(*args, trt_t_min=0.5))
+                rows = metrics_rows(table)
                 assert [(r.t_start, r.t_end) for r in rows] == windows
                 assert [r.coverage for r in rows][1:4:2] == [0.0, 0.0] and rows[5].coverage == 4 / 12
                 assert all(r.ntc is None and r.ivvr is None and r.n_vehicles == 0 for r in rows[1:4:2])
@@ -591,6 +633,7 @@ class TestFrameBatchedKernel:
             want, want_warnings = with_warnings(interval_metrics_oracle, *args, trt_t_min=0.5)
             assert got_warnings == want_warnings == expected
             assert_rows_match(got, want)
+            got = metrics_rows(got)
             assert got[0].n_vehicles == 1 and got[0].ivvr == 0.0 and got[0].tci == 0.5
 
     def test_empty_window_raises_naming_the_first(self):
@@ -646,7 +689,8 @@ class TestFrameBatchedKernel:
             xs = k * 35.0 + rng.uniform(10, 30) * (frames - start) / fps + rng.normal(0, 0.4, frames.size)
             tracks.append(track(f"v{k}", frames, xs, fps=fps))
         windows = [(0.0, 5.0), (5.0, 9.0), (2.0, 17.0)]
-        rows = compute_interval_metrics(tracks, seg(length_m=900.0), ClusterConfig(0.0, 1.0), fps, windows)
+        rows = metrics_rows(
+            compute_interval_metrics(tracks, seg(length_m=900.0), ClusterConfig(0.0, 1.0), fps, windows))
         for (t0, t1), row in zip(windows, rows):
             per_frame = []
             for f in range(int(t0 * fps), int(t1 * fps)):

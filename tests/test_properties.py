@@ -18,6 +18,7 @@ from netsafety.cli import main
 from netsafety.network_metrics import read_metrics_csv
 from netsafety.trajectories import TRAJECTORY_COLUMNS, csv_text
 
+from oracles import metrics_rows
 from test_network_metrics import assert_rows_match
 
 FPS = 4.0
@@ -96,7 +97,7 @@ def test_order_preserving_renaming_of_vehicle_ids(scene, data):
 @given(scene=scenes(), shift=st.integers(1, 100_000))
 def test_whole_frame_time_shift(scene, shift):
     ids = [f"v{i}" for i in range(len(scene))]
-    base = read_metrics_csv(run(trajectory_csv(scene, ids))[0])
+    base = metrics_rows(read_metrics_csv(run(trajectory_csv(scene, ids))[0]))
     shifted = read_metrics_csv(run(trajectory_csv(scene, ids, shift), shift / FPS)[0])
     moved = [dataclasses.replace(m, t_start=m.t_start + shift / FPS, t_end=m.t_end + shift / FPS) for m in base]
     assert_rows_match(shifted, moved, rel=1e-12)

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from netsafety.association import metric_value
 from netsafety.cli import main
 from netsafety.crashes import parse_crashes
 from netsafety.errors import ParameterError
 from netsafety.geo import TangentPlane
-from netsafety.network_metrics import ClusterConfig, compute_interval_metrics
+from netsafety.network_metrics import ClusterConfig, MetricsTable, compute_interval_metrics
 from netsafety.stats import pearson
 from netsafety.synth import (
     PlantResult,
@@ -24,7 +23,7 @@ from netsafety.synth import (
 )
 from netsafety.trajectories import parse_trajectories, prepare_tracks
 
-from oracles import crash_records_csv_oracle, generate_trajectories_oracle
+from oracles import crash_records_csv_oracle, generate_trajectories_oracle, metrics_rows
 
 
 def small_spec(**kw):
@@ -123,14 +122,15 @@ class TestCrashPlant:
     def test_positive_plant_recovers_sign(self):
         spec = small_spec(n_segments=1, n_intervals=40, interval_seconds=20.0)
         rows = extract_metrics(spec, generate_trajectories(spec))
-        osr_col = np.array([metric_value(m, "osr_1.0") for m in rows], dtype=float)
+        osr_col = MetricsTable.concat(rows).column("osr_1.0")
         hits = 0
         for seed in range(20):
             plant = generate_crash_counts(
                 rows, {"intercept": 2.0, "osr_1.0": 0.6}, noise_kind="poisson",
                 seed=seed, slot_minutes=10,
             )
-            counts = np.array([plant.counts[(m.segment_id, int(m.t_start // 600))] for m in rows])
+            counts = np.array([plant.counts[(m.segment_id, int(m.t_start // 600))]
+                               for m in metrics_rows(MetricsTable.concat(rows))])
             hits += pearson(osr_col, counts) > 0
         assert hits >= 19
 
@@ -173,7 +173,7 @@ class TestCrashPlant:
 class TestMetricInvariants:
     def test_interval_metric_ranges_on_generated_traffic(self):
         spec = small_spec(n_intervals=15, flow_veh_per_min=(6, 16))
-        rows = extract_metrics(spec, generate_trajectories(spec))
+        rows = metrics_rows(MetricsTable.concat(extract_metrics(spec, generate_trajectories(spec))))
         assert any(r.n_vehicles > 0 for r in rows)
         for r in rows:
             if r.tci is not None:
@@ -187,8 +187,8 @@ class TestMetricInvariants:
             if r.trt is not None:
                 assert r.trt >= 0.0
             assert 0.0 <= r.coverage <= 1.0
-            if r.f_c:
-                assert sum(r.f_c.values()) == pytest.approx(1.0)
+            if r.f_truck is not None:
+                assert 0.0 <= r.f_truck <= 1.0
 
 
 class TestKeypoints:
@@ -345,7 +345,7 @@ def test_intercept_only_crashes_match_the_plant_on_the_full_metrics_pass(tmp_pat
     (tmp_path / "spec.json").write_text(spec.to_json())
     assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 0
     rows = extract_metrics(spec, generate_trajectories(spec), ClusterConfig())
-    assert any(r.n_vehicles for r in rows)
+    assert MetricsTable.concat(rows).columns["n_vehicles"].any()
     plant = generate_crash_counts(rows, {"intercept": 1.5}, noise_kind=noise_kind, seed=spec.seed,
                                   slot_minutes=spec.slot_minutes, target_r2=spec.target_r2)
     plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
