@@ -187,10 +187,10 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
         analysis_obj = dict(obj.get("analysis", {}))
         for key in ("families", "methods", "predictors"):
             if key in analysis_obj:
-                if not isinstance(analysis_obj[key], list) or not all(isinstance(v, str) for v in analysis_obj[key]):
-                    raise SchemaError(f"config analysis field {key!r} must be a list of strings, got "
-                                      f"{analysis_obj[key]!r}")
-                analysis_obj[key] = tuple(analysis_obj[key])
+                value = analysis_obj[key]
+                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                    raise SchemaError(f"config analysis field {key!r} must be a list of strings, got {value!r}")
+                analysis_obj[key] = tuple(value)
         for key in ("slot_minutes", "cv_folds", "seed"):
             _integer(analysis_obj.get(key, 0), key)
     analysis = _section(AnalysisConfig, analysis_obj, "analysis")

@@ -299,11 +299,11 @@ def metrics_table_of(rows, thresholds=(1.0,)):
     """``MetricsRow`` rows as a ``MetricsTable`` of the given osr thresholds, cell by cell."""
     from netsafety.network_metrics import MetricsTable
 
-    def cells(value):
-        return [math.nan if value(r) is None else value(r) for r in rows]
+    def cells(values):
+        return [math.nan if v is None else v for v in values]
 
-    columns = {name: cells(lambda r, name=name: getattr(r, name)) for name in _ROW_METRICS}
-    columns.update({f"osr_{float(t)!r}": cells(lambda r, t=t: r.osr.get(t)) for t in thresholds})
+    columns = {name: cells(getattr(r, name) for r in rows) for name in _ROW_METRICS}
+    columns.update({f"osr_{float(t)!r}": cells(r.osr.get(t) for r in rows) for t in thresholds})
     return MetricsTable.build([r.segment_id for r in rows], thresholds, interval_start=[r.t_start for r in rows],
                               interval_end=[r.t_end for r in rows], n_vehicles=[r.n_vehicles for r in rows], **columns)
 

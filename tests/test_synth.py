@@ -123,14 +123,14 @@ class TestCrashPlant:
         spec = small_spec(n_segments=1, n_intervals=40, interval_seconds=20.0)
         rows = extract_metrics(spec, generate_trajectories(spec))
         osr_col = MetricsTable.concat(rows).column("osr_1.0")
+        keys = [(m.segment_id, int(m.t_start // 600)) for m in metrics_rows(MetricsTable.concat(rows))]
         hits = 0
         for seed in range(20):
             plant = generate_crash_counts(
                 rows, {"intercept": 2.0, "osr_1.0": 0.6}, noise_kind="poisson",
                 seed=seed, slot_minutes=10,
             )
-            counts = np.array([plant.counts[(m.segment_id, int(m.t_start // 600))]
-                               for m in metrics_rows(MetricsTable.concat(rows))])
+            counts = np.array([plant.counts[key] for key in keys])
             hits += pearson(osr_col, counts) > 0
         assert hits >= 19
 
