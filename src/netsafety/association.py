@@ -93,13 +93,13 @@ def build_dataset(
         i = off_grid[0]
         raise DataError(f"interval start {t_start[i]}s falls outside the slot grid (slot {int(slot[i])} of "
                         f"{slots_per_day}); intervals must lie within one day")
-    # The crash grid and the exclusion list as flat arrays over the table's segments, at segment * slots_per_day + slot.
+    # The crash grid and the exclusion list as flat arrays over the table's segments, at segment * slots_per_day + slot;
+    # a segment the binning lacks takes the appended nan row (no crash data).
     segments, segment = np.unique(table.segment_id.astype(str), return_inverse=True)
     at = {sid: i * slots_per_day for i, sid in enumerate(segments.tolist())}
-    count = np.full(len(segments) * slots_per_day, np.nan)  # nan: no crash data
-    for (sid, k), cell in binning.counts.items():
-        if sid in at and 0 <= k < slots_per_day:
-            count[at[sid] + k] = cell.mean_count(family)
+    mean = np.vstack([binning.mean_counts(family), np.full(slots_per_day, np.nan)])
+    row = {sid: i for i, sid in enumerate(binning.segment_ids)}
+    count = mean[[row.get(sid, -1) for sid in segments.tolist()]].ravel()
     on_list = np.zeros(count.size, dtype=bool)
     for sid, k in exclude_slots:
         if str(sid) in at and 0 <= int(k) < slots_per_day:

@@ -175,6 +175,8 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
                 bbox=tuple(seg["bbox"]) if "bbox" in seg else None,
                 collision_point=tuple(seg["collision_point"]) if "collision_point" in seg else None,
             )
+        if any(s.segment_id == cfg.segment_id for s in segments):
+            raise SchemaError(f"config segments[{i}] repeats segment_id {cfg.segment_id!r}")
         segments.append(cfg)
         if "trajectories" in seg:
             trajectory_paths[cfg.segment_id] = resolve(seg["trajectories"])

@@ -10,10 +10,10 @@ full data (consistency across time) and hours of the day differ.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,40 +35,44 @@ class CrashType(str, Enum):
 CRASH_FAMILIES = ("AllType", "RearEnd", "Sideswipe")
 SLOT_MINUTES = (10, 15, 20, 30, 60)  # the slot lengths a run config or a synth spec may use
 
+# Which crash types each family counts, by CRASH_FAMILIES row and CrashType code: AllType counts every record.
+_IN_FAMILY = np.array([[family in ("AllType", t.value) for t in CrashType] for family in CRASH_FAMILIES])
+
 
 @dataclass(frozen=True)
-class CrashRecord:
-    timestamp: datetime
-    lat: float
-    lon: float
-    crash_type: CrashType
+class CrashRecords:
+    """Crash records as columns, in file order; ``crash_type`` holds codes into ``list(CrashType)``."""
 
+    year: np.ndarray
+    minute: np.ndarray  # minute of the day, in the timestamp's own clock
+    lat: np.ndarray
+    lon: np.ndarray
+    crash_type: np.ndarray
 
-@dataclass
-class CrashCounts:
-    """Counts for one (segment, slot) cell, per crash family, averaged over years."""
-
-    segment_id: str
-    slot: int
-    counts: dict[str, int] = field(default_factory=lambda: {f: 0 for f in CRASH_FAMILIES})
-    years_covered: int = 1
-
-    def mean_count(self, family: str) -> float:
-        if family not in self.counts:
-            raise ParameterError(f"unknown crash family {family!r}; expected one of {CRASH_FAMILIES}")
-        return self.counts[family] / self.years_covered
+    def __len__(self) -> int:
+        return len(self.year)
 
 
 @dataclass
 class CrashBinning:
-    """Full (segment x slot) grid of counts plus drop accounting."""
+    """Crash counts by family (CRASH_FAMILIES order) x segment x slot of the day, plus drop accounting.
 
-    counts: dict[tuple[str, int], CrashCounts]
+    A nan cell has no crash data; ``bin_crashes`` fills every cell, zeros included.
+    """
+
+    segment_ids: tuple[str, ...]
+    counts: np.ndarray
     slot_minutes: int
     years_covered: int
     n_assigned: int = 0
     n_dropped: int = 0
     n_multi_match: int = 0
+
+    def mean_counts(self, family: str) -> np.ndarray:
+        """The segment x slot counts of ``family`` averaged over the years covered."""
+        if family not in CRASH_FAMILIES:
+            raise ParameterError(f"unknown crash family {family!r}; expected one of {CRASH_FAMILIES}")
+        return self.counts[CRASH_FAMILIES.index(family)] / self.years_covered
 
 
 def _parse_type(raw: str, unknown_seen: set[str]) -> CrashType:
@@ -83,10 +87,11 @@ def _parse_type(raw: str, unknown_seen: set[str]) -> CrashType:
     return CrashType.OTHER
 
 
-def parse_crashes(text: str) -> list[CrashRecord]:
+def parse_crashes(text: str) -> CrashRecords:
     """Parse the crash CSV (``timestamp,lat,lon,type``; ISO-8601 timestamps) by CsvRecords' rules."""
     rows = CsvRecords(text, CRASH_COLUMNS, "crash")
     i_stamp, i_lat, i_lon, i_type = (rows.col[c] for c in CRASH_COLUMNS)
+    code = {t: i for i, t in enumerate(CrashType)}
     unknown_seen: set[str] = set()
     records = []
     for row in rows:
@@ -102,21 +107,14 @@ def parse_crashes(text: str) -> list[CrashRecord]:
             raise SchemaError(f"line {rows.line}: malformed coordinate ({exc})") from exc
         if not (np.isfinite(lat) and np.isfinite(lon)):
             raise SchemaError(f"line {rows.line}: non-finite coordinate ({lat}, {lon})")
-        records.append(CrashRecord(stamp, lat, lon, _parse_type(row[i_type], unknown_seen)))
-    return records
-
-
-def _families_of(ct: CrashType) -> list[str]:
-    families = ["AllType"]  # every record, Other included
-    if ct == CrashType.REAR_END:
-        families.append("RearEnd")
-    elif ct == CrashType.SIDESWIPE:
-        families.append("Sideswipe")
-    return families
+        records.append((stamp.year, stamp.hour * 60 + stamp.minute, lat, lon,
+                        code[_parse_type(row[i_type], unknown_seen)]))
+    year, minute, lat, lon, crash_type = np.array(records, dtype=float).reshape(-1, 5).T
+    return CrashRecords(year.astype(np.int64), minute.astype(np.int64), lat, lon, crash_type.astype(np.int64))
 
 
 def bin_crashes(
-    records: Iterable[CrashRecord],
+    records: CrashRecords,
     segments: Sequence[SegmentConfig],
     slot_minutes: int,
     plane: TangentPlane,
@@ -126,57 +124,54 @@ def bin_crashes(
 
     A record belongs to the first segment whose bbox contains its projected
     position (overlaps are counted and warned about once); records outside
-    every bbox are dropped and counted. The grid covers every segment and
-    every slot of the day, zeros included. Years covered defaults to the
-    distinct years present in the data, or a configured closed range.
+    every bbox, or dated outside a configured closed year range (warned about
+    once), are dropped and counted. The grid covers every segment and every
+    slot of the day, zeros included. Years covered defaults to the distinct
+    years present in the data, or the configured range.
     """
-    if slot_minutes <= 0 or (slot_minutes != 60 and 60 % slot_minutes != 0):
-        raise ParameterError(f"slot_minutes must divide 60 (or be 60), got {slot_minutes}")
+    if slot_minutes not in SLOT_MINUTES:
+        raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {slot_minutes}")
     for seg in segments:
         if seg.bbox is None:
             raise ParameterError(f"segment {seg.segment_id!r} has no bbox for crash matching")
-    slots_per_day = 24 * 60 // slot_minutes
-    records = list(records)
 
+    dated = np.ones(len(records), dtype=bool)
     if year_range is not None:
         y0, y1 = year_range
         if y1 < y0:
             raise ParameterError(f"invalid year range {year_range}")
         years = y1 - y0 + 1
+        dated = (y0 <= records.year) & (records.year <= y1)
+        if not dated.all():
+            warnings.warn(f"{int((~dated).sum())} crash records dated outside {y0}-{y1} dropped", stacklevel=2)
     else:
-        observed = {r.timestamp.year for r in records}
-        years = max(len(observed), 1)
+        years = max(np.unique(records.year).size, 1)
 
-    grid = {
-        (seg.segment_id, slot): CrashCounts(seg.segment_id, slot, years_covered=years)
-        for seg in segments
-        for slot in range(slots_per_day)
-    }
-    assigned = dropped = multi = 0
-    xs, ys = plane.to_xy(np.array([r.lat for r in records]), np.array([r.lon for r in records]))
-    for rec, x, y in zip(records, xs.tolist(), ys.tolist()):
-        matches = [s.segment_id for s in segments if s.bbox[0] <= x <= s.bbox[2] and s.bbox[1] <= y <= s.bbox[3]]
-        if not matches:
-            dropped += 1
-            continue
-        if len(matches) > 1:
-            multi += 1
-        slot = (rec.timestamp.hour * 60 + rec.timestamp.minute) // slot_minutes
-        cell = grid[(matches[0], slot)]
-        for family in _families_of(rec.crash_type):
-            cell.counts[family] += 1
-        assigned += 1
+    x, y = plane.to_xy(records.lat, records.lon)
+    x, y = x[:, None], y[:, None]
+    box = np.array([seg.bbox for seg in segments], dtype=float).reshape(-1, 4).T
+    inside = (box[0] <= x) & (x <= box[2]) & (box[1] <= y) & (y <= box[3]) & dated[:, None]  # records x segments
+    n_matches = inside.sum(axis=1)
+    hit = n_matches > 0
+    multi = int((n_matches > 1).sum())
     if multi:
         warnings.warn(
             f"{multi} crash records matched multiple segment bboxes; assigned to the first match",
             stacklevel=2,
         )
+    first = inside[hit].argmax(axis=1) if segments else np.zeros(0, dtype=np.int64)  # argmax needs a segment
+    cell = (first, records.minute[hit] // slot_minutes)
+    counts = np.zeros((len(CRASH_FAMILIES), len(segments), 24 * 60 // slot_minutes))
+    for family, in_family in zip(counts, _IN_FAMILY):
+        np.add.at(family, cell, in_family[records.crash_type[hit]])
+    assigned = int(hit.sum())
     return CrashBinning(
-        counts=grid,
+        segment_ids=tuple(seg.segment_id for seg in segments),
+        counts=counts,
         slot_minutes=slot_minutes,
         years_covered=years,
         n_assigned=assigned,
-        n_dropped=dropped,
+        n_dropped=len(records) - assigned,
         n_multi_match=multi,
     )
 

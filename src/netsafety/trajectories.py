@@ -326,7 +326,7 @@ class CodedColumn:
 
 
 _NOT_BLANK = re.compile(r"\S")
-_CSV_QUOTED = re.compile('[,"\n]')  # a cell holding one of these is quoted
+_CSV_QUOTED = re.compile('[,"\n\r]')  # a cell holding one of these is quoted
 
 
 def _csv_cells(column) -> list[str]:
@@ -359,10 +359,10 @@ def csv_text(header: Sequence[str], columns: Iterable) -> str:
     """The CSV text of a table given column by column, in the dialect of every file written.
 
     Lines end in LF. A cell is quoted, inner quotes doubled, only when it holds a comma,
-    a quote or a newline, as csv.writer(lineterminator="\\n") quotes it. Floats are their
-    shortest round-trip repr, and None and the masked cells of a float np.ma array are
-    empty; a CodedColumn formats each label once. An empty header writes the data lines
-    alone, for text built in chunks.
+    a quote, a newline or a carriage return, as csv.writer(lineterminator="\\r\\n") quotes
+    it. Floats are their shortest round-trip repr, and None and the masked cells of a float
+    np.ma array are empty; a CodedColumn formats each label once. An empty header writes
+    the data lines alone, for text built in chunks.
     """
     return "".join(csv_chunks(header, columns))
 

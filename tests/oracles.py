@@ -452,12 +452,13 @@ def csv_rows_oracle(header, rows):
 
     from netsafety.trajectories import format_cell
 
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([format_cell(v) for v in row])
-    return out.getvalue()
+    # A CRLF terminator makes csv.writer quote a carriage return as well as a newline; each line then ends in LF.
+    lines = []
+    for row in [header, *([format_cell(v) for v in row] for row in rows)]:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\r\n").writerow(row)
+        lines.append(out.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def chi2_sf_oracle(x, df):
@@ -788,3 +789,51 @@ def crash_records_csv_oracle(plant, segments, slot_minutes, plane, seed=0):
             crash_type = type_names[int(rng.choice(len(type_names), p=type_probs))]
             rows.append(((BASE_DATE + timedelta(minutes=minute_of_day)).isoformat(), lat, lon, crash_type))
     return csv_rows_oracle(["timestamp", "lat", "lon", "type"], rows)
+
+
+def bin_crashes_oracle(records, segments, slot_minutes, plane, year_range=None):
+    """``crashes.bin_crashes`` one record at a time, into a dict grid.
+
+    Returns ``({(segment_id, slot): {family: count}}, years_covered, n_assigned, n_dropped, n_multi_match)``.
+    """
+    from netsafety.crashes import CRASH_FAMILIES, CrashType
+
+    types = list(CrashType)
+    if year_range is not None:
+        years = year_range[1] - year_range[0] + 1
+    else:
+        years = max(len(set(records.year.tolist())), 1)
+    grid = {(s.segment_id, slot): dict.fromkeys(CRASH_FAMILIES, 0)
+            for s in segments for slot in range(24 * 60 // slot_minutes)}
+    assigned = dropped = multi = 0
+    xs, ys = plane.to_xy(records.lat, records.lon)
+    for year, minute, x, y, code in zip(records.year.tolist(), records.minute.tolist(), xs.tolist(), ys.tolist(),
+                                        records.crash_type.tolist()):
+        matches = [s.segment_id for s in segments if s.bbox[0] <= x <= s.bbox[2] and s.bbox[1] <= y <= s.bbox[3]]
+        if not matches or (year_range is not None and not year_range[0] <= year <= year_range[1]):
+            dropped += 1
+            continue
+        if len(matches) > 1:
+            multi += 1
+        cell = grid[(matches[0], minute // slot_minutes)]
+        cell["AllType"] += 1  # every record, Other included
+        if types[code] is CrashType.REAR_END:
+            cell["RearEnd"] += 1
+        elif types[code] is CrashType.SIDESWIPE:
+            cell["Sideswipe"] += 1
+        assigned += 1
+    return grid, years, assigned, dropped, multi
+
+
+def crash_binning_of(cells, slot_minutes=10):
+    """A ``CrashBinning`` of ``{(segment_id, slot): (AllType, RearEnd, Sideswipe)}`` over one year.
+
+    Its segments are those the cells name; every other cell of theirs is nan, no crash data.
+    """
+    from netsafety.crashes import CRASH_FAMILIES, CrashBinning
+
+    segment_ids = tuple(dict.fromkeys(sid for sid, _ in cells))
+    counts = np.full((len(CRASH_FAMILIES), len(segment_ids), 24 * 60 // slot_minutes), np.nan)
+    for (sid, slot), values in cells.items():
+        counts[:, segment_ids.index(sid), slot] = values
+    return CrashBinning(segment_ids, counts, slot_minutes, years_covered=1)

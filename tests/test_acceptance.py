@@ -22,12 +22,7 @@ from netsafety.association import (
     shapley_analysis,
 )
 from netsafety.cli import main
-from netsafety.crashes import (
-    CrashBinning,
-    CrashCounts,
-    hourly_heterogeneity_test,
-    subsample_consistency_test,
-)
+from netsafety.crashes import hourly_heterogeneity_test, subsample_consistency_test
 from netsafety.network_metrics import ClusterConfig, cluster_frame, cluster_ttc, compute_interval_metrics, tci
 from netsafety.projection import KeypointPair, apply_homography, fit_homography
 from netsafety.stats import (
@@ -54,6 +49,7 @@ from netsafety.synth import ScenarioSpec, generate_crash_counts, generate_trajec
 from netsafety.trajectories import parse_trajectories, prepare_tracks, smooth_savitzky_golay
 
 from oracles import (
+    crash_binning_of,
     ols_oracle,
     pairwise_ttc_oracle,
     sg_window_fit_oracle,
@@ -311,12 +307,7 @@ def run_plant_seed(seed):
     lam = np.array([plant.lam[k] for k in sorted(plant.lam)])
     counts = np.array([plant.counts[k] for k in sorted(plant.counts)], dtype=float)
     generator_r2 = r2_score(counts, lam)
-    grid = {}
-    for (sid, slot), c in plant.counts.items():
-        cell = CrashCounts(sid, slot)
-        cell.counts = {"AllType": c, "RearEnd": 0, "Sideswipe": 0}
-        grid[(sid, slot)] = cell
-    binning = CrashBinning(counts=grid, slot_minutes=10, years_covered=1)
+    binning = crash_binning_of({key: (c, 0, 0) for key, c in plant.counts.items()})
     d = build_dataset(rows, binning, "AllType")
     corr = per_metric_correlations(d, ["pearson"])["pearson"]
     signs_ok = all(corr[m] is not None and corr[m] > 0 for m in PLANTED)

@@ -19,11 +19,10 @@ from netsafety.association import (
     shapley_analysis,
     shapley_table_csv,
 )
-from netsafety.crashes import CrashBinning, CrashCounts
 from netsafety.errors import DataError, ParameterError
 from netsafety.stats import Dataset
 
-from oracles import MetricsRow, metrics_table_of, pooled_abs_r_oracle
+from oracles import MetricsRow, crash_binning_of, metrics_table_of, pooled_abs_r_oracle
 
 PREDICTORS = ("ttc_cv", "ivvr", "ovvr", "osr_1.0", "tci", "ntc")
 
@@ -52,12 +51,7 @@ def make_rows(seg, n, rng, missing_ttc=()):
 
 
 def make_binning(counts, slot_minutes=10):
-    grid = {}
-    for (seg, slot), c in counts.items():
-        cell = CrashCounts(seg, slot)
-        cell.counts = {"AllType": c, "RearEnd": max(c - 1, 0), "Sideswipe": 0}
-        grid[(seg, slot)] = cell
-    return CrashBinning(counts=grid, slot_minutes=slot_minutes, years_covered=1)
+    return crash_binning_of({key: (c, max(c - 1, 0), 0) for key, c in counts.items()}, slot_minutes)
 
 
 def plant_counts(rows, coef, rng=None, sigma=0.0, slot_minutes=10, offset=0.0):
@@ -71,12 +65,7 @@ def plant_counts(rows, coef, rng=None, sigma=0.0, slot_minutes=10, offset=0.0):
 
 
 def _mk(counts):  # non-integer counts straight into cells
-    grid = {}
-    for key, c in counts.items():
-        cell = CrashCounts(key[0], key[1])
-        cell.counts = {"AllType": c, "RearEnd": c, "Sideswipe": c}
-        grid[key] = cell
-    return CrashBinning(counts=grid, slot_minutes=10, years_covered=1)
+    return crash_binning_of({key: (c, c, c) for key, c in counts.items()})
 
 
 class TestBuildDataset:

@@ -2,9 +2,9 @@
 
 ``perfbench/layers.patch_table()`` names netsafety functions by the module
 attribute their callers resolve, and its counters read the arguments and
-results (``len(t.points)`` of parsed and gap-filled trajectories, for
-example). A rename or an API change would otherwise only show when the
-benchmark runs with ``--trace 1``. This test only imports from ``perfbench/``.
+results (``len(t.points)`` of parsed and gap-filled trajectories, or a
+crash binning's ``n_assigned``, for example). A rename or an API change
+would otherwise only show when the benchmark runs with ``--trace 1``. This test only imports from ``perfbench/``.
 """
 
 import json
@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
 import spans  # noqa: E402
 
-from netsafety import cli, trajectories  # noqa: E402
+from netsafety import cli, crashes, trajectories  # noqa: E402
 from netsafety.config import load_config  # noqa: E402
 
 from test_cli import run_bundle, write_spec  # noqa: E402
@@ -44,6 +44,10 @@ def _cut_gaps(path: Path) -> None:
 def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
     bundle = run_bundle(tmp_path)
     _cut_gaps(bundle / "trajectories_S2.csv")
+    crash_csv = bundle / "crashes.csv"
+    when = crash_csv.read_text().splitlines()[1].split(",")[0]
+    with open(crash_csv, "a") as out:
+        out.write(f"{when},0.0,0.0,OTHER\n")  # outside every bbox: dropped
     config = str(bundle / "config.json")
     traj_s1, world_s1 = bundle / "trajectories_S1.csv", bundle / "world_S1.csv"
     argvs = [
@@ -88,6 +92,12 @@ def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
     assert metrics["association.coalitions"] == len(cfg.analysis.families) * 2 ** len(cfg.analysis.predictors)
     assert metrics["association.degenerate_coalitions"] == 0
     assert metrics["association.shapley_s"] > 0 and metrics["association.cross_segment_s"] > 0
+    records = crashes.parse_crashes(crash_csv.read_text())
+    binning = crashes.bin_crashes(records, cfg.segments, cfg.analysis.slot_minutes, cfg.tangent_plane(),
+                                  year_range=cfg.crash_years)
+    assert metrics["crashes.records"] == len(records) == _rows(crash_csv)
+    assert metrics["crashes.assigned_ratio"] == binning.n_assigned / len(records) < 1
+    assert metrics["crashes.multi_match"] == binning.n_multi_match
 
 
 def test_synth_set_up_is_traced_as_the_benchmark_traces_it(tmp_path):

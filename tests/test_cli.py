@@ -745,6 +745,19 @@ class TestConfigValidation:
         assert err["error"] == "SchemaError"
         assert err["message"].startswith(context)
 
+    def test_repeated_segment_id_exits_2_naming_it(self, tmp_path, capsys):
+        # Both segments ran as S1: metrics exited 0 with two S1 row sets, each from the second segment's file.
+        out = run_bundle(tmp_path)
+        config = out / "config.json"
+        obj = json.loads(config.read_text())
+        obj["segments"][1]["segment_id"] = "S1"
+        config.write_text(json.dumps(obj))
+        for command in ("metrics", "associate"):
+            assert main([command, "--config", str(config)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert (err["error"], err["message"]) == ("SchemaError", "config segments[1] repeats segment_id 'S1'")
+        assert not (out / "metrics.csv").exists() and not (out / "association_report.json").exists()
+
     @pytest.mark.parametrize("analysis, error, message", [
         # An empty list crashed associate with a ZeroDivisionError traceback (exit 1).
         ({"predictors": []}, "ParameterError", "predictors must name at least one metric column"),

@@ -9,6 +9,10 @@ from netsafety.trajectories import parse_trajectories
 
 from oracles import MetricsRow, metrics_rows, metrics_table_of
 
+def crash_rows(records):
+    return list(zip(records.year.tolist(), records.minute.tolist(), records.lat.tolist()))
+
+
 # reader, what its errors call the file, header, two good rows, a faulty row and its message
 READERS = {
     "trajectory": (
@@ -17,7 +21,7 @@ READERS = {
         "2,a,abc,0,3,1", "malformed numeric field",
     ),
     "crash": (
-        lambda text: [(r.timestamp.isoformat(), r.lat) for r in parse_crashes(text)],
+        lambda text: crash_rows(parse_crashes(text)),
         "crash", "timestamp,lat,lon,type",
         ("2021-06-15T08:30:00,33.46,-112.06,REAR_END", "2021-06-15T08:40:00,33.47,-112.06,SIDESWIPE"),
         "2021-06-15T08:50:00,abc,-112.06,OTHER", "malformed coordinate",

@@ -502,11 +502,11 @@ class TestMetricsCsv:
     @settings(deadline=None, max_examples=80, derandomize=True)
     @given(data=st.data())
     def test_written_table_reads_back_column_for_column(self, data):
-        # Random thresholds, absent cells (nan) and segment ids. The ids leave out a carriage return: csv_text
-        # writes it unquoted, as csv.writer does, and the reader refuses such a cell (both pinned in other tests).
+        # Random thresholds, absent cells (nan) and segment ids, a carriage return among their characters: written
+        # unquoted, it gave a cell the reader refuses.
         thresholds = data.draw(st.lists(st.floats(0.5, 5.0), max_size=4, unique=True))
         n = data.draw(st.integers(0, 6))
-        segment_id = st.text(st.sampled_from('S1 ,"\n\tx\u00e9'), max_size=4)  # some need quoting
+        segment_id = st.text(st.sampled_from('S1 ,"\n\r\tx\u00e9'), max_size=4)  # some need quoting
         ids = data.draw(st.lists(segment_id, min_size=n, max_size=n))
         number = st.floats(allow_nan=False, allow_infinity=False)
         cells = st.lists(st.none() | number, min_size=n, max_size=n).map(

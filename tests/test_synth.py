@@ -166,8 +166,8 @@ class TestCrashPlant:
         from netsafety.crashes import bin_crashes
 
         binning = bin_crashes(records, spec.segment_configs(), spec.slot_minutes, plane)
-        for key, count in plant.counts.items():
-            assert binning.counts[key].counts["AllType"] == count
+        for (sid, slot), count in plant.counts.items():
+            assert binning.counts[0, binning.segment_ids.index(sid), slot] == count  # AllType
 
 
 class TestMetricInvariants:
