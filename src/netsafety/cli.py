@@ -169,17 +169,16 @@ def cmd_project(args) -> int:
         raise NetSafetyError("config has no paths.keypoints entry")
     pairs = load_keypoints(_read(cfg.keypoints_path), cfg.tangent_plane())
     h = fit_homography(pairs)
-    frames, vids, boxes = trajectories.trajectory_columns(
-        trajectories.parse_trajectories(_read(Path(args.infile)), cfg.fps))  # freed before the corners are mapped
+    table = trajectories.parse_trajectories(_read(Path(args.infile)), cfg.fps)
     # Every corner (x1, y1), (x1, y2), (x2, y1), (x2, y2) of every box in one call.
-    world = apply_homography(h, boxes[:, [0, 1, 0, 3, 2, 1, 2, 3]].reshape(-1, 2)).reshape(-1, 4, 2)
+    world = apply_homography(h, table.boxes[:, [0, 1, 0, 3, 2, 1, 2, 3]].reshape(-1, 2)).reshape(-1, 4, 2)
     lo = hi = world[:, 0]
     for j in (1, 2, 3):  # (x, y) min()/max() over the corners, keeping the element the builtins keep
         lo = np.where(world[:, j] < lo, world[:, j], lo)
         hi = np.where(world[:, j] > hi, world[:, j], hi)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    trajectories.write_csv(out, trajectories.TRAJECTORY_COLUMNS, [frames, vids, *lo.T, *hi.T])
+    trajectories.write_csv(out, trajectories.TRAJECTORY_COLUMNS, [table.frames, table.id_column(), *lo.T, *hi.T])
     out.with_suffix(out.suffix + ".homography.json").write_text(h.to_json())
     return 0
 

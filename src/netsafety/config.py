@@ -10,6 +10,7 @@ import json
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from .association import AnalysisConfig
@@ -25,11 +26,21 @@ from .trajectories import (
 )
 
 
-def _integer(value, name: str):
-    """``value``, if it is an integer (a bool is not); TypeError naming ``name`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
+def _number(value, name: str, kind=numbers.Real):
+    """``value``, if it is a ``kind`` number (a bool is none); TypeError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {'an integer' if kind is numbers.Integral else 'a number'}, got {value!r}")
     return value
+
+
+_integer = partial(_number, kind=numbers.Integral)
+
+
+def _numbers(value, name: str, n: int | None = None, kind=numbers.Real) -> tuple:
+    """``value`` as a tuple, if a list of ``n`` (any count if None) ``kind`` numbers; else TypeError naming ``name``."""
+    if not isinstance(value, list) or n not in (None, len(value)):
+        raise TypeError(f"{name} must be a list of {n or 'any count of'} numbers, got {value!r}")
+    return tuple(_number(v, name, kind) for v in value)
 
 
 @dataclass
@@ -76,6 +87,10 @@ class TrtConfig:
     theta: float = DEFAULT_TRT_THETA
     t_min_seconds: float = DEFAULT_TRT_T_MIN_S
     free_flow: float | None = None  # default: 85th percentile of frame mean speeds
+
+    def __post_init__(self):
+        for name in ("theta", "t_min_seconds") + (() if self.free_flow is None else ("free_flow",)):
+            _number(getattr(self, name), name)
 
 
 @dataclass
@@ -131,6 +146,7 @@ def _section(cls, obj: dict, context: str):
 
 
 _SEGMENT_KEYS = {f.name for f in fields(SegmentConfig)} | {"trajectories"}
+_SEGMENT_LISTS = {"travel_axis": 2, "osr_thresholds": None, "bbox": 4, "collision_point": 2}  # key: length
 _ROOT_KEYS = {"fps", "seed", "anchor", "paths", "segments", "crash_years",
               "cluster", "prep", "intervals", "trt", "analysis"}
 _PATH_KEYS = {"output_dir", "keypoints", "crashes", "metrics"}
@@ -170,10 +186,7 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
                 lane_count=_integer(_require(seg, "lane_count", f"segments[{i}]"), "lane_count"),
                 length_m=float(_require(seg, "length_m", f"segments[{i}]")),
                 speed_limit=float(_require(seg, "speed_limit", f"segments[{i}]")),
-                travel_axis=tuple(seg.get("travel_axis", (1.0, 0.0))),
-                osr_thresholds=tuple(seg.get("osr_thresholds", (1.0,))),
-                bbox=tuple(seg["bbox"]) if "bbox" in seg else None,
-                collision_point=tuple(seg["collision_point"]) if "collision_point" in seg else None,
+                **{key: _numbers(seg[key], key, n) for key, n in _SEGMENT_LISTS.items() if key in seg},
             )
         if any(s.segment_id == cfg.segment_id for s in segments):
             raise SchemaError(f"config segments[{i}] repeats segment_id {cfg.segment_id!r}")
@@ -210,11 +223,11 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
         keypoints_path=resolve(paths["keypoints"]) if "keypoints" in paths else None,
         crashes_path=resolve(paths["crashes"]) if "crashes" in paths else None,
         metrics_path=resolve(paths["metrics"]) if "metrics" in paths else None,
-        anchor=tuple(obj["anchor"]) if "anchor" in obj else None,
+        anchor=_numbers(obj["anchor"], "anchor", 2) if "anchor" in obj else None,
         cluster=cluster,
         prep=prep,
         intervals=intervals,
         trt=trt,
         analysis=analysis,
-        crash_years=tuple(obj["crash_years"]) if "crash_years" in obj else None,
+        crash_years=_numbers(obj["crash_years"], "crash_years", 2, numbers.Integral) if "crash_years" in obj else None,
     )

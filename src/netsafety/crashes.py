@@ -9,6 +9,7 @@ full data (consistency across time) and hours of the day differ.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -105,7 +106,7 @@ def parse_crashes(text: str) -> CrashRecords:
             lon = float(row[i_lon])
         except ValueError as exc:
             raise SchemaError(f"line {rows.line}: malformed coordinate ({exc})") from exc
-        if not (np.isfinite(lat) and np.isfinite(lon)):
+        if not (math.isfinite(lat) and math.isfinite(lon)):
             raise SchemaError(f"line {rows.line}: non-finite coordinate ({lat}, {lon})")
         records.append((stamp.year, stamp.hour * 60 + stamp.minute, lat, lon,
                         code[_parse_type(row[i_type], unknown_seen)]))

@@ -71,26 +71,39 @@ def _normalized(boxes: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class Trajectory:
-    """Ordered track of one vehicle: strictly increasing ``frames`` and (n, 4) ``boxes``.
+    """A segment's tracks at one ``fps``: vehicle ``vehicle_ids[v]`` owns rows ``bounds[v]:bounds[v + 1]``.
 
-    Box corners are ``x1, y1, x2, y2`` with x1 <= x2 and y1 <= y2. ``points``
-    is a read-only TrackPoint view of the same rows.
+    ``frames`` strictly increase within a vehicle; ``boxes`` are (n, 4), x1 <= x2 and y1 <= y2. ``len()`` counts
+    vehicles, iterating yields one-vehicle tables, and ``points`` is a read-only TrackPoint view of the rows.
     """
 
-    vehicle_id: str
+    vehicle_ids: list[str]
+    bounds: np.ndarray
     frames: np.ndarray
     boxes: np.ndarray
     fps: float
+
+    def __len__(self) -> int:
+        return len(self.vehicle_ids)
+
+    def __iter__(self) -> Iterator[Trajectory]:
+        for vid, lo, hi in zip(self.vehicle_ids, self.bounds[:-1].tolist(), self.bounds[1:].tolist()):
+            yield Trajectory([vid], np.array([0, hi - lo]), self.frames[lo:hi], self.boxes[lo:hi], self.fps)
 
     @property
     def points(self) -> "_PointView":
         return _PointView(self)
 
-    def displacement(self) -> float:
-        if self.frames.size < 2:
-            return 0.0
-        (fx1, fy1, fx2, fy2), (lx1, ly1, lx2, ly2) = self.boxes[0].tolist(), self.boxes[-1].tolist()
-        return math.hypot(0.5 * (lx1 + lx2) - 0.5 * (fx1 + fx2), 0.5 * (ly1 + ly2) - 0.5 * (fy1 + fy2))
+    def id_column(self) -> CodedColumn:
+        """Each row's vehicle id."""
+        return CodedColumn(self.vehicle_ids, np.repeat(np.arange(len(self)), np.diff(self.bounds)))
+
+    def _select(self, keep: np.ndarray) -> Trajectory:
+        """The table of the vehicles where ``keep`` is true."""
+        sizes = np.diff(self.bounds)
+        rows = np.repeat(keep, sizes)
+        return Trajectory([vid for vid, k in zip(self.vehicle_ids, keep.tolist()) if k],
+                          np.concatenate([[0], np.cumsum(sizes[keep])]), self.frames[rows], self.boxes[rows], self.fps)
 
 
 class _PointView(Sequence):
@@ -108,11 +121,11 @@ class _PointView(Sequence):
         return TrackPoint(frame, frame / traj.fps, *traj.boxes[i].tolist())
 
 
-def parse_trajectories(text: str, fps: float) -> list[Trajectory]:
-    """Parse the trajectory CSV (``frame,vehicle_id,x1,y1,x2,y2``) into trajectories.
+def parse_trajectories(text: str, fps: float) -> Trajectory:
+    """Parse the trajectory CSV (``frame,vehicle_id,x1,y1,x2,y2``) into one table.
 
-    Each vehicle_id (stripped of whitespace) becomes one Trajectory, in order of first
-    appearance; vehicles may interleave. Besides the rules of CsvRecords, the first
+    Each vehicle_id (stripped of whitespace) is one vehicle of the table, in order of
+    first appearance; vehicles may interleave. Besides the rules of CsvRecords, the first
     faulty row raises, naming its line: SchemaError for a malformed number (a frame
     outside int64 included), a non-finite coordinate or an empty vehicle_id; DataError
     for a negative frame or one not above the vehicle's previous frame.
@@ -128,13 +141,13 @@ def parse_trajectories(text: str, fps: float) -> list[Trajectory]:
     try:
         table = records.table(_TRAJECTORY_DTYPE)
     except ValueError:
-        return _read_row_by_row(records).trajectories(fps)
+        return _read_row_by_row(records).table(fps)
     # Columns copied out, so the table and its id strings are freed before the grouping's temporaries.
     rows = _Rows(table["frame"].copy(), table["vehicle_id"].tolist(), np.column_stack([table[c] for c in _CORNERS]))
     del table
     if rows.faults().any():
         rows = _read_row_by_row(records)
-    return rows.trajectories(fps)
+    return rows.table(fps)
 
 
 class _Rows:
@@ -179,11 +192,9 @@ class _Rows:
         previous = int(self.frame[self.order[np.flatnonzero(self.order == row)[0] - 1]])
         raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {previous} (line {line})")
 
-    def trajectories(self, fps: float) -> list[Trajectory]:
-        bounds = np.cumsum(np.bincount(self.code, minlength=len(self.vids)))[:-1]
-        frames = np.split(self.frame[self.order], bounds)
-        boxes = np.split(_normalized(self.corners)[self.order], bounds)
-        return [Trajectory(vid, f, b, fps) for vid, f, b in zip(self.vids, frames, boxes)]
+    def table(self, fps: float) -> Trajectory:
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(self.code, minlength=len(self.vids)))])
+        return Trajectory(self.vids, bounds, self.frame[self.order], _normalized(self.corners)[self.order], fps)
 
 
 def _read_row_by_row(records: "CsvRecords") -> _Rows:
@@ -213,17 +224,9 @@ def _read_row_by_row(records: "CsvRecords") -> _Rows:
     return rows
 
 
-def trajectory_columns(trajs: Sequence[Trajectory]) -> tuple[np.ndarray, "CodedColumn", np.ndarray]:
-    """The frames, vehicle ids and (n, 4) boxes of every row, grouped by vehicle and ordered by frame."""
-    return (np.concatenate([t.frames for t in trajs] or [np.empty(0, dtype=np.int64)]),
-            CodedColumn([t.vehicle_id for t in trajs], np.arange(len(trajs)).repeat([t.frames.size for t in trajs])),
-            np.concatenate([t.boxes for t in trajs] or [np.empty((0, 4))]))
-
-
-def serialize_trajectories(trajectories: Iterable[Trajectory]) -> str:
+def serialize_trajectories(table: Trajectory) -> str:
     """Inverse of parse_trajectories; rows grouped by vehicle, ordered by frame."""
-    frames, vids, boxes = trajectory_columns(list(trajectories))
-    return csv_text(TRAJECTORY_COLUMNS, [frames, vids, *boxes.T])
+    return csv_text(TRAJECTORY_COLUMNS, [table.frames, table.id_column(), *table.boxes.T])
 
 
 def format_cell(value) -> str:
@@ -373,34 +376,31 @@ def write_csv(path, header: Sequence[str], columns: Iterable) -> None:
         out.writelines(csv_chunks(header, columns))
 
 
-def fill_gaps(traj: Trajectory, max_gap: int = DEFAULT_MAX_GAP_FRAMES) -> tuple[Trajectory, list[tuple[int, int]]]:
-    """Fill missing frames (gap <= max_gap) by linear interpolation of the box corners.
+def fill_gaps(table: Trajectory, max_gap: int = DEFAULT_MAX_GAP_FRAMES) -> tuple[Trajectory, list[tuple[int, int]]]:
+    """Fill each vehicle's missing frames (gap <= max_gap) by linear interpolation of the box corners.
 
-    Longer gaps are left open and returned as (last_frame_before, first_frame_after)
-    flags so downstream stages can treat the spans on either side separately.
-    Idempotent: re-running changes nothing.
+    Longer gaps are left open and returned, in row order, as (last_frame_before,
+    first_frame_after) flags so downstream stages can treat the spans on either side
+    separately. Idempotent: re-running changes nothing.
     """
-    frames, boxes = traj.frames, traj.boxes
-    if frames.size < 2:
-        raise DataError(f"vehicle {traj.vehicle_id!r}: need at least 2 points to fill gaps")
-    if frames[-1] - frames[0] == frames.size - 1:  # no frame missing (frames strictly increase)
-        return Trajectory(traj.vehicle_id, frames, boxes, traj.fps), []
+    frames, boxes, bounds = table.frames, table.boxes, table.bounds
     step = np.diff(frames)
+    step[bounds[1:-1] - 1] = 1  # a step from one vehicle's last row to the next one's first: no gap
     long_gap = step - 1 > max_gap
     flagged = list(zip(frames[:-1][long_gap].tolist(), frames[1:][long_gap].tolist()))
     fill = (step > 1) & ~long_gap
-    if fill.any():
-        # After the first row, step i yields rows k = 1..reps[i]: its missing
-        # frames when filled (k < reps[i]), then the row it ends on.
-        reps = np.where(fill, step, 1)
-        i = np.repeat(np.arange(step.size), reps)
-        k = np.arange(1, i.size + 1) - np.repeat(np.cumsum(reps) - reps, reps)
-        mid = k < reps[i]
-        w = (k / step[i])[:, None]
-        interpolated = _normalized(boxes[i] + w * (boxes[i + 1] - boxes[i]))
-        boxes = np.concatenate([boxes[:1], np.where(mid[:, None], interpolated, boxes[i + 1])])
-        frames = np.concatenate([frames[:1], np.where(mid, frames[i] + k, frames[i + 1])])
-    return Trajectory(traj.vehicle_id, frames, boxes, traj.fps), flagged
+    if not fill.any():
+        return table, flagged
+    counts = np.concatenate([[1], np.where(fill, step, 1)])  # each row, after the missing frames filled before it
+    through = np.cumsum(counts)
+    row = np.repeat(np.arange(frames.size), counts)  # the row each output row is, or is filled before
+    back = through[row] - 1 - np.arange(row.size)  # frames from an output row to that row
+    mid = back > 0
+    a = row[mid] - 1  # the row before a filled frame's gap
+    filled = boxes[row]
+    filled[mid] = _normalized(boxes[a] + ((step[a] - back[mid]) / step[a])[:, None] * (boxes[a + 1] - boxes[a]))
+    return Trajectory(table.vehicle_ids, np.append(0, through[bounds[1:] - 1]), frames[row] - back, filled,
+                      table.fps), flagged
 
 
 @lru_cache(maxsize=32)
@@ -469,13 +469,9 @@ def classify_by_length(length_m: float, threshold_m: float = DEFAULT_CLASS_THRES
     return VehicleClass.CAR if length_m < threshold_m else VehicleClass.TRUCK
 
 
-def box_length_along_axis(traj: Trajectory, travel_axis: Sequence[float]) -> float:
-    """Median bounding-box extent along the travel direction (meters)."""
-    return float(_median_box_lengths(traj.boxes, np.array([0, traj.frames.size]), travel_axis)[0])
-
-
-def _median_box_lengths(boxes: np.ndarray, bounds: np.ndarray, travel_axis: Sequence[float]) -> np.ndarray:
-    """box_length_along_axis of each group of rows ``bounds[i]:bounds[i + 1]`` (none empty), by one sort."""
+def box_length_along_axis(table: Trajectory, travel_axis: Sequence[float]) -> np.ndarray:
+    """Each vehicle's median bounding-box extent along the travel direction (meters), by one sort."""
+    boxes, bounds = table.boxes, table.bounds
     ux, uy = travel_axis
     norm = math.hypot(ux, uy)
     if norm == 0:
@@ -490,11 +486,11 @@ def _median_box_lengths(boxes: np.ndarray, bounds: np.ndarray, travel_axis: Sequ
     return np.where(sizes % 2 == 1, lower, (lower + upper) / 2)  # as np.median takes them
 
 
-def drop_static_objects(
-    trajectories: Iterable[Trajectory], min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M
-) -> list[Trajectory]:
-    """Remove transitional/stationary non-vehicle tracks by net displacement."""
-    return [t for t in trajectories if t.displacement() >= min_displacement_m]
+def drop_static_objects(table: Trajectory, min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M) -> Trajectory:
+    """Remove transitional/stationary non-vehicle tracks by net displacement, first centroid to last."""
+    first, last = table.boxes[table.bounds[:-1]], table.boxes[table.bounds[1:] - 1]
+    dx, dy = (0.5 * (last[:, :2] + last[:, 2:]) - 0.5 * (first[:, :2] + first[:, 2:])).T
+    return table._select(np.array(list(map(math.hypot, dx.tolist(), dy.tolist()))) >= min_displacement_m)
 
 
 @dataclass
@@ -521,7 +517,7 @@ class PreparedTrack:
 
 
 def prepare_tracks(
-    trajectories: Iterable[Trajectory],
+    table: Trajectory,
     travel_axis: Sequence[float],
     *,
     max_gap: int = DEFAULT_MAX_GAP_FRAMES,
@@ -530,40 +526,31 @@ def prepare_tracks(
     class_threshold_m: float = DEFAULT_CLASS_THRESHOLD_M,
     min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M,
 ) -> list[PreparedTrack]:
-    """Full preparation pipeline: static filter, gap fill, smoothing, classify, kinematics.
+    """Full preparation pipeline: static filter, gap fill, smoothing, classify, kinematics, each over the whole table.
 
     Tracks are split at gaps longer than ``max_gap`` and each gap-free run of
     >= 2 points becomes one PreparedTrack (same vehicle_id across runs).
     """
-    filled = [fill_gaps(traj, max_gap=max_gap) for traj in drop_static_objects(trajectories, min_displacement_m)
-              if traj.frames.size >= 2]
-    if not filled:
-        return []
-    # Every vehicle's rows, concatenated; vehicle v owns rows bounds[v]:bounds[v + 1].
-    frames = np.concatenate([traj.frames for traj, _ in filled])
-    boxes = np.concatenate([traj.boxes for traj, _ in filled])
-    sizes = [traj.frames.size for traj, _ in filled]
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    lengths = _median_box_lengths(boxes, bounds, travel_axis).tolist()
+    moving = drop_static_objects(table, min_displacement_m)
+    filled, _ = fill_gaps(moving._select(np.diff(moving.bounds) >= 2), max_gap=max_gap)
+    frames, boxes, bounds = filled.frames, filled.boxes, filled.bounds
+    lengths = box_length_along_axis(filled, travel_axis).tolist()
     classes = [classify_by_length(length, class_threshold_m) for length in lengths]
 
-    # A new run starts at each vehicle's first row and at the first frame after each long gap.
-    cuts = [lo + cut for (traj, flagged), lo in zip(filled, bounds.tolist()) if flagged
-            for cut in np.searchsorted(traj.frames, [after for _, after in flagged]).tolist()]
-    starts = np.sort(np.concatenate([bounds[:-1], np.array(cuts, dtype=bounds.dtype)]))
-    ends = np.append(starts[1:], frames.size)
+    # A new run starts at each vehicle's first row and after each step the gap fill left above 1.
+    starts = np.union1d(bounds[:-1], np.flatnonzero(np.diff(frames) > 1) + 1)
+    ends = np.append(starts, frames.size)[1:]
     keep = ends - starts >= 2
     starts, ends = starts[keep], ends[keep]
     long = ends - starts >= sg_window
     if long.any():
         boxes = _smooth_runs(boxes, starts[long], ends[long], sg_window, sg_order)
 
-    fps = np.repeat([traj.fps for traj, _ in filled], sizes)
     cx = 0.5 * (boxes[:, 0] + boxes[:, 2])
     cy = 0.5 * (boxes[:, 1] + boxes[:, 3])
-    t = frames / fps
+    t = frames / filled.fps
     # Backward-difference velocities; a run's first sample copies its second's.
-    dt = np.diff(frames.astype(float)) / fps[1:]
+    dt = np.diff(frames.astype(float)) / filled.fps
     vx, vy = np.empty_like(cx), np.empty_like(cy)
     with np.errstate(divide="ignore", invalid="ignore"):  # differences across runs are overwritten or unused
         vx[1:] = np.diff(cx) / dt
@@ -572,7 +559,7 @@ def prepare_tracks(
 
     vehicle = np.searchsorted(bounds, starts, side="right") - 1
     return [
-        PreparedTrack(filled[v][0].vehicle_id, classes[v], lengths[v],
+        PreparedTrack(filled.vehicle_ids[v], classes[v], lengths[v],
                       frames[a:b], t[a:b], cx[a:b], cy[a:b], vx[a:b], vy[a:b])
         for v, a, b in zip(vehicle.tolist(), starts.tolist(), ends.tolist())
     ]

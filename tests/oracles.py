@@ -581,11 +581,12 @@ def pooled_abs_r_oracle(per_segment):
 def parse_trajectories_oracle(text, fps):
     """``parse_trajectories`` as one row loop: every cell by int()/float(), checks in row order.
 
-    The parser before it read whole columns; it raises the same errors, except that a
-    frame outside int64 escapes here as OverflowError when the arrays are built.
+    The vehicles come as ``(vehicle_id, frames, boxes)`` in order of first appearance. The
+    parser before it read whole columns; it raises the same errors, except that a frame
+    outside int64 escapes here as OverflowError when the arrays are built.
     """
     from netsafety.errors import DataError, ParameterError, SchemaError
-    from netsafety.trajectories import TRAJECTORY_COLUMNS, CsvRecords, Trajectory
+    from netsafety.trajectories import TRAJECTORY_COLUMNS, CsvRecords
 
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
@@ -619,26 +620,36 @@ def parse_trajectories_oracle(text, fps):
         track[0].append(frame)
         track[1].extend((x1, y1, x2, y2))
 
-    return [
-        Trajectory(vid, np.array(frames, dtype=np.int64), np.array(corners, dtype=float).reshape(-1, 4), fps)
-        for vid, (frames, corners) in tracks.items()
-    ]
+    return [(vid, np.array(frames, dtype=np.int64), np.array(corners, dtype=float).reshape(-1, 4))
+            for vid, (frames, corners) in tracks.items()]
 
 
-def prepare_tracks_oracle(trajectories, travel_axis, *, max_gap, sg_window, sg_order, class_threshold_m,
+def displacement_oracle(boxes):
+    """A vehicle's net displacement: math.hypot of its first and last box centroids' difference."""
+    (fx1, fy1, fx2, fy2), (lx1, ly1, lx2, ly2) = np.asarray(boxes)[[0, -1]].tolist()
+    return math.hypot(0.5 * (lx1 + lx2) - 0.5 * (fx1 + fx2), 0.5 * (ly1 + ly2) - 0.5 * (fy1 + fy2))
+
+
+def trajectory_table_of(vehicles, fps):
+    """``(vehicle_id, frames, boxes)`` vehicles, in order, as one ``trajectories.Trajectory`` table."""
+    from netsafety.trajectories import Trajectory
+
+    sizes = [len(frames) for _, frames, _ in vehicles]
+    return Trajectory([vid for vid, _, _ in vehicles], np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)]),
+                      np.array([f for _, frames, _ in vehicles for f in np.asarray(frames).tolist()], dtype=np.int64),
+                      np.array([r for _, _, boxes in vehicles for r in np.asarray(boxes, dtype=float).tolist()],
+                               dtype=float).reshape(-1, 4), fps)
+
+
+def prepare_tracks_oracle(vehicles, fps, travel_axis, *, max_gap, sg_window, sg_order, class_threshold_m,
                           min_displacement_m):
-    """``prepare_tracks`` one vehicle and one run at a time.
+    """``prepare_tracks`` of ``(vehicle_id, frames, boxes)`` vehicles at ``fps``, one vehicle and one run at a time.
 
-    Per run: Savitzky-Golay by one np.correlate and two projection matvecs per corner,
-    velocities by np.diff; per vehicle: the length by np.median of the box extents.
+    Per vehicle: the static filter by displacement_oracle, the gap fill by fill_gaps_oracle, the
+    length by np.median of the box extents; per run: Savitzky-Golay by one np.correlate and two
+    projection matvecs per corner, velocities by np.diff.
     """
-    from netsafety.trajectories import (
-        PreparedTrack,
-        _sg_projection,
-        classify_by_length,
-        drop_static_objects,
-        fill_gaps,
-    )
+    from netsafety.trajectories import PreparedTrack, _sg_projection, classify_by_length
 
     def smooth(arr):
         proj = _sg_projection(sg_window, sg_order)
@@ -653,28 +664,28 @@ def prepare_tracks_oracle(trajectories, travel_axis, *, max_gap, sg_window, sg_o
     norm = math.hypot(ux, uy)
     ux, uy = ux / norm, uy / norm
     prepared = []
-    for traj in drop_static_objects(trajectories, min_displacement_m):
-        if traj.frames.size < 2:
+    for vid, frames, boxes in vehicles:
+        if displacement_oracle(boxes) < min_displacement_m or len(frames) < 2:
             continue
-        filled, flagged = fill_gaps(traj, max_gap=max_gap)
-        b = filled.boxes
+        filled_frames, rows, flagged = fill_gaps_oracle(frames, boxes, max_gap)
+        filled_frames, b = np.array(filled_frames, dtype=np.int64), np.array(rows, dtype=float)
         length = float(np.median(np.abs((b[:, 2] - b[:, 0]) * ux) + np.abs((b[:, 3] - b[:, 1]) * uy)))
         vclass = classify_by_length(length, class_threshold_m)
-        cuts = np.searchsorted(filled.frames, [after for _, after in flagged]).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, filled.frames.size]):
+        cuts = np.searchsorted(filled_frames, [after for _, after in flagged]).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, filled_frames.size]):
             if hi - lo < 2:
                 continue
-            frames = filled.frames[lo:hi]
-            corners = filled.boxes[lo:hi]
-            if frames.size >= sg_window:
+            run = filled_frames[lo:hi]
+            corners = b[lo:hi]
+            if run.size >= sg_window:
                 corners = np.column_stack([smooth(corners[:, j]) for j in range(4)])
             cx = 0.5 * (corners[:, 0] + corners[:, 2])
             cy = 0.5 * (corners[:, 1] + corners[:, 3])
-            dt = np.diff(frames.astype(float)) / traj.fps
+            dt = np.diff(run.astype(float)) / fps
             vx, vy = np.empty_like(cx), np.empty_like(cy)
             vx[1:], vy[1:] = np.diff(cx) / dt, np.diff(cy) / dt
             vx[0], vy[0] = vx[1], vy[1]
-            prepared.append(PreparedTrack(traj.vehicle_id, vclass, length, frames, frames / traj.fps, cx, cy, vx, vy))
+            prepared.append(PreparedTrack(vid, vclass, length, run, run / fps, cx, cy, vx, vy))
     return prepared
 
 

@@ -2,12 +2,14 @@
 
 ``perfbench/layers.patch_table()`` names netsafety functions by the module
 attribute their callers resolve, and its counters read the arguments and
-results (``len(t.points)`` of parsed and gap-filled trajectories, or a
-crash binning's ``n_assigned``, for example). A rename or an API change
+results (``len(t.points)`` of parsed and gap-filled trajectories, ``len()`` of
+the vehicles in and out of the static filter, or a crash binning's
+``n_assigned``, for example). A rename or an API change
 would otherwise only show when the benchmark runs with ``--trace 1``. This test only imports from ``perfbench/``.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,9 +43,16 @@ def _cut_gaps(path: Path) -> None:
     path.write_text(header + "".join(row for i, row in enumerate(rows) if i not in dropped))
 
 
+def _park(path: Path) -> None:
+    """Append a vehicle that stands still for 30 frames, which the static filter drops."""
+    with open(path, "a") as out:
+        out.writelines(f"{frame},parked,5.0,1.0,9.5,3.0\n" for frame in range(30))
+
+
 def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
     bundle = run_bundle(tmp_path)
     _cut_gaps(bundle / "trajectories_S2.csv")
+    _park(bundle / "trajectories_S2.csv")
     crash_csv = bundle / "crashes.csv"
     when = crash_csv.read_text().splitlines()[1].split(",")[0]
     with open(crash_csv, "a") as out:
@@ -86,6 +95,10 @@ def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
     assert metrics["network_metrics.samples"] == sum(t.frames.size for t in tracks[0] + tracks[1])
     assert metrics["trajectories.gap_frames_filled"] == 2
     assert metrics["trajectories.runs_split"] == 1
+    static = [t.vehicle_ids for path in inputs[1:] for t in trajectories.parse_trajectories(path.read_text(), cfg.fps)
+              if math.hypot(t.points[-1].cx - t.points[0].cx, t.points[-1].cy - t.points[0].cy)
+              < cfg.prep.min_displacement_m]
+    assert metrics["trajectories.static_dropped"] == len(static) and ["parked"] in static
     assert metrics["cli.project_s"] > 0 and metrics["cli.ssm_s"] > 0
     report = json.loads((bundle / "association_report.json").read_text())
     assert all("phi" in report["families"][family]["shapley"] for family in cfg.analysis.families)

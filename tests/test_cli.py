@@ -627,6 +627,11 @@ def write_hand_config(path: Path, segment_extra=None, **sections) -> Path:
     return target
 
 
+def _segment(key, value):
+    """A config edit setting ``key`` of the first segment to ``value``."""
+    return lambda c: {**c, "segments": [{**c["segments"][0], key: value}]}
+
+
 class TestConfigValidation:
     def test_collision_point_reaches_metrics(self, tmp_path):
         # Leaders outrun followers, so only the collision point yields cluster TTCs.
@@ -744,6 +749,36 @@ class TestConfigValidation:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SchemaError"
         assert err["message"].startswith(context)
+
+    @pytest.mark.parametrize("edit, context, message", [
+        (_segment("travel_axis", [1]), "segments[0]", "travel_axis must be a list of 2 numbers, got [1]"),
+        (_segment("collision_point", [1]), "segments[0]", "collision_point must be a list of 2 numbers, got [1]"),
+        (_segment("bbox", [0, 0, 1]), "segments[0]", "bbox must be a list of 4 numbers, got [0, 0, 1]"),
+        (_segment("bbox", ["a", 0, 1, 2]), "segments[0]", "bbox must be a number, got 'a'"),
+        (_segment("osr_thresholds", "1"), "segments[0]",
+         "osr_thresholds must be a list of any count of numbers, got '1'"),
+        (_segment("travel_axis", [1, True]), "segments[0]", "travel_axis must be a number, got True"),
+        (lambda c: {**c, "anchor": [33.4]}, "root", "anchor must be a list of 2 numbers, got [33.4]"),
+        (lambda c: {**c, "crash_years": [2021]}, "root", "crash_years must be a list of 2 numbers, got [2021]"),
+        (lambda c: {**c, "crash_years": "ab"}, "root", "crash_years must be a list of 2 numbers, got 'ab'"),
+        (lambda c: {**c, "crash_years": [2021, 2021.5]}, "root", "crash_years must be an integer, got 2021.5"),
+        (lambda c: {**c, "trt": {"t_min_seconds": "5"}}, "trt", "t_min_seconds must be a number, got '5'"),
+        (lambda c: {**c, "trt": {"free_flow": "fast"}}, "trt", "free_flow must be a number, got 'fast'"),
+        (lambda c: {**c, "trt": {"theta": None}}, "trt", "theta must be a number, got None"),
+    ], ids=["travel_axis", "collision_point", "bbox_short", "bbox_string", "osr_thresholds_string", "travel_axis_bool",
+            "anchor", "crash_years_short", "crash_years_string", "crash_years_float", "t_min_seconds", "free_flow",
+            "theta"])
+    def test_malformed_list_or_number_exits_2_naming_the_key(self, tmp_path, capsys, edit, context, message):
+        # Before the check the lists raised IndexError, ValueError or TypeError in metrics or associate (exit 1,
+        # traceback), as did the trt strings in metrics; "osr_thresholds": "1" ran as (1.0,).
+        path = write_hand_config(tmp_path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        for command in ("metrics", "associate"):
+            assert main([command, "--config", str(path)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert (err["error"], err["message"]) == ("SchemaError", f"config {context} has a value of the wrong type: "
+                                                                     f"{message}")
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_repeated_segment_id_exits_2_naming_it(self, tmp_path, capsys):
         # Both segments ran as S1: metrics exited 0 with two S1 row sets, each from the second segment's file.

@@ -16,7 +16,7 @@ def crash_rows(records):
 # reader, what its errors call the file, header, two good rows, a faulty row and its message
 READERS = {
     "trajectory": (
-        lambda text: [(t.vehicle_id, f) for t in parse_trajectories(text, 4.0) for f in t.frames.tolist()],
+        lambda text: [(t.vehicle_ids[0], f) for t in parse_trajectories(text, 4.0) for f in t.frames.tolist()],
         "trajectory", "frame,vehicle_id,x1,y1,x2,y2", ("0,a,0,0,1,1", "1,a,1,0,2,1"),
         "2,a,abc,0,3,1", "malformed numeric field",
     ),

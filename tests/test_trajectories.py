@@ -25,20 +25,24 @@ from netsafety.trajectories import (
 
 from oracles import (
     csv_rows_oracle,
+    displacement_oracle,
     fill_gaps_oracle,
     parse_trajectories_oracle,
     prepare_tracks_oracle,
     sg_window_fit_oracle,
+    trajectory_table_of,
 )
 
 HEADER = "frame,vehicle_id,x1,y1,x2,y2\n"
 
 
+def track_rows(frames_xy, vid="v1", size=2.0):
+    return "".join(f"{f},{vid},{x - size / 2},{y - size / 2},{x + size / 2},{y + size / 2}\n" for f, x, y in frames_xy)
+
+
 def make_traj(frames_xy, fps=1.0, vid="v1", size=2.0):
-    rows = ["frame,vehicle_id,x1,y1,x2,y2"]
-    for f, x, y in frames_xy:
-        rows.append(f"{f},{vid},{x - size / 2},{y - size / 2},{x + size / 2},{y + size / 2}")
-    return parse_trajectories("\n".join(rows) + "\n", fps)[0]
+    """The one-vehicle table of a track given as (frame, centroid x, centroid y) points."""
+    return parse_trajectories(HEADER + track_rows(frames_xy, vid, size), fps)
 
 
 class TestParse:
@@ -46,8 +50,8 @@ class TestParse:
         text = "frame,vehicle_id,x1,y1,x2,y2\n0,a,0,0,2,1\n1,a,1,0,3,1\n"
         trajs = parse_trajectories(text, fps=30.0)
         assert len(trajs) == 1
-        assert [p.frame for p in trajs[0].points] == [0, 1]
-        assert trajs[0].points[0].cx == 1.0
+        assert [p.frame for p in trajs.points] == [0, 1]
+        assert trajs.points[0].cx == 1.0
 
     def test_interleaved_vehicles_split_and_ordered(self):
         text = (
@@ -55,7 +59,7 @@ class TestParse:
             "0,a,0,0,1,1\n0,b,5,0,6,1\n1,b,6,0,7,1\n1,a,1,0,2,1\n"
         )
         trajs = parse_trajectories(text, fps=10.0)
-        assert {t.vehicle_id for t in trajs} == {"a", "b"}
+        assert set(trajs.vehicle_ids) == {"a", "b"}
         for t in trajs:
             assert [p.frame for p in t.points] == [0, 1]
 
@@ -108,14 +112,14 @@ class TestParse:
         text = HEADER + "0,a,0,0,1,1\n0,b,5,1,7,3\n1,a,1,0,2,1\n"
         shuffled = "y2,vehicle_id,extra,x2,frame,x1,y1\n1,a,q,1,0,0,0\n3,b,q,7,0,5,1\n1,a,q,2,1,1,0\n"
         for a, b in zip(parse_trajectories(text, 30.0), parse_trajectories(shuffled, 30.0), strict=True):
-            assert a.vehicle_id == b.vehicle_id
+            assert a.vehicle_ids == b.vehicle_ids
             np.testing.assert_array_equal(a.frames, b.frames)
             np.testing.assert_array_equal(a.boxes, b.boxes)
 
     def test_arrays_normalized_in_first_appearance_order(self):
         text = HEADER + "4,b,3,9,1,8\n0,a,0,0,1,1\n5,b,1,8,3,9\n2,a,1,0,2,1\n"
         b, a = parse_trajectories(text, fps=2.0)
-        assert (b.vehicle_id, a.vehicle_id) == ("b", "a")
+        assert (b.vehicle_ids, a.vehicle_ids) == (["b"], ["a"])
         assert b.frames.dtype == np.int64 and b.frames.tolist() == [4, 5]
         np.testing.assert_array_equal(b.boxes, [[1, 8, 3, 9], [1, 8, 3, 9]])
         assert a.boxes.shape == (2, 4) and a.boxes.dtype == float
@@ -151,7 +155,7 @@ class TestParse:
         second = parse_trajectories(serialize_trajectories(first), fps=4.0)
         assert len(first) == len(second)
         for t1, t2 in zip(first, second):
-            assert t1.vehicle_id == t2.vehicle_id
+            assert t1.vehicle_ids == t2.vehicle_ids
             for p1, p2 in zip(t1.points, t2.points):
                 assert (p1.frame, p1.x1, p1.y1, p1.x2, p1.y2) == (p2.frame, p2.x1, p2.y1, p2.x2, p2.y2)
 
@@ -208,16 +212,22 @@ def trajectory_texts(draw):
     return end.join(lines) + draw(st.sampled_from([end, ""]))
 
 
+def parsed_vehicles(text, fps):
+    """parse_trajectories' table as the oracle gives it: ``(vehicle_id, frames, boxes)`` per vehicle."""
+    table = parse_trajectories(text, fps)
+    assert table.fps == fps
+    return [(vid, t.frames, t.boxes) for vid, t in zip(table.vehicle_ids, table, strict=True)]
+
+
 def _outcome(parse, text):
-    """A parse's trajectories, bit for bit, or its error's class and message."""
+    """A parse's vehicles, bit for bit, or its error's class and message."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trajs = parse(text, 4.0)
+            vehicles = parse(text, 4.0)
     except Exception as exc:  # noqa: BLE001 - the outcome compared is the error itself
         return type(exc), str(exc)
-    return [(t.vehicle_id, t.fps, t.frames.dtype, t.frames.shape, t.frames.tobytes(), t.boxes.dtype, t.boxes.shape,
-             t.boxes.tobytes()) for t in trajs]
+    return [(vid, f.dtype, f.shape, f.tobytes(), b.dtype, b.shape, b.tobytes()) for vid, f, b in vehicles]
 
 
 class TestParseAgainstRowLoop:
@@ -226,7 +236,7 @@ class TestParseAgainstRowLoop:
     @example(text=HEADER.replace("y2", "y2,note") + "0,a,0,0,1,1,x\n1,a,1,0,2,1\n")  # short by a column loadtxt skips
     @example(text=HEADER + '0,"#a\n, ""b""",0,0,1,1\n1,"#a\n, ""b"" ",1,0,2,1\n')  # a quoted id spans lines
     def test_same_trajectories_or_same_error(self, text):
-        assert _outcome(parse_trajectories, text) == _outcome(parse_trajectories_oracle, text)
+        assert _outcome(parsed_vehicles, text) == _outcome(parse_trajectories_oracle, text)
 
     def test_frames_at_the_int64_bounds(self):
         (traj,) = parse_trajectories(HEADER + "0,a,0,0,1,1\n9223372036854775807,a,1,0,2,1\n", 4.0)
@@ -240,14 +250,15 @@ class TestParseAgainstRowLoop:
         text = csv_text(trajectories.TRAJECTORY_COLUMNS, [np.arange(20_000) // 50, vids, *corners])
         want = _outcome(parse_trajectories_oracle, text)
         monkeypatch.setattr(trajectories, "_read_row_by_row", lambda records: pytest.fail("read row by row"))
-        assert _outcome(parse_trajectories, text) == want
+        assert _outcome(parsed_vehicles, text) == want
         assert len(want) == 50
 
     @pytest.mark.parametrize("body", ["", "\n", "\n  \n", ",,,,,\n", "\t\n"])
     def test_header_only_reads_no_rows_without_warning(self, body):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert parse_trajectories(HEADER + body, 4.0) == []
+            table = parse_trajectories(HEADER + body, 4.0)
+        assert len(table) == 0 and table.frames.size == 0
 
 
 class TestFormatCell:
@@ -297,12 +308,12 @@ class TestCsvText:
         assert csv_text(["n", "id"], [np.array([], dtype=np.int64), []]) == "n,id\n"
 
     def test_quoted_ids_round_trip(self):
-        trajs = [
-            trajectories.Trajectory(vid, np.arange(k, k + 3), np.arange(12, dtype=float).reshape(3, 4) + k, 4.0)
+        trajs = trajectory_table_of([
+            (vid, np.arange(k, k + 3), np.arange(12, dtype=float).reshape(3, 4) + k)
             for k, vid in enumerate(["a,b", 'say "hi"', "two\nlines"])
-        ]
+        ], 4.0)
         back = parse_trajectories(serialize_trajectories(trajs), fps=4.0)
-        assert [t.vehicle_id for t in back] == [t.vehicle_id for t in trajs]
+        assert back.vehicle_ids == trajs.vehicle_ids
         for t1, t2 in zip(trajs, back):
             assert np.array_equal(t1.frames, t2.frames) and np.array_equal(t1.boxes, t2.boxes)
 
@@ -377,6 +388,55 @@ class TestFillGaps:
         ]
 
 
+@st.composite
+def vehicle_tables(draw):
+    """``(vehicle_id, frames, boxes)`` vehicles of 1-8 rows for one table, a max_gap and a minimum displacement.
+
+    Steps between rows are 1, exactly max_gap + 1 (a gap of max_gap, filled), max_gap + 2
+    (one frame more, left open) or other; max_gap may be 0. A vehicle's first frame may be
+    at or below the last one's, so steps across vehicles are of any sign. The minimum
+    displacement may equal a vehicle's own.
+    """
+    max_gap = draw(st.sampled_from([0, 0, 1, 2, 15]))
+    coordinate = st.floats(-1e4, 1e4, allow_nan=False, width=64)
+    vehicles = []
+    for v in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 8))
+        steps = draw(st.lists(st.sampled_from([1, 1, max_gap + 1, max_gap + 2, 3, 40]), min_size=n - 1, max_size=n - 1))
+        frames = np.cumsum([draw(st.integers(0, 60)), *steps])
+        boxes = np.array(draw(st.lists(st.tuples(*[coordinate] * 4), min_size=n, max_size=n)), dtype=float)
+        vehicles.append((f"v{v}", frames, boxes))
+    threshold = draw(st.one_of(st.sampled_from([0.0, 2.0, 500.0]),
+                               st.sampled_from(vehicles).map(lambda v: displacement_oracle(v[2]))))
+    return vehicles, max_gap, threshold
+
+
+def _bits(vehicles):
+    """``(vehicle_id, frames, boxes)`` vehicles bit for bit, frames as int64 and boxes as (n, 4) floats."""
+    return [(vid, np.asarray(f, dtype=np.int64).tobytes(), np.asarray(b, dtype=float).reshape(-1, 4).tobytes())
+            for vid, f, b in vehicles]
+
+
+def _table_bits(table):
+    assert table.fps == 4.0 and table.frames.dtype == np.int64 and table.boxes.dtype == float
+    return _bits((vid, t.frames, t.boxes) for vid, t in zip(table.vehicle_ids, table, strict=True))
+
+
+class TestWholeTablePasses:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(drawn=vehicle_tables())
+    def test_match_the_per_vehicle_oracles_bitwise(self, drawn):
+        vehicles, max_gap, threshold = drawn
+        kept = drop_static_objects(trajectory_table_of(vehicles, 4.0), min_displacement_m=threshold)
+        want = [(vid, f, b) for vid, f, b in vehicles if displacement_oracle(b) >= threshold]
+        assert _table_bits(kept) == _bits(want)
+
+        filled, flagged = fill_gaps(trajectory_table_of(vehicles, 4.0), max_gap=max_gap)
+        want = [(vid, *fill_gaps_oracle(f, b, max_gap)) for vid, f, b in vehicles]
+        assert flagged == [flag for *_, flags in want for flag in flags]  # in row order
+        assert _table_bits(filled) == _bits((vid, f, rows) for vid, f, rows, _ in want)
+
+
 class TestSavitzkyGolay:
     def test_constant_preserved(self):
         out = smooth_savitzky_golay([5.0] * 7, window=5, order=2)
@@ -424,7 +484,7 @@ class TestSavitzkyGolay:
 
 def kinematics(traj):
     """The single prepared run of a gap-free track, with no static filtering."""
-    (track,) = prepare_tracks([traj], (1.0, 0.0), min_displacement_m=0.0)
+    (track,) = prepare_tracks(traj, (1.0, 0.0), min_displacement_m=0.0)
     return track
 
 
@@ -476,21 +536,21 @@ class TestClassification:
 
     def test_box_length_along_axis(self):
         traj = make_traj([(0, 0, 0), (1, 1, 0)], size=4.0)
-        assert box_length_along_axis(traj, (1.0, 0.0)) == pytest.approx(4.0)
+        assert box_length_along_axis(traj, (1.0, 0.0)).tolist() == [pytest.approx(4.0)]
         # Perpendicular travel sees the y extent instead.
-        assert box_length_along_axis(traj, (0.0, 1.0)) == pytest.approx(4.0)
+        assert box_length_along_axis(traj, (0.0, 1.0)).tolist() == [pytest.approx(4.0)]
 
 
 class TestPreparation:
     def test_static_objects_dropped(self):
-        moving = make_traj([(i, i * 1.0, 0) for i in range(5)], vid="m")
-        parked = make_traj([(i, 0.05 * i, 0) for i in range(5)], vid="p")
-        kept = drop_static_objects([moving, parked], min_displacement_m=2.0)
-        assert [t.vehicle_id for t in kept] == ["m"]
+        moving = track_rows([(i, i * 1.0, 0) for i in range(5)], vid="m")
+        parked = track_rows([(i, 0.05 * i, 0) for i in range(5)], vid="p")
+        kept = drop_static_objects(parse_trajectories(HEADER + moving + parked, 1.0), min_displacement_m=2.0)
+        assert kept.vehicle_ids == ["m"]
 
     def test_long_gap_splits_runs(self):
         traj = make_traj([(0, 0, 0), (1, 25, 0), (30, 60, 0), (31, 85, 0)], fps=1.0)
-        tracks = prepare_tracks([traj], (1, 0), max_gap=5, sg_window=3, sg_order=1, min_displacement_m=1.0)
+        tracks = prepare_tracks(traj, (1, 0), max_gap=5, sg_window=3, sg_order=1, min_displacement_m=1.0)
         assert len(tracks) == 2
         assert all(t.vehicle_id == "v1" for t in tracks)
         assert list(tracks[0].frames) == [0, 1]
@@ -498,7 +558,7 @@ class TestPreparation:
 
     def test_short_tracks_pass_unsmoothed(self):
         traj = make_traj([(i, 10.0 * i, 0) for i in range(4)], fps=1.0)
-        tracks = prepare_tracks([traj], (1, 0), sg_window=21, sg_order=3, min_displacement_m=1.0)
+        tracks = prepare_tracks(traj, (1, 0), sg_window=21, sg_order=3, min_displacement_m=1.0)
         assert len(tracks) == 1
         np.testing.assert_allclose(tracks[0].x, [0, 10, 20, 30])
 
@@ -506,7 +566,7 @@ class TestPreparation:
         rng = np.random.default_rng(5)
         pts = [(i, float(i + rng.normal(0, 0.1)), 0.0) for i in range(30)]
         traj = make_traj(pts, fps=1.0)
-        (track,) = prepare_tracks([traj], (1, 0), sg_window=7, sg_order=2, min_displacement_m=0.0)
+        (track,) = prepare_tracks(traj, (1, 0), sg_window=7, sg_order=2, min_displacement_m=0.0)
         expected = smooth_savitzky_golay([p.cx for p in traj.points], 7, 2)
         np.testing.assert_allclose(track.x, expected, atol=1e-12)
 
@@ -519,7 +579,7 @@ class TestPreparation:
             x = speed * frames / fps + rng.normal(0, 0.2, frames.size)
             half = 0.5 * (length + rng.normal(0, 0.3, frames.size))
             y = 3.5 + rng.normal(0, 0.1, frames.size)
-            return trajectories.Trajectory(vid, frames, np.column_stack([x - half, y - 1, x + half, y + 1]), fps)
+            return fps, (vid, frames, np.column_stack([x - half, y - 1, x + half, y + 1]))
 
         n = window
         trajs = [
@@ -537,12 +597,15 @@ class TestPreparation:
               for k, length in enumerate(rng.uniform(3.0, 18.0, 12))),
         ]
         options = dict(max_gap=3, sg_window=window, sg_order=order, class_threshold_m=8.0, min_displacement_m=2.0)
-        got = prepare_tracks(trajs, (3.0, 4.0), **options)
-        want = prepare_tracks_oracle(trajs, (3.0, 4.0), **options)
+        got, want = [], []
+        for fps in (10.0, 12.5):  # a table has one fps: the 12.5 fps vehicle is prepared on its own
+            vehicles = [vehicle for f, vehicle in trajs if f == fps]
+            got += prepare_tracks(trajectory_table_of(vehicles, fps), (3.0, 4.0), **options)
+            want += prepare_tracks_oracle(vehicles, fps, (3.0, 4.0), **options)
         assert {"filled", "split", "shorter", "equal", "longer", "lone_rows", "pair"} <= {t.vehicle_id for t in got}
         assert not {"single", "static", "parked"} & {t.vehicle_id for t in got}
         assert [t.frames.tolist() for t in got if t.vehicle_id in ("filled", "split", "lone_rows")] == [
-            list(range(3 * n)), list(range(n + 3)), list(range(n + 40, 2 * n + 45)), list(range(30, 30 + n + 2))]
+            list(range(3 * n)), list(range(30, 30 + n + 2)), list(range(n + 3)), list(range(n + 40, 2 * n + 45))]
         assert {t.vclass for t in got} == {VehicleClass.CAR, VehicleClass.TRUCK}
 
         def fields(t):
