@@ -556,6 +556,11 @@ class TestPreparation:
         assert list(tracks[0].frames) == [0, 1]
         assert list(tracks[1].frames) == [30, 31]
 
+    def test_one_missing_frame_splits_runs_at_max_gap_0(self):
+        traj = make_traj([(f, 10.0 * f, 0) for f in (0, 1, 2, 4, 5, 6)], fps=1.0)
+        tracks = prepare_tracks(traj, (1, 0), max_gap=0, sg_window=3, sg_order=1, min_displacement_m=1.0)
+        assert [t.frames.tolist() for t in tracks] == [[0, 1, 2], [4, 5, 6]]
+
     def test_short_tracks_pass_unsmoothed(self):
         traj = make_traj([(i, 10.0 * i, 0) for i in range(4)], fps=1.0)
         tracks = prepare_tracks(traj, (1, 0), sg_window=21, sg_order=3, min_displacement_m=1.0)
