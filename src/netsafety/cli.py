@@ -76,16 +76,15 @@ def _prepare_segment_tracks(cfg: RunConfig, segment, path: Path):
     )
 
 
-def _windows_for(cfg: RunConfig, tracks) -> list[tuple[float, float]]:
+def _windows_for(cfg: RunConfig, tracks: trajectories.PreparedTracks) -> list[tuple[float, float]]:
     if cfg.intervals is not None:
         return cfg.intervals.windows()
     # Fall back to slot-aligned windows covering the observed span.
     slot = cfg.analysis.slot_minutes * 60.0
-    t_values = [t for track in tracks for t in (track.t[0], track.t[-1])]
-    if not t_values:
+    if not tracks.t.size:
         return []
-    t0 = (min(t_values) // slot) * slot
-    t1 = max(t_values)
+    t0 = (tracks.t.min() // slot) * slot
+    t1 = tracks.t.max()
     count = int((t1 - t0) // slot) + 1
     return IntervalGrid(count=count, window_seconds=slot, stride_seconds=slot, start_seconds=t0).windows()
 

@@ -184,8 +184,8 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
             cfg = SegmentConfig(
                 segment_id=_require(seg, "segment_id", f"segments[{i}]"),
                 lane_count=_integer(_require(seg, "lane_count", f"segments[{i}]"), "lane_count"),
-                length_m=float(_require(seg, "length_m", f"segments[{i}]")),
-                speed_limit=float(_require(seg, "speed_limit", f"segments[{i}]")),
+                length_m=float(_number(_require(seg, "length_m", f"segments[{i}]"), "length_m")),
+                speed_limit=float(_number(_require(seg, "speed_limit", f"segments[{i}]"), "speed_limit")),
                 **{key: _numbers(seg[key], key, n) for key, n in _SEGMENT_LISTS.items() if key in seg},
             )
         if any(s.segment_id == cfg.segment_id for s in segments):
@@ -215,8 +215,8 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
         intervals = _section(IntervalGrid, obj["intervals"], "intervals")
 
     return RunConfig(
-        fps=float(_require(obj, "fps", "root")),
-        seed=int(obj.get("seed", 0)),
+        fps=float(_number(_require(obj, "fps", "root"), "fps")),
+        seed=_integer(obj.get("seed", 0), "seed"),
         output_dir=resolve(paths.get("output_dir", ".")),
         segments=segments,
         trajectory_paths=trajectory_paths,

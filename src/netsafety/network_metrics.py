@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError, SchemaError
-from .trajectories import CsvRecords, PreparedTrack, VehicleClass, csv_text
+from .trajectories import CsvRecords, PreparedTracks, VehicleClass, csv_text
 
 VEHICLE_CLASSES = (VehicleClass.CAR, VehicleClass.TRUCK)
 
@@ -421,7 +421,7 @@ def trt(events: Sequence[CongestionEvent]) -> float | None:
 class SampleTable:
     """Every kinematic sample of one segment as flat arrays, sorted by frame.
 
-    Rows keep the track order within a frame. ``axis_pos``/``axis_speed`` are
+    Rows keep the run order within a frame. ``axis_pos``/``axis_speed`` are
     the centroid position and velocity projected on the travel axis;
     ``vid_code`` indexes ``vids``, ``lengths`` and ``classes``.
     """
@@ -438,31 +438,21 @@ class SampleTable:
     classes: list[VehicleClass]  # per vid_code
 
     @classmethod
-    def build(cls, tracks: Sequence[PreparedTrack], travel_axis: tuple[float, float]) -> "SampleTable":
+    def build(cls, tracks: PreparedTracks, travel_axis: tuple[float, float]) -> "SampleTable":
         ux, uy = travel_axis
-        first: dict[str, PreparedTrack] = {}  # each vehicle's first track gives its length and class
-        for track in tracks:
-            first.setdefault(track.vehicle_id, track)
-        code_of = {vid: code for code, vid in enumerate(first)}
-        frame = np.concatenate([np.zeros(0, dtype=int)] + [t.frames for t in tracks])
-        order = np.argsort(frame, kind="stable")
-
-        def column(values) -> np.ndarray:
-            return np.concatenate([np.zeros(0)] + [values(t) for t in tracks])[order]
-
-        codes = np.array([code_of[t.vehicle_id] for t in tracks], dtype=int)
-        x, y = column(lambda t: t.x), column(lambda t: t.y)
+        order = np.argsort(tracks.frames, kind="stable")
+        x, y = tracks.x[order], tracks.y[order]
         return cls(
-            frame=frame[order],
+            frame=tracks.frames[order],
             x=x,
             y=y,
             axis_pos=x * ux + y * uy,
-            speed=column(lambda t: t.speed),
-            axis_speed=column(lambda t: t.vx) * ux + column(lambda t: t.vy) * uy,
-            vid_code=np.repeat(codes, [t.frames.size for t in tracks])[order],
-            vids=list(first),
-            lengths=np.array([t.length_m for t in first.values()]),
-            classes=[t.vclass for t in first.values()],
+            speed=tracks.speed[order],
+            axis_speed=tracks.vx[order] * ux + tracks.vy[order] * uy,
+            vid_code=np.repeat(tracks.run_codes, np.diff(tracks.bounds))[order],
+            vids=tracks.vehicle_ids,
+            lengths=tracks.lengths,
+            classes=tracks.classes,
         )
 
     def leader_pairs(self) -> tuple[np.ndarray, ...]:
@@ -498,7 +488,7 @@ class SampleTable:
         return float(np.percentile(means, FREE_FLOW_PERCENTILE)) if means.size else None
 
 
-def segment_free_flow_speed(tracks: Sequence[PreparedTrack], travel_axis=(1.0, 0.0)) -> float | None:
+def segment_free_flow_speed(tracks: PreparedTracks, travel_axis=(1.0, 0.0)) -> float | None:
     """Reference free-flow speed: 85th percentile of per-frame mean speeds."""
     return SampleTable.build(tracks, travel_axis).free_flow_speed()
 
@@ -558,7 +548,7 @@ def window_frames(windows: Sequence[tuple[float, float]], fps: float) -> tuple[l
 
 
 def compute_interval_metrics(
-    tracks: Sequence[PreparedTrack],
+    tracks: PreparedTracks,
     segment: SegmentConfig,
     cluster_cfg: ClusterConfig,
     fps: float,

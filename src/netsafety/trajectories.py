@@ -13,7 +13,7 @@ import io
 import math
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -493,27 +493,38 @@ def drop_static_objects(table: Trajectory, min_displacement_m: float = DEFAULT_M
     return table._select(np.array(list(map(math.hypot, dx.tolist(), dy.tolist()))) >= min_displacement_m)
 
 
-@dataclass
-class PreparedTrack:
-    """One gap-free run of a vehicle, ready for metric extraction.
+@dataclass(eq=False)
+class PreparedTracks:
+    """A segment's gap-free runs, ready for metric extraction: run ``r`` is vehicle ``run_codes[r]``'s rows
+    ``bounds[r]:bounds[r + 1]``, and ``vehicle_ids``, ``classes`` and ``lengths`` are per vehicle code.
 
-    Arrays are aligned per sample: frame index, time, centroid position,
-    velocity components, scalar speed.
+    The rows hold frame, time, centroid and velocity. ``len()`` counts runs, and iterating yields one-run tables.
     """
 
-    vehicle_id: str
-    vclass: VehicleClass
-    length_m: float
+    vehicle_ids: list[str]
+    classes: list[VehicleClass]
+    lengths: np.ndarray
+    run_codes: np.ndarray
+    bounds: np.ndarray
     frames: np.ndarray
     t: np.ndarray
     x: np.ndarray
     y: np.ndarray
     vx: np.ndarray
     vy: np.ndarray
-    speed: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.speed = np.hypot(self.vx, self.vy)
+    @property
+    def speed(self) -> np.ndarray:
+        return np.hypot(self.vx, self.vy)
+
+    def __len__(self) -> int:
+        return self.run_codes.size
+
+    def __iter__(self) -> Iterator[PreparedTracks]:
+        for v, lo, hi in zip(self.run_codes.tolist(), self.bounds[:-1].tolist(), self.bounds[1:].tolist()):
+            yield PreparedTracks([self.vehicle_ids[v]], [self.classes[v]], self.lengths[v : v + 1], np.zeros(1, int),
+                                 np.array([0, hi - lo]), self.frames[lo:hi], self.t[lo:hi], self.x[lo:hi],
+                                 self.y[lo:hi], self.vx[lo:hi], self.vy[lo:hi])
 
 
 def prepare_tracks(
@@ -525,22 +536,23 @@ def prepare_tracks(
     sg_order: int = DEFAULT_SG_ORDER,
     class_threshold_m: float = DEFAULT_CLASS_THRESHOLD_M,
     min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M,
-) -> list[PreparedTrack]:
+) -> PreparedTracks:
     """Full preparation pipeline: static filter, gap fill, smoothing, classify, kinematics, each over the whole table.
 
-    Tracks are split at gaps longer than ``max_gap`` and each gap-free run of
-    >= 2 points becomes one PreparedTrack (same vehicle_id across runs).
+    Tracks are split at gaps longer than ``max_gap``, and each gap-free run of >= 2 points becomes one run of the
+    returned table, in row order. Its vehicles are those left with a run, in the order of ``table``.
     """
     moving = drop_static_objects(table, min_displacement_m)
     filled, _ = fill_gaps(moving._select(np.diff(moving.bounds) >= 2), max_gap=max_gap)
     frames, boxes, bounds = filled.frames, filled.boxes, filled.bounds
-    lengths = box_length_along_axis(filled, travel_axis).tolist()
-    classes = [classify_by_length(length, class_threshold_m) for length in lengths]
+    lengths = box_length_along_axis(filled, travel_axis)
+    classes = [classify_by_length(length, class_threshold_m) for length in lengths.tolist()]
 
     # A new run starts at each vehicle's first row and after each step the gap fill left above 1.
     starts = np.union1d(bounds[:-1], np.flatnonzero(np.diff(frames) > 1) + 1)
     ends = np.append(starts, frames.size)[1:]
     keep = ends - starts >= 2
+    rows = np.repeat(keep, ends - starts)  # the rows of the runs kept
     starts, ends = starts[keep], ends[keep]
     long = ends - starts >= sg_window
     if long.any():
@@ -548,7 +560,6 @@ def prepare_tracks(
 
     cx = 0.5 * (boxes[:, 0] + boxes[:, 2])
     cy = 0.5 * (boxes[:, 1] + boxes[:, 3])
-    t = frames / filled.fps
     # Backward-difference velocities; a run's first sample copies its second's.
     dt = np.diff(frames.astype(float)) / filled.fps
     vx, vy = np.empty_like(cx), np.empty_like(cy)
@@ -557,9 +568,8 @@ def prepare_tracks(
         vy[1:] = np.diff(cy) / dt
     vx[starts], vy[starts] = vx[starts + 1], vy[starts + 1]
 
-    vehicle = np.searchsorted(bounds, starts, side="right") - 1
-    return [
-        PreparedTrack(filled.vehicle_ids[v], classes[v], lengths[v],
-                      frames[a:b], t[a:b], cx[a:b], cy[a:b], vx[a:b], vy[a:b])
-        for v, a, b in zip(vehicle.tolist(), starts.tolist(), ends.tolist())
-    ]
+    kept, codes = np.unique(np.searchsorted(bounds, starts, side="right") - 1, return_inverse=True)
+    frames = frames[rows]
+    return PreparedTracks([filled.vehicle_ids[v] for v in kept.tolist()], [classes[v] for v in kept.tolist()],
+                          lengths[kept], codes, np.append(0, np.cumsum(ends - starts)),
+                          frames, frames / filled.fps, cx[rows], cy[rows], vx[rows], vy[rows])

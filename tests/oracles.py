@@ -308,6 +308,72 @@ def metrics_table_of(rows, thresholds=(1.0,)):
                               interval_end=[r.t_end for r in rows], n_vehicles=[r.n_vehicles for r in rows], **columns)
 
 
+def prepared_run(vehicle_id, vclass, length_m, frames, t, x, y, vx, vy):
+    """One hand-made run of one vehicle as a one-run ``trajectories.PreparedTracks`` table."""
+    from netsafety.trajectories import PreparedTracks
+
+    frames = np.asarray(frames, dtype=np.int64)
+    return PreparedTracks([vehicle_id], [vclass], np.array([length_m], dtype=float), np.zeros(1, dtype=int),
+                          np.array([0, frames.size]), frames, *(np.asarray(a, dtype=float) for a in (t, x, y, vx, vy)))
+
+
+def _first_runs(runs) -> dict:
+    """Each vehicle id's first run, keyed in order of first appearance."""
+    first = {}
+    for run in runs:
+        first.setdefault(run.vehicle_ids[0], run)
+    return first
+
+
+def prepared_tracks_of(runs):
+    """One-run tables, in order, as one ``trajectories.PreparedTracks`` table.
+
+    Vehicles are coded by id in order of first appearance, each with the length and class of its first run.
+    """
+    from netsafety.trajectories import PreparedTracks
+
+    runs = list(runs)
+    first = _first_runs(runs)
+    code_of = {vid: code for code, vid in enumerate(first)}
+
+    def column(name, dtype=float):
+        return np.concatenate([np.zeros(0, dtype)] + [getattr(run, name) for run in runs])
+
+    return PreparedTracks(list(first), [run.classes[0] for run in first.values()],
+                          np.array([run.lengths[0] for run in first.values()], dtype=float),
+                          np.array([code_of[run.vehicle_ids[0]] for run in runs], dtype=int),
+                          np.cumsum([0] + [run.frames.size for run in runs]), column("frames", np.int64),
+                          column("t"), column("x"), column("y"), column("vx"), column("vy"))
+
+
+def sample_table_oracle(tracks, travel_axis):
+    """``SampleTable.build`` by concatenating the table's runs one at a time.
+
+    Vehicles are coded by id in order of first appearance among the runs, each with the length and class of its
+    first run; rows are sorted by frame, in run order within a frame.
+    """
+    from netsafety.network_metrics import SampleTable
+
+    ux, uy = travel_axis
+    runs = list(tracks)
+    first = _first_runs(runs)
+    code_of = {vid: code for code, vid in enumerate(first)}
+    frame = np.concatenate([np.zeros(0, dtype=int)] + [run.frames for run in runs])
+    order = np.argsort(frame, kind="stable")
+
+    def column(values):
+        return np.concatenate([np.zeros(0)] + [values(run) for run in runs])[order]
+
+    x, y = column(lambda run: run.x), column(lambda run: run.y)
+    return SampleTable(
+        frame=frame[order], x=x, y=y, axis_pos=x * ux + y * uy, speed=column(lambda run: run.speed),
+        axis_speed=column(lambda run: run.vx) * ux + column(lambda run: run.vy) * uy,
+        vid_code=np.repeat([code_of[run.vehicle_ids[0]] for run in runs], [run.frames.size for run in runs])[order],
+        vids=list(first), lengths=np.array([run.lengths[0] for run in first.values()]),
+        classes=[run.classes[0] for run in first.values()],
+    )
+
+
 def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
                             trt_theta=0.5, trt_t_min=30.0, free_flow=None):
     """``compute_interval_metrics`` by a loop over each window's frames.
@@ -329,7 +395,7 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
         point = segment.collision_point[0] * ux + segment.collision_point[1] * uy
         return [float((point - p) / v) for p, v in zip(axis_pos, axis_vel) if v > 0 and point > p]
 
-    table = nm.SampleTable.build(tracks, segment.travel_axis)
+    table = sample_table_oracle(tracks, segment.travel_axis)
     results = []
     have_data = table.frame.size > 0
     if have_data:
@@ -417,11 +483,12 @@ def ssm_rows_oracle(tracks, travel_axis, fps):
     by_frame: dict[int, list] = {}
     passage: dict[str, tuple[list, list]] = {}
     for tr in tracks:
+        (vid,) = tr.vehicle_ids
         pos = (tr.x * ux + tr.y * uy).tolist()
         vel = (tr.vx * ux + tr.vy * uy).tolist()
         for frame, p, v in zip(tr.frames.tolist(), pos, vel):
-            by_frame.setdefault(frame, []).append((p, tr.vehicle_id, v))
-        curve_pos, curve_t = passage.setdefault(tr.vehicle_id, ([], []))
+            by_frame.setdefault(frame, []).append((p, vid, v))
+        curve_pos, curve_t = passage.setdefault(vid, ([], []))
         curve_pos += pos
         curve_t += tr.t.tolist()
     curves = {vid: (np.maximum.accumulate(p), np.array(t)) for vid, (p, t) in passage.items()}
@@ -647,9 +714,9 @@ def prepare_tracks_oracle(vehicles, fps, travel_axis, *, max_gap, sg_window, sg_
 
     Per vehicle: the static filter by displacement_oracle, the gap fill by fill_gaps_oracle, the
     length by np.median of the box extents; per run: Savitzky-Golay by one np.correlate and two
-    projection matvecs per corner, velocities by np.diff.
+    projection matvecs per corner, velocities by np.diff. The runs are joined by prepared_tracks_of.
     """
-    from netsafety.trajectories import PreparedTrack, _sg_projection, classify_by_length
+    from netsafety.trajectories import _sg_projection, classify_by_length
 
     def smooth(arr):
         proj = _sg_projection(sg_window, sg_order)
@@ -685,8 +752,8 @@ def prepare_tracks_oracle(vehicles, fps, travel_axis, *, max_gap, sg_window, sg_
             vx, vy = np.empty_like(cx), np.empty_like(cy)
             vx[1:], vy[1:] = np.diff(cx) / dt, np.diff(cy) / dt
             vx[0], vy[0] = vx[1], vy[1]
-            prepared.append(PreparedTrack(vid, vclass, length, run, run / fps, cx, cy, vx, vy))
-    return prepared
+            prepared.append(prepared_run(vid, vclass, length, run, run / fps, cx, cy, vx, vy))
+    return prepared_tracks_of(prepared)
 
 
 def generate_trajectories_oracle(spec):

@@ -92,7 +92,7 @@ def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
     assert metrics["projection.fits"] == 1
     assert metrics["trajectories.rows_parsed"] == sum(_rows(path) for path in inputs)
     assert metrics["trajectories.tracks_out"] == sum(len(t) for t in tracks)
-    assert metrics["network_metrics.samples"] == sum(t.frames.size for t in tracks[0] + tracks[1])
+    assert metrics["network_metrics.samples"] == sum(t.frames.size for t in [*tracks[0], *tracks[1]])
     assert metrics["trajectories.gap_frames_filled"] == 2
     assert metrics["trajectories.runs_split"] == 1
     static = [t.vehicle_ids for path in inputs[1:] for t in trajectories.parse_trajectories(path.read_text(), cfg.fps)

@@ -324,8 +324,9 @@ class TestMetricsCommand:
             for tr in tracks:
                 mask = (tr.frames >= f0) & (tr.frames < f1)
                 if mask.any():
-                    per_vehicle.setdefault(tr.vehicle_id, []).extend(tr.speed[mask].tolist())
-                    lengths[tr.vehicle_id] = tr.length_m
+                    (vid,) = tr.vehicle_ids
+                    per_vehicle.setdefault(vid, []).extend(tr.speed[mask].tolist())
+                    lengths[vid] = float(tr.lengths[0])
             if not per_vehicle:
                 assert row.n_vehicles == 0
                 continue
@@ -386,8 +387,9 @@ class TestSsmCommand:
         ux, uy = seg.travel_axis
         by_frame: dict[int, dict[str, tuple[float, float]]] = {}
         for tr in prepare_tracks(parse_trajectories(infile.read_text(), cfg.fps), seg.travel_axis):
+            (vid,) = tr.vehicle_ids
             for f, x, y, vx, vy in zip(tr.frames, tr.x, tr.y, tr.vx, tr.vy):
-                by_frame.setdefault(int(f), {})[tr.vehicle_id] = (x * ux + y * uy, vx * ux + vy * uy)
+                by_frame.setdefault(int(f), {})[vid] = (x * ux + y * uy, vx * ux + vy * uy)
         followers = set()
         for p in pairs:
             frame = round(float(p["t"]) * cfg.fps)
@@ -480,6 +482,25 @@ class TestSsmCommand:
         ]
         assert [float(p["pet"]) for p in pairs] == pytest.approx([6.8, 6.8, 6.8, 1.6], rel=1e-12)
         assert out.read_text() == ssm_oracle_csv(config, infile)
+
+    @pytest.mark.parametrize("body, moving", [
+        ("", []),
+        ("0,a,-2.0,-1.0,2.0,1.0\n40,a,38.0,-1.0,42.0,1.0\n80,a,78.0,-1.0,82.0,1.0\n", ["a"]),
+    ], ids=["header_only", "one_row_runs"])
+    def test_table_without_runs_writes_the_header_alone(self, tmp_path, body, moving):
+        # "a" moves 80 m, so the static filter keeps it, but at max_gap 15 each of its rows is a run of its own.
+        config = write_hand_config(tmp_path)
+        infile = tmp_path / "world.csv"
+        infile.write_text("frame,vehicle_id,x1,y1,x2,y2\n" + body)
+        cfg = load_config(config)
+        seg = cfg.segments[0]
+        assert trajectories.drop_static_objects(parse_trajectories(infile.read_text(), cfg.fps)).vehicle_ids == moving
+        tracks = _prepare_segment_tracks(cfg, seg, infile)
+        table = network_metrics.SampleTable.build(tracks, seg.travel_axis)
+        assert len(tracks) == 0 and table.frame.size == table.vid_code.size == 0 and table.vids == []
+        out = tmp_path / "ssm.csv"
+        assert main(["ssm", "--config", str(config), "--in", str(infile), "--out", str(out)]) == 0
+        assert out.read_text() == "t,follower_id,leader_id,ttc,drac,pet,gap,v_follower,v_leader\n"
 
 
 def ssm_oracle_csv(config: Path, infile: Path) -> str:
@@ -765,12 +786,18 @@ class TestConfigValidation:
         (lambda c: {**c, "trt": {"t_min_seconds": "5"}}, "trt", "t_min_seconds must be a number, got '5'"),
         (lambda c: {**c, "trt": {"free_flow": "fast"}}, "trt", "free_flow must be a number, got 'fast'"),
         (lambda c: {**c, "trt": {"theta": None}}, "trt", "theta must be a number, got None"),
+        (lambda c: {**c, "fps": True}, "root", "fps must be a number, got True"),
+        (lambda c: {**c, "fps": "4"}, "root", "fps must be a number, got '4'"),
+        (lambda c: {**c, "seed": 1.5}, "root", "seed must be an integer, got 1.5"),
+        (_segment("length_m", "500"), "segments[0]", "length_m must be a number, got '500'"),
+        (_segment("speed_limit", True), "segments[0]", "speed_limit must be a number, got True"),
     ], ids=["travel_axis", "collision_point", "bbox_short", "bbox_string", "osr_thresholds_string", "travel_axis_bool",
             "anchor", "crash_years_short", "crash_years_string", "crash_years_float", "t_min_seconds", "free_flow",
-            "theta"])
+            "theta", "fps_bool", "fps_string", "seed_float", "length_m_string", "speed_limit_bool"])
     def test_malformed_list_or_number_exits_2_naming_the_key(self, tmp_path, capsys, edit, context, message):
         # Before the check the lists raised IndexError, ValueError or TypeError in metrics or associate (exit 1,
-        # traceback), as did the trt strings in metrics; "osr_thresholds": "1" ran as (1.0,).
+        # traceback), as did the trt strings in metrics; "osr_thresholds": "1" ran as (1.0,). The root's fps and
+        # seed and a segment's length_m and speed_limit were converted: "fps": true ran as 1.0 fps, "seed": 1.5 as 1.
         path = write_hand_config(tmp_path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         for command in ("metrics", "associate"):
@@ -779,6 +806,12 @@ class TestConfigValidation:
             assert (err["error"], err["message"]) == ("SchemaError", f"config {context} has a value of the wrong type: "
                                                                      f"{message}")
         assert not (tmp_path / "metrics.csv").exists()
+
+    def test_integer_fps_loads_as_a_float(self, tmp_path):
+        path = write_hand_config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "fps": 30}))
+        fps = load_config(path).fps
+        assert fps == 30.0 and type(fps) is float
 
     def test_repeated_segment_id_exits_2_naming_it(self, tmp_path, capsys):
         # Both segments ran as S1: metrics exited 0 with two S1 row sets, each from the second segment's file.

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from netsafety.network_metrics import (
     CongestionEvent,
     FrameClusterTTC,
     MetricsTable,
+    SampleTable,
     SegmentConfig,
     VehicleCluster,
     cluster_frame,
@@ -32,7 +34,7 @@ from netsafety.network_metrics import (
     ttc_cv,
     write_metrics_csv,
 )
-from netsafety.trajectories import PreparedTrack, VehicleClass
+from netsafety.trajectories import VehicleClass
 
 from oracles import (
     MetricsRow,
@@ -43,6 +45,9 @@ from oracles import (
     osr_oracle,
     ovvr_oracle,
     pairwise_ttc_oracle,
+    prepared_run,
+    prepared_tracks_of,
+    sample_table_oracle,
     single_linkage_bfs_oracle,
     tci_oracle,
     ttc_cv_oracle,
@@ -73,10 +78,7 @@ def track(vid, frames, xs, ys=None, fps=1.0, vclass=VehicleClass.CAR, length=4.5
     vx[1:] = np.diff(xs) / dt
     vy[1:] = np.diff(ys) / dt
     vx[0], vy[0] = vx[1], vy[1]
-    return PreparedTrack(
-        vehicle_id=vid, vclass=vclass, length_m=length,
-        frames=frames, t=frames / fps, x=xs, y=ys, vx=vx, vy=vy,
-    )
+    return prepared_run(vid, vclass, length, frames, frames / fps, xs, ys, vx, vy)
 
 
 class TestClusterFrame:
@@ -376,7 +378,7 @@ class TestConfigs:
 
 class TestIntervalExtraction:
     def test_single_vehicle_constant_speed(self):
-        tracks = [track("a", range(20), np.arange(20) * 2.0)]
+        tracks = prepared_tracks_of([track("a", range(20), np.arange(20) * 2.0)])
         rows = metrics_rows(compute_interval_metrics(tracks, seg(), ClusterConfig(10.0), 1.0, [(0.0, 20.0)]))
         row = rows[0]
         assert row.n_vehicles == 1
@@ -387,32 +389,33 @@ class TestIntervalExtraction:
         assert row.coverage == pytest.approx(1.0)
 
     def test_empty_input_gives_absent_rows(self):
-        rows = metrics_rows(compute_interval_metrics([], seg(), ClusterConfig(), 1.0, [(0.0, 10.0)]))
+        empty = prepared_tracks_of([])
+        rows = metrics_rows(compute_interval_metrics(empty, seg(), ClusterConfig(), 1.0, [(0.0, 10.0)]))
         row = rows[0]
         assert row.n_vehicles == 0 and row.coverage == 0.0
         assert row.ivvr is None and row.ntc is None and row.ttc_cv is None
 
     def test_ntc_includes_empty_frames(self):
         # Car a on frames 0-9, car b on 15-19; frames 10-14 are empty road (zeros).
-        tracks = [
+        tracks = prepared_tracks_of([
             track("a", range(10), np.arange(10) * 2.0, length=4.5),
             track("b", range(15, 20), 50 + np.arange(5) * 2.0, length=4.5),
-        ]
+        ])
         rows = metrics_rows(compute_interval_metrics(tracks, seg(), ClusterConfig(5.0), 1.0, [(0.0, 20.0)]))
         expected = (10 * 4.5 + 5 * 0.0 + 5 * 4.5) / 20 / (2 * 100.0)
         assert rows[0].ntc == pytest.approx(expected)
 
     def test_coverage_partial_window(self):
-        tracks = [track("a", range(10), np.arange(10) * 2.0)]
+        tracks = prepared_tracks_of([track("a", range(10), np.arange(10) * 2.0)])
         rows = metrics_rows(compute_interval_metrics(tracks, seg(), ClusterConfig(), 1.0, [(0.0, 40.0)]))
         assert rows[0].coverage == pytest.approx(0.25)
 
     def test_cluster_pipeline_ttc_cv_present_with_three_platoons(self):
-        tracks = [
+        tracks = prepared_tracks_of([
             track("a", range(10), 0 + np.arange(10) * 30.0),
             track("b", range(10), 120 + np.arange(10) * 24.0),
             track("c", range(10), 260 + np.arange(10) * 18.0),
-        ]
+        ])
         rows = metrics_rows(compute_interval_metrics(
             tracks, seg(length_m=600.0), ClusterConfig(10.0), 1.0, [(0.0, 10.0)]
         ))
@@ -420,10 +423,10 @@ class TestIntervalExtraction:
 
     def test_e_ttc_matches_hand_value(self):
         # Two vehicles, constant speeds 30 and 20, initial gap 100.
-        tracks = [
+        tracks = prepared_tracks_of([
             track("f", range(5), np.arange(5) * 30.0),
             track("l", range(5), 100 + np.arange(5) * 20.0),
-        ]
+        ])
         rows = metrics_rows(
             compute_interval_metrics(tracks, seg(length_m=300.0), ClusterConfig(5.0), 1.0, [(0.0, 5.0)]))
         gaps = [100 - 10 * i for i in range(5)]
@@ -446,10 +449,10 @@ class TestCollisionPointHook:
         assert result.cttc_values == []
 
     def test_interval_extraction_uses_hook(self):
-        tracks = [
+        tracks = prepared_tracks_of([
             track("a", range(5), np.arange(5) * 20.0),
             track("b", range(5), 40 + np.arange(5) * 10.0),
-        ]
+        ])
         s = seg(length_m=600.0, collision_point=(500.0, 0.0))
         rows = metrics_rows(compute_interval_metrics(tracks, s, ClusterConfig(5.0), 1.0, [(0.0, 5.0)]))
         assert rows[0].ttc_cv is not None  # both approach the point -> two values per frame
@@ -542,6 +545,12 @@ def assert_rows_match(got, want, rel=1e-12):
         assert a.keys() == b.keys() and all(a[k] == pytest.approx(b[k], rel=rel, abs=0.0) for k in b), "osr"
 
 
+def table_fields(table) -> dict:
+    """A dataclass's fields, each array as its dtype, shape and bytes."""
+    values = {f.name: getattr(table, f.name) for f in dataclasses.fields(table)}
+    return {k: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for k, v in values.items()}
+
+
 def random_scene(rng, fps=8.0, n_frames=96, gap=(40, 46)):
     """Vehicles entering at random frames, some twinned in another lane (co-located at
     equal speed), with no frames in ``gap``. Positions are dyadic rationals, so equal
@@ -575,7 +584,7 @@ def random_scene(rng, fps=8.0, n_frames=96, gap=(40, 46)):
                 f"v{k:02d}" if k < 16 else f"c{k - 16}", run, x0 + v * t + 0.5 * a * t * t, np.full(run.size, lane), fps=fps,
                 vclass=VehicleClass.TRUCK if truck else VehicleClass.CAR, length=12.0 if truck else 4.5,
             ))
-    return tracks
+    return prepared_tracks_of(tracks)
 
 
 class TestFrameBatchedKernel:
@@ -618,13 +627,13 @@ class TestFrameBatchedKernel:
         # "solo" is alone in the first window; "parked" stands still, so each window it is seen in
         # at least twice excludes it from ivvr with one warning.
         fps = 4.0
-        tracks = [
+        tracks = prepared_tracks_of([
             track("solo", range(0, 12), 5.0 + np.arange(12) * 3.0, fps=fps),
             track("parked", range(14, 40), np.full(26, 60.0), np.full(26, 3.5), fps=fps, length=9.0,
                   vclass=VehicleClass.TRUCK),
             track("b", range(16, 40), np.arange(24) * 2.5, fps=fps),
             track("c", range(18, 40), 30.0 + np.arange(22) * 2.0, np.full(22, 7.0), fps=fps),
-        ]
+        ])
         windows = [(0.0, 2.0), (3.0, 6.0), (2.0, 3.75), (3.75, 10.0), (5.0, 7.0)]
         expected = ["ivvr: excluded vehicles with zero mean speed: ['parked']"] * 3  # not in (0, 2) or (2, 3.75)
         for threshold in (0.0, 10.0, 100.0):
@@ -637,13 +646,13 @@ class TestFrameBatchedKernel:
             assert got[0].n_vehicles == 1 and got[0].ivvr == 0.0 and got[0].tci == 0.5
 
     def test_empty_window_raises_naming_the_first(self):
-        tracks = [track("a", range(20), np.arange(20) * 2.0)]
+        tracks = prepared_tracks_of([track("a", range(20), np.arange(20) * 2.0)])
         windows = [(0.0, 5.0), (7.0, 7.0), (9.0, 8.0)]
         with pytest.raises(ParameterError, match=r"^empty window \[7\.0, 7\.0\)$"):
             compute_interval_metrics(tracks, seg(), ClusterConfig(), 1.0, windows)
 
     def test_window_between_frame_instants_raises(self):
-        tracks = [track("a", range(20), np.arange(20) * 2.0)]
+        tracks = prepared_tracks_of([track("a", range(20), np.arange(20) * 2.0)])
         with pytest.raises(ParameterError, match=r"^window \[2\.25, 2\.75\) holds no frame at 1\.0 fps$"):
             compute_interval_metrics(tracks, seg(), ClusterConfig(), 1.0, [(0.0, 5.0), (2.25, 2.75)])
 
@@ -653,6 +662,10 @@ class TestFrameBatchedKernel:
         cfg = load_config(tmp_path / "config.json")
         for s in cfg.segments:
             tracks = cli._prepare_segment_tracks(cfg, s, cfg.trajectory_paths[s.segment_id])
+            # The table's vehicles are coded as joining its runs one at a time would code them.
+            assert table_fields(tracks) == table_fields(prepared_tracks_of(tracks))
+            assert table_fields(SampleTable.build(tracks, s.travel_axis)) == table_fields(
+                sample_table_oracle(tracks, s.travel_axis))
             windows = cli._windows_for(cfg, tracks)
             for cluster in (cfg.cluster, ClusterConfig(0.0, 1.0), ClusterConfig(200.0, 0.3)):
                 args = (tracks, s, cluster, cfg.fps, windows)
@@ -689,8 +702,8 @@ class TestFrameBatchedKernel:
             xs = k * 35.0 + rng.uniform(10, 30) * (frames - start) / fps + rng.normal(0, 0.4, frames.size)
             tracks.append(track(f"v{k}", frames, xs, fps=fps))
         windows = [(0.0, 5.0), (5.0, 9.0), (2.0, 17.0)]
-        rows = metrics_rows(
-            compute_interval_metrics(tracks, seg(length_m=900.0), ClusterConfig(0.0, 1.0), fps, windows))
+        rows = metrics_rows(compute_interval_metrics(
+            prepared_tracks_of(tracks), seg(length_m=900.0), ClusterConfig(0.0, 1.0), fps, windows))
         for (t0, t1), row in zip(windows, rows):
             per_frame = []
             for f in range(int(t0 * fps), int(t1 * fps)):

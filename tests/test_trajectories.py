@@ -552,9 +552,10 @@ class TestPreparation:
         traj = make_traj([(0, 0, 0), (1, 25, 0), (30, 60, 0), (31, 85, 0)], fps=1.0)
         tracks = prepare_tracks(traj, (1, 0), max_gap=5, sg_window=3, sg_order=1, min_displacement_m=1.0)
         assert len(tracks) == 2
-        assert all(t.vehicle_id == "v1" for t in tracks)
-        assert list(tracks[0].frames) == [0, 1]
-        assert list(tracks[1].frames) == [30, 31]
+        assert all(t.vehicle_ids == ["v1"] for t in tracks)
+        first, second = tracks
+        assert list(first.frames) == [0, 1]
+        assert list(second.frames) == [30, 31]
 
     def test_one_missing_frame_splits_runs_at_max_gap_0(self):
         traj = make_traj([(f, 10.0 * f, 0) for f in (0, 1, 2, 4, 5, 6)], fps=1.0)
@@ -565,7 +566,7 @@ class TestPreparation:
         traj = make_traj([(i, 10.0 * i, 0) for i in range(4)], fps=1.0)
         tracks = prepare_tracks(traj, (1, 0), sg_window=21, sg_order=3, min_displacement_m=1.0)
         assert len(tracks) == 1
-        np.testing.assert_allclose(tracks[0].x, [0, 10, 20, 30])
+        np.testing.assert_allclose(tracks.x, [0, 10, 20, 30])
 
     def test_prepare_tracks_smoothing_matches_filter(self):
         rng = np.random.default_rng(5)
@@ -602,20 +603,22 @@ class TestPreparation:
               for k, length in enumerate(rng.uniform(3.0, 18.0, 12))),
         ]
         options = dict(max_gap=3, sg_window=window, sg_order=order, class_threshold_m=8.0, min_displacement_m=2.0)
+        def fields(t):
+            arrays = (t.lengths, t.run_codes, t.bounds, t.frames, t.t, t.x, t.y, t.vx, t.vy, t.speed)
+            return t.vehicle_ids, t.classes, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
         got, want = [], []
         for fps in (10.0, 12.5):  # a table has one fps: the 12.5 fps vehicle is prepared on its own
             vehicles = [vehicle for f, vehicle in trajs if f == fps]
-            got += prepare_tracks(trajectory_table_of(vehicles, fps), (3.0, 4.0), **options)
-            want += prepare_tracks_oracle(vehicles, fps, (3.0, 4.0), **options)
-        assert {"filled", "split", "shorter", "equal", "longer", "lone_rows", "pair"} <= {t.vehicle_id for t in got}
-        assert not {"single", "static", "parked"} & {t.vehicle_id for t in got}
-        assert [t.frames.tolist() for t in got if t.vehicle_id in ("filled", "split", "lone_rows")] == [
+            table = prepare_tracks(trajectory_table_of(vehicles, fps), (3.0, 4.0), **options)
+            oracle = prepare_tracks_oracle(vehicles, fps, (3.0, 4.0), **options)
+            assert fields(table) == fields(oracle)
+            got += table
+            want += oracle
+        assert {"filled", "split", "shorter", "equal", "longer", "lone_rows", "pair"} <= {t.vehicle_ids[0] for t in got}
+        assert not {"single", "static", "parked"} & {t.vehicle_ids[0] for t in got}
+        assert [t.frames.tolist() for t in got if t.vehicle_ids[0] in ("filled", "split", "lone_rows")] == [
             list(range(3 * n)), list(range(30, 30 + n + 2)), list(range(n + 3)), list(range(n + 40, 2 * n + 45))]
-        assert {t.vclass for t in got} == {VehicleClass.CAR, VehicleClass.TRUCK}
-
-        def fields(t):
-            arrays = (t.frames, t.t, t.x, t.y, t.vx, t.vy, t.speed)
-            return t.vehicle_id, t.vclass, repr(t.length_m), [(a.dtype, a.shape, a.tobytes()) for a in arrays]
-
+        assert {t.classes[0] for t in got} == {VehicleClass.CAR, VehicleClass.TRUCK}
         assert [fields(t) for t in got] == [fields(t) for t in want]
 
