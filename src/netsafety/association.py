@@ -67,7 +67,10 @@ class AnalysisConfig:
         twice = list(dict.fromkeys(p for p in self.predictors if self.predictors.count(p) > 1))
         if twice:
             raise ParameterError(f"predictors name {twice} more than once")
-        self.exclude_slots = tuple((str(s), int(slot)) for s, slot in self.exclude_slots)
+        slots_per_day = 24 * 60 // self.slot_minutes
+        outside = [list(entry) for entry in self.exclude_slots if not 0 <= entry[1] < slots_per_day]
+        if outside:
+            raise ParameterError(f"exclude_slots entry {outside[0]} needs 0 <= slot < {slots_per_day}")
 
 
 def build_dataset(

@@ -93,9 +93,9 @@ def cmd_synth(args) -> int:
     spec = synth.ScenarioSpec.from_json(_read(Path(args.spec)))
     if args.seed is not None:
         spec.seed = args.seed
+    plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
     segments = spec.segment_configs()
 
     traj_csvs = synth.generate_trajectories(spec)

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
+import types
+import typing
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from pathlib import Path
 
 from .association import AnalysisConfig
@@ -25,22 +28,82 @@ from .trajectories import (
     DEFAULT_SG_WINDOW,
 )
 
-
-def _number(value, name: str, kind=numbers.Real):
-    """``value``, if it is a ``kind`` number (a bool is none); TypeError naming ``name`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{name} must be {'an integer' if kind is numbers.Integral else 'a number'}, got {value!r}")
-    return value
+_SCALARS = {int: (numbers.Integral, "an integer", "numbers"), float: (numbers.Real, "a number", "numbers"),
+            str: (str, "a string", "strings")}  # annotation: (its values' type, what one must be, their plural)
 
 
-_integer = partial(_number, kind=numbers.Integral)
+def _what(kind, plural: bool = False) -> str:
+    """What a value of annotation ``kind`` must be ("a list of 2 numbers"), or the plural noun for many of them."""
+    args, origin = typing.get_args(kind), typing.get_origin(kind)
+    if origin is types.UnionType:
+        return _what(args[0], plural)
+    if origin is tuple:
+        nouns = {_what(a, True) for a in args if a is not ...}
+        count = "any count of" if args[-1] is ... else len(args)
+        return "lists" if plural else f"a list of {count} {nouns.pop() if len(nouns) == 1 else 'values'}"
+    if origin is dict:
+        return "objects" if plural else f"an object of {_what(args[1], True)}"
+    return _SCALARS[kind][2 if plural else 1]  # a KeyError for an annotation the rule does not know
 
 
-def _numbers(value, name: str, n: int | None = None, kind=numbers.Real) -> tuple:
-    """``value`` as a tuple, if a list of ``n`` (any count if None) ``kind`` numbers; else TypeError naming ``name``."""
-    if not isinstance(value, list) or n not in (None, len(value)):
-        raise TypeError(f"{name} must be a list of {n or 'any count of'} numbers, got {value!r}")
-    return tuple(_number(v, name, kind) for v in value)
+def check_value(kind, value, name: str):
+    """``value``, if it is a JSON value of annotation ``kind``; TypeError naming ``name`` otherwise.
+
+    ``int`` is an integer and ``float`` a finite number, a bool being neither; ``str`` is a string;
+    ``X | None`` is null or an ``X``; ``tuple[A, B]`` is a list of that length and ``tuple[A, ...]`` one of
+    any length, each element checked and the list returned as a tuple; ``dict[str, X]`` is an object whose
+    values are checked. Any other value is returned as it is.
+    """
+    args, origin = typing.get_args(kind), typing.get_origin(kind)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else check_value(args[0], value, name)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        kinds = (args[0],) * len(value) if args[-1] is ... else args
+        if len(kinds) == len(value):
+            return tuple(check_value(k, v, name) for k, v in zip(kinds, value))
+    elif origin is dict and isinstance(value, dict):
+        for v in value.values():
+            check_value(args[1], v, name)
+        return value
+    elif origin is None and kind in _SCALARS:
+        if (isinstance(value, _SCALARS[kind][0]) and not isinstance(value, bool)
+                and (kind is not float or abs(value) <= sys.float_info.max)):
+            return value
+    raise TypeError(f"{name} must be {_what(kind)}, got {value!r}")
+
+
+field_types = cache(typing.get_type_hints)  # a dataclass's fields by name: their evaluated annotations, once per class
+
+
+def check_keys(obj: dict, known, where: str) -> dict:
+    unknown = sorted(obj.keys() - set(known))  # a non-object has no keys(): a wrong-typed value
+    if unknown:
+        raise SchemaError(f"{where} has unknown key(s) {unknown}")
+    return obj
+
+
+@contextmanager
+def typed(where: str):
+    """Report a value of the wrong type or form under ``where`` as a SchemaError."""
+    try:
+        yield
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{where} has a value of the wrong type: {exc}") from exc
+
+
+def _checked_fields(cls, obj: dict, where: str) -> dict:
+    """``obj``'s values, each checked against the annotation of ``cls``'s field of its name."""
+    missing = [f.name for f in fields(cls) if f.name not in obj and f.default is f.default_factory is MISSING]
+    if missing:
+        raise SchemaError(f"{where} is missing required field {missing[0]!r}")
+    return {key: check_value(field_types(cls)[key], value, key) for key, value in obj.items()}
+
+
+def _section(cls, obj: dict, where: str, extra=()):
+    """Build config dataclass ``cls`` from a JSON object whose keys are its fields, or ``extra`` (left out)."""
+    with typed(where):
+        check_keys(obj, (*field_types(cls), *extra), where)
+        return cls(**_checked_fields(cls, {k: v for k, v in obj.items() if k not in extra}, where))
 
 
 @dataclass
@@ -52,8 +115,6 @@ class TrackPrepConfig:
     min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M
 
     def __post_init__(self):
-        for name in ("max_gap_frames", "sg_window", "sg_order"):
-            _integer(getattr(self, name), name)
         if not (self.max_gap_frames >= 0 and self.sg_window % 2 == 1 and self.sg_window > self.sg_order >= 0
                 and self.class_threshold_m > 0 and self.min_displacement_m >= 0):
             raise ParameterError("prep needs max_gap_frames >= 0, an odd sg_window > sg_order >= 0, "
@@ -70,7 +131,6 @@ class IntervalGrid:
     start_seconds: float = 0.0
 
     def __post_init__(self):
-        _integer(self.count, "count")
         if not (self.count >= 0 and self.window_seconds > 0 and self.stride_seconds > 0):
             raise ParameterError(f"intervals need count >= 0, window_seconds > 0 and stride_seconds > 0, got {self}")
 
@@ -87,10 +147,6 @@ class TrtConfig:
     theta: float = DEFAULT_TRT_THETA
     t_min_seconds: float = DEFAULT_TRT_T_MIN_S
     free_flow: float | None = None  # default: 85th percentile of frame mean speeds
-
-    def __post_init__(self):
-        for name in ("theta", "t_min_seconds") + (() if self.free_flow is None else ("free_flow",)):
-            _number(getattr(self, name), name)
 
 
 @dataclass
@@ -111,44 +167,19 @@ class RunConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     crash_years: tuple[int, int] | None = None
 
+    def __post_init__(self):
+        if self.anchor is not None:
+            self.tangent_plane()  # refuses an anchor off the globe at load
+
     def tangent_plane(self) -> TangentPlane:
         if self.anchor is None:
             raise ParameterError("config has no anchor latitude/longitude")
         return TangentPlane(self.anchor[0], self.anchor[1])
 
 
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise SchemaError(f"config {context} is missing required field {key!r}")
-    return obj[key]
-
-
-def _check_keys(obj: dict, known, context: str) -> dict:
-    unknown = sorted(obj.keys() - set(known))  # a non-object has no keys(): a wrong-typed value
-    if unknown:
-        raise SchemaError(f"config {context} has unknown key(s) {unknown}")
-    return obj
-
-
-@contextmanager
-def _typed(context: str):
-    """Report a value of the wrong type or form under ``context`` as a SchemaError."""
-    try:
-        yield
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaError(f"config {context} has a value of the wrong type: {exc}") from exc
-
-
-def _section(cls, obj: dict, context: str):
-    """Build a config dataclass from a JSON object, rejecting keys it does not define."""
-    with _typed(context):
-        return cls(**_check_keys(obj, (f.name for f in fields(cls)), context))
-
-
-_SEGMENT_KEYS = {f.name for f in fields(SegmentConfig)} | {"trajectories"}
-_SEGMENT_LISTS = {"travel_axis": 2, "osr_thresholds": None, "bbox": 4, "collision_point": 2}  # key: length
 _ROOT_KEYS = {"fps", "seed", "anchor", "paths", "segments", "crash_years",
               "cluster", "prep", "intervals", "trt", "analysis"}
+_ROOT_VALUES = ("fps", "seed", "anchor", "crash_years")  # the RunConfig fields set from JSON as they are
 _PATH_KEYS = {"output_dir", "keypoints", "crashes", "metrics"}
 
 
@@ -164,70 +195,46 @@ def load_config(path: str | Path) -> RunConfig:
         raise SchemaError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"config root must be a JSON object, got {type(obj).__name__}")
-    with _typed("root"):
+    with typed("config root"):
         return _run_config(obj, path.parent)
 
 
 def _run_config(obj: dict, base: Path) -> RunConfig:
-    def resolve(p) -> Path:
+    def resolve(p: str) -> Path:
         p = Path(p)
         return p if p.is_absolute() else base / p
 
-    _check_keys(obj, _ROOT_KEYS, "root")
-    paths = _check_keys(obj.get("paths", {}), _PATH_KEYS, "paths")
+    check_keys(obj, _ROOT_KEYS, "config root")
+    paths = {key: resolve(check_value(str, value, f"paths.{key}"))
+             for key, value in check_keys(obj.get("paths", {}), _PATH_KEYS, "config paths").items()}
 
     segments = []
     trajectory_paths = {}
     for i, seg in enumerate(obj.get("segments", [])):
-        with _typed(f"segments[{i}]"):
-            _check_keys(seg, _SEGMENT_KEYS, f"segments[{i}]")
-            cfg = SegmentConfig(
-                segment_id=_require(seg, "segment_id", f"segments[{i}]"),
-                lane_count=_integer(_require(seg, "lane_count", f"segments[{i}]"), "lane_count"),
-                length_m=float(_number(_require(seg, "length_m", f"segments[{i}]"), "length_m")),
-                speed_limit=float(_number(_require(seg, "speed_limit", f"segments[{i}]"), "speed_limit")),
-                **{key: _numbers(seg[key], key, n) for key, n in _SEGMENT_LISTS.items() if key in seg},
-            )
+        cfg = _section(SegmentConfig, seg, f"config segments[{i}]", extra=("trajectories",))
         if any(s.segment_id == cfg.segment_id for s in segments):
             raise SchemaError(f"config segments[{i}] repeats segment_id {cfg.segment_id!r}")
         segments.append(cfg)
         if "trajectories" in seg:
-            trajectory_paths[cfg.segment_id] = resolve(seg["trajectories"])
+            with typed(f"config segments[{i}]"):
+                trajectory_paths[cfg.segment_id] = resolve(check_value(str, seg["trajectories"], "trajectories"))
 
-    cluster = _section(ClusterConfig, obj.get("cluster", {}), "cluster")
-    prep = _section(TrackPrepConfig, obj.get("prep", {}), "prep")
-    trt = _section(TrtConfig, obj.get("trt", {}), "trt")
-
-    with _typed("analysis"):
-        analysis_obj = dict(obj.get("analysis", {}))
-        for key in ("families", "methods", "predictors"):
-            if key in analysis_obj:
-                value = analysis_obj[key]
-                if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                    raise SchemaError(f"config analysis field {key!r} must be a list of strings, got {value!r}")
-                analysis_obj[key] = tuple(value)
-        for key in ("slot_minutes", "cv_folds", "seed"):
-            _integer(analysis_obj.get(key, 0), key)
-    analysis = _section(AnalysisConfig, analysis_obj, "analysis")
-
-    intervals = None
-    if "intervals" in obj:
-        intervals = _section(IntervalGrid, obj["intervals"], "intervals")
-
+    analysis = _section(AnalysisConfig, obj.get("analysis", {}), "config analysis")
+    for entry in analysis.exclude_slots:
+        if all(s.segment_id != entry[0] for s in segments):
+            raise SchemaError(f"config analysis exclude_slots entry {list(entry)} names no segment of the config")
+    root = _checked_fields(RunConfig, {key: obj[key] for key in _ROOT_VALUES if key in obj}, "config root")
     return RunConfig(
-        fps=float(_number(_require(obj, "fps", "root"), "fps")),
-        seed=_integer(obj.get("seed", 0), "seed"),
-        output_dir=resolve(paths.get("output_dir", ".")),
+        **{**root, "fps": float(root["fps"])},
+        output_dir=paths.get("output_dir", base),
         segments=segments,
         trajectory_paths=trajectory_paths,
-        keypoints_path=resolve(paths["keypoints"]) if "keypoints" in paths else None,
-        crashes_path=resolve(paths["crashes"]) if "crashes" in paths else None,
-        metrics_path=resolve(paths["metrics"]) if "metrics" in paths else None,
-        anchor=_numbers(obj["anchor"], "anchor", 2) if "anchor" in obj else None,
-        cluster=cluster,
-        prep=prep,
-        intervals=intervals,
-        trt=trt,
+        keypoints_path=paths.get("keypoints"),
+        crashes_path=paths.get("crashes"),
+        metrics_path=paths.get("metrics"),
+        cluster=_section(ClusterConfig, obj.get("cluster", {}), "config cluster"),
+        prep=_section(TrackPrepConfig, obj.get("prep", {}), "config prep"),
+        intervals=_section(IntervalGrid, obj["intervals"], "config intervals") if "intervals" in obj else None,
+        trt=_section(TrtConfig, obj.get("trt", {}), "config trt"),
         analysis=analysis,
-        crash_years=_numbers(obj["crash_years"], "crash_years", 2, numbers.Integral) if "crash_years" in obj else None,
     )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 EARTH_RADIUS_M = 6371008.8  # mean Earth radius
 # The factors math.radians/math.degrees (and numpy's) multiply by, so that floats
 # and arrays map alike, to the same bits.
@@ -24,6 +26,10 @@ class TangentPlane:
 
     lat0: float
     lon0: float
+
+    def __post_init__(self):
+        if not (-90 < self.lat0 < 90 and -180 <= self.lon0 <= 180):
+            raise ParameterError(f"anchor needs -90 < lat < 90 and -180 <= lon <= 180, got ({self.lat0}, {self.lon0})")
 
     def to_xy(self, lat, lon):
         x = (lon - self.lon0) * DEG_TO_RAD * EARTH_RADIUS_M * math.cos(math.radians(self.lat0))

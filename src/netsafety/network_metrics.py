@@ -532,7 +532,8 @@ def _windows_ttc_cv(table: SampleTable, rows: np.ndarray, frame_of: np.ndarray, 
 def window_frames(windows: Sequence[tuple[float, float]], fps: float) -> tuple[list[int], list[int]]:
     """Each [t_start, t_end) window's first frame and end frame at ``fps``.
 
-    ParameterError for a non-positive ``fps``, an empty window or a window that holds no frame instant.
+    ParameterError for a non-positive ``fps``, an empty window, a window that holds no frame instant or one
+    whose frame index does not fit int64.
     """
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
@@ -540,6 +541,8 @@ def window_frames(windows: Sequence[tuple[float, float]], fps: float) -> tuple[l
     for t0, t1 in windows:
         if t1 <= t0:
             raise ParameterError(f"empty window [{t0}, {t1})")
+        if not -2.0**63 <= t0 * fps - 1e-9 <= t1 * fps - 1e-9 < 2.0**63:
+            raise ParameterError(f"window [{t0}, {t1}) has a frame index beyond int64 at {fps} fps")
         f0.append(math.ceil(t0 * fps - 1e-9))
         f1.append(math.ceil(t1 * fps - 1e-9))
         if f1[-1] == f0[-1]:
@@ -598,7 +601,8 @@ def compute_interval_metrics(
     window_of = np.repeat(np.arange(n), bounds[fb] - bounds[fa])
 
     # Memberships refresh at a window's first frame, then at its first frame >= stride frames after the last.
-    stride = max(1, round(fps / cluster_cfg.membership_rate))
+    # A stride past the observed span refreshes only at the first frame, as the span itself does.
+    stride = max(1, round(min(fps / cluster_cfg.membership_rate, end - first)))
     next_refresh = np.searchsorted(present, present + stride)
     refresh = np.zeros(frame_index.size, dtype=bool)
     k, stop, base = fa[fb > fa], fb[fb > fa], (frame_base - fa)[fb > fa]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check_value
 from .errors import DataError, ParameterError, PointAtInfinityError, SchemaError
 from .geo import TangentPlane
 
@@ -151,8 +152,8 @@ def load_keypoints(text: str, plane: TangentPlane) -> list[KeypointPair]:
         values = {}
         for key in ("u", "v", "lat", "lon"):
             try:
-                values[key] = float(entry[key])
-            except (KeyError, TypeError, ValueError):
+                values[key] = check_value(float, entry[key], key)
+            except (KeyError, TypeError):
                 raise SchemaError(f"keypoint {i}: field {key!r} missing or not a number in {entry!r}") from None
         world = plane.to_xy(values["lat"], values["lon"])
         pairs.append(KeypointPair(pixel=(values["u"], values["v"]), world=world))

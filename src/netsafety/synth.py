@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .config import IntervalGrid
+from .config import IntervalGrid, check_keys, check_value, field_types, typed
 from .crashes import SLOT_MINUTES
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
@@ -39,21 +37,6 @@ SEGMENT_SPACING_M = 200.0
 MIN_SPAWN_GAP_M = 10.0
 BASE_DATE = datetime(2021, 6, 15)
 TYPE_MIX = (("REAR_END", 0.55), ("SIDESWIPE", 0.30), ("OTHER", 0.15))
-
-
-def _is_number(value, kind=numbers.Real) -> bool:
-    """A finite number of ``kind``; a bool is not a number."""
-    return isinstance(value, kind) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
-_FIELD_TYPES = {  # a ScenarioSpec field's annotation -> (its test, what the value must be)
-    "int": (lambda v: _is_number(v, numbers.Integral), "an integer"),
-    "float": (_is_number, "a number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[float, float]": (lambda v: isinstance(v, (tuple, list)) and len(v) == 2 and all(map(_is_number, v)),
-                            "a list of two numbers"),
-    "dict[str, float]": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())), "an object of numbers"),
-}
 
 
 @dataclass
@@ -82,12 +65,12 @@ class ScenarioSpec:
     target_r2: float = 0.6
 
     def __post_init__(self):
-        for f in fields(self):
-            (test, what), value = _FIELD_TYPES[f.type], getattr(self, f.name)
-            if not test(value):
-                raise SchemaError(f"scenario field {f.name!r} must be {what}, got {value!r}")
-            if f.type == "tuple[float, float]" and not 0 <= value[0] <= value[1]:
-                raise ParameterError(f"{f.name} must be a range 0 <= lo <= hi, got {value}")
+        for name, kind in field_types(type(self)).items():
+            with typed("scenario spec"):
+                value = check_value(kind, getattr(self, name), name)
+            setattr(self, name, value)
+            if kind == tuple[float, float] and not 0 <= value[0] <= value[1]:
+                raise ParameterError(f"{name} must be a range 0 <= lo <= hi, got {value}")
         for name, low in (("seed", 0), ("n_segments", 1)):
             if getattr(self, name) < low:
                 raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -142,12 +125,7 @@ class ScenarioSpec:
             raise SchemaError(f"scenario spec is not valid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise SchemaError(f"scenario spec must be a JSON object, got {type(obj).__name__}")
-        kwargs = {}
-        for name, value in obj.items():
-            if name not in cls.__dataclass_fields__:
-                raise SchemaError(f"unknown scenario field {name!r}")
-            kwargs[name] = tuple(value) if isinstance(value, list) and name != "beta_star" else value
-        return cls(**kwargs)
+        return cls(**check_keys(obj, field_types(cls), "scenario spec"))
 
 
 def _interval_rng(spec: ScenarioSpec, segment_idx: int, interval_idx: int) -> np.random.Generator:

@@ -4,15 +4,18 @@ import itertools
 import json
 import math
 import platform
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netsafety import association, cli, network_metrics, trajectories
+from netsafety.association import AnalysisConfig
 from netsafety.cli import _prepare_segment_tracks, main
-from netsafety.config import load_config
-from netsafety.network_metrics import read_metrics_csv
+from netsafety.config import IntervalGrid, RunConfig, TrackPrepConfig, TrtConfig, load_config
+from netsafety.network_metrics import ClusterConfig, SegmentConfig, read_metrics_csv
 from netsafety.synth import ScenarioSpec
 from netsafety.trajectories import parse_trajectories
 
@@ -89,15 +92,19 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("spec, error, message", [
         ("[1]", "SchemaError", "scenario spec must be a JSON object, got list"),
-        ('{"n_intervals": 2.5}', "SchemaError", "scenario field 'n_intervals' must be an integer, got 2.5"),
-        ('{"fps": "4"}', "SchemaError", "scenario field 'fps' must be a number, got '4'"),
+        ('{"n_intervals": 2.5}', "SchemaError",
+         "scenario spec has a value of the wrong type: n_intervals must be an integer, got 2.5"),
+        ('{"fps": "4"}', "SchemaError",
+         "scenario spec has a value of the wrong type: fps must be a number, got '4'"),
         ('{"flow_veh_per_min": [5]}', "SchemaError",
-         "scenario field 'flow_veh_per_min' must be a list of two numbers, got (5,)"),
+         "scenario spec has a value of the wrong type: flow_veh_per_min must be a list of 2 numbers, got [5]"),
         # n_segments 0 used to exit 0 with a bundle that every other command refused.
         ('{"n_segments": 0}', "ParameterError", "n_segments must be >= 1, got 0"),
         ('{"seed": -1}', "ParameterError", "seed must be >= 0, got -1"),
-        ('{"fps": NaN}', "SchemaError", "scenario field 'fps' must be a number, got nan"),
-        ('{"beta_star": [1]}', "SchemaError", "scenario field 'beta_star' must be an object of numbers, got [1]"),
+        ('{"fps": NaN}', "SchemaError",
+         "scenario spec has a value of the wrong type: fps must be a number, got nan"),
+        ('{"beta_star": [1]}', "SchemaError",
+         "scenario spec has a value of the wrong type: beta_star must be an object of numbers, got [1]"),
         ('{"flow_veh_per_min": [-5, 1]}', "ParameterError",
          "flow_veh_per_min must be a range 0 <= lo <= hi, got (-5, 1)"),
         # These used to write trajectories_S1.csv and keypoints.json before the metrics pass refused the window.
@@ -109,10 +116,15 @@ class TestSynthCommand:
         *((f'{{"beta_star": {{"intercept": 1.5, "{key}": 1}}}}', "SchemaError",
            f"unknown beta_star key {key!r}; the plant reads one of {PLANT_KEYS}")
           for key in ("osr_abc", "segment_id", "foo", "osr_2.0")),
+        # An anchor off the globe wrote a bundle whose crashes were placed through cos(100 degrees).
+        ('{"anchor_lat": 100.0}', "ParameterError",
+         "anchor needs -90 < lat < 90 and -180 <= lon <= 180, got (100.0, -112.06)"),
+        ('{"anchor_lon": 200.0}', "ParameterError",
+         "anchor needs -90 < lat < 90 and -180 <= lon <= 180, got (33.46, 200.0)"),
     ], ids=["not-an-object", "fractional-count", "string-number", "one-number-range", "no-segments", "negative-seed",
             "nan-number", "plant-not-an-object", "negative-range", "window-without-a-frame-intercept-only",
             "window-without-a-frame-metric-plant", "plant-key-osr_abc", "plant-key-segment_id", "plant-key-foo",
-            "plant-key-osr_2.0"])
+            "plant-key-osr_2.0", "anchor-lat-off-the-globe", "anchor-lon-off-the-globe"])
     def test_malformed_spec_exits_2_naming_the_field(self, tmp_path, capsys, spec, error, message):
         (tmp_path / "spec.json").write_text(spec)
         assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
@@ -621,14 +633,16 @@ class TestMalformedInputExits2:
         assert not (out / "metrics.csv").exists()
 
     def test_keypoint_field_not_a_number(self, tmp_path, capsys):
+        # "u": "0" and "u": true went through float() and loaded as the number 0.0 and 1.0.
         out = run_bundle(tmp_path)
         keypoints = json.loads((out / "keypoints.json").read_text())
-        keypoints[2]["u"] = "abc"
-        (out / "keypoints.json").write_text(json.dumps(keypoints))
-        message = self.run(["project", "--config", str(out / "config.json"), "--in",
-                            str(out / "trajectories_S1.csv"), "--out", str(out / "world_S1.csv")], capsys)
-        assert message.startswith("keypoint 2: field 'u' missing or not a number")
-        assert not (out / "world_S1.csv").exists()
+        for value in ("abc", "0", True):
+            keypoints[2]["u"] = value
+            (out / "keypoints.json").write_text(json.dumps(keypoints))
+            message = self.run(["project", "--config", str(out / "config.json"), "--in",
+                                str(out / "trajectories_S1.csv"), "--out", str(out / "world_S1.csv")], capsys)
+            assert message.startswith("keypoint 2: field 'u' missing or not a number")
+            assert not (out / "world_S1.csv").exists()
 
 
 def write_hand_config(path: Path, segment_extra=None, **sections) -> Path:
@@ -653,7 +667,61 @@ def _segment(key, value):
     return lambda c: {**c, "segments": [{**c["segments"][0], key: value}]}
 
 
+def _in(section, key, value):
+    """A config edit setting ``key`` of ``section`` to ``value``."""
+    return lambda c: {**c, section: {**c.get(section, {}), key: value}}
+
+
+ANNOTATED = {"segments[0]": SegmentConfig, "cluster": ClusterConfig, "prep": TrackPrepConfig, "intervals": IntervalGrid,
+             "trt": TrtConfig, "analysis": AnalysisConfig, "root": RunConfig, "scenario spec": ScenarioSpec}
+ROOT_VALUES = ("fps", "seed", "anchor", "crash_years")  # the RunConfig fields the config's root sets
+
+
+def wrong_values(kind) -> dict:
+    """Values of the wrong type for a field of annotation ``kind``, by label.
+
+    NaN, Infinity, a numeric string (unless a string is right), true and, for a fixed-length tuple, a list of
+    right elements one short.
+    """
+    kind = typing.get_args(kind)[0] if isinstance(kind, types.UnionType) else kind  # X | None: X
+    values = {"nan": math.nan, "infinity": math.inf, "numeric_string": "1", "true": True}
+    if kind is str:
+        del values["numeric_string"]
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple and ... not in args:
+        values["one_short"] = [{int: 1, float: 1.0, str: "S1"}[a] for a in args[1:]]
+    return values
+
+
+ANNOTATION_CASES = [
+    pytest.param(where, name, value, id=f"{where.replace(' ', '_')}-{name}-{label}")
+    for where, cls in ANNOTATED.items()
+    for name, kind in typing.get_type_hints(cls).items() if where != "root" or name in ROOT_VALUES
+    for label, value in wrong_values(kind).items()
+]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("where, name, value", ANNOTATION_CASES)
+    def test_every_annotated_field_refuses_a_value_of_the_wrong_type(self, tmp_path, capsys, where, name, value):
+        # Generated from the field annotations, so a new field is covered as it is added; a field whose annotation
+        # the value rule does not know fails here with a KeyError (exit 1).
+        if where == "scenario spec":
+            (tmp_path / "spec.json").write_text(json.dumps({name: value}))
+            argv = ["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]
+        else:
+            path = write_hand_config(tmp_path)
+            edit = {"root": lambda c: {**c, name: value}, "segments[0]": _segment(name, value)}.get(
+                where, _in(where, name, value))
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+            argv, where = ["metrics", "--config", str(path)], f"config {where}"
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SchemaError"
+        assert err["message"].startswith(f"{where} has a value of the wrong type: {name} must be ")
+        assert err["message"].endswith(f", got {value!r}")
+        assert not (tmp_path / "o").exists() and not (tmp_path / "metrics.csv").exists()
+
     def test_collision_point_reaches_metrics(self, tmp_path):
         # Leaders outrun followers, so only the collision point yields cluster TTCs.
         assert main(["metrics", "--config", str(write_hand_config(tmp_path))]) == 0
@@ -791,13 +859,42 @@ class TestConfigValidation:
         (lambda c: {**c, "seed": 1.5}, "root", "seed must be an integer, got 1.5"),
         (_segment("length_m", "500"), "segments[0]", "length_m must be a number, got '500'"),
         (_segment("speed_limit", True), "segments[0]", "speed_limit must be a number, got True"),
+        (lambda c: {**c, "fps": math.nan}, "root", "fps must be a number, got nan"),
+        (lambda c: {**c, "fps": math.inf}, "root", "fps must be a number, got inf"),
+        (_in("intervals", "window_seconds", math.inf), "intervals", "window_seconds must be a number, got inf"),
+        (_in("intervals", "stride_seconds", math.inf), "intervals", "stride_seconds must be a number, got inf"),
+        (_in("intervals", "start_seconds", math.nan), "intervals", "start_seconds must be a number, got nan"),
+        (_in("intervals", "start_seconds", "0"), "intervals", "start_seconds must be a number, got '0'"),
+        (_segment("segment_id", 7), "segments[0]", "segment_id must be a string, got 7"),
+        (lambda c: {**c, "anchor": [math.nan, 0.0]}, "root", "anchor must be a number, got nan"),
+        (_segment("travel_axis", [math.nan, 1.0]), "segments[0]", "travel_axis must be a number, got nan"),
+        (_segment("bbox", [math.nan, 0, 1, 1]), "segments[0]", "bbox must be a number, got nan"),
+        (_segment("length_m", math.inf), "segments[0]", "length_m must be a number, got inf"),
+        (_segment("speed_limit", math.inf), "segments[0]", "speed_limit must be a number, got inf"),
+        (_in("cluster", "distance_threshold", math.nan), "cluster", "distance_threshold must be a number, got nan"),
+        (_in("cluster", "membership_rate", math.inf), "cluster", "membership_rate must be a number, got inf"),
+        (_in("trt", "free_flow", math.nan), "trt", "free_flow must be a number, got nan"),
+        (_in("prep", "class_threshold_m", math.inf), "prep", "class_threshold_m must be a number, got inf"),
+        (_in("prep", "min_displacement_m", math.inf), "prep", "min_displacement_m must be a number, got inf"),
+        (_in("analysis", "exclude_slots", [["S1", 2.7]]), "analysis", "exclude_slots must be an integer, got 2.7"),
+        (_in("paths", "metrics", 5), "root", "paths.metrics must be a string, got 5"),
+        (_segment("trajectories", ["traj.csv"]), "segments[0]", "trajectories must be a string, got ['traj.csv']"),
     ], ids=["travel_axis", "collision_point", "bbox_short", "bbox_string", "osr_thresholds_string", "travel_axis_bool",
             "anchor", "crash_years_short", "crash_years_string", "crash_years_float", "t_min_seconds", "free_flow",
-            "theta", "fps_bool", "fps_string", "seed_float", "length_m_string", "speed_limit_bool"])
+            "theta", "fps_bool", "fps_string", "seed_float", "length_m_string", "speed_limit_bool", "fps_nan",
+            "fps_infinity", "window_seconds_infinity", "stride_seconds_infinity", "start_seconds_nan",
+            "start_seconds_string", "segment_id_number", "anchor_nan", "travel_axis_nan", "bbox_nan",
+            "length_m_infinity", "speed_limit_infinity", "distance_threshold_nan", "membership_rate_infinity",
+            "free_flow_nan", "class_threshold_m_infinity", "min_displacement_m_infinity", "exclude_slots_fraction",
+            "paths_number", "trajectories_list"])
     def test_malformed_list_or_number_exits_2_naming_the_key(self, tmp_path, capsys, edit, context, message):
         # Before the check the lists raised IndexError, ValueError or TypeError in metrics or associate (exit 1,
         # traceback), as did the trt strings in metrics; "osr_thresholds": "1" ran as (1.0,). The root's fps and
         # seed and a segment's length_m and speed_limit were converted: "fps": true ran as 1.0 fps, "seed": 1.5 as 1.
+        # A NaN or infinite fps, window_seconds or stride_seconds and a NaN or string start_seconds exited 1 with a
+        # traceback; the other NaN and infinite values ran (exit 0), "segment_id": 7 lost every crash of its
+        # segment (no_crash_data), and the exclude_slots slot 2.7 ran as slot 2. A path that is no string exited 2
+        # with pathlib's message, which named no key.
         path = write_hand_config(tmp_path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         for command in ("metrics", "associate"):
@@ -832,7 +929,8 @@ class TestConfigValidation:
         # A repeated predictor exited 0 with a shapley.csv of two ivvr columns from a one-key phi.
         ({"predictors": ["ivvr", "ivvr"]}, "ParameterError", "predictors name ['ivvr'] more than once"),
         # A string was split into characters: "ivvr" read as the unknown metric column 'i'.
-        *(({key: value}, "SchemaError", f"config analysis field {key!r} must be a list of strings, got {value!r}")
+        *(({key: value}, "SchemaError", f"config analysis has a value of the wrong type: {key} must be a list of any "
+                                        f"count of strings, got {value!r}")
           for key, value in (("families", "AllType"), ("methods", "pearson"), ("predictors", "ivvr"))),
     ], ids=["empty-predictors", "repeated-predictor", "families-string", "methods-string", "predictors-string"])
     def test_analysis_list_exits_2_naming_the_key(self, tmp_path, capsys, analysis, error, message):
@@ -846,6 +944,50 @@ class TestConfigValidation:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["message"]) == (error, message)
         assert not (out / "association_report.json").exists()
+
+    @pytest.mark.parametrize("entry, error, message", [
+        (["S9", 0], "SchemaError", "config analysis exclude_slots entry ['S9', 0] names no segment of the config"),
+        (["S1", 999], "ParameterError", "exclude_slots entry ['S1', 999] needs 0 <= slot < 144"),
+        (["S1", -1], "ParameterError", "exclude_slots entry ['S1', -1] needs 0 <= slot < 144"),
+    ], ids=["unknown-segment", "slot-past-the-day", "negative-slot"])
+    def test_exclude_slots_entry_that_excludes_nothing_exits_2_naming_it(self, tmp_path, capsys, entry, error, message):
+        # Each ran (exit 0) and excluded no row: build_dataset skips an entry outside the metrics table's slots.
+        config = write_hand_config(tmp_path, analysis={"exclude_slots": [["S1", 0], entry]})
+        for command in ("metrics", "associate"):
+            assert main([command, "--config", str(config)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert (err["error"], err["message"]) == (error, message)
+
+    @pytest.mark.parametrize("anchor", [[100.0, 0.0], [-90.0, 0.0], [0.0, 180.5]], ids=["lat_100", "lat_-90", "lon_180.5"])
+    def test_anchor_off_the_globe_exits_2(self, tmp_path, capsys, anchor):
+        # "anchor": [100, 0] exited 0 from associate, placing crashes through cos(100 degrees).
+        path = write_hand_config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "anchor": anchor}))
+        for command in ("metrics", "associate"):
+            assert main([command, "--config", str(path)]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert (err["error"], err["message"]) == (
+                "ParameterError", f"anchor needs -90 < lat < 90 and -180 <= lon <= 180, got {tuple(anchor)}")
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_refresh_stride_beyond_the_span_refreshes_once_per_window(self, tmp_path):
+        # A membership_rate of 1e-300 Hz made a stride of 1e300 frames, which overflowed int64 (exit 1, traceback).
+        # Any stride of at least the 10-frame span refreshes only at the window's first frame.
+        tables = []
+        for rate in (1e-300, 0.05):
+            assert main(["metrics", "--config", str(write_hand_config(tmp_path, cluster={"membership_rate": rate}))]) == 0
+            tables.append((tmp_path / "metrics.csv").read_text())
+        assert tables[0] == tables[1]
+
+    def test_window_frame_beyond_int64_exits_2_naming_the_window(self, tmp_path, capsys):
+        # At 1e300 fps the window's end frame overflowed int64 in compute_interval_metrics (exit 1, traceback).
+        path = write_hand_config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "fps": 1e300}))
+        assert main(["metrics", "--config", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == (
+            "ParameterError", "window [0.0, 10.0) has a frame index beyond int64 at 1e+300 fps")
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 @pytest.fixture(scope="module")

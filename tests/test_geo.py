@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from netsafety.errors import ParameterError
 from netsafety.geo import EARTH_RADIUS_M, TangentPlane
 
 ANCHORS = [(33.46, -112.06), (0.0, 0.0), (-45.3, 170.2), (60.1, 10.7)]
@@ -36,3 +37,14 @@ def test_floats_map_to_floats():
     lat, lon = plane.to_latlon(120.0, 45.0)
     assert (type(lat), type(lon)) == (float, float)
     assert plane.to_xy(lat, lon) == to_xy_math(plane, lat, lon)
+
+
+@pytest.mark.parametrize("anchor", [(90.0, 0.0), (-90.0, 0.0), (100.0, 0.0), (0.0, 180.5), (0.0, -181.0), (math.nan, 0.0)])
+def test_anchor_off_the_globe_is_refused(anchor):
+    # A pole or beyond has cos(lat0) <= 0, so x would be scaled by zero or flipped.
+    with pytest.raises(ParameterError, match=r"anchor needs -90 < lat < 90 and -180 <= lon <= 180"):
+        TangentPlane(*anchor)
+
+
+def test_anchor_at_the_antimeridian_is_kept():
+    assert TangentPlane(89.9, 180.0).to_xy(89.9, 180.0) == TangentPlane(-89.9, -180.0).to_xy(-89.9, -180.0) == (0.0, 0.0)
