@@ -56,6 +56,8 @@ class AnalysisConfig:
             raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {self.slot_minutes}")
         if self.cv_folds < 2:
             raise ParameterError(f"cv_folds must be at least 2, got {self.cv_folds}")
+        if self.seed < 0:
+            raise ParameterError(f"analysis seed must be >= 0, got {self.seed}")
         bad = [m for m in self.methods if m not in CORRELATION_METHODS]
         if bad:
             raise ParameterError(f"unknown correlation methods: {bad}")

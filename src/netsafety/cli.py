@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import functools
 import json
 import sys
@@ -54,13 +55,17 @@ def _fail(exc: Exception) -> int:
     return 2
 
 
-def _read(path: Path) -> str:
+def _read(path: Path) -> bytes:
+    """An input file's bytes, line ends made LF as by Path.read_text; NetSafetyError unless it is UTF-8 text."""
     try:
-        return Path(path).read_text()
+        data = Path(path).read_bytes()
+        if not data.isascii():
+            data.decode()
     except FileNotFoundError:
         raise NetSafetyError(f"input file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise NetSafetyError(f"input file is not {exc.encoding} text: {path} (byte {exc.start})") from None
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
 
 
 def _prepare_segment_tracks(cfg: RunConfig, segment, path: Path):
@@ -92,7 +97,7 @@ def _windows_for(cfg: RunConfig, tracks: trajectories.PreparedTracks) -> list[tu
 def cmd_synth(args) -> int:
     spec = synth.ScenarioSpec.from_json(_read(Path(args.spec)))
     if args.seed is not None:
-        spec.seed = args.seed
+        spec = dataclasses.replace(spec, seed=args.seed)
     plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -255,7 +260,7 @@ def _association_inputs(cfg: RunConfig):
 def cmd_associate(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.analysis.seed = args.seed
+        cfg.analysis = dataclasses.replace(cfg.analysis, seed=args.seed)
     report = association.run_association(*_association_inputs(cfg), cfg.analysis)
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -276,7 +281,7 @@ def cmd_associate(args) -> int:
 def cmd_shapley(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.analysis.seed = args.seed
+        cfg.analysis = dataclasses.replace(cfg.analysis, seed=args.seed)
     report = association.run_shapley(*_association_inputs(cfg), cfg.analysis)
     text = association.shapley_table_csv(report)
     if args.out:

@@ -9,22 +9,21 @@ full data (consistency across time) and hours of the day differ.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, ParameterError, SchemaError
+from .errors import DataError, ParameterError
 from .geo import TangentPlane
 from .network_metrics import SegmentConfig
 from .stats.contingency import Chi2Result, chi2_contingency_yates, chi2_oneway
 from .trajectories import CsvRecords
 
 CRASH_COLUMNS = ("timestamp", "lat", "lon", "type")
+_CRASH_DTYPE = np.dtype([("timestamp", "M8[m]"), ("lat", np.float64), ("lon", np.float64), ("type", object)])
 
 
 class CrashType(str, Enum):
@@ -34,6 +33,7 @@ class CrashType(str, Enum):
 
 
 CRASH_FAMILIES = ("AllType", "RearEnd", "Sideswipe")
+_CODES = {t.name: i for i, t in enumerate(CrashType)}  # a type cell's token: its CrashType code
 SLOT_MINUTES = (10, 15, 20, 30, 60)  # the slot lengths a run config or a synth spec may use
 
 # Which crash types each family counts, by CRASH_FAMILIES row and CrashType code: AllType counts every record.
@@ -76,42 +76,27 @@ class CrashBinning:
         return self.counts[CRASH_FAMILIES.index(family)] / self.years_covered
 
 
-def _parse_type(raw: str, unknown_seen: set[str]) -> CrashType:
-    token = raw.strip().upper()
-    if token == "REAR_END":
-        return CrashType.REAR_END
-    if token == "SIDESWIPE":
-        return CrashType.SIDESWIPE
-    if token != "OTHER" and token not in unknown_seen:
-        unknown_seen.add(token)
-        warnings.warn(f"unknown crash type {raw!r} mapped to Other", stacklevel=3)
-    return CrashType.OTHER
+def parse_crashes(data: bytes | str) -> CrashRecords:
+    """Parse the crash CSV (``timestamp,lat,lon,type``) by CsvRecords' rules.
 
-
-def parse_crashes(text: str) -> CrashRecords:
-    """Parse the crash CSV (``timestamp,lat,lon,type``; ISO-8601 timestamps) by CsvRecords' rules."""
-    rows = CsvRecords(text, CRASH_COLUMNS, "crash")
-    i_stamp, i_lat, i_lon, i_type = (rows.col[c] for c in CRASH_COLUMNS)
-    code = {t: i for i, t in enumerate(CrashType)}
-    unknown_seen: set[str] = set()
-    records = []
-    for row in rows:
-        stamp_raw = row[i_stamp].strip()
-        try:
-            stamp = datetime.fromisoformat(stamp_raw.replace("Z", "+00:00"))
-        except ValueError as exc:
-            raise DataError(f"line {rows.line}: unparseable timestamp {stamp_raw!r}") from exc
-        try:
-            lat = float(row[i_lat])
-            lon = float(row[i_lon])
-        except ValueError as exc:
-            raise SchemaError(f"line {rows.line}: malformed coordinate ({exc})") from exc
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise SchemaError(f"line {rows.line}: non-finite coordinate ({lat}, {lon})")
-        records.append((stamp.year, stamp.hour * 60 + stamp.minute, lat, lon,
-                        code[_parse_type(row[i_type], unknown_seen)]))
-    year, minute, lat, lon, crash_type = np.array(records, dtype=float).reshape(-1, 5).T
-    return CrashRecords(year.astype(np.int64), minute.astype(np.int64), lat, lon, crash_type.astype(np.int64))
+    Cells are typed by CsvRecords' rule: ``timestamp`` an ISO-8601 timestamp, ``lat`` and ``lon``
+    finite numbers. A type cell is matched to a CrashType name case-insensitively; any other counts
+    as Other, with one warning per unknown name, in file order.
+    """
+    table, _, error = CsvRecords(data, CRASH_COLUMNS, "crash").read(_CRASH_DTYPE)
+    if error:
+        raise error
+    cells, first, inverse = np.unique(table["type"], return_index=True, return_inverse=True)
+    codes, unknown = np.zeros(cells.size, dtype=np.int64), set()
+    for k in np.argsort(first).tolist():  # each distinct cell, in file order
+        token = cells[k].strip().upper()
+        codes[k] = _CODES.get(token, _CODES["OTHER"])
+        if token not in _CODES and token not in unknown:
+            unknown.add(token)
+            warnings.warn(f"unknown crash type {cells[k]!r} mapped to Other", stacklevel=2)
+    stamp = table["timestamp"]
+    return CrashRecords(stamp.astype("M8[Y]").astype(np.int64) + 1970,
+                        (stamp - stamp.astype("M8[D]")).astype(np.int64), table["lat"], table["lon"], codes[inverse])
 
 
 def bin_crashes(

@@ -653,7 +653,6 @@ _REQUIRED_COLUMNS = ("segment_id", "interval_start", "interval_end")
 _HEAD_COLUMNS = (*_REQUIRED_COLUMNS, "ttc_cv", "ivvr", "ovvr")  # then osr_<theta>...
 _TAIL_COLUMNS = ("tci", "f_truck", "ntc", "trt", "n_vehicles", "coverage", "e_ttc")
 _NUMERIC_COLUMNS = (*_HEAD_COLUMNS[1:], *_TAIL_COLUMNS)
-_IS_COUNT = ("a count", lambda v: 0 <= v <= 2**53 and v.is_integer())  # exact as a float
 
 
 def _osr_column(theta: float) -> str:
@@ -727,45 +726,34 @@ def write_metrics_csv(table: MetricsTable) -> str:
     return csv_text(metrics_header(table.thresholds), [table.segment_id, *cells])
 
 
-def _number(cell: str, name: str, line: int, what: str | None = None, ok=math.isfinite) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        value = None
-    if value is None or not ok(value):
-        what = what or ("a number" if value is None else "finite")
-        raise SchemaError(f"line {line}: column {name!r} is not {what}: {cell!r}")
-    return value
-
-
-def read_metrics_csv(text: str) -> MetricsTable:
+def read_metrics_csv(data: bytes | str) -> MetricsTable:
     """Parse the metrics CSV into a MetricsTable, by CsvRecords' rules.
 
     Only segment_id and the interval bounds are required; columns of other names are
     ignored, and a metric column the file lacks is absent throughout. The table's
-    thresholds are those of the file's osr_<theta> columns, in file order; two columns
-    that name one threshold (osr_1 and osr_1.0) raise SchemaError. A blank cell is an
-    absent metric (n_vehicles 0); any other cell must be a finite number, and
-    n_vehicles a count.
+    thresholds are those of the file's osr_<theta> columns, in file order; a column whose
+    theta is not a finite number, and two columns that name one threshold (osr_1 and
+    osr_1.0), raise SchemaError. Cells are typed by CsvRecords' rule: n_vehicles a count,
+    the other metrics finite numbers, a blank cell an absent metric (n_vehicles 0).
     """
-    rows = CsvRecords(text, _REQUIRED_COLUMNS, "metrics")
+    rows = CsvRecords(data, _REQUIRED_COLUMNS, "metrics")
     thresholds, named = [], {}  # named: table column -> file column, in file order
     for name in rows.col:
         if name.startswith("osr_"):
-            theta = _number(name[len("osr_") :], name, 1, "a finite threshold")
+            try:
+                theta = float(name[len("osr_") :])
+            except ValueError:
+                theta = math.nan
+            if not math.isfinite(theta):
+                raise SchemaError(f"line 1: column {name!r} is not a finite threshold: {name[len('osr_') :]!r}")
             if _osr_column(theta) in named:
                 raise SchemaError(f"line 1: columns {named[_osr_column(theta)]!r} and {name!r} name one osr threshold")
             thresholds.append(theta)
             named[_osr_column(theta)] = name
         elif name in _NUMERIC_COLUMNS:
             named[name] = name
-    segment_id, columns = [], {key: [] for key in named}
-    cells = [(columns[key], rows.col[name], name) for key, name in named.items()]
-    for row in rows:
-        segment_id.append(row[rows.col["segment_id"]])
-        for column, i, name in cells:
-            if row[i] == "" and name not in _REQUIRED_COLUMNS:
-                column.append(0 if name == "n_vehicles" else math.nan)
-            else:
-                column.append(_number(row[i], name, rows.line, *(_IS_COUNT if name == "n_vehicles" else ())))
-    return MetricsTable.build(segment_id, thresholds, **columns)
+    kinds = [(name, np.uint64 if name == "n_vehicles" else np.float64) for name in named.values()]
+    table, _, error = rows.read(np.dtype([("segment_id", object), *kinds]))
+    if error:
+        raise error
+    return MetricsTable.build(table["segment_id"], thresholds, **{key: table[name] for key, name in named.items()})

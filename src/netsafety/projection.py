@@ -139,7 +139,7 @@ def apply_homography(h: Homography, pixel):
     return tuple(world[0].tolist()) if np.ndim(pixel) == 1 else world
 
 
-def load_keypoints(text: str, plane: TangentPlane) -> list[KeypointPair]:
+def load_keypoints(text: bytes | str, plane: TangentPlane) -> list[KeypointPair]:
     """Parse the keypoints JSON (``[{"u":..,"v":..,"lat":..,"lon":..}, ...]``)."""
     try:
         raw = json.loads(text)

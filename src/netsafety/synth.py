@@ -118,7 +118,7 @@ class ScenarioSpec:
         return json.dumps(obj, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
+    def from_json(cls, text: bytes | str) -> "ScenarioSpec":
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -14,6 +14,7 @@ import math
 import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from datetime import datetime
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -24,7 +25,6 @@ from .errors import DataError, ParameterError, SchemaError
 TRAJECTORY_COLUMNS = ("frame", "vehicle_id", "x1", "y1", "x2", "y2")
 _CORNERS = TRAJECTORY_COLUMNS[2:]
 _TRAJECTORY_DTYPE = np.dtype([("frame", np.int64), ("vehicle_id", object), *((c, np.float64) for c in _CORNERS)])
-_INT64 = np.iinfo(np.int64)
 CSV_CHUNK_ROWS = 1024
 
 #: Default track-repair / smoothing parameters (30 fps assumptions).
@@ -121,32 +121,32 @@ class _PointView(Sequence):
         return TrackPoint(frame, frame / traj.fps, *traj.boxes[i].tolist())
 
 
-def parse_trajectories(text: str, fps: float) -> Trajectory:
+def parse_trajectories(data: bytes | str, fps: float) -> Trajectory:
     """Parse the trajectory CSV (``frame,vehicle_id,x1,y1,x2,y2``) into one table.
 
     Each vehicle_id (stripped of whitespace) is one vehicle of the table, in order of
-    first appearance; vehicles may interleave. Besides the rules of CsvRecords, the first
-    faulty row raises, naming its line: SchemaError for a malformed number (a frame
-    outside int64 included), a non-finite coordinate or an empty vehicle_id; DataError
-    for a negative frame or one not above the vehicle's previous frame.
+    first appearance; vehicles may interleave. Besides CsvRecords' rules (``frame`` an
+    integer, the corners numbers), the first faulty row raises, naming its line:
+    SchemaError for an empty vehicle_id; DataError for a negative frame or one not above
+    the vehicle's previous frame.
 
-    The body is read in one np.loadtxt pass. Where loadtxt refuses it (it refuses every
-    cell int()/float() refuse, and some they take) or a row fails a check, the rows are
-    read again one at a time through CsvRecords, to take what loadtxt refused or to
+    The body is read in one np.loadtxt pass. Where loadtxt refuses it or a row fails a
+    check, the rows are read again one at a time, to take what loadtxt refused or to
     name the first faulty row's line.
     """
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
-    records = CsvRecords(text, TRAJECTORY_COLUMNS, "trajectory")
+    records = CsvRecords(data, TRAJECTORY_COLUMNS, "trajectory")
     try:
-        table = records.table(_TRAJECTORY_DTYPE)
+        rows = _Rows(records.table(_TRAJECTORY_DTYPE))
     except ValueError:
-        return _read_row_by_row(records).table(fps)
-    # Columns copied out, so the table and its id strings are freed before the grouping's temporaries.
-    rows = _Rows(table["frame"].copy(), table["vehicle_id"].tolist(), np.column_stack([table[c] for c in _CORNERS]))
-    del table
-    if rows.faults().any():
-        rows = _read_row_by_row(records)
+        rows = None
+    if rows is None or rows.faults().any():
+        table, lines, error = records.read(_TRAJECTORY_DTYPE)
+        rows = _Rows(table)
+        rows.raise_first_fault(lines)
+        if error:
+            raise error
     return rows.table(fps)
 
 
@@ -157,20 +157,21 @@ class _Rows:
     ``corners`` are the (n, 4) boxes as read, before normalisation.
     """
 
-    def __init__(self, frame, ids: list[str], corners: np.ndarray):
+    def __init__(self, table: np.ndarray):
         index: dict[str, int] = {}
-        self.frame = np.asarray(frame, dtype=np.int64)
-        self.code = np.array([index.setdefault(vid.strip(), len(index)) for vid in ids], dtype=np.intp)
+        self.frame = table["frame"].copy()
+        self.code = np.array([index.setdefault(vid.strip(), len(index)) for vid in table["vehicle_id"].tolist()],
+                             dtype=np.intp)
         self.vids = list(index)
-        self.corners = corners
+        self.corners = np.column_stack([table[c] for c in _CORNERS])
         self.order = np.argsort(self.code, kind="stable")  # by vehicle, in row order within one
 
     def faults(self) -> np.ndarray:
-        """Rows failing a check: non-finite corner, negative frame, empty id, frame not above the vehicle's last."""
+        """Rows failing a check: negative frame, empty id, frame not above the vehicle's last."""
         frame = self.frame[self.order]
         repeat = np.zeros(frame.size, dtype=bool)
         repeat[self.order[1:]] = (np.diff(self.code[self.order]) == 0) & (frame[1:] <= frame[:-1])
-        bad = ~np.isfinite(self.corners).all(axis=1) | (self.frame < 0) | repeat
+        bad = (self.frame < 0) | repeat
         if "" in self.vids:
             bad |= self.code == self.vids.index("")
         return bad
@@ -182,9 +183,6 @@ class _Rows:
             return
         row = int(np.argmax(bad))
         line, frame, vid = lines[row], int(self.frame[row]), self.vids[self.code[row]]
-        x1, y1, x2, y2 = self.corners[row].tolist()
-        if not (math.isfinite(x1) and math.isfinite(y1) and math.isfinite(x2) and math.isfinite(y2)):
-            raise SchemaError(f"line {line}: non-finite coordinate in ({x1}, {y1}, {x2}, {y2})")
         if frame < 0:
             raise DataError(f"line {line}: negative frame index {frame}")
         if not vid:
@@ -195,33 +193,6 @@ class _Rows:
     def table(self, fps: float) -> Trajectory:
         bounds = np.concatenate([[0], np.cumsum(np.bincount(self.code, minlength=len(self.vids)))])
         return Trajectory(self.vids, bounds, self.frame[self.order], _normalized(self.corners)[self.order], fps)
-
-
-def _read_row_by_row(records: "CsvRecords") -> _Rows:
-    """The rows read one at a time, cells by int()/float(); the first faulty row raises, naming its line."""
-    i_frame, i_vid, *i_corners = (records.col[c] for c in TRAJECTORY_COLUMNS)
-    frames, ids, corners, lines = [], [], [], []
-    failure = None
-    try:
-        for row in records:
-            try:
-                frame = int(row[i_frame])
-                box = [float(row[i]) for i in i_corners]
-            except ValueError as exc:
-                raise SchemaError(f"line {records.line}: malformed numeric field ({exc})") from exc
-            if not _INT64.min <= frame <= _INT64.max:
-                raise SchemaError(f"line {records.line}: malformed numeric field (frame {frame} outside int64)")
-            frames.append(frame)
-            ids.append(row[i_vid])
-            corners.append(box)
-            lines.append(records.line)
-    except SchemaError as exc:  # a malformed or short row; a fault in the rows before it comes first
-        failure = exc
-    rows = _Rows(frames, ids, np.array(corners, dtype=float).reshape(-1, 4))
-    rows.raise_first_fault(lines)
-    if failure is not None:
-        raise failure
-    return rows
 
 
 def serialize_trajectories(table: Trajectory) -> str:
@@ -241,16 +212,24 @@ def format_cell(value) -> str:
 class CsvRecords:
     """An input CSV's header index and data rows, read by the rules of every input table.
 
-    Header cells are stripped of whitespace, and ``col[name]`` is the first column so
-    named. Iterating yields the cells of each data row; rows whose cells are all blank
-    are skipped. An empty file, a header without one of ``required`` and a row shorter
+    ``data`` is the file's bytes (a str is encoded as UTF-8). Header cells are stripped of
+    whitespace, and ``col[name]`` is the first column so named. Iterating yields each data
+    row's physical line (a quoted cell may span lines) and cells; rows whose cells are all
+    blank are skipped. An empty file, a header without one of ``required`` and a row shorter
     than the header raise SchemaError, naming the file by ``what``; so does text the csv
     module cannot read (an unclosed quote, a carriage return inside an unquoted cell),
     naming the line its record starts on.
+
+    ``read`` and ``table`` type a column by its dtype's kind: ``O`` text, ``i`` an integer
+    within int64, ``f`` a finite number, ``u`` a count (integral, 0 to 2**53), ``M`` an
+    ISO-8601 timestamp in its own clock. A blank cell of an ``f`` or ``u`` column not in
+    ``required`` is absent (nan, or a count of 0).
     """
 
-    def __init__(self, text: str, required: Sequence[str], what: str):
-        self._text, self._stream = text, io.BytesIO(text.encode("utf-8", "surrogatepass"))  # StringIO takes 4 B/char
+    def __init__(self, data: bytes | str, required: Sequence[str], what: str):
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogatepass")
+        self._data, self._stream, self._required = data, io.BytesIO(data), set(required)
         self._reader = csv.reader(map(partial(bytes.decode, encoding="utf-8", errors="surrogatepass"), self._stream))
         header = self._next()
         if header is None:
@@ -262,37 +241,57 @@ class CsvRecords:
             raise SchemaError(f"{what} header missing required columns: {missing}")
         self._width = len(header)
 
-    @property
-    def line(self) -> int:
-        """The physical line the last row read ends on (a quoted cell may span lines)."""
-        return self._reader.line_num
+    def read(self, dtype: np.dtype) -> tuple[dict[str, np.ndarray], list[int], SchemaError | None]:
+        """The columns named by ``dtype``'s fields, and each row's line, up to the first refused cell, short row
+        or unreadable text, returned with its SchemaError (or None) so that a caller's row checks come first.
+
+        The first cell refused, in row order and then field order, gives ``line N: column 'c' is not <what>:
+        '<cell>'``.
+        """
+        rows, error = [], None
+        try:
+            rows.extend(self)
+        except SchemaError as exc:
+            error = exc
+        lines, columns = [line for line, _ in rows], list(zip(*(cells for _, cells in rows))) or [()] * self._width
+        end, values = len(rows), {}
+        for name in dtype.names:
+            cells = columns[self.col[name]]
+            values[name], first, what = _typed(dtype[name], cells, name not in self._required)
+            if first < end:
+                end, error = first, SchemaError(f"line {lines[first]}: column {name!r} is not {what}: {cells[first]!r}")
+        return {name: column[:end] for name, column in values.items()}, lines[:end], error
 
     def table(self, dtype: np.dtype) -> np.ndarray:
-        """The data rows' columns named by ``dtype``'s fields, read in one C-level np.loadtxt pass.
+        """``read(dtype)``'s columns, of fields of kind O, i or f, as one array read in one C-level np.loadtxt pass.
 
         loadtxt reads this dialect (a ``#`` is no comment, a quoted cell may span lines), but
         it raises ValueError on a blank row other than an empty line, on a short row and on
-        a cell ``dtype`` cannot take; the rows are then still there to iterate. On ASCII text
-        without the separators \\x1c-\\x1f it reads numbers as int()/float() do. Other text
-        raises ValueError before loadtxt runs: loadtxt takes \\x1c-\\x1f for whitespace, which
-        int()/float() refuse, and tests an integer cell's characters above \\xff with C's
-        isdigit, reading outside its table (a crash, or a digit that is none).
+        a cell ``dtype`` cannot take; so does a non-finite number, which loadtxt takes. The
+        rows are then still there to read. On ASCII text without the separators \\x1c-\\x1f
+        it reads numbers as int()/float() do. Other text raises ValueError before loadtxt
+        runs: loadtxt takes \\x1c-\\x1f for whitespace, which int()/float() refuse, and tests
+        an integer cell's characters above \\xff with C's isdigit, reading outside its table
+        (a crash, or a digit that is none).
         """
-        if not self._text.isascii() or any(c in self._text for c in "\x1c\x1d\x1e\x1f"):
+        if not self._data.isascii() or any(bytes([c]) in self._data for c in range(0x1C, 0x20)):
             raise ValueError("text np.loadtxt reads differently from int()/float()")
         names = list(dtype.names)
         usecols = [self.col[name] for name in names]
         if self._width - 1 not in usecols:  # so that loadtxt refuses a row shorter than the header
             usecols.append(self._width - 1)
             dtype = np.dtype([*((name, dtype[name]) for name in names), ("_last_column", object)])
-        start = self._stream.tell()  # a character offset too, the text being ASCII
-        if not _NOT_BLANK.search(self._text, start):
+        start = self._stream.tell()
+        if not _NOT_BLANK.search(self._data, start):
             return np.empty(0, dtype)  # header only: loadtxt would warn "input contained no data"
         try:
-            return np.loadtxt(self._stream, dtype=dtype, delimiter=",", quotechar='"', comments=None, usecols=usecols,
-                              ndmin=1)
+            table = np.loadtxt(self._stream, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                               usecols=usecols, ndmin=1)
         finally:
             self._stream.seek(start)
+        if not all(np.isfinite(table[name]).all() for name in names if dtype[name].kind == "f"):
+            raise ValueError("a number that is not finite")
+        return table
 
     def _next(self) -> list[str] | None:
         """The next record's cells, None after the last."""
@@ -302,7 +301,7 @@ class CsvRecords:
         except csv.Error as exc:
             raise SchemaError(f"line {start}: {exc}") from exc
 
-    def __iter__(self) -> Iterator[list[str]]:
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
         reader, width = self._reader, self._width
         while (row := self._next()) is not None:
             # Blankness is tested only on a short row or one whose first cell is blank.
@@ -311,7 +310,47 @@ class CsvRecords:
                     continue
                 if len(row) < width:
                     raise SchemaError(f"line {reader.line_num}: expected {width} fields, got {len(row)}")
-            yield row
+            yield reader.line_num, row
+
+
+def _minutes(cell: str) -> int:
+    """An ISO-8601 timestamp's minutes since 1970-01-01T00:00 in its own clock."""
+    stamp = datetime.fromisoformat(cell.strip().replace("Z", "+00:00"))
+    return (stamp.toordinal() - 719163) * 1440 + stamp.hour * 60 + stamp.minute  # 719163: 1970-01-01's ordinal
+
+
+# dtype kind: what a cell must be, its parse (ValueError if none) and the parsed dtype (an int outside int64
+# is an OverflowError), a check of the values with what a value failing it is not, and a blank optional cell
+_CELL_RULES = {
+    "O": ("text", str, object, None, None),
+    "i": ("an integer", int, np.int64, None, None),
+    "f": ("a number", float, np.float64, (np.isfinite, "finite"), "nan"),
+    "u": ("a count", float, np.float64, (lambda v: (0 <= v) & (v <= 2**53) & (v % 1 == 0), "a count"), "0"),
+    "M": ("an ISO-8601 timestamp", _minutes, np.int64, None, None),
+}
+
+
+def _typed(dtype: np.dtype, cells: Sequence[str], optional: bool) -> tuple[np.ndarray, int, str]:
+    """``cells`` converted whole by the rule of ``dtype``'s kind, and one at a time only to find the first refused:
+    the values before it, its index (len(cells) if none is) and what it is not."""
+    what, parse, parsed, check, blank = _CELL_RULES[dtype.kind]
+    absent = np.array(cells, dtype=object) == "" if optional and blank else np.zeros(len(cells), dtype=bool)
+    if absent.any():
+        parse = lambda cell, parse=parse: parse(cell or blank)  # noqa: E731
+    values = []
+    try:
+        values = np.fromiter(map(parse, cells), parsed, len(cells))
+    except (ValueError, OverflowError):
+        for cell in cells:
+            try:
+                values.append(np.fromiter(map(parse, [cell]), parsed, 1)[0])
+            except (ValueError, OverflowError):
+                break
+        values = np.array(values, dtype=parsed)
+    first = len(values)
+    if check is not None and not (ok := check[0](values) | absent[:first]).all():
+        first, what = int(np.argmin(ok)), check[1]
+    return values[:first].astype(dtype), first, what
 
 
 @dataclass(frozen=True)
@@ -328,7 +367,7 @@ class CodedColumn:
         return CodedColumn(self.labels, self.codes[rows])
 
 
-_NOT_BLANK = re.compile(r"\S")
+_NOT_BLANK = re.compile(rb"\S")
 _CSV_QUOTED = re.compile('[,"\n\r]')  # a cell holding one of these is quoted
 
 

@@ -646,11 +646,9 @@ def pooled_abs_r_oracle(per_segment):
 
 
 def parse_trajectories_oracle(text, fps):
-    """``parse_trajectories`` as one row loop: every cell by int()/float(), checks in row order.
+    """``parse_trajectories`` as one row loop: each row's cells by int()/float() in column order, then its checks.
 
-    The vehicles come as ``(vehicle_id, frames, boxes)`` in order of first appearance. The
-    parser before it read whole columns; it raises the same errors, except that a frame
-    outside int64 escapes here as OverflowError when the arrays are built.
+    The vehicles come as ``(vehicle_id, frames, boxes)`` in order of first appearance.
     """
     from netsafety.errors import DataError, ParameterError, SchemaError
     from netsafety.trajectories import TRAJECTORY_COLUMNS, CsvRecords
@@ -658,28 +656,38 @@ def parse_trajectories_oracle(text, fps):
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")
     rows = CsvRecords(text, TRAJECTORY_COLUMNS, "trajectory")
-    i_frame, i_vid, i_x1, i_y1, i_x2, i_y2 = (rows.col[c] for c in TRAJECTORY_COLUMNS)
+    i_frame, i_vid, *i_corners = (rows.col[c] for c in TRAJECTORY_COLUMNS)
+
+    def refuse(line, column, cell, what):
+        raise SchemaError(f"line {line}: column {column!r} is not {what}: {cell!r}")
 
     tracks: dict[str, tuple[list[int], list[float]]] = {}  # vehicle_id -> (frames, corners), first appearance first
-    isfinite = math.isfinite
-    for row in rows:
+    for line, row in rows:
         try:
             frame = int(row[i_frame])
-            x1, y1, x2, y2 = float(row[i_x1]), float(row[i_y1]), float(row[i_x2]), float(row[i_y2])
-        except ValueError as exc:
-            raise SchemaError(f"line {rows.line}: malformed numeric field ({exc})") from exc
-        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-            raise SchemaError(f"line {rows.line}: non-finite coordinate in ({x1}, {y1}, {x2}, {y2})")
+        except ValueError:
+            frame = None
+        if frame is None or not -2**63 <= frame < 2**63:
+            refuse(line, "frame", row[i_frame], "an integer")
+        box = []
+        for column, i in zip(TRAJECTORY_COLUMNS[2:], i_corners):
+            try:
+                box.append(float(row[i]))
+            except ValueError:
+                refuse(line, column, row[i], "a number")
+            if not math.isfinite(box[-1]):
+                refuse(line, column, row[i], "finite")
+        x1, y1, x2, y2 = box
         if frame < 0:
-            raise DataError(f"line {rows.line}: negative frame index {frame}")
+            raise DataError(f"line {line}: negative frame index {frame}")
         vid = row[i_vid].strip()
         if not vid:
-            raise SchemaError(f"line {rows.line}: empty vehicle_id")
+            raise SchemaError(f"line {line}: empty vehicle_id")
         track = tracks.get(vid)
         if track is None:
             track = tracks[vid] = ([], [])
         elif frame <= track[0][-1]:
-            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {track[0][-1]} (line {rows.line})")
+            raise DataError(f"vehicle {vid!r}: non-monotone frame {frame} after {track[0][-1]} (line {line})")
         if x1 > x2:
             x1, x2 = x2, x1
         if y1 > y2:

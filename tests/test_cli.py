@@ -73,6 +73,15 @@ class TestSynthCommand:
         assert main(["synth", "--spec", str(spec_path), "--out", str(b), "--seed", "2"]) == 0
         assert (a / "trajectories_S1.csv").read_text() != (b / "trajectories_S1.csv").read_text()
 
+    def test_negative_seed_override_exits_2_writing_nothing(self, tmp_path, capsys):
+        # The override skipped the spec's checks: numpy's ValueError escaped (exit 1) after the output
+        # directory was made.
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(write_spec(tmp_path)), "--out", str(out), "--seed", "-1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ParameterError", "seed must be >= 0, got -1")
+        assert not out.exists()
+
     def test_missing_spec_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert code == 2
@@ -195,7 +204,7 @@ class TestProjectCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["message"]) == (
-            "SchemaError", "line 3: malformed numeric field (frame 99999999999999999999 outside int64)"
+            "SchemaError", "line 3: column 'frame' is not an integer: '99999999999999999999'"
         )
 
 
@@ -220,7 +229,7 @@ class TestNonFiniteCoordinates:
             assert main(argv) == 2, argv
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "SchemaError", argv
-            assert err["message"].startswith("line 5: non-finite coordinate"), argv
+            assert err["message"] == "line 5: column 'x1' is not finite: 'nan'", argv
         assert not (out / "world_S1.csv").exists() and not (out / "metrics.csv").exists()
 
 
@@ -565,7 +574,7 @@ class TestMalformedInputExits2:
         stamp, _, _, kind = first.split(",")
         (out / "crashes.csv").write_text(header + ",".join([stamp, "nan", "inf", kind]) + "".join(rest))
         message = self.run(["associate", "--config", str(out / "config.json")], capsys)
-        assert message.startswith("line 2: non-finite coordinate")
+        assert message == "line 2: column 'lat' is not finite: 'nan'"
 
     def test_metrics_cell_not_a_number(self, tmp_path, capsys):
         out = run_bundle(tmp_path)
@@ -1015,6 +1024,24 @@ class TestAssociateCommand:
         assert (json.loads(err)["error"], json.loads(err)["message"]) == (
             "SchemaError", f"unknown metric column {name!r}; the metrics table has {PLANT_KEYS[1:]}")
         assert out == "" and not (metrics_bundle / "association_report.json").exists()
+
+    @pytest.mark.parametrize("command, override", [
+        ("associate", None), ("associate", "--seed"), ("shapley", None), ("shapley", "--seed"),
+    ])
+    def test_negative_analysis_seed_exits_2_writing_nothing(self, metrics_bundle, tmp_path, capsys, command, override):
+        # associate exited 1 with numpy's ValueError traceback, from the config's seed or --seed; shapley exited 0.
+        config = json.loads((metrics_bundle / "config.json").read_text())
+        config["analysis"]["seed"] = 5 if override else -1
+        config["paths"] = {key: str(metrics_bundle / name) for key, name in config["paths"].items()}
+        config["paths"]["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [command, "--config", str(path), *(["--seed", "-1"] if override else [])]
+        assert main([*argv, *(["--out", str(tmp_path / "out" / "shapley.csv")] if command == "shapley" else [])]) == 2
+        out, err = capsys.readouterr()
+        assert (json.loads(err)["error"], json.loads(err)["message"]) == (
+            "ParameterError", "analysis seed must be >= 0, got -1")
+        assert out == "" and not (tmp_path / "out").exists()
 
     def test_end_to_end_report(self, tmp_path):
         out = run_bundle(tmp_path)

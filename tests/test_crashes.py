@@ -62,18 +62,23 @@ class TestParse:
 
     def test_bad_date_names_line(self):
         text = "timestamp,lat,lon,type\n2021-06-15T08:30:00,33.46,-112.06,REAR_END\nnot-a-date,1,2,REAR_END\n"
-        with pytest.raises(DataError, match="line 3"):
+        message = "line 3: column 'timestamp' is not an ISO-8601 timestamp: 'not-a-date'"
+        with pytest.raises(SchemaError, match=f"^{message}$"):
             parse_crashes(text)
 
     def test_missing_column(self):
         with pytest.raises(SchemaError, match="type"):
             parse_crashes("timestamp,lat,lon\n")
 
-    @pytest.mark.parametrize("lat,lon", [("nan", "inf"), ("33.46", "-inf"), ("NaN", "-112.06")])
-    def test_non_finite_coordinate_names_line(self, lat, lon):
+    @pytest.mark.parametrize("lat,lon,message", [
+        ("nan", "inf", "column 'lat' is not finite: 'nan'"),
+        ("33.46", "-inf", "column 'lon' is not finite: '-inf'"),
+        ("NaN", "-112.06", "column 'lat' is not finite: 'NaN'"),
+    ])
+    def test_non_finite_coordinate_names_line(self, lat, lon, message):
         # Before the check such a record was returned and bin_crashes silently dropped it.
         text = f"timestamp,lat,lon,type\n2020-01-01T08:00:00,1,2,REAR_END\n2020-01-01T08:00:00,{lat},{lon},REAR_END\n"
-        with pytest.raises(SchemaError, match="^line 3: non-finite coordinate"):
+        with pytest.raises(SchemaError, match=f"^line 3: {message}$"):
             parse_crashes(text)
 
 

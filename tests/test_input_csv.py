@@ -1,7 +1,13 @@
 """The reading rules every input CSV shares (trajectories, crash report, metrics)."""
 
+import ast
+import builtins
+import re
+from pathlib import Path
+
 import pytest
 
+import netsafety
 from netsafety.crashes import parse_crashes
 from netsafety.errors import SchemaError
 from netsafety.network_metrics import read_metrics_csv, write_metrics_csv
@@ -18,18 +24,18 @@ READERS = {
     "trajectory": (
         lambda text: [(t.vehicle_ids[0], f) for t in parse_trajectories(text, 4.0) for f in t.frames.tolist()],
         "trajectory", "frame,vehicle_id,x1,y1,x2,y2", ("0,a,0,0,1,1", "1,a,1,0,2,1"),
-        "2,a,abc,0,3,1", "malformed numeric field",
+        "2,a,abc,0,3,1", "column 'x1' is not a number: 'abc'",
     ),
     "crash": (
         lambda text: crash_rows(parse_crashes(text)),
         "crash", "timestamp,lat,lon,type",
         ("2021-06-15T08:30:00,33.46,-112.06,REAR_END", "2021-06-15T08:40:00,33.47,-112.06,SIDESWIPE"),
-        "2021-06-15T08:50:00,abc,-112.06,OTHER", "malformed coordinate",
+        "2021-06-15T08:50:00,abc,-112.06,OTHER", "column 'lat' is not a number: 'abc'",
     ),
     "metrics": (
         lambda text: [(m.segment_id, m.t_start, m.ivvr) for m in metrics_rows(read_metrics_csv(text))],
         "metrics", "segment_id,interval_start,interval_end,ivvr", ("S1,0.0,25.0,0.5", "S1,600.0,625.0,"),
-        "S1,abc,1225.0,0.25", "column 'interval_start' is not a number",
+        "S1,abc,1225.0,0.25", "column 'interval_start' is not a number: 'abc'",
     ),
 }
 
@@ -48,7 +54,7 @@ def test_errors_name_the_physical_line(reader):
     # the fourth line of the file and the third record.
     read, _, header, (good, _), bad, message = reader
     text = lines(header + ",note", good + ',"two\nlines"', bad + ",x")
-    with pytest.raises(SchemaError, match=f"^line 4: {message}"):
+    with pytest.raises(SchemaError, match=f"^line 4: {message}$"):
         read(text)
 
 
@@ -108,3 +114,95 @@ def test_written_metrics_row_reads_back():
     (back,) = metrics_rows(read_metrics_csv(text))
     assert back == row and type(back.n_vehicles) is int
 
+
+# reader: a header with a column of each kind the reader has, and a good row
+TYPED = {
+    "trajectory": (READERS["trajectory"][0], "frame,vehicle_id,x1,y1,x2,y2", "1,a,1,0,2,1"),
+    "crash": (READERS["crash"][0], "timestamp,lat,lon,type", "2021-06-15T08:40:00,33.47,-112.06,SIDESWIPE"),
+    "metrics": (
+        lambda text: [(m.segment_id, m.t_start, m.ivvr, m.n_vehicles) for m in metrics_rows(read_metrics_csv(text))],
+        "segment_id,interval_start,interval_end,ivvr,n_vehicles", "S1,600.0,625.0,0.25,3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, column, cell, what", [
+    ("trajectory", "frame", "2.0", "an integer"),
+    ("trajectory", "frame", "-9223372036854775809", "an integer"),
+    ("trajectory", "y1", "inf", "finite"),
+    ("trajectory", "x2", "", "a number"),
+    ("crash", "lat", "nan", "finite"),
+    ("crash", "lon", "1,5", "a number"),  # quoted in the row
+    ("crash", "timestamp", "2021-06-31T08:40:00", "an ISO-8601 timestamp"),
+    ("crash", "timestamp", "", "an ISO-8601 timestamp"),
+    ("crash", "lat", "", "a number"),
+    ("metrics", "n_vehicles", "3.5", "a count"),
+    ("metrics", "n_vehicles", "-1", "a count"),
+    ("metrics", "n_vehicles", "9007199254740994", "a count"),
+    ("metrics", "ivvr", "-inf", "finite"),
+    ("metrics", "interval_end", "", "a number"),
+])
+def test_one_rule_types_every_cell(name, column, cell, what):
+    read, header, good = TYPED[name]
+    cells = good.split(",")
+    cells[header.split(",").index(column)] = f'"{cell}"' if "," in cell else cell
+    with pytest.raises(SchemaError, match=f"^{re.escape(f'line 3: column {column!r} is not {what}: {cell!r}')}$"):
+        read(lines(header, good, ",".join(cells), good))
+
+
+def test_blank_in_an_optional_column_is_absent():
+    read, header, good = TYPED["metrics"]
+    assert read(lines(header, "S1,0.0,25.0,,")) == [("S1", 0.0, None, 0)]
+
+
+@pytest.mark.parametrize("rows, message", [
+    # row order before column order
+    (("2021-06-15T08:40:00,33.47,abc,OTHER", "2021-13-15T08:40:00,nan,-112.06,OTHER"),
+     "column 'lon' is not a number: 'abc'"),
+    # column order within a row
+    (("2021-06-15T08:40:00,nan,abc,OTHER",), "column 'lat' is not finite: 'nan'"),
+    # in one column, a number that is not finite before a cell that is no number
+    (("2021-06-15T08:40:00,inf,-112.06,OTHER", "2021-06-15T08:40:00,abc,-112.06,OTHER"),
+     "column 'lat' is not finite: 'inf'"),
+], ids=["rows", "columns", "one-column"])
+def test_first_refused_cell_is_named(rows, message):
+    read, header, good = TYPED["crash"]
+    with pytest.raises(SchemaError, match=f"^line 3: {re.escape(message)}$"):
+        read(lines(header, good, *rows, good))
+
+
+def test_timestamps_are_read_in_their_own_clock():
+    read, header, _ = TYPED["crash"]
+    stamps = ["2021-06-15T23:59:59.9+05:00", " 1999-12-31 00:07Z", "2020-02-29T12:30:00-11:30"]
+    records = parse_crashes(lines(header, *(f"{s},33.47,-112.06,OTHER" for s in stamps)))
+    assert records.year.tolist() == [2021, 1999, 2020] and records.minute.tolist() == [1439, 7, 750]
+
+
+def test_only_the_reader_loops_over_rows():
+    """No module but trajectories (CsvRecords' own) calls csv.reader or iterates a CsvRecords."""
+    offenders = []
+    for path in sorted(Path(netsafety.__file__).parent.rglob("*.py")):
+        if path.name == "trajectories.py":
+            continue
+        tree = ast.parse(path.read_text())
+        records = set()  # names bound to a CsvRecords(...)
+
+        def is_records(node):
+            if isinstance(node, ast.Call):
+                return getattr(node.func, "id", getattr(node.func, "attr", None)) == "CsvRecords"
+            return isinstance(node, ast.Name) and node.id in records
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and is_records(node.value):
+                records.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "reader" and getattr(node.value, "id", None) == "csv":
+                offenders.append(f"{path.name}:{node.lineno}: csv.reader")
+            if isinstance(node, (ast.For, ast.comprehension)):
+                iterated = [node.iter]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in dir(builtins):
+                iterated = node.args  # iter(), list(), zip(), enumerate(), ...
+            else:
+                iterated = []
+            offenders += [f"{path.name}:{node.lineno}: iterates a CsvRecords" for arg in iterated if is_records(arg)]
+    assert offenders == []

@@ -1,8 +1,8 @@
 """Heap peaks of reading and writing one long segment, as multiples of its text.
 
-A command's transient memory should not hold several copies of its input: the reader keeps
-the text as bytes, not as a 4-byte-per-character stream, and the writers format one chunk
-of rows at a time. Peaks are tracemalloc's, so numpy's buffers count and the allocator's
+A command's transient memory should not hold several copies of its input: an input file is
+read once as bytes, the reader keeps them, not a 4-byte-per-character stream, and the writers
+format one chunk of rows at a time. Peaks are tracemalloc's, so numpy's buffers count and the allocator's
 layout does not.
 """
 
@@ -37,6 +37,14 @@ def segment(tmp_path_factory) -> Path:
     assert cli.main([*argv, "--out", str(out / "world.csv")]) == 0
     assert 23_000 < (out / "world.csv").read_text().count("\n") < 27_000
     return out
+
+
+def test_read_peak_within_1_1x_the_input_file(segment):
+    # The text used to be decoded to a str that the reader encoded back to bytes: 2.0 times the file.
+    world = segment / "world.csv"
+    data, peak = heap_peak(lambda: cli._read(world))
+    assert data == world.read_bytes()
+    assert peak <= 1.1 * world.stat().st_size
 
 
 def test_parse_peak_within_3_5x_the_text(segment):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -45,6 +46,10 @@ def make_traj(frames_xy, fps=1.0, vid="v1", size=2.0):
     return parse_trajectories(HEADER + track_rows(frames_xy, vid, size), fps)
 
 
+def exact(message: str) -> str:
+    """A pytest.raises ``match`` pattern that only ``message`` itself matches."""
+    return f"^{re.escape(message)}$"
+
 class TestParse:
     def test_two_rows_one_vehicle(self):
         text = "frame,vehicle_id,x1,y1,x2,y2\n0,a,0,0,2,1\n1,a,1,0,3,1\n"
@@ -72,27 +77,30 @@ class TestParse:
         "body,error,match",
         [
             ("0,a,0,0,1,1\n1,a,1,0,2\n", SchemaError, "line 3: expected 6 fields, got 5"),
-            ("0,a,0,0,1,1\nx,a,1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
-            ("0,a,0,0,1,1\n1,a,1,abc,2,1\n", SchemaError, "line 3: malformed numeric field"),
-            ("0,a,0,0,1,1\n1.5,a,1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
+            ("0,a,0,0,1,1\nx,a,1,0,2,1\n", SchemaError, exact("line 3: column 'frame' is not an integer: 'x'")),
+            ("0,a,0,0,1,1\n1,a,1,abc,2,1\n", SchemaError, exact("line 3: column 'y1' is not a number: 'abc'")),
+            ("0,a,0,0,1,1\n1.5,a,1,0,2,1\n", SchemaError, exact("line 3: column 'frame' is not an integer: '1.5'")),
             ("0,a,0,0,1,1\n1, ,1,0,2,1\n", SchemaError, "line 3: empty vehicle_id"),
-            ("0,a,0,0,1,1\n1,a,nan,0,2,1\n", SchemaError, "line 3: non-finite coordinate"),
-            ("0,a,0,0,1,1\n1,a,1,0,inf,1\n", SchemaError, "line 3: non-finite coordinate"),
-            ("0,a,0,0,1,1\n1,a,1,-inf,2,1\n", SchemaError, "line 3: non-finite coordinate"),
+            ("0,a,0,0,1,1\n1,a,nan,0,2,1\n", SchemaError, exact("line 3: column 'x1' is not finite: 'nan'")),
+            ("0,a,0,0,1,1\n1,a,1,0,inf,1\n", SchemaError, exact("line 3: column 'x2' is not finite: 'inf'")),
+            ("0,a,0,0,1,1\n1,a,1,-inf,2,1\n", SchemaError, exact("line 3: column 'y1' is not finite: '-inf'")),
             ("0,a,0,0,1,1\n-1,b,1,0,2,1\n", DataError, "line 3: negative frame index -1"),
             ("0,a,0,0,1,1\n2,a,1,0,2,1\n2,a,2,0,3,1\n", DataError,
              r"vehicle 'a': non-monotone frame 2 after 2 \(line 4\)"),
             ("0,a,0,0,1,1\n\n   \n1,a,1,0,2\n", SchemaError, "line 5: expected 6 fields"),
             ("0,a,0,0,1,1\n99999999999999999999,a,1,0,2,1\n", SchemaError,
-             r"^line 3: malformed numeric field \(frame 99999999999999999999 outside int64\)$"),
+             exact("line 3: column 'frame' is not an integer: '99999999999999999999'")),
             ("0,a,0,0,1,1\n-9223372036854775809,a,1,0,2,1\n", SchemaError,
-             r"^line 3: malformed numeric field \(frame -9223372036854775809 outside int64\)$"),
-            ("0,a,0,0,1,1\n1,a,nan,0,2,1\n99999999999999999999,a,1,0,2,1\n", SchemaError, "line 3: non-finite"),
+             exact("line 3: column 'frame' is not an integer: '-9223372036854775809'")),
+            ("0,a,0,0,1,1\n1,a,nan,0,2,1\n99999999999999999999,a,1,0,2,1\n", SchemaError,
+             exact("line 3: column 'x1' is not finite: 'nan'")),
             # np.loadtxt reads these as numbers: \x1c-\x1f as whitespace, and a non-Latin-1 character
             # in an integer cell through C's isdigit
-            ("0,a,0,0,1,1\n1\x1f,a,1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
-            ("0,a,0,0,1,1\n1,a,\x1c1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
-            ("0,a,0,0,1,1\n1\U0009c6ca,a,1,0,2,1\n", SchemaError, "line 3: malformed numeric field"),
+            ("0,a,0,0,1,1\n1\x1f,a,1,0,2,1\n", SchemaError,
+             exact("line 3: column 'frame' is not an integer: '1\\x1f'")),
+            ("0,a,0,0,1,1\n1,a,\x1c1,0,2,1\n", SchemaError, exact("line 3: column 'x1' is not a number: '\\x1c1'")),
+            ("0,a,0,0,1,1\n1\U0009c6ca,a,1,0,2,1\n", SchemaError,
+             exact("line 3: column 'frame' is not an integer: '1\\U0009c6ca'")),
         ],
     )
     def test_malformed_row_names_line(self, body, error, match):
@@ -100,7 +108,7 @@ class TestParse:
             parse_trajectories(HEADER + body, fps=30.0)
 
     def test_first_faulty_line_is_reported(self):
-        with pytest.raises(SchemaError, match="line 3: non-finite"):
+        with pytest.raises(SchemaError, match=exact("line 3: column 'x1' is not finite: 'nan'")):
             parse_trajectories(HEADER + "0,a,0,0,1,1\n1,a,nan,0,2,1\n2,a,1,0\n", fps=30.0)
 
     def test_whitespace_only_rows_skipped(self):
@@ -249,7 +257,7 @@ class TestParseAgainstRowLoop:
         corners = rng.normal(0, 99, (4, 20_000))
         text = csv_text(trajectories.TRAJECTORY_COLUMNS, [np.arange(20_000) // 50, vids, *corners])
         want = _outcome(parse_trajectories_oracle, text)
-        monkeypatch.setattr(trajectories, "_read_row_by_row", lambda records: pytest.fail("read row by row"))
+        monkeypatch.setattr(trajectories.CsvRecords, "read", lambda self, dtype: pytest.fail("read row by row"))
         assert _outcome(parsed_vehicles, text) == want
         assert len(want) == 50
 
