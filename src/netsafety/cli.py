@@ -4,8 +4,12 @@ Subcommands cover the whole pipeline: ``synth`` generates a desk-scale
 scenario bundle, ``project`` maps pixel trajectories into world meters,
 ``metrics`` extracts per-interval network metrics, ``ssm`` emits pairwise
 surrogate metrics, and ``associate``/``shapley`` run the crash-association
-statistics. All randomness flows from the single config seed, so repeated
-runs produce byte-identical outputs.
+statistics. Repeated runs produce byte-identical outputs. Each seed is read
+where it is used: ``synth`` draws from its scenario spec's ``seed`` (or
+``--seed``), and ``associate``/``shapley`` read ``analysis.seed`` (or
+``--seed``), which seeds the cross-validation folds. The config's root
+``seed`` is written by ``synth`` and read by no command; no other command
+draws random numbers.
 
 Exit codes: 0 on success, 2 for input/schema/fit errors (a JSON error
 object is printed to stderr).

@@ -268,14 +268,20 @@ class CsvRecords:
         loadtxt reads this dialect (a ``#`` is no comment, a quoted cell may span lines), but
         it raises ValueError on a blank row other than an empty line, on a short row and on
         a cell ``dtype`` cannot take; so does a non-finite number, which loadtxt takes. The
-        rows are then still there to read. On ASCII text without the separators \\x1c-\\x1f
-        it reads numbers as int()/float() do. Other text raises ValueError before loadtxt
-        runs: loadtxt takes \\x1c-\\x1f for whitespace, which int()/float() refuse, and tests
-        an integer cell's characters above \\xff with C's isdigit, reading outside its table
-        (a crash, or a digit that is none).
+        rows are then still there to read. On text without the separators \\x1c-\\x1f it
+        reads numbers as int()/float() do; text holding one raises ValueError before loadtxt
+        runs, as loadtxt takes them for whitespace, which int()/float() refuse. loadtxt reads
+        the bytes as latin-1. Every non-ASCII character of UTF-8 starts with a byte in
+        \\xc2-\\xf4, which latin-1 reads as a character in Â-ô, neither a digit, a sign nor
+        whitespace, so a number or integer cell holding one is refused; text cells are
+        decoded again as UTF-8, once per distinct cell. Bytes that are not UTF-8 raise
+        UnicodeDecodeError, a ValueError, before loadtxt runs.
         """
-        if not self._data.isascii() or any(bytes([c]) in self._data for c in range(0x1C, 0x20)):
+        if any(bytes([c]) in self._data for c in range(0x1C, 0x20)):
             raise ValueError("text np.loadtxt reads differently from int()/float()")
+        is_ascii = self._data.isascii()
+        if not is_ascii:
+            self._data.decode("utf-8", "surrogatepass")
         names = list(dtype.names)
         usecols = [self.col[name] for name in names]
         if self._width - 1 not in usecols:  # so that loadtxt refuses a row shorter than the header
@@ -291,6 +297,11 @@ class CsvRecords:
             self._stream.seek(start)
         if not all(np.isfinite(table[name]).all() for name in names if dtype[name].kind == "f"):
             raise ValueError("a number that is not finite")
+        text_names = [] if is_ascii else [name for name in names if dtype[name].kind == "O"]
+        for name in text_names:
+            cells = table[name].tolist()
+            text = {cell: cell.encode("latin-1").decode("utf-8", "surrogatepass") for cell in set(cells)}
+            table[name] = list(map(text.__getitem__, cells))
         return table
 
     def _next(self) -> list[str] | None:

@@ -608,6 +608,41 @@ def shapley_oracle(d):
     return phi, values, degenerate
 
 
+def shapley_values_oracle(d):
+    """``shapley_values`` with every coalition slice tested for rank, one SVD stack per coalition size.
+
+    The same QR slices, rank test and attribution as the library, without its one-SVD
+    shortcut for a full design that passes the test by a margin, so the two agree bit for bit.
+    """
+    from netsafety.errors import DataError
+    from netsafety.stats.regression import adjusted_r2, independent_columns, ols_fit
+    from netsafety.stats.shapley import ShapleyReport, _members, _phi
+
+    m, n = d.m, d.n
+    r = np.linalg.qr(np.column_stack([np.ones(n), d.x, d.y]), mode="r")
+    tss = float(np.sum((d.y - d.y.mean()) ** 2))
+    values = np.zeros(1 << m)
+    degenerate = []
+    for k in range(1, m + 1):
+        combos = np.array(list(itertools.combinations(range(m), k)))
+        masks = (1 << combos).sum(axis=1)
+        cols = np.hstack([np.zeros((len(combos), 1), int), combos + 1, np.full((len(combos), 1), m + 1)])
+        slices = r[:, cols].transpose(1, 0, 2)
+        sv = np.linalg.svd(slices[:, :, :-1], compute_uv=False)
+        full = sv[:, -1] > sv[:, 0] * n * np.finfo(float).eps
+        if full.any():
+            if tss == 0:
+                raise DataError("R-squared undefined: response is constant (TSS = 0)")
+            ess = np.sum(np.linalg.qr(slices[full], mode="r")[:, 1:-1, -1] ** 2, axis=1)
+            values[masks[full]] = adjusted_r2(ess / tss, n, k + 1)
+        for combo, mask in zip(combos[~full], masks[~full]):
+            keep = independent_columns(d.x[:, combo])
+            values[mask] = ols_fit(d.subset_columns(combo[keep])).adj_r2 if keep else 0.0
+            degenerate.append(int(mask))
+    flagged = [_members(mask, m) for mask in sorted(degenerate)]
+    return ShapleyReport(list(d.predictor_names), _phi(values, m), values, flagged)
+
+
 def pooled_abs_r_oracle(per_segment):
     """Cross-segment combination rows by stacking each subset's rows and correlating them.
 

@@ -462,7 +462,8 @@ class TestSsmCommand:
         # Edited copy: rows interleaved, and the most frequent leader's track cut by a gap
         # longer than max_gap into two runs, the first moved forward to end 20 m ahead of
         # where the second starts, so the second run starts behind the first's furthest point.
-        leaders = [row["leader_id"] for row in csv.DictReader((out / "ssm.csv").open())]
+        with (out / "ssm.csv").open() as f:
+            leaders = [row["leader_id"] for row in csv.DictReader(f)]
         vid = max(set(leaders), key=leaders.count)
         header, *rows = infile.read_text().splitlines(keepends=True)
         own = [i for i, row in enumerate(rows) if row.split(",")[1] == vid]
@@ -497,7 +498,8 @@ class TestSsmCommand:
         infile.write_text("\n".join(rows) + "\n")
         out = tmp_path / "ssm.csv"
         assert main(["ssm", "--config", str(config), "--in", str(infile), "--out", str(out)]) == 0
-        pairs = list(csv.DictReader(out.open()))
+        with out.open() as f:
+            pairs = list(csv.DictReader(f))
         assert [(p["t"], p["follower_id"], p["leader_id"]) for p in pairs] == [
             (f"{f}.0", "F", "L") for f in range(8, 12)
         ]

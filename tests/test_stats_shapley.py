@@ -3,8 +3,9 @@ import pytest
 
 from netsafety.errors import DataError, ParameterError
 from netsafety.stats import Dataset, shapley_from_game, shapley_values
+from netsafety.stats import shapley
 
-from oracles import shapley_oracle, shapley_permutation_oracle
+from oracles import shapley_oracle, shapley_permutation_oracle, shapley_values_oracle
 
 
 class TestGameEnumeration:
@@ -154,3 +155,93 @@ class TestAgainstPerCoalitionOracle:
         x, _ = random_regression(13)
         with pytest.raises(DataError, match="response is constant"):
             shapley_values(Dataset(x, np.full(50, 2.0), list("abcde")))
+
+
+def assert_bit_identical_to_per_size_oracle(d):
+    """phi, every coalition value and the degenerate coalitions are those of the per-size rank test, bit for bit."""
+    report, oracle = shapley_values(d), shapley_values_oracle(d)
+    assert np.array(report.phi).tobytes() == np.array(oracle.phi).tobytes()
+    assert report.coalition_values.tobytes() == oracle.coalition_values.tobytes()
+    assert report.degenerate_coalitions == oracle.degenerate_coalitions
+    return report
+
+
+def near_collinear(seed, delta, n=40):
+    """Four predictors, the fourth the second plus noise of size delta."""
+    x, y = random_regression(seed, n=n, m=4)
+    x[:, 3] = x[:, 1] + delta * np.random.default_rng(seed).normal(size=n)
+    return Dataset(x, y, list("abcd"))
+
+
+def rank_test_factor(d):
+    """How many times over the full design passes the rank test s_min > s_max * n * eps."""
+    r = np.linalg.qr(np.column_stack([np.ones(d.n), d.x, d.y]), mode="r")
+    sv = np.linalg.svd(r[:, :-1], compute_uv=False)
+    return sv[-1] / (sv[0] * d.n * np.finfo(float).eps)
+
+
+def near_threshold_design():
+    """Passes the rank test on every coalition, but the full design by less than shapley.RANK_TEST_MARGIN."""
+    d = near_collinear(0, 1e-12)
+    assert 1 < rank_test_factor(d) < shapley.RANK_TEST_MARGIN
+    return d
+
+
+class TestAgainstPerSizeOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_designs(self, seed):
+        m = 1 + seed
+        x, y = random_regression(seed, n=30 + 10 * seed, m=m)
+        x *= 10.0 ** np.arange(-3, m - 3)  # columns of unlike scales, as metrics are
+        report = assert_bit_identical_to_per_size_oracle(Dataset(x, y, [f"p{i}" for i in range(m)]))
+        assert report.degenerate_coalitions == []
+
+    def test_near_threshold_design(self):
+        report = assert_bit_identical_to_per_size_oracle(near_threshold_design())
+        assert report.degenerate_coalitions == []
+
+    def test_near_collinear_column_failing_the_test(self):
+        d = near_collinear(0, 1e-14)
+        assert rank_test_factor(d) < 1
+        report = assert_bit_identical_to_per_size_oracle(d)
+        assert frozenset({1, 3}) in report.degenerate_coalitions
+
+    @pytest.mark.parametrize("case", ["duplicated", "collinear", "constant"])
+    def test_duplicated_or_collinear_columns(self, case):
+        x, y = random_regression(20)
+        if case == "duplicated":
+            x[:, 3] = x[:, 1]
+        elif case == "collinear":
+            x[:, 4] = 0.5 * x[:, 0] - 2.0 * x[:, 2]
+        else:
+            x[:, 2] = 0.7
+        report = assert_bit_identical_to_per_size_oracle(Dataset(x, y, list("abcde")))
+        assert report.degenerate_coalitions
+
+    def test_fewest_rows(self):
+        x, y = random_regression(21, n=7, m=5)  # n = M + 2
+        report = assert_bit_identical_to_per_size_oracle(Dataset(x, y, list("abcde")))
+        assert len(report.coalition_values) == 32
+
+
+class TestOneRankTest:
+    @staticmethod
+    def svd_calls(monkeypatch, d):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+        shapley_values(d)
+        return len(calls)
+
+    def test_well_conditioned_design_takes_one_svd(self, monkeypatch):
+        x, y = random_regression(30, m=6)
+        assert self.svd_calls(monkeypatch, Dataset(x, y, list("abcdef"))) == 1
+
+    def test_near_threshold_design_tests_every_size(self, monkeypatch):
+        assert self.svd_calls(monkeypatch, near_threshold_design()) == 1 + 4
+
+    def test_coalition_tables_are_built_once_read_only(self):
+        tables = shapley._coalition_tables(5)
+        assert shapley._coalition_tables(5) is tables
+        assert [len(masks) for _, masks, _ in tables] == [5, 10, 10, 5, 1]
+        assert not any(table.flags.writeable for size in tables for table in size)

@@ -250,16 +250,30 @@ class TestParseAgainstRowLoop:
         (traj,) = parse_trajectories(HEADER + "0,a,0,0,1,1\n9223372036854775807,a,1,0,2,1\n", 4.0)
         assert traj.frames.tolist() == [0, 2**63 - 1]
 
-    def test_clean_text_is_read_without_the_row_loop(self, monkeypatch):
+    @staticmethod
+    def assert_read_without_the_row_loop(monkeypatch, last_id):
         rng = np.random.default_rng(5)
         code = np.arange(20_000) % 50
-        vids = trajectories.CodedColumn([f"v{i}" for i in range(49)] + ["a,b"], code)  # one id quoted
+        vids = trajectories.CodedColumn([f"v{i}" for i in range(49)] + [last_id], code)
         corners = rng.normal(0, 99, (4, 20_000))
         text = csv_text(trajectories.TRAJECTORY_COLUMNS, [np.arange(20_000) // 50, vids, *corners])
         want = _outcome(parse_trajectories_oracle, text)
         monkeypatch.setattr(trajectories.CsvRecords, "read", lambda self, dtype: pytest.fail("read row by row"))
         assert _outcome(parsed_vehicles, text) == want
         assert len(want) == 50
+
+    def test_clean_text_is_read_without_the_row_loop(self, monkeypatch):
+        self.assert_read_without_the_row_loop(monkeypatch, "a,b")  # one id quoted
+
+    # UTF-8 whose continuation bytes latin-1 reads as whitespace (\x85, \xa0), 3- and 4-byte characters,
+    # and ids that strip to a shorter one only as Unicode text
+    @pytest.mark.parametrize("last_id", ["é", "à,Å", "v\u00a0", "\u0085x", "路口 7", "\U0001f697\u3000"])
+    def test_non_ascii_ids_are_read_without_the_row_loop(self, monkeypatch, last_id):
+        self.assert_read_without_the_row_loop(monkeypatch, last_id)
+
+    def test_bytes_that_are_not_utf8_raise_as_in_the_row_loop(self):
+        with pytest.raises(UnicodeDecodeError):  # loadtxt would take the lone \xa0 for whitespace
+            parse_trajectories(HEADER.encode() + b"0,a,0,0,1,1\xa0\n", 4.0)
 
     @pytest.mark.parametrize("body", ["", "\n", "\n  \n", ",,,,,\n", "\t\n"])
     def test_header_only_reads_no_rows_without_warning(self, body):
