@@ -107,23 +107,25 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     segments = spec.segment_configs()
 
-    traj_csvs = synth.generate_trajectories(spec)
+    # Interval metrics feed the planted crash model. An intercept-only plant reads no metric, only
+    # each row's segment and window, so its table holds the keys alone and the metrics pass is skipped.
+    # A plant that reads one runs the pass on the trajectory tables the simulation builds with its text.
+    beta_star, windows = spec.beta_star or {"intercept": 1.5}, spec.windows()
+    trajs = None if beta_star.keys() <= {"intercept"} else {}
+    traj_csvs = synth.generate_trajectories(spec, tables=trajs)
     for sid, text in traj_csvs.items():
         (out / f"trajectories_{sid}.csv").write_text(text)
     (out / "keypoints.json").write_text(synth.identity_keypoints_json(spec, plane))
 
-    # Interval metrics feed the planted crash model. An intercept-only plant reads no metric, only
-    # each row's segment and window, so its table holds the keys alone and the metrics pass is skipped.
-    beta_star, windows = spec.beta_star or {"intercept": 1.5}, spec.windows()
-    tables = []
-    for seg in segments:
-        if beta_star.keys() <= {"intercept"}:
-            tables.append(network_metrics.MetricsTable.build(
-                [seg.segment_id] * len(windows), seg.osr_thresholds,
-                interval_start=[t0 for t0, _ in windows], interval_end=[t1 for _, t1 in windows]))
-        else:
-            trajs = trajectories.parse_trajectories(traj_csvs[seg.segment_id], spec.fps)
-            tracks = trajectories.prepare_tracks(trajs, seg.travel_axis)
+    if trajs is None:
+        tables = [network_metrics.MetricsTable.build(
+            [seg.segment_id] * len(windows), seg.osr_thresholds,
+            interval_start=[t0 for t0, _ in windows], interval_end=[t1 for _, t1 in windows]) for seg in segments]
+    else:
+        del traj_csvs, text  # written: the metrics pass does not hold the text beside the tables
+        tables = []
+        for seg in segments:
+            tracks = trajectories.prepare_tracks(trajs.pop(seg.segment_id), seg.travel_axis)
             tables.append(network_metrics.compute_interval_metrics(
                 tracks, seg, network_metrics.ClusterConfig(), spec.fps, windows))
     plant = synth.generate_crash_counts(tables, beta_star, noise_kind=spec.noise_kind, seed=spec.seed,

@@ -26,7 +26,7 @@ from .crashes import SLOT_MINUTES
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
 from .network_metrics import MetricsTable, SegmentConfig, column_names, window_frames
-from .trajectories import TRAJECTORY_COLUMNS, CodedColumn, csv_text
+from .trajectories import TRAJECTORY_COLUMNS, CodedColumn, Trajectory, csv_text
 
 HEADWAY_S = 2.0
 CAR_LENGTH_M = 4.5
@@ -224,7 +224,7 @@ def _simulate_segment(spec: ScenarioSpec, segment_idx: int) -> tuple:
     return ids, np.array(queues, dtype=np.int64), np.array(lengths), number, step, x
 
 
-def generate_trajectories(spec: ScenarioSpec) -> dict[str, str]:
+def generate_trajectories(spec: ScenarioSpec, tables: dict[str, Trajectory] | None = None) -> dict[str, str]:
     """Trajectory CSV text per segment id, covering every interval of the scenario.
 
     The text is a pure function of the spec, and the order of the random draws is part
@@ -235,6 +235,10 @@ def generate_trajectories(spec: ScenarioSpec) -> dict[str, str]:
     by frame; only the order of each generator's own draws is kept. In a frame without
     a spawn an interval's normals are contiguous and come from one call. Any rewrite
     must keep that stream, so that the files stay byte-identical.
+
+    Given ``tables``, it also fills it with each segment's Trajectory, built from the same
+    arrays as the text. Floats are written as their round-trip repr, so each table equals
+    ``parse_trajectories(text, spec.fps)`` bit for bit, without parsing the text.
     """
     out: dict[str, str] = {}
     base_frame = np.array([round(i * spec.slot_seconds * spec.fps) for i in range(spec.n_intervals)], dtype=np.int64)
@@ -246,10 +250,17 @@ def generate_trajectories(spec: ScenarioSpec) -> dict[str, str]:
         number, x, half = number[order], x[order], lengths[number[order]] / 2.0
         interval, lane = np.divmod(queues[number], spec.lane_count)
         y_c = k * SEGMENT_SPACING_M + (np.arange(spec.lane_count) + 0.5) * LANE_WIDTH_M
+        frames, x1, x2 = base_frame[interval] + step[order], x - half, x + half
+        y1, y2 = y_c - VEHICLE_WIDTH_M / 2.0, y_c + VEHICLE_WIDTH_M / 2.0
         out[sid] = csv_text(TRAJECTORY_COLUMNS, [
-            base_frame[interval] + step[order], CodedColumn(ids, number), x - half,
-            CodedColumn(y_c - VEHICLE_WIDTH_M / 2.0, lane), x + half, CodedColumn(y_c + VEHICLE_WIDTH_M / 2.0, lane),
+            frames, CodedColumn(ids, number), x1, CodedColumn(y1, lane), x2, CodedColumn(y2, lane),
         ])
+        if tables is not None:
+            sizes = np.bincount(rank[number], minlength=len(ids))  # rows per vehicle, by id rank
+            kept = np.flatnonzero(sizes)  # a vehicle that left before its first frame has no row, and no place
+            by_rank = sorted(ids)
+            tables[sid] = Trajectory([by_rank[r] for r in kept.tolist()], np.concatenate([[0], np.cumsum(sizes[kept])]),
+                                     frames, np.column_stack([x1, y1[lane], x2, y2[lane]]), spec.fps)
     return out
 
 

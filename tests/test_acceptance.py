@@ -56,6 +56,7 @@ from oracles import (
     shapley_permutation_oracle,
     chi2_sf_oracle,
 )
+from test_cli import few_rows, warns_exactly
 
 
 @contextmanager
@@ -368,7 +369,8 @@ def test_criterion_10_pipeline_determinism(tmp_path):
                      "--out", str(out / f"world_{sid}.csv")]
                 ) == 0
             assert main(["metrics", "--config", config]) == 0
-            assert main(["associate", "--config", config]) == 0
+            with warns_exactly(few_rows(20)):
+                assert main(["associate", "--config", config]) == 0
             digests.append(
                 {
                     name: (out / name).read_bytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
+from netsafety import synth, trajectories
 from netsafety.cli import main
 from netsafety.crashes import parse_crashes
 from netsafety.errors import ParameterError
@@ -303,6 +304,86 @@ def test_synth_bundle_bytes_are_pinned(tmp_path):
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path)]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert digests == GOLDEN_SPEC_DIGESTS
+
+
+GOLDEN_SPEC = Path(__file__).resolve().parent / "golden" / "spec.json"
+
+
+def test_metric_plant_synth_parses_no_trajectory_text(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("synth parsed trajectory text")
+
+    monkeypatch.setattr(trajectories, "parse_trajectories", refuse)
+    assert json.loads(GOLDEN_SPEC.read_text())["beta_star"].keys() > {"intercept"}
+    assert main(["synth", "--spec", str(GOLDEN_SPEC), "--out", str(tmp_path)]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == GOLDEN_SPEC_DIGESTS
+
+
+# The bench workloads' specs (perfbench/workloads.json), copied here so that this suite reads no perfbench file.
+BENCH_WORKLOAD_SPECS = {
+    "corridor": dict(beta_star={"intercept": 2.3, "osr_1.0": 0.18, "ovvr": 0.18, "ntc": 0.18}, noise_kind="gaussian",
+                     n_intervals=60),
+    "congested": dict(n_segments=2, n_intervals=12, interval_seconds=8.0, lane_count=4, segment_length_m=250.0,
+                      flow_veh_per_min=(600.0, 700.0), speed_mean=(4.0, 20.0), speed_std=(0.5, 3.0),
+                      beta_star={"intercept": 1.5}),
+    "network": dict(n_segments=8, n_intervals=36, interval_seconds=4.0, flow_veh_per_min=(6.0, 14.0),
+                    beta_star={"intercept": 2.3, "osr_1.0": 0.18, "ovvr": 0.18, "ntc": 0.18}, noise_kind="gaussian"),
+}
+# (spec, whether a simulated vehicle leaves before its first frame); the bench workloads all have such vehicles.
+TABLE_SPECS = [
+    pytest.param(ScenarioSpec.from_json(GOLDEN_SPEC.read_bytes()), False, id="golden"),
+    *[pytest.param(ScenarioSpec(seed=seed, **kw), True, id=f"{name}-{seed}")
+      for name, kw in BENCH_WORKLOAD_SPECS.items() for seed in (1, 2)],
+]
+
+
+def assert_tables_equal_the_parse(spec, texts, tables):
+    assert tables.keys() == texts.keys() == set(spec.segment_ids())
+    for sid, table in tables.items():
+        parsed = parse_trajectories(texts[sid], spec.fps)
+        assert table.vehicle_ids == parsed.vehicle_ids
+        assert table.bounds.tolist() == parsed.bounds.tolist()
+        assert (table.frames.dtype, table.frames.tolist()) == (parsed.frames.dtype, parsed.frames.tolist())
+        assert table.boxes.shape == parsed.boxes.shape and table.boxes.tobytes() == parsed.boxes.tobytes()
+        assert table.fps == parsed.fps
+
+
+@pytest.mark.parametrize("spec, drops", TABLE_SPECS)
+def test_simulated_tables_equal_the_parse_of_their_text_bit_for_bit(spec, drops):
+    tables = {}
+    texts = generate_trajectories(spec, tables=tables)
+    assert_tables_equal_the_parse(spec, texts, tables)
+    # A vehicle that leaves before its first frame is simulated but has no row: the table drops it.
+    simulated = sum(len(synth._simulate_segment(spec, k)[0]) for k in range(spec.n_segments))
+    assert (simulated > sum(len(table) for table in tables.values())) == drops
+
+
+# sha256 of every file ``netsafety synth`` writes for a zero-flow scenario with a metric plant, pinned
+# while the plant pass still parsed the trajectory text.
+ZERO_FLOW_SPEC = {"n_segments": 2, "n_intervals": 6, "interval_seconds": 20.0, "flow_veh_per_min": [0, 0],
+                  "beta_star": {"intercept": 1.8, "osr_1.0": 0.3}}
+ZERO_FLOW_DIGESTS = {
+    "config.json": "b1ac419c8dafaaa5a32758a7485f09b59529d7aceca4875ab04f200a97a00aab",
+    "crashes.csv": "9d3488109a09c7a36eb586365600f5295bcfa32d3238698f9ae501515f0ace97",
+    "keypoints.json": "8b9703ee870d8f51f3f5e95a4b926471c19eeebdce3e4ce87676345c3e671984",
+    "plant.json": "be2ae8ee33ba091f2f6bd2475ed5be0715a672b72d93243ee4692c48357fbb7d",
+    "scenario.json": "9c089b228ef1b980538c1eec67cba9e5f30b474d3045d4228ffdd114ea63c734",
+    "trajectories_S1.csv": "2d29eafca9ff32ad573ac15ae2b8266a399fbdf4d2b873b269898ecd3d334190",
+    "trajectories_S2.csv": "2d29eafca9ff32ad573ac15ae2b8266a399fbdf4d2b873b269898ecd3d334190",
+}
+
+
+def test_zero_flow_metric_plant_runs_on_empty_tables(tmp_path):
+    spec = ScenarioSpec(**ZERO_FLOW_SPEC)
+    tables = {}
+    texts = generate_trajectories(spec, tables=tables)
+    assert_tables_equal_the_parse(spec, texts, tables)
+    assert all(len(table) == 0 and table.boxes.shape == (0, 4) for table in tables.values())
+    (tmp_path / "spec.json").write_text(json.dumps(ZERO_FLOW_SPEC))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in (tmp_path / "o").iterdir()}
+    assert digests == ZERO_FLOW_DIGESTS
 
 
 # sha256 of every file ``netsafety synth`` writes for an intercept-only plant (the spec's default
