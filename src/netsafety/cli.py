@@ -73,16 +73,8 @@ def _read(path: Path) -> bytes:
 
 
 def _prepare_segment_tracks(cfg: RunConfig, segment, path: Path):
-    trajs = trajectories.parse_trajectories(_read(path), cfg.fps)
-    return trajectories.prepare_tracks(
-        trajs,
-        segment.travel_axis,
-        max_gap=cfg.prep.max_gap_frames,
-        sg_window=cfg.prep.sg_window,
-        sg_order=cfg.prep.sg_order,
-        class_threshold_m=cfg.prep.class_threshold_m,
-        min_displacement_m=cfg.prep.min_displacement_m,
-    )
+    return trajectories.prepare_tracks(trajectories.parse_trajectories(_read(path), cfg.fps), segment.travel_axis,
+                                       cfg.prep)
 
 
 def _windows_for(cfg: RunConfig, tracks: trajectories.PreparedTracks) -> list[tuple[float, float]]:
@@ -153,16 +145,8 @@ def cmd_synth(args) -> int:
             "metrics": "metrics.csv",
         },
         "segments": [
-            {
-                "segment_id": seg.segment_id,
-                "lane_count": seg.lane_count,
-                "length_m": seg.length_m,
-                "speed_limit": seg.speed_limit,
-                "travel_axis": list(seg.travel_axis),
-                "osr_thresholds": list(seg.osr_thresholds),
-                "bbox": list(seg.bbox),
-                "trajectories": f"trajectories_{seg.segment_id}.csv",
-            }
+            {**{k: v for k, v in dataclasses.asdict(seg).items() if v is not None},
+             "trajectories": f"trajectories_{seg.segment_id}.csv"}
             for seg in segments
         ],
         "intervals": vars(spec.interval_grid()),
@@ -211,8 +195,7 @@ def cmd_metrics(args) -> int:
             raise NetSafetyError(f"no trajectory path configured for segment {seg.segment_id!r}")
         tracks = _prepare_segment_tracks(cfg, seg, paths[seg.segment_id])
         tables.append(network_metrics.compute_interval_metrics(
-            tracks, seg, cfg.cluster, cfg.fps, _windows_for(cfg, tracks), trt_theta=cfg.trt.theta,
-            trt_t_min=cfg.trt.t_min_seconds, free_flow=cfg.trt.free_flow))
+            tracks, seg, cfg.cluster, cfg.fps, _windows_for(cfg, tracks), cfg.trt))
     out = Path(args.out) if args.out else (cfg.metrics_path or cfg.output_dir / "metrics.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(network_metrics.write_metrics_csv(network_metrics.MetricsTable.concat(tables)))

@@ -19,14 +19,8 @@ from pathlib import Path
 from .association import AnalysisConfig
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
-from .network_metrics import DEFAULT_TRT_T_MIN_S, DEFAULT_TRT_THETA, ClusterConfig, SegmentConfig
-from .trajectories import (
-    DEFAULT_CLASS_THRESHOLD_M,
-    DEFAULT_MAX_GAP_FRAMES,
-    DEFAULT_MIN_DISPLACEMENT_M,
-    DEFAULT_SG_ORDER,
-    DEFAULT_SG_WINDOW,
-)
+from .network_metrics import ClusterConfig, SegmentConfig, TrtConfig
+from .trajectories import TrackPrepConfig
 
 _SCALARS = {int: (numbers.Integral, "an integer", "numbers"), float: (numbers.Real, "a number", "numbers"),
             str: (str, "a string", "strings")}  # annotation: (its values' type, what one must be, their plural)
@@ -107,21 +101,6 @@ def _section(cls, obj: dict, where: str, extra=()):
 
 
 @dataclass
-class TrackPrepConfig:
-    max_gap_frames: int = DEFAULT_MAX_GAP_FRAMES
-    sg_window: int = DEFAULT_SG_WINDOW
-    sg_order: int = DEFAULT_SG_ORDER
-    class_threshold_m: float = DEFAULT_CLASS_THRESHOLD_M
-    min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M
-
-    def __post_init__(self):
-        if not (self.max_gap_frames >= 0 and self.sg_window % 2 == 1 and self.sg_window > self.sg_order >= 0
-                and self.class_threshold_m > 0 and self.min_displacement_m >= 0):
-            raise ParameterError("prep needs max_gap_frames >= 0, an odd sg_window > sg_order >= 0, "
-                                 f"class_threshold_m > 0 and min_displacement_m >= 0, got {self}")
-
-
-@dataclass
 class IntervalGrid:
     """Explicit metric windows: ``count`` windows of ``window_seconds`` every stride."""
 
@@ -140,13 +119,6 @@ class IntervalGrid:
              self.start_seconds + i * self.stride_seconds + self.window_seconds)
             for i in range(self.count)
         ]
-
-
-@dataclass
-class TrtConfig:
-    theta: float = DEFAULT_TRT_THETA
-    t_min_seconds: float = DEFAULT_TRT_T_MIN_S
-    free_flow: float | None = None  # default: 85th percentile of frame mean speeds
 
 
 @dataclass
@@ -177,9 +149,10 @@ class RunConfig:
         return TangentPlane(self.anchor[0], self.anchor[1])
 
 
-_ROOT_KEYS = {"fps", "seed", "anchor", "paths", "segments", "crash_years",
-              "cluster", "prep", "intervals", "trt", "analysis"}
+_SECTIONS = {"cluster": ClusterConfig, "prep": TrackPrepConfig, "intervals": IntervalGrid, "trt": TrtConfig,
+             "analysis": AnalysisConfig}  # the RunConfig fields built from a JSON object of their own fields
 _ROOT_VALUES = ("fps", "seed", "anchor", "crash_years")  # the RunConfig fields set from JSON as they are
+_ROOT_KEYS = {*_SECTIONS, *_ROOT_VALUES, "paths", "segments"}
 _PATH_KEYS = {"output_dir", "keypoints", "crashes", "metrics"}
 
 
@@ -219,22 +192,19 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
             with typed(f"config segments[{i}]"):
                 trajectory_paths[cfg.segment_id] = resolve(check_value(str, seg["trajectories"], "trajectories"))
 
-    analysis = _section(AnalysisConfig, obj.get("analysis", {}), "config analysis")
-    for entry in analysis.exclude_slots:
-        if all(s.segment_id != entry[0] for s in segments):
-            raise SchemaError(f"config analysis exclude_slots entry {list(entry)} names no segment of the config")
+    sections = {key: _section(cls, obj[key], f"config {key}") for key, cls in _SECTIONS.items() if key in obj}
     root = _checked_fields(RunConfig, {key: obj[key] for key in _ROOT_VALUES if key in obj}, "config root")
-    return RunConfig(
+    cfg = RunConfig(
         **{**root, "fps": float(root["fps"])},
+        **sections,
         output_dir=paths.get("output_dir", base),
         segments=segments,
         trajectory_paths=trajectory_paths,
         keypoints_path=paths.get("keypoints"),
         crashes_path=paths.get("crashes"),
         metrics_path=paths.get("metrics"),
-        cluster=_section(ClusterConfig, obj.get("cluster", {}), "config cluster"),
-        prep=_section(TrackPrepConfig, obj.get("prep", {}), "config prep"),
-        intervals=_section(IntervalGrid, obj["intervals"], "config intervals") if "intervals" in obj else None,
-        trt=_section(TrtConfig, obj.get("trt", {}), "config trt"),
-        analysis=analysis,
     )
+    for entry in cfg.analysis.exclude_slots:
+        if all(s.segment_id != entry[0] for s in segments):
+            raise SchemaError(f"config analysis exclude_slots entry {list(entry)} names no segment of the config")
+    return cfg

@@ -21,8 +21,6 @@ from .trajectories import CsvRecords, PreparedTracks, VehicleClass, csv_text
 
 VEHICLE_CLASSES = (VehicleClass.CAR, VehicleClass.TRUCK)
 
-DEFAULT_TRT_THETA = 0.5
-DEFAULT_TRT_T_MIN_S = 30.0
 FREE_FLOW_PERCENTILE = 85.0
 
 
@@ -56,6 +54,10 @@ class SegmentConfig:
         if any(t < 1.0 for t in thetas) or any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ParameterError(f"osr_thresholds must be strictly increasing and >= 1.0, got {thetas}")
         object.__setattr__(self, "osr_thresholds", thetas)
+        if self.bbox is not None and not (self.bbox[0] <= self.bbox[2] and self.bbox[1] <= self.bbox[3]):
+            # A ValueError: config.typed reports it as a value of the wrong form, naming the segment.
+            raise ValueError("bbox must be [xmin, ymin, xmax, ymax] with xmin <= xmax and ymin <= ymax, "
+                             f"got {list(self.bbox)}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,19 @@ class ClusterConfig:
             raise ParameterError("cluster distance threshold must be >= 0")
         if self.membership_rate <= 0:
             raise ParameterError("membership refresh rate must be positive")
+
+
+@dataclass(frozen=True)
+class TrtConfig:
+    """Congestion recovery time: the speed threshold as a share of free flow and the shortest episode counted."""
+
+    theta: float = 0.5
+    t_min_seconds: float = 30.0
+    free_flow: float | None = None  # m/s; default: 85th percentile of frame mean speeds
+
+    def __post_init__(self):
+        if not (0 < self.theta < 1 and self.t_min_seconds > 0 and (self.free_flow is None or self.free_flow > 0)):
+            raise ParameterError(f"trt needs 0 < theta < 1, t_min_seconds > 0 and free_flow null or > 0, got {self}")
 
 
 @dataclass
@@ -371,8 +386,8 @@ def ntc(per_frame_total_length: Sequence[float], lane_count: int, length_m: floa
 def detect_congestion_events(
     speed_series: Sequence[tuple[float, float]],
     free_flow: float,
-    theta: float = DEFAULT_TRT_THETA,
-    t_min: float = DEFAULT_TRT_T_MIN_S,
+    theta: float = TrtConfig.theta,
+    t_min: float = TrtConfig.t_min_seconds,
 ) -> list[CongestionEvent]:
     """Below-threshold speed episodes lasting at least t_min.
 
@@ -381,10 +396,7 @@ def detect_congestion_events(
     An episode still open at the end of the series is closed there and
     marked censored.
     """
-    if not 0 < theta < 1:
-        raise ParameterError(f"theta must be in (0, 1), got {theta}")
-    if t_min <= 0:
-        raise ParameterError(f"t_min must be positive, got {t_min}")
+    TrtConfig(theta, t_min)  # refuses either out of range
     threshold = theta * free_flow
     events: list[CongestionEvent] = []
     t_begin: float | None = None
@@ -556,10 +568,7 @@ def compute_interval_metrics(
     cluster_cfg: ClusterConfig,
     fps: float,
     windows: Sequence[tuple[float, float]],
-    *,
-    trt_theta: float = DEFAULT_TRT_THETA,
-    trt_t_min: float = DEFAULT_TRT_T_MIN_S,
-    free_flow: float | None = None,
+    trt_cfg: TrtConfig = TrtConfig(),
 ) -> MetricsTable:
     """Compute every network-level metric for each [t_start, t_end) window.
 
@@ -575,8 +584,7 @@ def compute_interval_metrics(
     table = SampleTable.build(tracks, segment.travel_axis)
     present, starts, sizes = table.frames()
     bounds = np.append(starts, table.frame.size)
-    if free_flow is None:
-        free_flow = table.free_flow_speed()
+    free_flow = table.free_flow_speed() if trt_cfg.free_flow is None else trt_cfg.free_flow
     follower, _, _, closing, ttc = table.leader_pairs()
     pair_frame = table.frame[follower[closing > 0]]
     pair_ttc = ttc[closing > 0]
@@ -629,7 +637,7 @@ def compute_interval_metrics(
 
     def window_trt(a: int, b: int) -> float | None:
         series = zip((present[a:b] / fps).tolist(), frame_speed[a:b].tolist())
-        return trt(detect_congestion_events(list(series), free_flow, trt_theta, trt_t_min))
+        return trt(detect_congestion_events(list(series), free_flow, trt_cfg.theta, trt_cfg.t_min_seconds))
 
     def window_ntc(a: int, b: int) -> float:
         return ntc(length_at[a - first : b - first], segment.lane_count, segment.length_m)

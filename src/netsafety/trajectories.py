@@ -27,12 +27,22 @@ _CORNERS = TRAJECTORY_COLUMNS[2:]
 _TRAJECTORY_DTYPE = np.dtype([("frame", np.int64), ("vehicle_id", object), *((c, np.float64) for c in _CORNERS)])
 CSV_CHUNK_ROWS = 1024
 
-#: Default track-repair / smoothing parameters (30 fps assumptions).
-DEFAULT_MAX_GAP_FRAMES = 15
-DEFAULT_SG_WINDOW = 21
-DEFAULT_SG_ORDER = 3
-DEFAULT_CLASS_THRESHOLD_M = 8.0
-DEFAULT_MIN_DISPLACEMENT_M = 2.0
+
+@dataclass(frozen=True)
+class TrackPrepConfig:
+    """Track repair and smoothing parameters for ``prepare_tracks`` (30 fps assumptions)."""
+
+    max_gap_frames: int = 15
+    sg_window: int = 21
+    sg_order: int = 3
+    class_threshold_m: float = 8.0
+    min_displacement_m: float = 2.0
+
+    def __post_init__(self):
+        if not (self.max_gap_frames >= 0 and self.sg_window % 2 == 1 and self.sg_window > self.sg_order >= 0
+                and self.class_threshold_m > 0 and self.min_displacement_m >= 0):
+            raise ParameterError("prep needs max_gap_frames >= 0, an odd sg_window > sg_order >= 0, "
+                                 f"class_threshold_m > 0 and min_displacement_m >= 0, got {self}")
 
 
 class VehicleClass(str, Enum):
@@ -426,7 +436,8 @@ def write_csv(path, header: Sequence[str], columns: Iterable) -> None:
         out.writelines(csv_chunks(header, columns))
 
 
-def fill_gaps(table: Trajectory, max_gap: int = DEFAULT_MAX_GAP_FRAMES) -> tuple[Trajectory, list[tuple[int, int]]]:
+def fill_gaps(table: Trajectory,
+              max_gap: int = TrackPrepConfig.max_gap_frames) -> tuple[Trajectory, list[tuple[int, int]]]:
     """Fill each vehicle's missing frames (gap <= max_gap) by linear interpolation of the box corners.
 
     Longer gaps are left open and returned, in row order, as (last_frame_before,
@@ -512,7 +523,7 @@ def _smooth_runs(columns: np.ndarray, lo: np.ndarray, hi: np.ndarray, window: in
     return out
 
 
-def classify_by_length(length_m: float, threshold_m: float = DEFAULT_CLASS_THRESHOLD_M) -> VehicleClass:
+def classify_by_length(length_m: float, threshold_m: float = TrackPrepConfig.class_threshold_m) -> VehicleClass:
     """Car below the threshold, Truck at or above it."""
     if length_m <= 0:
         raise DataError(f"vehicle length must be positive, got {length_m}")
@@ -536,7 +547,8 @@ def box_length_along_axis(table: Trajectory, travel_axis: Sequence[float]) -> np
     return np.where(sizes % 2 == 1, lower, (lower + upper) / 2)  # as np.median takes them
 
 
-def drop_static_objects(table: Trajectory, min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M) -> Trajectory:
+def drop_static_objects(table: Trajectory,
+                        min_displacement_m: float = TrackPrepConfig.min_displacement_m) -> Trajectory:
     """Remove transitional/stationary non-vehicle tracks by net displacement, first centroid to last."""
     first, last = table.boxes[table.bounds[:-1]], table.boxes[table.bounds[1:] - 1]
     dx, dy = (0.5 * (last[:, :2] + last[:, 2:]) - 0.5 * (first[:, :2] + first[:, 2:])).T
@@ -577,26 +589,18 @@ class PreparedTracks:
                                  self.y[lo:hi], self.vx[lo:hi], self.vy[lo:hi])
 
 
-def prepare_tracks(
-    table: Trajectory,
-    travel_axis: Sequence[float],
-    *,
-    max_gap: int = DEFAULT_MAX_GAP_FRAMES,
-    sg_window: int = DEFAULT_SG_WINDOW,
-    sg_order: int = DEFAULT_SG_ORDER,
-    class_threshold_m: float = DEFAULT_CLASS_THRESHOLD_M,
-    min_displacement_m: float = DEFAULT_MIN_DISPLACEMENT_M,
-) -> PreparedTracks:
+def prepare_tracks(table: Trajectory, travel_axis: Sequence[float],
+                   prep: TrackPrepConfig = TrackPrepConfig()) -> PreparedTracks:
     """Full preparation pipeline: static filter, gap fill, smoothing, classify, kinematics, each over the whole table.
 
-    Tracks are split at gaps longer than ``max_gap``, and each gap-free run of >= 2 points becomes one run of the
-    returned table, in row order. Its vehicles are those left with a run, in the order of ``table``.
+    Tracks are split at gaps longer than ``prep.max_gap_frames``, and each gap-free run of >= 2 points becomes one
+    run of the returned table, in row order. Its vehicles are those left with a run, in the order of ``table``.
     """
-    moving = drop_static_objects(table, min_displacement_m)
-    filled, _ = fill_gaps(moving._select(np.diff(moving.bounds) >= 2), max_gap=max_gap)
+    moving = drop_static_objects(table, prep.min_displacement_m)
+    filled, _ = fill_gaps(moving._select(np.diff(moving.bounds) >= 2), max_gap=prep.max_gap_frames)
     frames, boxes, bounds = filled.frames, filled.boxes, filled.bounds
     lengths = box_length_along_axis(filled, travel_axis)
-    classes = [classify_by_length(length, class_threshold_m) for length in lengths.tolist()]
+    classes = [classify_by_length(length, prep.class_threshold_m) for length in lengths.tolist()]
 
     # A new run starts at each vehicle's first row and after each step the gap fill left above 1.
     starts = np.union1d(bounds[:-1], np.flatnonzero(np.diff(frames) > 1) + 1)
@@ -604,9 +608,9 @@ def prepare_tracks(
     keep = ends - starts >= 2
     rows = np.repeat(keep, ends - starts)  # the rows of the runs kept
     starts, ends = starts[keep], ends[keep]
-    long = ends - starts >= sg_window
+    long = ends - starts >= prep.sg_window
     if long.any():
-        boxes = _smooth_runs(boxes, starts[long], ends[long], sg_window, sg_order)
+        boxes = _smooth_runs(boxes, starts[long], ends[long], prep.sg_window, prep.sg_order)
 
     cx = 0.5 * (boxes[:, 0] + boxes[:, 2])
     cy = 0.5 * (boxes[:, 1] + boxes[:, 3])

@@ -374,8 +374,7 @@ def sample_table_oracle(tracks, travel_axis):
     )
 
 
-def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
-                            trt_theta=0.5, trt_t_min=30.0, free_flow=None):
+def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, trt_cfg):
     """``compute_interval_metrics`` by a loop over each window's frames.
 
     Per frame: length total and mean speed; at a refresh, union-find labels of
@@ -398,6 +397,7 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
     table = sample_table_oracle(tracks, segment.travel_axis)
     results = []
     have_data = table.frame.size > 0
+    free_flow = trt_cfg.free_flow
     if have_data:
         fmin, fmax = int(table.frame[0]), int(table.frame[-1])
         if free_flow is None:
@@ -464,7 +464,7 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, *,
         if p1 > p0:
             row.e_ttc = float(pair_ttc[p0:p1].mean())
         if free_flow is not None and series:
-            row.trt = nm.trt(nm.detect_congestion_events(series, free_flow, trt_theta, trt_t_min))
+            row.trt = nm.trt(nm.detect_congestion_events(series, free_flow, trt_cfg.theta, trt_cfg.t_min_seconds))
     return results
 
 
@@ -751,15 +751,17 @@ def trajectory_table_of(vehicles, fps):
                                dtype=float).reshape(-1, 4), fps)
 
 
-def prepare_tracks_oracle(vehicles, fps, travel_axis, *, max_gap, sg_window, sg_order, class_threshold_m,
-                          min_displacement_m):
+def prepare_tracks_oracle(vehicles, fps, travel_axis, prep):
     """``prepare_tracks`` of ``(vehicle_id, frames, boxes)`` vehicles at ``fps``, one vehicle and one run at a time.
 
-    Per vehicle: the static filter by displacement_oracle, the gap fill by fill_gaps_oracle, the
-    length by np.median of the box extents; per run: Savitzky-Golay by one np.correlate and two
-    projection matvecs per corner, velocities by np.diff. The runs are joined by prepared_tracks_of.
+    ``prep`` is the TrackPrepConfig that both take. Per vehicle: the static filter by displacement_oracle, the gap
+    fill by fill_gaps_oracle, the length by np.median of the box extents; per run: Savitzky-Golay by one
+    np.correlate and two projection matvecs per corner, velocities by np.diff. The runs are joined by
+    prepared_tracks_of.
     """
     from netsafety.trajectories import _sg_projection, classify_by_length
+
+    sg_window, sg_order = prep.sg_window, prep.sg_order
 
     def smooth(arr):
         proj = _sg_projection(sg_window, sg_order)
@@ -775,12 +777,12 @@ def prepare_tracks_oracle(vehicles, fps, travel_axis, *, max_gap, sg_window, sg_
     ux, uy = ux / norm, uy / norm
     prepared = []
     for vid, frames, boxes in vehicles:
-        if displacement_oracle(boxes) < min_displacement_m or len(frames) < 2:
+        if displacement_oracle(boxes) < prep.min_displacement_m or len(frames) < 2:
             continue
-        filled_frames, rows, flagged = fill_gaps_oracle(frames, boxes, max_gap)
+        filled_frames, rows, flagged = fill_gaps_oracle(frames, boxes, prep.max_gap_frames)
         filled_frames, b = np.array(filled_frames, dtype=np.int64), np.array(rows, dtype=float)
         length = float(np.median(np.abs((b[:, 2] - b[:, 0]) * ux) + np.abs((b[:, 3] - b[:, 1]) * uy)))
-        vclass = classify_by_length(length, class_threshold_m)
+        vclass = classify_by_length(length, prep.class_threshold_m)
         cuts = np.searchsorted(filled_frames, [after for _, after in flagged]).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, filled_frames.size]):
             if hi - lo < 2:

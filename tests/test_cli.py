@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from netsafety import association, cli, network_metrics, trajectories
-from netsafety.association import AnalysisConfig
 from netsafety.cli import _prepare_segment_tracks, main
-from netsafety.config import IntervalGrid, RunConfig, TrackPrepConfig, TrtConfig, load_config
-from netsafety.network_metrics import ClusterConfig, SegmentConfig, read_metrics_csv
+from netsafety.config import _ROOT_VALUES, _SECTIONS, RunConfig, load_config
+from netsafety.network_metrics import SegmentConfig, read_metrics_csv
 from netsafety.synth import ScenarioSpec
 from netsafety.trajectories import parse_trajectories
 
@@ -712,9 +711,8 @@ def _in(section, key, value):
     return lambda c: {**c, section: {**c.get(section, {}), key: value}}
 
 
-ANNOTATED = {"segments[0]": SegmentConfig, "cluster": ClusterConfig, "prep": TrackPrepConfig, "intervals": IntervalGrid,
-             "trt": TrtConfig, "analysis": AnalysisConfig, "root": RunConfig, "scenario spec": ScenarioSpec}
-ROOT_VALUES = ("fps", "seed", "anchor", "crash_years")  # the RunConfig fields the config's root sets
+# The loader's own section table and root values, so a section it gains is covered as it is added.
+ANNOTATED = {"segments[0]": SegmentConfig, **_SECTIONS, "root": RunConfig, "scenario spec": ScenarioSpec}
 
 
 def wrong_values(kind) -> dict:
@@ -736,7 +734,7 @@ def wrong_values(kind) -> dict:
 ANNOTATION_CASES = [
     pytest.param(where, name, value, id=f"{where.replace(' ', '_')}-{name}-{label}")
     for where, cls in ANNOTATED.items()
-    for name, kind in typing.get_type_hints(cls).items() if where != "root" or name in ROOT_VALUES
+    for name, kind in typing.get_type_hints(cls).items() if where != "root" or name in _ROOT_VALUES
     for label, value in wrong_values(kind).items()
 ]
 
@@ -814,10 +812,17 @@ class TestConfigValidation:
         ("prep", {"sg_order": -1}),
         ("prep", {"class_threshold_m": 0.0}),
         ("prep", {"min_displacement_m": -0.5}),
+        ("trt", {"free_flow": -3}),
+        ("trt", {"free_flow": 0}),
+        ("trt", {"theta": 2}),
+        ("trt", {"t_min_seconds": -5}),
     ], ids=["count", "window_seconds", "stride_seconds", "max_gap_frames", "sg_window_even",
-            "sg_window_not_above_order", "sg_order", "class_threshold_m", "min_displacement_m"])
+            "sg_window_not_above_order", "sg_order", "class_threshold_m", "min_displacement_m", "free_flow_negative",
+            "free_flow_zero", "theta", "t_min_seconds"])
     def test_out_of_range_value_exits_2_at_load(self, tmp_path, capsys, monkeypatch, section, values):
-        # Before the check "stride_seconds": 0 exited 0 and repeated the first window.
+        # Before the check "stride_seconds": 0 exited 0 and repeated the first window. A free_flow <= 0 exited 0
+        # with every trt cell empty; "theta": 2 and "t_min_seconds": -5 failed only inside metrics' window loop,
+        # and never for a segment without samples.
         monkeypatch.setattr("netsafety.cli._prepare_segment_tracks", None)  # never reached
         assert main(["metrics", "--config", str(write_hand_config(tmp_path, **{section: values}))]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -909,6 +914,8 @@ class TestConfigValidation:
         (lambda c: {**c, "anchor": [math.nan, 0.0]}, "root", "anchor must be a number, got nan"),
         (_segment("travel_axis", [math.nan, 1.0]), "segments[0]", "travel_axis must be a number, got nan"),
         (_segment("bbox", [math.nan, 0, 1, 1]), "segments[0]", "bbox must be a number, got nan"),
+        (_segment("bbox", [1000.0, -5.0, -5.0, 20.0]), "segments[0]",
+         "bbox must be [xmin, ymin, xmax, ymax] with xmin <= xmax and ymin <= ymax, got [1000.0, -5.0, -5.0, 20.0]"),
         (_segment("length_m", math.inf), "segments[0]", "length_m must be a number, got inf"),
         (_segment("speed_limit", math.inf), "segments[0]", "speed_limit must be a number, got inf"),
         (_in("cluster", "distance_threshold", math.nan), "cluster", "distance_threshold must be a number, got nan"),
@@ -923,7 +930,7 @@ class TestConfigValidation:
             "anchor", "crash_years_short", "crash_years_string", "crash_years_float", "t_min_seconds", "free_flow",
             "theta", "fps_bool", "fps_string", "seed_float", "length_m_string", "speed_limit_bool", "fps_nan",
             "fps_infinity", "window_seconds_infinity", "stride_seconds_infinity", "start_seconds_nan",
-            "start_seconds_string", "segment_id_number", "anchor_nan", "travel_axis_nan", "bbox_nan",
+            "start_seconds_string", "segment_id_number", "anchor_nan", "travel_axis_nan", "bbox_nan", "bbox_reversed",
             "length_m_infinity", "speed_limit_infinity", "distance_threshold_nan", "membership_rate_infinity",
             "free_flow_nan", "class_threshold_m_infinity", "min_displacement_m_infinity", "exclude_slots_fraction",
             "paths_number", "trajectories_list"])

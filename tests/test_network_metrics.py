@@ -18,6 +18,7 @@ from netsafety.network_metrics import (
     MetricsTable,
     SampleTable,
     SegmentConfig,
+    TrtConfig,
     VehicleCluster,
     cluster_frame,
     cluster_ttc,
@@ -375,6 +376,16 @@ class TestConfigs:
         with pytest.raises(ParameterError):
             ClusterConfig(distance_threshold=-1)
 
+    @pytest.mark.parametrize("values", [{"theta": 1.0}, {"theta": 0.0}, {"t_min_seconds": 0.0}, {"free_flow": 0.0}])
+    def test_bad_trt_config(self, values):
+        with pytest.raises(ParameterError, match=r"^trt needs 0 < theta < 1, "):
+            TrtConfig(**values)
+
+    def test_congestion_events_check_theta_and_t_min_as_trt_config_does(self):
+        for values in ({"theta": 2.0}, {"t_min": -5.0}):
+            with pytest.raises(ParameterError, match=r"^trt needs "):
+                detect_congestion_events([(0.0, 1.0)], 20.0, **values)
+
 
 class TestIntervalExtraction:
     def test_single_vehicle_constant_speed(self):
@@ -604,8 +615,8 @@ class TestFrameBatchedKernel:
             tracks = random_scene(np.random.default_rng(seed))
             for s in segments:
                 args = (tracks, s, ClusterConfig(threshold, rate), 8.0, self.WINDOWS)
-                kw = dict(trt_t_min=0.5, free_flow=24.0)
-                assert_rows_match(compute_interval_metrics(*args, **kw), interval_metrics_oracle(*args, **kw))
+                args = (*args, TrtConfig(t_min_seconds=0.5, free_flow=24.0))
+                assert_rows_match(compute_interval_metrics(*args), interval_metrics_oracle(*args))
 
     def test_window_order_overlap_and_outside_the_data(self):
         # Out of time order, overlapping, before the first frame (t < 0 included) and after the last
@@ -615,9 +626,10 @@ class TestFrameBatchedKernel:
         for seed in range(3):
             tracks = random_scene(np.random.default_rng(seed))
             for rate in (1.0, 3.0):
-                args = (tracks, seg(length_m=400.0), ClusterConfig(30.0, rate), 8.0, windows)
-                table = compute_interval_metrics(*args, trt_t_min=0.5)
-                assert_rows_match(table, interval_metrics_oracle(*args, trt_t_min=0.5))
+                trt_cfg = TrtConfig(t_min_seconds=0.5)
+                args = (tracks, seg(length_m=400.0), ClusterConfig(30.0, rate), 8.0, windows, trt_cfg)
+                table = compute_interval_metrics(*args)
+                assert_rows_match(table, interval_metrics_oracle(*args))
                 rows = metrics_rows(table)
                 assert [(r.t_start, r.t_end) for r in rows] == windows
                 assert [r.coverage for r in rows][1:4:2] == [0.0, 0.0] and rows[5].coverage == 4 / 12
@@ -637,9 +649,10 @@ class TestFrameBatchedKernel:
         windows = [(0.0, 2.0), (3.0, 6.0), (2.0, 3.75), (3.75, 10.0), (5.0, 7.0)]
         expected = ["ivvr: excluded vehicles with zero mean speed: ['parked']"] * 3  # not in (0, 2) or (2, 3.75)
         for threshold in (0.0, 10.0, 100.0):
-            args = (tracks, seg(length_m=200.0), ClusterConfig(threshold, 1.0), fps, windows)
-            got, got_warnings = with_warnings(compute_interval_metrics, *args, trt_t_min=0.5)
-            want, want_warnings = with_warnings(interval_metrics_oracle, *args, trt_t_min=0.5)
+            trt_cfg = TrtConfig(t_min_seconds=0.5)
+            args = (tracks, seg(length_m=200.0), ClusterConfig(threshold, 1.0), fps, windows, trt_cfg)
+            got, got_warnings = with_warnings(compute_interval_metrics, *args)
+            want, want_warnings = with_warnings(interval_metrics_oracle, *args)
             assert got_warnings == want_warnings == expected
             assert_rows_match(got, want)
             got = metrics_rows(got)
@@ -668,9 +681,8 @@ class TestFrameBatchedKernel:
                 sample_table_oracle(tracks, s.travel_axis))
             windows = cli._windows_for(cfg, tracks)
             for cluster in (cfg.cluster, ClusterConfig(0.0, 1.0), ClusterConfig(200.0, 0.3)):
-                args = (tracks, s, cluster, cfg.fps, windows)
-                kw = dict(trt_theta=cfg.trt.theta, trt_t_min=cfg.trt.t_min_seconds, free_flow=cfg.trt.free_flow)
-                assert_rows_match(compute_interval_metrics(*args, **kw), interval_metrics_oracle(*args, **kw))
+                args = (tracks, s, cluster, cfg.fps, windows, cfg.trt)
+                assert_rows_match(compute_interval_metrics(*args), interval_metrics_oracle(*args))
 
     def test_batched_linkage_partitions_like_bfs(self):
         rng = np.random.default_rng(21)

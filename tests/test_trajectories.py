@@ -11,6 +11,7 @@ from netsafety import trajectories
 from netsafety.errors import DataError, ParameterError, SchemaError
 from netsafety.trajectories import (
     TrackPoint,
+    TrackPrepConfig,
     VehicleClass,
     box_length_along_axis,
     classify_by_length,
@@ -506,7 +507,7 @@ class TestSavitzkyGolay:
 
 def kinematics(traj):
     """The single prepared run of a gap-free track, with no static filtering."""
-    (track,) = prepare_tracks(traj, (1.0, 0.0), min_displacement_m=0.0)
+    (track,) = prepare_tracks(traj, (1.0, 0.0), TrackPrepConfig(min_displacement_m=0.0))
     return track
 
 
@@ -572,7 +573,8 @@ class TestPreparation:
 
     def test_long_gap_splits_runs(self):
         traj = make_traj([(0, 0, 0), (1, 25, 0), (30, 60, 0), (31, 85, 0)], fps=1.0)
-        tracks = prepare_tracks(traj, (1, 0), max_gap=5, sg_window=3, sg_order=1, min_displacement_m=1.0)
+        prep = TrackPrepConfig(max_gap_frames=5, sg_window=3, sg_order=1, min_displacement_m=1.0)
+        tracks = prepare_tracks(traj, (1, 0), prep)
         assert len(tracks) == 2
         assert all(t.vehicle_ids == ["v1"] for t in tracks)
         first, second = tracks
@@ -581,12 +583,13 @@ class TestPreparation:
 
     def test_one_missing_frame_splits_runs_at_max_gap_0(self):
         traj = make_traj([(f, 10.0 * f, 0) for f in (0, 1, 2, 4, 5, 6)], fps=1.0)
-        tracks = prepare_tracks(traj, (1, 0), max_gap=0, sg_window=3, sg_order=1, min_displacement_m=1.0)
+        prep = TrackPrepConfig(max_gap_frames=0, sg_window=3, sg_order=1, min_displacement_m=1.0)
+        tracks = prepare_tracks(traj, (1, 0), prep)
         assert [t.frames.tolist() for t in tracks] == [[0, 1, 2], [4, 5, 6]]
 
     def test_short_tracks_pass_unsmoothed(self):
         traj = make_traj([(i, 10.0 * i, 0) for i in range(4)], fps=1.0)
-        tracks = prepare_tracks(traj, (1, 0), sg_window=21, sg_order=3, min_displacement_m=1.0)
+        tracks = prepare_tracks(traj, (1, 0), TrackPrepConfig(sg_window=21, sg_order=3, min_displacement_m=1.0))
         assert len(tracks) == 1
         np.testing.assert_allclose(tracks.x, [0, 10, 20, 30])
 
@@ -594,7 +597,7 @@ class TestPreparation:
         rng = np.random.default_rng(5)
         pts = [(i, float(i + rng.normal(0, 0.1)), 0.0) for i in range(30)]
         traj = make_traj(pts, fps=1.0)
-        (track,) = prepare_tracks(traj, (1, 0), sg_window=7, sg_order=2, min_displacement_m=0.0)
+        (track,) = prepare_tracks(traj, (1, 0), TrackPrepConfig(sg_window=7, sg_order=2, min_displacement_m=0.0))
         expected = smooth_savitzky_golay([p.cx for p in traj.points], 7, 2)
         np.testing.assert_allclose(track.x, expected, atol=1e-12)
 
@@ -624,7 +627,8 @@ class TestPreparation:
             *(traj(f"r{k}", np.cumsum(rng.choice([1, 1, 1, 2, 3, 30], size=rng.integers(2, 5 * n))), length=length)
               for k, length in enumerate(rng.uniform(3.0, 18.0, 12))),
         ]
-        options = dict(max_gap=3, sg_window=window, sg_order=order, class_threshold_m=8.0, min_displacement_m=2.0)
+        prep = TrackPrepConfig(max_gap_frames=3, sg_window=window, sg_order=order, class_threshold_m=8.0,
+                               min_displacement_m=2.0)
         def fields(t):
             arrays = (t.lengths, t.run_codes, t.bounds, t.frames, t.t, t.x, t.y, t.vx, t.vy, t.speed)
             return t.vehicle_ids, t.classes, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
@@ -632,8 +636,8 @@ class TestPreparation:
         got, want = [], []
         for fps in (10.0, 12.5):  # a table has one fps: the 12.5 fps vehicle is prepared on its own
             vehicles = [vehicle for f, vehicle in trajs if f == fps]
-            table = prepare_tracks(trajectory_table_of(vehicles, fps), (3.0, 4.0), **options)
-            oracle = prepare_tracks_oracle(vehicles, fps, (3.0, 4.0), **options)
+            table = prepare_tracks(trajectory_table_of(vehicles, fps), (3.0, 4.0), prep)
+            oracle = prepare_tracks_oracle(vehicles, fps, (3.0, 4.0), prep)
             assert fields(table) == fields(oracle)
             got += table
             want += oracle
