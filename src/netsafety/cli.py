@@ -2,14 +2,12 @@
 
 Subcommands cover the whole pipeline: ``synth`` generates a desk-scale
 scenario bundle, ``project`` maps pixel trajectories into world meters,
-``metrics`` extracts per-interval network metrics, ``ssm`` emits pairwise
-surrogate metrics, and ``associate``/``shapley`` run the crash-association
-statistics. Repeated runs produce byte-identical outputs. Each seed is read
-where it is used: ``synth`` draws from its scenario spec's ``seed`` (or
-``--seed``), and ``associate``/``shapley`` read ``analysis.seed`` (or
-``--seed``), which seeds the cross-validation folds. The config's root
-``seed`` is written by ``synth`` and read by no command; no other command
-draws random numbers.
+``metrics`` extracts per-interval network metrics, ``ssm`` writes the
+pairwise surrogate metrics of ``SampleTable.ssm_columns``, and
+``associate``/``shapley`` run the crash-association statistics. Repeated runs
+produce byte-identical outputs. Only two commands draw random numbers:
+``synth`` from its scenario spec's ``seed`` (or ``--seed``), and ``associate``
+from ``analysis.seed`` (or ``--seed``), which seeds the cross-validation folds.
 
 Exit codes: 0 on success, 2 for input/schema/fit errors (a JSON error
 object is printed to stderr).
@@ -136,7 +134,6 @@ def cmd_synth(args) -> int:
 
     config = {
         "fps": spec.fps,
-        "seed": spec.seed,
         "anchor": [spec.anchor_lat, spec.anchor_lon],
         "paths": {
             "output_dir": ".",
@@ -208,26 +205,7 @@ def cmd_ssm(args) -> int:
         raise NetSafetyError("config defines no segments")
     seg = cfg.segments[0]
     tracks = _prepare_segment_tracks(cfg, seg, Path(args.infile))
-    table = network_metrics.SampleTable.build(tracks, seg.travel_axis)
-    follower, leader, gap, closing, pair_ttc = table.leader_pairs()
-    t = table.frame / cfg.fps
-    # PET: the follower's time minus when its leader passed the follower's position, on the
-    # leader's passage curve (axis position made monotone over its whole track); absent if later.
-    t_pass = np.full(follower.size, np.nan)
-    rows_of = network_metrics.index_groups(table.vid_code)
-    for code, mine in network_metrics.index_groups(table.vid_code[leader]).items():
-        curve = np.maximum.accumulate(table.axis_pos[rows_of[code]])
-        t_pass[mine] = np.interp(table.axis_pos[follower[mine]], curve, t[rows_of[code]], left=np.nan, right=np.nan)
-    pet = t[follower] - t_pass
-    columns = {
-        "t": t[follower],
-        "follower_id": trajectories.CodedColumn(table.vids, table.vid_code[follower]),
-        "leader_id": trajectories.CodedColumn(table.vids, table.vid_code[leader]),
-        "ttc": np.ma.masked_array(pair_ttc, mask=~(closing > 0)),
-        "drac": np.where(closing > 0, closing * closing / gap, 0.0),
-        "pet": np.ma.masked_array(pet, mask=~(pet >= 0)),
-        "gap": gap, "v_follower": table.axis_speed[follower], "v_leader": table.axis_speed[leader],
-    }
+    columns = network_metrics.SampleTable.build(tracks, seg.travel_axis).ssm_columns(cfg.fps)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     trajectories.write_csv(out, list(columns), columns.values())
@@ -269,8 +247,6 @@ def cmd_associate(args) -> int:
 
 def cmd_shapley(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.analysis = dataclasses.replace(cfg.analysis, seed=args.seed)
     report = association.run_shapley(*_association_inputs(cfg), cfg.analysis)
     text = association.shapley_table_csv(report)
     if args.out:
@@ -315,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shapley", help="Shapley attribution table only")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the analysis seed")
     return parser
 
 

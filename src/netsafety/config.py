@@ -124,7 +124,6 @@ class IntervalGrid:
 @dataclass
 class RunConfig:
     fps: float
-    seed: int = 0
     output_dir: Path = Path(".")
     segments: list[SegmentConfig] = field(default_factory=list)
     trajectory_paths: dict[str, Path] = field(default_factory=dict)
@@ -151,7 +150,7 @@ class RunConfig:
 
 _SECTIONS = {"cluster": ClusterConfig, "prep": TrackPrepConfig, "intervals": IntervalGrid, "trt": TrtConfig,
              "analysis": AnalysisConfig}  # the RunConfig fields built from a JSON object of their own fields
-_ROOT_VALUES = ("fps", "seed", "anchor", "crash_years")  # the RunConfig fields set from JSON as they are
+_ROOT_VALUES = ("fps", "anchor", "crash_years")  # the RunConfig fields set from JSON as they are
 _ROOT_KEYS = {*_SECTIONS, *_ROOT_VALUES, "paths", "segments"}
 _PATH_KEYS = {"output_dir", "keypoints", "crashes", "metrics"}
 

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, ParameterError, SchemaError
-from .trajectories import CsvRecords, PreparedTracks, VehicleClass, csv_text
+from .surrogate import closes
+from .trajectories import CodedColumn, CsvRecords, PreparedTracks, VehicleClass, csv_text
 
 VEHICLE_CLASSES = (VehicleClass.CAR, VehicleClass.TRUCK)
 
@@ -217,12 +218,12 @@ def _cluster_ttc(frame: np.ndarray, axis_pos: np.ndarray, axis_vel: np.ndarray, 
     while open_.size:
         open_ = open_[open_ + d <= last[open_]]
         j = open_ + d
-        found = (p[j] > p[open_]) & (v[j] <= v[open_])
+        found = (p[j] > p[open_]) & ~closes(v[j], v[open_])  # a leader that does not pull away
         leader[open_[found]] = j[found]
         open_ = open_[~found]
         d += 1
     i = np.flatnonzero(leader >= 0)
-    i = i[v[i] > v[leader[i]]]  # an equally fast leader yields no value
+    i = i[closes(v[i], v[leader[i]])]  # an equally fast leader yields no value
     j = leader[i]
     return order[i], (p[j] - p[i]) / (v[i] - v[j])
 
@@ -476,7 +477,7 @@ class SampleTable:
         follower position. ``follower``/``leader`` are row indices, ``gap`` is
         the leader's axis position minus the follower's, ``closing`` the
         follower's axis speed minus the leader's, and ``ttc`` is gap / closing
-        where closing > 0 and nan elsewhere.
+        where the follower closes (``surrogate.closes``), nan exactly elsewhere.
         """
         id_rank = np.argsort(np.argsort(np.array(self.vids, dtype=str)))
         order = np.lexsort((id_rank[self.vid_code], self.axis_pos, self.frame))
@@ -484,9 +485,33 @@ class SampleTable:
         gap = self.axis_pos[leader] - self.axis_pos[follower]
         keep = (self.frame[follower] == self.frame[leader]) & (gap > 0)
         follower, leader, gap = follower[keep], leader[keep], gap[keep]
-        closing = self.axis_speed[follower] - self.axis_speed[leader]
-        ttc = np.divide(gap, closing, out=np.full(gap.size, np.nan), where=closing > 0)
+        v_follower, v_leader = self.axis_speed[follower], self.axis_speed[leader]
+        closing = v_follower - v_leader
+        ttc = np.divide(gap, closing, out=np.full(gap.size, np.nan), where=closes(v_follower, v_leader))
         return follower, leader, gap, closing, ttc
+
+    def ssm_columns(self, fps: float) -> dict[str, np.ndarray | CodedColumn]:
+        """The ``ssm`` CSV's columns by name, in order, one row per ``leader_pairs`` pair: ``ttc`` masked and
+        ``drac`` 0 where the pair does not close, ``pet`` masked where the leader passed the follower later or never."""
+        follower, leader, gap, closing, ttc = self.leader_pairs()
+        t = self.frame / fps
+        # PET: the follower's time minus when its leader passed the follower's position, on the
+        # leader's passage curve (axis position made monotone over its whole track); absent if later.
+        t_pass = np.full(follower.size, np.nan)
+        rows_of = index_groups(self.vid_code)
+        for code, mine in index_groups(self.vid_code[leader]).items():
+            curve = np.maximum.accumulate(self.axis_pos[rows_of[code]])
+            t_pass[mine] = np.interp(self.axis_pos[follower[mine]], curve, t[rows_of[code]], left=np.nan, right=np.nan)
+        pet = t[follower] - t_pass
+        return {
+            "t": t[follower],
+            "follower_id": CodedColumn(self.vids, self.vid_code[follower]),
+            "leader_id": CodedColumn(self.vids, self.vid_code[leader]),
+            "ttc": np.ma.masked_array(ttc, mask=np.isnan(ttc)),
+            "drac": np.where(np.isnan(ttc), 0.0, closing * closing / gap),
+            "pet": np.ma.masked_array(pet, mask=~(pet >= 0)),
+            "gap": gap, "v_follower": self.axis_speed[follower], "v_leader": self.axis_speed[leader],
+        }
 
     def frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct frames, their first rows and row counts."""
@@ -585,9 +610,9 @@ def compute_interval_metrics(
     present, starts, sizes = table.frames()
     bounds = np.append(starts, table.frame.size)
     free_flow = table.free_flow_speed() if trt_cfg.free_flow is None else trt_cfg.free_flow
-    follower, _, _, closing, ttc = table.leader_pairs()
-    pair_frame = table.frame[follower[closing > 0]]
-    pair_ttc = ttc[closing > 0]
+    follower, _, _, _, ttc = table.leader_pairs()
+    closing = ~np.isnan(ttc)  # exactly the pairs that close
+    pair_frame, pair_ttc = table.frame[follower[closing]], ttc[closing]
 
     # Each window's frames inside the observed span, [lo, hi); of them, present[fa:fb] hold samples.
     n = len(f0)

@@ -82,6 +82,11 @@ class EnvelopeParams:
             raise ParameterError("mu must be >= 0")
 
 
+def closes(v_follower, v_leader):
+    """Whether the follower closes on its leader: the one rule of every TTC and DRAC. Scalars or arrays; NaN never."""
+    return v_follower > v_leader
+
+
 def ttc(p: PairState) -> float | None:
     """Time to collision if both vehicles hold speed; None when not closing.
 
@@ -91,9 +96,7 @@ def ttc(p: PairState) -> float | None:
     if p.gap() <= 0:
         raise GeometryError(f"leader must be ahead of follower (gap {p.gap():.3f} m)")
     closing = p.v_follower - p.v_leader
-    if closing <= 0:
-        return None
-    return p.gap() / closing
+    return p.gap() / closing if closes(p.v_follower, p.v_leader) else None
 
 
 def pet(t_first_leaves: float, t_second_arrives: float) -> float:
@@ -110,9 +113,7 @@ def drac(p: PairState) -> float:
     if p.gap() <= 0:
         raise GeometryError(f"leader must be ahead of follower (gap {p.gap():.3f} m)")
     closing = p.v_follower - p.v_leader
-    if closing <= 0:
-        return 0.0
-    return closing * closing / p.gap()
+    return closing * closing / p.gap() if closes(p.v_follower, p.v_leader) else 0.0
 
 
 def cpi(

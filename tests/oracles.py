@@ -4,7 +4,9 @@ Everything here is deliberately written with a different method than the
 code under test: explicit Gaussian elimination instead of lstsq, per-window
 polynomial fits instead of convolution kernels, permutation enumeration
 instead of coalition weights, scipy tail functions instead of the library's
-own special functions.
+own special functions. They share one rule with the library: whether a
+follower closes on its leader is ``surrogate.closes``, so that the rule
+changes in one place.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from netsafety.surrogate import closes
 
 
 def gaussian_elimination_solve(a, b):
@@ -128,11 +132,11 @@ def pairwise_ttc_oracle(positions, speeds):
     for i, (p_i, v_i) in enumerate(zip(positions, speeds)):
         best = None
         for j, (p_j, v_j) in enumerate(zip(positions, speeds)):
-            if j == i or p_j <= p_i or v_j > v_i:
+            if j == i or p_j <= p_i or closes(v_j, v_i):
                 continue
             if best is None or p_j < positions[best]:
                 best = j
-        if best is not None and speeds[best] < v_i:
+        if best is not None and closes(v_i, speeds[best]):
             out[i] = (positions[best] - p_i) / (v_i - speeds[best])
     return out
 
@@ -171,8 +175,8 @@ def _cttc_from_arrays(axis_pos, axis_vel):
         for j in range(i + 1, n):
             if p[j] <= p[i]:  # co-located cluster is not downstream
                 continue
-            if v[j] <= v_i:
-                if v[j] < v_i:
+            if not closes(v[j], v_i):
+                if closes(v_i, v[j]):
                     values.append(float((p[j] - p[i]) / (v_i - v[j])))
                 break
     return values
@@ -402,9 +406,10 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, trt_cfg)
         fmin, fmax = int(table.frame[0]), int(table.frame[-1])
         if free_flow is None:
             free_flow = table.free_flow_speed()
-        follower, _, _, closing, ttc = table.leader_pairs()
-        pair_frame = table.frame[follower[closing > 0]]
-        pair_ttc = ttc[closing > 0]
+        follower, leader, _, _, ttc = table.leader_pairs()
+        closing = closes(table.axis_speed[follower], table.axis_speed[leader])
+        pair_frame = table.frame[follower[closing]]
+        pair_ttc = ttc[closing]
     stride = max(1, round(fps / cluster_cfg.membership_rate))
     for t0, t1 in windows:
         f0 = math.ceil(t0 * fps - 1e-9)

@@ -793,9 +793,11 @@ class TestConfigValidation:
         (lambda c: {**c, "paths": {"metrcs": "m.csv"}}, "config paths has unknown key(s) ['metrcs']"),
         (lambda c: {**c, "intervls": c.pop("intervals")}, "config root has unknown key(s) ['intervls']"),
         (lambda c: {**c, "segmets": c.pop("segments")}, "config root has unknown key(s) ['segmets']"),
-    ], ids=["paths", "intervals", "segments"])
+        (lambda c: {**c, "seed": 1}, "config root has unknown key(s) ['seed']"),
+    ], ids=["paths", "intervals", "segments", "root_seed"])
     def test_unknown_root_or_paths_key_exits_2(self, tmp_path, capsys, edit, message):
-        # Before the check these loaded as no metrics path, slot-aligned windows and no segments.
+        # Before the check the first three loaded as no metrics path, slot-aligned windows and no segments. A root
+        # "seed", which synth wrote and no command read, is refused like any other key the config does not have.
         path = write_hand_config(tmp_path)
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         assert main(["metrics", "--config", str(path)]) == 2
@@ -901,7 +903,6 @@ class TestConfigValidation:
         (lambda c: {**c, "trt": {"theta": None}}, "trt", "theta must be a number, got None"),
         (lambda c: {**c, "fps": True}, "root", "fps must be a number, got True"),
         (lambda c: {**c, "fps": "4"}, "root", "fps must be a number, got '4'"),
-        (lambda c: {**c, "seed": 1.5}, "root", "seed must be an integer, got 1.5"),
         (_segment("length_m", "500"), "segments[0]", "length_m must be a number, got '500'"),
         (_segment("speed_limit", True), "segments[0]", "speed_limit must be a number, got True"),
         (lambda c: {**c, "fps": math.nan}, "root", "fps must be a number, got nan"),
@@ -928,7 +929,7 @@ class TestConfigValidation:
         (_segment("trajectories", ["traj.csv"]), "segments[0]", "trajectories must be a string, got ['traj.csv']"),
     ], ids=["travel_axis", "collision_point", "bbox_short", "bbox_string", "osr_thresholds_string", "travel_axis_bool",
             "anchor", "crash_years_short", "crash_years_string", "crash_years_float", "t_min_seconds", "free_flow",
-            "theta", "fps_bool", "fps_string", "seed_float", "length_m_string", "speed_limit_bool", "fps_nan",
+            "theta", "fps_bool", "fps_string", "length_m_string", "speed_limit_bool", "fps_nan",
             "fps_infinity", "window_seconds_infinity", "stride_seconds_infinity", "start_seconds_nan",
             "start_seconds_string", "segment_id_number", "anchor_nan", "travel_axis_nan", "bbox_nan", "bbox_reversed",
             "length_m_infinity", "speed_limit_infinity", "distance_threshold_nan", "membership_rate_infinity",
@@ -936,8 +937,8 @@ class TestConfigValidation:
             "paths_number", "trajectories_list"])
     def test_malformed_list_or_number_exits_2_naming_the_key(self, tmp_path, capsys, edit, context, message):
         # Before the check the lists raised IndexError, ValueError or TypeError in metrics or associate (exit 1,
-        # traceback), as did the trt strings in metrics; "osr_thresholds": "1" ran as (1.0,). The root's fps and
-        # seed and a segment's length_m and speed_limit were converted: "fps": true ran as 1.0 fps, "seed": 1.5 as 1.
+        # traceback), as did the trt strings in metrics; "osr_thresholds": "1" ran as (1.0,). The root's fps and a
+        # segment's length_m and speed_limit were converted: "fps": true ran as 1.0 fps.
         # A NaN or infinite fps, window_seconds or stride_seconds and a NaN or string start_seconds exited 1 with a
         # traceback; the other NaN and infinite values ran (exit 0), "segment_id": 7 lost every crash of its
         # segment (no_crash_data), and the exclude_slots slot 2.7 ran as slot 2. A path that is no string exited 2
@@ -1064,7 +1065,7 @@ class TestAssociateCommand:
         assert out == "" and not (metrics_bundle / "association_report.json").exists()
 
     @pytest.mark.parametrize("command, override", [
-        ("associate", None), ("associate", "--seed"), ("shapley", None), ("shapley", "--seed"),
+        ("associate", None), ("associate", "--seed"), ("shapley", None),
     ])
     def test_negative_analysis_seed_exits_2_writing_nothing(self, metrics_bundle, tmp_path, capsys, command, override):
         # associate exited 1 with numpy's ValueError traceback, from the config's seed or --seed; shapley exited 0.
@@ -1080,6 +1081,12 @@ class TestAssociateCommand:
         assert (json.loads(err)["error"], json.loads(err)["message"]) == (
             "ParameterError", "analysis seed must be >= 0, got -1")
         assert out == "" and not (tmp_path / "out").exists()
+
+    def test_shapley_takes_no_seed(self, metrics_bundle):
+        # Shapley draws no random numbers: its --seed set analysis.seed, and 0, 7 and 12345 wrote one table.
+        with pytest.raises(SystemExit) as exc:
+            main(["shapley", "--config", str(metrics_bundle / "config.json"), "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_end_to_end_report(self, tmp_path):
         out = run_bundle(tmp_path)

@@ -1,22 +1,27 @@
 """Invariance properties of the pipeline, checked on generated scenes.
 
 Positions and speeds are dyadic rationals at 4 fps, so every time and position
-is exact and a property can ask for byte-identical output.
+is exact and a property can ask for byte-identical output. The closing rule is
+checked on constructed two-vehicle frames at its edges.
 """
 
 import csv
 import dataclasses
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from netsafety.cli import main
-from netsafety.network_metrics import read_metrics_csv
-from netsafety.trajectories import TRAJECTORY_COLUMNS, csv_text
+from netsafety.network_metrics import SampleTable, VehicleCluster, cluster_ttc, read_metrics_csv
+from netsafety.surrogate import PairState, drac, ttc
+from netsafety.trajectories import TRAJECTORY_COLUMNS, VehicleClass, csv_text
 
 from oracles import metrics_rows
 from test_network_metrics import assert_rows_match
@@ -101,3 +106,43 @@ def test_whole_frame_time_shift(scene, shift):
     shifted = read_metrics_csv(run(trajectory_csv(scene, ids, shift), shift / FPS)[0])
     moved = [dataclasses.replace(m, t_start=m.t_start + shift / FPS, t_end=m.t_end + shift / FPS) for m in base]
     assert_rows_match(shifted, moved, rel=1e-12)
+
+
+# Speed pairs at the edges of the closing rule; each is tried with either vehicle as the follower.
+EDGE_SPEEDS = {
+    "equal": (25.0, 25.0),
+    "signed_zeros": (0.0, -0.0),
+    "one_ulp": (float(np.nextafter(25.0, 26.0)), 25.0),
+    "subnormal_difference": (float(np.nextafter(2.0**-1022, 1.0)), 2.0**-1022),  # two normal speeds 5e-324 apart
+    "nan": (math.nan, 25.0),
+}
+
+
+@pytest.mark.parametrize("v_follower, v_leader", [
+    pytest.param(*speeds[::order], id=f"{name}-{'ab' if order == 1 else 'ba'}")
+    for name, speeds in EDGE_SPEEDS.items() for order in (1, -1)
+])
+def test_every_ttc_and_drac_agree_on_the_closing_rule(v_follower, v_leader):
+    # One frame: the follower at axis position 0, its leader at 10.
+    table = SampleTable(
+        frame=np.zeros(2, dtype=np.int64), x=np.array([0.0, 10.0]), y=np.zeros(2), axis_pos=np.array([0.0, 10.0]),
+        speed=np.abs([v_follower, v_leader]), axis_speed=np.array([v_follower, v_leader]), vid_code=np.arange(2),
+        vids=["f", "l"], lengths=np.full(2, 4.5), classes=[VehicleClass.CAR] * 2)
+    state = PairState(x_leader=10.0, x_follower=0.0, v_leader=v_leader, v_follower=v_follower)
+    clusters = [VehicleCluster(frozenset("f"), (0.0, 0.0), v_follower),
+                VehicleCluster(frozenset("l"), (10.0, 0.0), v_leader)]
+    with np.errstate(over="ignore"):  # a subnormal closing speed gives an infinite TTC
+        *_, pair_ttc = table.leader_pairs()
+        ssm = table.ssm_columns(FPS)
+        cluster_values = cluster_ttc(clusters, (1.0, 0.0)).cttc_values
+    verdicts = {
+        "leader_pairs": not np.isnan(pair_ttc[0]),
+        "surrogate.ttc": ttc(state) is not None,
+        "ssm ttc": not ssm["ttc"].mask[0],
+        "cluster_ttc": len(cluster_values) == 1,
+    }
+    assert len(set(verdicts.values())) == 1, verdicts
+    closing = verdicts["leader_pairs"]
+    assert ssm["drac"][0] == drac(state)
+    # drac is closing speed squared over the gap: 0 for a closing speed whose square underflows.
+    assert (ssm["drac"][0] > 0) == (closing and (v_follower - v_leader) ** 2 > 0)

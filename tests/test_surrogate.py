@@ -43,6 +43,11 @@ class TestTtc:
     def test_opening_absent(self):
         assert ttc(pair(50.0, 20.0, 30.0)) is None
 
+    @pytest.mark.parametrize("v_f, v_l", [(5.0, math.nan), (math.nan, 5.0)])
+    def test_nan_speed_absent(self, v_f, v_l):
+        # As in leader_pairs and ssm: a NaN speed does not close. Both gave nan.
+        assert ttc(pair(10.0, v_f, v_l)) is None
+
     def test_bad_geometry(self):
         with pytest.raises(GeometryError):
             ttc(pair(-1.0, 30.0, 20.0))
@@ -66,6 +71,10 @@ class TestDrac:
 
     def test_not_closing_zero(self):
         assert drac(pair(50.0, 20.0, 30.0)) == 0.0
+
+    @pytest.mark.parametrize("v_f, v_l", [(5.0, math.nan), (math.nan, 5.0)])
+    def test_nan_speed_zero(self, v_f, v_l):
+        assert drac(pair(10.0, v_f, v_l)) == 0.0
 
     def test_short_gap(self):
         assert drac(pair(25.0, 30.0, 20.0)) == pytest.approx(4.0)
