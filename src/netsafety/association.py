@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def build_dataset(
     predictors: Sequence[str] = DEFAULT_PREDICTORS,
     exclude_slots: Sequence[tuple[str, int]] = (),
 ) -> Dataset:
-    """Inner-join metric rows with crash counts on (segment, slot).
+    """Inner-join metric rows with crash counts on (segment, slot), in (segment id, interval start) order.
 
     Rows whose slot has no crash data, with any absent predictor, or on the
     manual exclusion list are dropped and itemized in ``Dataset.dropped``.
@@ -119,23 +119,11 @@ def build_dataset(
     if not keep.any():
         raise DataError(f"empty join for family {family!r}: no metric interval matched a crash slot "
                         f"(dropped: {dropped})")
-    return Dataset(x[keep], count[code[keep]], list(predictors),
-                   row_keys=list(zip(table.segment_id[keep].tolist(), slot[keep].astype(int).tolist())),
-                   extras={name: table.column(name)[keep] for name in BASELINE_COLUMNS}, dropped=dropped)
-
-
-def segment_datasets(d: Dataset, segment_ids: Sequence[str]) -> dict[str, Dataset]:
-    """Each segment's rows of a family's join, in join order: what ``build_dataset`` gives on its rows alone.
-
-    A segment without a joined row raises DataError naming it.
-    """
-    out = {}
-    for sid in segment_ids:
-        rows = [i for i, (s, _) in enumerate(d.row_keys) if s == sid]
-        if not rows:
-            raise DataError(f"segment {sid!r} has no joined rows")
-        out[sid] = d.subset_rows(rows)
-    return out
+    order = np.lexsort((t_start, segment))  # by (segment id, interval start); rows of one key in file order
+    rows = order[keep[order]]
+    return Dataset(x[rows], count[code[rows]], list(predictors),
+                   row_keys=list(zip(table.segment_id[rows].tolist(), slot[rows].astype(int).tolist())),
+                   extras={name: table.column(name)[rows] for name in BASELINE_COLUMNS}, dropped=dropped)
 
 
 def _correlation_or_none(fn, x: np.ndarray, y: np.ndarray) -> float | None:
@@ -193,50 +181,50 @@ class CombinationRow:
     mean_abs_segment_r: dict[str, float | None]
 
 
-def cross_segment_analysis(
-    per_segment: Mapping[str, Dataset],
-) -> tuple[list[HoldoutRow], list[CombinationRow]]:
-    """Generalization across segments.
+def cross_segment_analysis(d: Dataset, segment_ids: Sequence[str]) -> tuple[list[HoldoutRow], list[CombinationRow]]:
+    """Generalization across segments of a family's join ``d``, taking each segment's rows by ``d.row_keys``.
 
-    Hold-out: fit on all-but-one segment, score on the unseen one (R-squared
-    reported unclamped; it can go negative). Combinations: for every subset
-    of segments, the absolute Pearson correlation of each predictor with the
-    response over the pooled rows, averaged across subsets of the same size;
-    the per-segment-averaged variant is reported alongside. Pooled |r| is
-    computed from per-segment sums, not from stacked rows.
+    Segments go in sorted id order, each with its rows in join order; one of ``segment_ids`` without a row
+    raises DataError naming it. Hold-out: fit on all-but-one segment, score on the unseen one (R-squared
+    reported unclamped; it can go negative). Combinations: for every subset of segments, the absolute
+    Pearson correlation of each predictor with the response over the pooled rows, averaged across subsets
+    of the same size; the per-segment-averaged variant is reported alongside. Pooled |r| is computed from
+    per-segment sums, not from stacked rows.
     """
-    seg_ids = sorted(per_segment)
+    seg_ids = sorted(segment_ids)
+    of_row = np.array([sid for sid, _ in d.row_keys], dtype=str)
+    rows = [np.flatnonzero(of_row == sid) for sid in seg_ids]
+    if empty := [sid for sid, r in zip(seg_ids, rows) if not r.size]:
+        raise DataError(f"segment {empty[0]!r} has no joined rows")
     if len(seg_ids) < 2:
         raise ParameterError("cross-segment analysis needs at least 2 segments")
-    names = per_segment[seg_ids[0]].predictor_names
-    if any(per_segment[sid].predictor_names != names for sid in seg_ids):
-        raise ParameterError("all segments must share the same predictor columns")
+    names = d.predictor_names
+    order = np.concatenate(rows)
+    x, y = d.x[order], d.y[order]
+    ends = np.cumsum([r.size for r in rows])
+    part = [slice(e - r.size, e) for e, r in zip(ends, rows)]  # each segment's block of x and y
 
     holdout: list[HoldoutRow] = []
-    for sid in seg_ids:
-        test = per_segment[sid]
-        train_x = np.vstack([per_segment[s].x for s in seg_ids if s != sid])
-        train_y = np.concatenate([per_segment[s].y for s in seg_ids if s != sid])
-        row = HoldoutRow(held_out=sid, n_test=test.n)
+    for sid, r, p in zip(seg_ids, rows, part):
+        row = HoldoutRow(held_out=sid, n_test=r.size)
         try:
-            yhat = predict(ols_fit(Dataset(train_x, train_y, list(names))), test.x)
-            row.r2 = r2_score(test.y, yhat)
-            p = len(names) + 1
-            row.adj_r2 = adjusted_r2(row.r2, test.n, p) if test.n > p else None
-            row.n_mse = n_mse(test.y, yhat)
+            yhat = predict(ols_fit(Dataset(np.delete(x, p, axis=0), np.delete(y, p), list(names))), x[p])
+            row.r2 = r2_score(y[p], yhat)
+            k = len(names) + 1
+            row.adj_r2 = adjusted_r2(row.r2, row.n_test, k) if row.n_test > k else None
+            row.n_mse = n_mse(y[p], yhat)
         except DataError:
             row.unevaluable = True
         holdout.append(row)
 
     seg_r = np.abs(np.array(
-        [[_correlation_or_none(pearson, per_segment[s].x[:, j], per_segment[s].y) for j in range(len(names))]
-         for s in seg_ids],
+        [[_correlation_or_none(pearson, x[p, j], y[p]) for j in range(len(names))] for p in part],
         dtype=float,
     ))  # (segments, M), nan where undefined
     # Per-segment count, means, centred sums of squares and cross-products with y
     # (y is column M), min and max. A subset pools them by the pairwise update of
     # Chan, Golub & LeVeque (1983); its column is constant iff pooled min == max.
-    z = [np.column_stack([per_segment[s].x, per_segment[s].y]) for s in seg_ids]
+    z = [np.column_stack([x[p], y[p]]) for p in part]
     count = np.array([a.shape[0] for a in z], dtype=float)
     mean = np.array([a.mean(axis=0) for a in z])
     ss = np.array([((a - mu) ** 2).sum(axis=0) for a, mu in zip(z, mean)])
@@ -344,7 +332,7 @@ def run_association(table: MetricsTable, binning: CrashBinning, cfg: AnalysisCon
 
         if len(segment_ids) >= 2:
             try:
-                holdout, combos = cross_segment_analysis(segment_datasets(d, segment_ids))
+                holdout, combos = cross_segment_analysis(d, segment_ids)
                 report.cross_segment[family] = {"holdout": [vars(h) for h in holdout],
                                                 "combinations": [vars(c) for c in combos]}
             except (DataError, ParameterError) as exc:

@@ -258,9 +258,10 @@ def kfold_cv(d: Dataset, k: int, seed: int, model_kind: str = "linear") -> Regre
     """K-fold cross-validation; scores averaged over held-out folds.
 
     The returned beta and (for linear models) F statistics come from the
-    full-data fit; r2/adj_r2/n_mse are held-out averages. Folds whose
-    held-out response is constant are skipped with a warning. Fewer rows
-    than folds is a DataError: the data, not the call, is short.
+    full-data fit; r2/adj_r2/n_mse are held-out averages. Folds follow the
+    Dataset's row order: ``seed``'s permutation deals row positions to folds.
+    Folds whose held-out response is constant are skipped with a warning.
+    Fewer rows than folds is a DataError: the data, not the call, is short.
     """
     if model_kind not in ("linear", "poisson"):
         raise ParameterError(f"model_kind must be 'linear' or 'poisson', got {model_kind!r}")

@@ -2,7 +2,9 @@
 
 Positions and speeds are dyadic rationals at 4 fps, so every time and position
 is exact and a property can ask for byte-identical output. The closing rule is
-checked on constructed two-vehicle frames at its edges.
+checked on constructed two-vehicle frames at its edges. The association outputs
+of a synth bundle do not depend on the order of the config's segments or of the
+rows of ``metrics.csv``.
 """
 
 import csv
@@ -11,6 +13,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -146,3 +149,58 @@ def test_every_ttc_and_drac_agree_on_the_closing_rule(v_follower, v_leader):
     assert ssm["drac"][0] == drac(state)
     # drac is closing speed squared over the gap: 0 for a closing speed whose square underflows.
     assert (ssm["drac"][0] > 0) == (closing and (v_follower - v_leader) ** 2 > 0)
+
+
+ASSOCIATION_FILES = ("association_report.json", "correlations.csv", "full_model.csv", "shapley.csv",
+                     "cross_segment_correlations.csv", "cross_segment_holdout.csv")
+
+
+def associate(bundle: Path, name: str, segments=None, metrics: str | None = None) -> dict[str, str]:
+    """The association outputs of the bundle's config run into ``bundle/name``.
+
+    ``segments`` replaces the config's segment list and re-runs ``metrics``; ``metrics`` is written as the
+    metrics file instead.
+    """
+    config = json.loads((bundle / "config.json").read_text())
+    config["paths"].update(metrics=f"{name}/metrics.csv", output_dir=name)
+    config["segments"] = config["segments"] if segments is None else segments
+    (bundle / name).mkdir(exist_ok=True)
+    (bundle / f"{name}.json").write_text(json.dumps(config))
+    argv = ["--config", str(bundle / f"{name}.json")]
+    if metrics is not None:
+        (bundle / name / "metrics.csv").write_text(metrics)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the small bundle trips the small-sample warnings
+        if metrics is None:
+            assert main(["metrics", *argv]) == 0
+        assert main(["associate", *argv, "--format", "both"]) == 0
+    return {f: (bundle / name / f).read_text() for f in ASSOCIATION_FILES}
+
+
+@pytest.fixture(scope="module")
+def association_bundle(tmp_path_factory):
+    """A three-segment synth bundle and its association outputs: (bundle, outputs)."""
+    tmp = tmp_path_factory.mktemp("association_order")
+    spec = {"n_segments": 3, "n_intervals": 16, "interval_seconds": 10.0, "flow_veh_per_min": [6.0, 14.0],
+            "beta_star": {"intercept": 2.3, "osr_1.0": 0.18, "ovvr": 0.18, "ntc": 0.18}, "noise_kind": "gaussian"}
+    (tmp / "spec.json").write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(tmp / "spec.json"), "--out", str(tmp / "bundle"), "--seed", "1"]) == 0
+    return tmp / "bundle", associate(tmp / "bundle", "base")
+
+
+@pytest.mark.parametrize("order", [(2, 1, 0), (1, 2, 0), (0, 2, 1)])
+def test_config_segment_order_leaves_the_association_outputs(association_bundle, order):
+    bundle, base = association_bundle
+    segments = json.loads((bundle / "config.json").read_text())["segments"]
+    name = "segments_" + "".join(map(str, order))
+    got = associate(bundle, name, segments=[segments[i] for i in order])
+    assert [f for f in ASSOCIATION_FILES if got[f] != base[f]] == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=6, phases=[Phase.explicit, Phase.generate])
+@given(data=st.data())
+def test_metrics_row_order_leaves_the_association_outputs(association_bundle, data):
+    bundle, base = association_bundle
+    header, *rows = (bundle / "base" / "metrics.csv").read_text().splitlines(keepends=True)
+    got = associate(bundle, "rows", metrics=header + "".join(data.draw(st.permutations(rows))))
+    assert [f for f in ASSOCIATION_FILES if got[f] != base[f]] == []
