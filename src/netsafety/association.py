@@ -241,8 +241,9 @@ def cross_segment_analysis(d: Dataset, segment_ids: Sequence[str]) -> tuple[list
         sxy = w @ sp + (wn * dev * dev[:, :, -1:]).sum(axis=1)
         member = w[:, :, None] > 0
         flat = np.where(member, lo, np.inf).min(axis=1) == np.where(member, hi, -np.inf).max(axis=1)
-        ok = ~(flat[:, :-1] | flat[:, -1:])
-        pooled = np.abs(sxy[:, :-1]) / np.sqrt(np.where(ok, sxx[:, :-1] * sxx[:, -1:], 1.0))
+        den = sxx[:, :-1] * sxx[:, -1:]  # 0 also where a column's squares underflow, as subnormal values' do
+        ok = ~(flat[:, :-1] | flat[:, -1:]) & (den != 0)
+        pooled = np.abs(sxy[:, :-1]) / np.sqrt(np.where(ok, den, 1.0))
         seg_n = w @ ~np.isnan(seg_r)
         seg_mean = (w @ np.nan_to_num(seg_r)) / np.maximum(seg_n, 1)
         combinations.append(

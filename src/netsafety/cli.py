@@ -28,7 +28,6 @@ import numpy as np
 from . import association, crashes, network_metrics, synth, trajectories
 from .config import IntervalGrid, RunConfig, load_config
 from .errors import NetSafetyError, ParameterError
-from .geo import TangentPlane
 from .projection import apply_homography, fit_homography, load_keypoints
 from .surrogate import drac, ttc  # noqa: F401  (perfbench/layers.py traces cli.ttc and cli.drac by name)
 
@@ -92,7 +91,6 @@ def cmd_synth(args) -> int:
     spec = synth.ScenarioSpec.from_json(_read(Path(args.spec)))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     segments = spec.segment_configs()
@@ -100,12 +98,12 @@ def cmd_synth(args) -> int:
     # Interval metrics feed the planted crash model. An intercept-only plant reads no metric, only
     # each row's segment and window, so its table holds the keys alone and the metrics pass is skipped.
     # A plant that reads one runs the pass on the trajectory tables the simulation builds with its text.
-    beta_star, windows = spec.beta_star or {"intercept": 1.5}, spec.windows()
-    trajs = None if beta_star.keys() <= {"intercept"} else {}
+    windows = spec.windows()
+    trajs = None if spec.plant_beta.keys() <= {"intercept"} else {}
     traj_csvs = synth.generate_trajectories(spec, tables=trajs)
     for sid, text in traj_csvs.items():
         (out / f"trajectories_{sid}.csv").write_text(text)
-    (out / "keypoints.json").write_text(synth.identity_keypoints_json(spec, plane))
+    (out / "keypoints.json").write_text(synth.identity_keypoints_json(spec))
 
     if trajs is None:
         tables = [network_metrics.MetricsTable.build(
@@ -118,17 +116,11 @@ def cmd_synth(args) -> int:
             tracks = trajectories.prepare_tracks(trajs.pop(seg.segment_id), seg.travel_axis)
             tables.append(network_metrics.compute_interval_metrics(
                 tracks, seg, network_metrics.ClusterConfig(), spec.fps, windows))
-    plant = synth.generate_crash_counts(tables, beta_star, noise_kind=spec.noise_kind, seed=spec.seed,
-                                        slot_minutes=spec.slot_minutes, target_r2=spec.target_r2)
-    (out / "crashes.csv").write_text(
-        synth.crash_records_csv(plant, segments, spec.slot_minutes, plane, seed=spec.seed)
-    )
+    plant = synth.generate_crash_counts(tables, spec)
+    (out / "crashes.csv").write_text(synth.crash_records_csv(plant, spec))
     (out / "plant.json").write_text(
-        json.dumps(
-            {"beta_star": plant.beta_star, "sigma": plant.sigma, "noise_kind": spec.noise_kind},
-            indent=2,
-            sort_keys=True,
-        )
+        json.dumps({"beta_star": spec.plant_beta, "sigma": plant.sigma, "noise_kind": spec.noise_kind},
+                   indent=2, sort_keys=True)
     )
     (out / "scenario.json").write_text(spec.to_json())
 
@@ -156,9 +148,7 @@ def cmd_synth(args) -> int:
 
 def cmd_project(args) -> int:
     cfg = load_config(args.config)
-    if cfg.keypoints_path is None:
-        raise NetSafetyError("config has no paths.keypoints entry")
-    pairs = load_keypoints(_read(cfg.keypoints_path), cfg.tangent_plane())
+    pairs = load_keypoints(_read(cfg.path("keypoints")), cfg.tangent_plane())
     h = fit_homography(pairs)
     table = trajectories.parse_trajectories(_read(Path(args.infile)), cfg.fps)
     # Every corner (x1, y1), (x1, y2), (x2, y1), (x2, y2) of every box in one call.
@@ -193,7 +183,7 @@ def cmd_metrics(args) -> int:
         tracks = _prepare_segment_tracks(cfg, seg, paths[seg.segment_id])
         tables.append(network_metrics.compute_interval_metrics(
             tracks, seg, cfg.cluster, cfg.fps, _windows_for(cfg, tracks), cfg.trt))
-    out = Path(args.out) if args.out else (cfg.metrics_path or cfg.output_dir / "metrics.csv")
+    out = Path(args.out) if args.out else cfg.paths.get("metrics", cfg.path("output_dir") / "metrics.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(network_metrics.write_metrics_csv(network_metrics.MetricsTable.concat(tables)))
     return 0
@@ -214,12 +204,9 @@ def cmd_ssm(args) -> int:
 
 def _association_inputs(cfg: RunConfig):
     """The metrics table and the crash binning that ``associate`` and ``shapley`` analyse."""
-    if cfg.metrics_path is None:
-        raise NetSafetyError("config has no paths.metrics entry")
-    if cfg.crashes_path is None:
-        raise NetSafetyError("config has no paths.crashes entry")
-    table = network_metrics.read_metrics_csv(_read(cfg.metrics_path))
-    records = crashes.parse_crashes(_read(cfg.crashes_path))
+    metrics_path, crashes_path = cfg.path("metrics"), cfg.path("crashes")
+    table = network_metrics.read_metrics_csv(_read(metrics_path))
+    records = crashes.parse_crashes(_read(crashes_path))
     return table, crashes.bin_crashes(records, cfg.segments, cfg.analysis.slot_minutes, cfg.tangent_plane(),
                                       year_range=cfg.crash_years)
 
@@ -229,7 +216,7 @@ def cmd_associate(args) -> int:
     if args.seed is not None:
         cfg.analysis = dataclasses.replace(cfg.analysis, seed=args.seed)
     report = association.run_association(*_association_inputs(cfg), cfg.analysis)
-    out = cfg.output_dir
+    out = cfg.path("output_dir")
     out.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
         (out / "association_report.json").write_text(

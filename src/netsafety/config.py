@@ -17,7 +17,7 @@ from functools import cache
 from pathlib import Path
 
 from .association import AnalysisConfig
-from .errors import ParameterError, SchemaError
+from .errors import NetSafetyError, ParameterError, SchemaError
 from .geo import TangentPlane
 from .network_metrics import ClusterConfig, SegmentConfig, TrtConfig
 from .trajectories import TrackPrepConfig
@@ -124,12 +124,9 @@ class IntervalGrid:
 @dataclass
 class RunConfig:
     fps: float
-    output_dir: Path = Path(".")
+    paths: dict[str, Path] = field(default_factory=lambda: {"output_dir": Path(".")})  # the resolved paths section
     segments: list[SegmentConfig] = field(default_factory=list)
     trajectory_paths: dict[str, Path] = field(default_factory=dict)
-    keypoints_path: Path | None = None
-    crashes_path: Path | None = None
-    metrics_path: Path | None = None
     anchor: tuple[float, float] | None = None
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     prep: TrackPrepConfig = field(default_factory=TrackPrepConfig)
@@ -141,6 +138,11 @@ class RunConfig:
     def __post_init__(self):
         if self.anchor is not None:
             self.tangent_plane()  # refuses an anchor off the globe at load
+
+    def path(self, key: str) -> Path:
+        if key not in self.paths:
+            raise NetSafetyError(f"config has no paths.{key} entry")
+        return self.paths[key]
 
     def tangent_plane(self) -> TangentPlane:
         if self.anchor is None:
@@ -177,8 +179,9 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
         return p if p.is_absolute() else base / p
 
     check_keys(obj, _ROOT_KEYS, "config root")
-    paths = {key: resolve(check_value(str, value, f"paths.{key}"))
-             for key, value in check_keys(obj.get("paths", {}), _PATH_KEYS, "config paths").items()}
+    paths = {"output_dir": base}
+    for key, value in check_keys(obj.get("paths", {}), _PATH_KEYS, "config paths").items():
+        paths[key] = resolve(check_value(str, value, f"paths.{key}"))
 
     segments = []
     trajectory_paths = {}
@@ -196,12 +199,9 @@ def _run_config(obj: dict, base: Path) -> RunConfig:
     cfg = RunConfig(
         **{**root, "fps": float(root["fps"])},
         **sections,
-        output_dir=paths.get("output_dir", base),
+        paths=paths,
         segments=segments,
         trajectory_paths=trajectory_paths,
-        keypoints_path=paths.get("keypoints"),
-        crashes_path=paths.get("crashes"),
-        metrics_path=paths.get("metrics"),
     )
     for entry in cfg.analysis.exclude_slots:
         if all(s.segment_id != entry[0] for s in segments):

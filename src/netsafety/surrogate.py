@@ -19,23 +19,12 @@ INITIAL_DR_ONSET = 0.5  # m/s^2; below this a sample does not count as braking
 
 @dataclass(frozen=True)
 class PairState:
-    """Instantaneous leader/follower state along the travel axis.
-
-    ``b`` is the leader's signed acceleration (negative while braking) and
-    ``b_max`` its most negative achievable value; both are optional and only
-    consumed by the braking-severity metrics.
-    """
+    """Instantaneous leader/follower state along the travel axis."""
 
     x_leader: float
     x_follower: float
     v_leader: float
     v_follower: float
-    b: float | None = None
-    b_max: float | None = None
-
-    def __post_init__(self):
-        if self.b_max is not None and self.b_max >= 0:
-            raise ParameterError(f"b_max must be negative (a braking limit), got {self.b_max}")
 
     def gap(self) -> float:
         return self.x_leader - self.x_follower

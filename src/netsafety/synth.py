@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -78,6 +78,9 @@ class ScenarioSpec:
             raise ParameterError("fps and interval_seconds must be positive")
         if self.noise_kind not in ("poisson", "gaussian"):
             raise ParameterError(f"noise_kind must be 'poisson' or 'gaussian', got {self.noise_kind!r}")
+        if not 0 < self.target_r2 < 1:
+            raise ParameterError(f"target_r2 must be in (0, 1), got {self.target_r2}")
+        self.tangent_plane()  # refuses an anchor off the globe at load
         if self.slot_minutes not in SLOT_MINUTES:
             raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {self.slot_minutes}")
         if self.n_intervals > 24 * 60 // self.slot_minutes:
@@ -93,6 +96,14 @@ class ScenarioSpec:
     @property
     def slot_seconds(self) -> float:
         return self.slot_minutes * 60.0
+
+    @property
+    def plant_beta(self) -> dict[str, float]:
+        """The coefficients the crash plant draws from: ``beta_star``, or an intercept-only plant when it is empty."""
+        return self.beta_star or {"intercept": 1.5}
+
+    def tangent_plane(self) -> TangentPlane:
+        return TangentPlane(self.anchor_lat, self.anchor_lon)
 
     def segment_ids(self) -> list[str]:
         return [f"S{k + 1}" for k in range(self.n_segments)]
@@ -271,7 +282,6 @@ class PlantResult:
     counts: dict[tuple[str, int], int]
     lam: dict[tuple[str, int], float]
     sigma: float | None  # gaussian mode only
-    beta_star: dict[str, float]
 
 
 def _standardize(column: np.ndarray) -> np.ndarray:
@@ -279,19 +289,16 @@ def _standardize(column: np.ndarray) -> np.ndarray:
     return np.zeros_like(column) if std == 0 else (column - column.mean()) / std
 
 
-def generate_crash_counts(metrics: MetricsTable | Iterable[MetricsTable], beta_star: Mapping[str, float],
-                          noise_kind: str = "poisson", seed: int = 0, slot_minutes: int = 10,
-                          sigma: float | None = None, target_r2: float = 0.6) -> PlantResult:
+def generate_crash_counts(metrics: MetricsTable | Iterable[MetricsTable], spec: ScenarioSpec) -> PlantResult:
     """Draw crash counts from log-linear rates on standardized metric columns.
 
-    ``beta_star`` maps predictor column names to coefficients, plus an
+    ``spec.plant_beta`` maps predictor column names to coefficients, plus an
     "intercept" entry. Poisson mode draws counts from the rates directly;
     gaussian mode adds normal noise around the rates (floored at zero and
-    rounded), with sigma either given or chosen so the generator's own
-    R-squared is ``target_r2``.
+    rounded), with sigma chosen so the generator's own R-squared is
+    ``spec.target_r2``. Counts are keyed by (segment id, slot of ``spec.slot_minutes``).
     """
-    if noise_kind not in ("poisson", "gaussian"):
-        raise ParameterError(f"noise_kind must be 'poisson' or 'gaussian', got {noise_kind!r}")
+    beta_star = spec.plant_beta
     table = MetricsTable.concat(metrics)
     eta = np.full(len(table), float(beta_star.get("intercept", 0.0)))
     for name in (n for n in beta_star if n != "intercept"):
@@ -303,16 +310,12 @@ def generate_crash_counts(metrics: MetricsTable | Iterable[MetricsTable], beta_s
         eta = eta + float(beta_star[name]) * _standardize(raw)
     lam = np.exp(eta)
 
-    rng = np.random.default_rng([seed, 2])
-    if noise_kind == "poisson":
+    rng = np.random.default_rng([spec.seed, 2])
+    if spec.noise_kind == "poisson":
         counts = rng.poisson(lam)
-        sigma_used = None
+        sigma = None
     else:
-        if sigma is None:
-            var_lam = float(lam.var())
-            if not 0 < target_r2 < 1:
-                raise ParameterError(f"target_r2 must be in (0, 1), got {target_r2}")
-            sigma = math.sqrt(var_lam * (1.0 - target_r2) / target_r2)
+        sigma = math.sqrt(float(lam.var()) * (1.0 - spec.target_r2) / spec.target_r2)
         noise = rng.standard_normal(lam.size)
         # Conditioned draw: remove the sampling correlation with the rates and
         # pin the realized noise level at sigma, so the generator's own
@@ -322,40 +325,39 @@ def generate_crash_counts(metrics: MetricsTable | Iterable[MetricsTable], beta_s
                 noise = noise - np.cov(noise, lam)[0, 1] / lam.var() * (lam - lam.mean())
             noise = (noise - noise.mean()) / noise.std()
         counts = np.maximum(np.rint(lam + sigma * noise), 0.0).astype(int)
-        sigma_used = sigma
 
-    slot = (table.columns["interval_start"] // (slot_minutes * 60)).astype(int)
+    slot = (table.columns["interval_start"] // spec.slot_seconds).astype(int)
     keys = list(zip(table.segment_id.tolist(), slot.tolist()))
-    return PlantResult(dict(zip(keys, counts.tolist())), dict(zip(keys, lam.tolist())), sigma_used, dict(beta_star))
+    return PlantResult(dict(zip(keys, counts.tolist())), dict(zip(keys, lam.tolist())), sigma)
 
 
-def crash_records_csv(plant: PlantResult, segments: Sequence[SegmentConfig], slot_minutes: int, plane: TangentPlane,
-                      seed: int = 0) -> str:
-    """Emit one crash CSV row per planted count, timestamped inside its slot.
+def crash_records_csv(plant: PlantResult, spec: ScenarioSpec) -> str:
+    """Emit one crash CSV row per planted count, timestamped inside its slot, placed in its segment's bbox.
 
     The draw order is part of the output contract: crashes go by (segment id, slot),
     and each takes four doubles of one generator, as ``uniform`` over the slot's
     minutes, the bbox's x and then y range (1 m inside), then ``choice(p=TYPE_MIX)``.
     """
-    by_id = {s.segment_id: s for s in segments}
+    by_id = {s.segment_id: s for s in spec.segment_configs()}
     cells = sorted(plant.counts.items())
     count = [c for _, c in cells]
     slot = np.repeat([s for (_, s), _ in cells], count)
     box = np.repeat([by_id[sid].bbox for (sid, _), _ in cells], count, axis=0).reshape(-1, 4)
-    u = np.random.default_rng([seed, 3]).random((slot.size, 4))
+    u = np.random.default_rng([spec.seed, 3]).random((slot.size, 4))
     # Generator.uniform(lo, hi) is lo + (hi - lo) * u, and choice(p=) searches the normalised cdf.
-    minute_of_day = slot * slot_minutes + slot_minutes * u[:, 0]
+    minute_of_day = slot * spec.slot_minutes + spec.slot_minutes * u[:, 0]
     lo, hi = box[:, :2] + 1.0, box[:, 2:] - 1.0
     x, y = (lo + (hi - lo) * u[:, 1:3]).T
     cdf = np.cumsum([p for _, p in TYPE_MIX])
     crash_type = CodedColumn([name for name, _ in TYPE_MIX], np.searchsorted(cdf / cdf[-1], u[:, 3], side="right"))
     stamps = [(BASE_DATE + timedelta(minutes=m)).isoformat() for m in minute_of_day.tolist()]
-    lat, lon = plane.to_latlon(x, y)
+    lat, lon = spec.tangent_plane().to_latlon(x, y)
     return csv_text(["timestamp", "lat", "lon", "type"], [stamps, lat, lon, crash_type])
 
 
-def identity_keypoints_json(spec: ScenarioSpec, plane: TangentPlane) -> str:
+def identity_keypoints_json(spec: ScenarioSpec) -> str:
     """Keypoints whose pixel coordinates equal their world coordinates (identity fit)."""
+    plane = spec.tangent_plane()
     y_max = (spec.n_segments - 1) * SEGMENT_SPACING_M + spec.lane_count * LANE_WIDTH_M
     length = spec.segment_length_m
     corners = [(0.0, 0.0), (length, 0.0), (0.0, y_max + 10.0), (length, y_max + 10.0),

@@ -302,9 +302,7 @@ def run_plant_seed(seed):
         rows.extend(
             compute_interval_metrics(tracks, seg, ClusterConfig(20.0), spec.fps, spec.windows())
         )
-    plant = generate_crash_counts(
-        rows, PLANT_BETA, noise_kind="gaussian", seed=seed, slot_minutes=10, target_r2=0.6
-    )
+    plant = generate_crash_counts(rows, spec)
     lam = np.array([plant.lam[k] for k in sorted(plant.lam)])
     counts = np.array([plant.counts[k] for k in sorted(plant.counts)], dtype=float)
     generator_r2 = r2_score(counts, lam)

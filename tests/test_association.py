@@ -260,6 +260,16 @@ class TestCrossSegment:
         with pytest.raises(ParameterError):
             cross_segment_analysis(*pooled({"S1": segment_datasets(rng)["S1"]}))
 
+    def test_column_whose_squares_underflow_has_no_pooled_r(self):
+        # 1e-300 ... 7e-300 is not constant, yet its centred squares sum to 0. Pooled |r| divided by that 0
+        # and wrote Infinity, which is not JSON, to association_report.json; per-segment |r| was already absent.
+        x = np.arange(1.0, 8.0)[:, None] * 1e-300
+        keys = [("S1", i) for i in range(4)] + [("S2", i) for i in range(3)]
+        d = Dataset(x, np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 7.0]), ["ovvr"], row_keys=keys)
+        _, combos = cross_segment_analysis(d, ["S1", "S2"])
+        assert [(c.size, c.mean_abs_pooled_r, c.mean_abs_segment_r) for c in combos] == [
+            (1, {"ovvr": None}, {"ovvr": None}), (2, {"ovvr": None}, {"ovvr": None})]
+
     def test_pooled_abs_pearson_values(self):
         rng = np.random.default_rng(15)
         per_segment = segment_datasets(rng)
@@ -469,6 +479,4 @@ def test_cross_segment_of_the_family_join_is_that_of_the_segments_own_joins(data
                 cross_segment_analysis(*args)
         return
     backwards = dict(reversed(own.items()))  # pooled in the other order, so only the row keys place each row
-    # A column of subnormal values is not constant, yet its squares sum to 0: pooled |r| divides by 0 and is inf.
-    with np.errstate(divide="ignore"):
-        assert cross_segment_analysis(d, segment_ids) == cross_segment_analysis(*pooled(backwards))
+    assert cross_segment_analysis(d, segment_ids) == cross_segment_analysis(*pooled(backwards))

@@ -157,10 +157,17 @@ class TestSynthCommand:
          "anchor needs -90 < lat < 90 and -180 <= lon <= 180, got (100.0, -112.06)"),
         ('{"anchor_lon": 200.0}', "ParameterError",
          "anchor needs -90 < lat < 90 and -180 <= lon <= 180, got (33.46, 200.0)"),
+        # The gaussian plant refused this only after trajectories_S1.csv and keypoints.json were written;
+        # the poisson plant, which does not read target_r2, ran.
+        ('{"n_segments": 1, "noise_kind": "gaussian", "target_r2": 1.5}', "ParameterError",
+         "target_r2 must be in (0, 1), got 1.5"),
+        ('{"n_segments": 1, "noise_kind": "poisson", "target_r2": 0}', "ParameterError",
+         "target_r2 must be in (0, 1), got 0"),
     ], ids=["not-an-object", "fractional-count", "string-number", "one-number-range", "no-segments", "negative-seed",
             "nan-number", "plant-not-an-object", "negative-range", "window-without-a-frame-intercept-only",
             "window-without-a-frame-metric-plant", "plant-key-osr_abc", "plant-key-segment_id", "plant-key-foo",
-            "plant-key-osr_2.0", "anchor-lat-off-the-globe", "anchor-lon-off-the-globe"])
+            "plant-key-osr_2.0", "anchor-lat-off-the-globe", "anchor-lon-off-the-globe",
+            "target-r2-above-one-gaussian", "target-r2-zero-poisson"])
     def test_malformed_spec_exits_2_naming_the_field(self, tmp_path, capsys, spec, error, message):
         (tmp_path / "spec.json").write_text(spec)
         assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -11,7 +12,6 @@ from netsafety import synth, trajectories
 from netsafety.cli import main
 from netsafety.crashes import parse_crashes
 from netsafety.errors import ParameterError
-from netsafety.geo import TangentPlane
 from netsafety.network_metrics import ClusterConfig, MetricsTable, compute_interval_metrics
 from netsafety.stats import pearson
 from netsafety.synth import (
@@ -112,9 +112,7 @@ class TestCrashPlant:
         rows = extract_metrics(spec, generate_trajectories(spec))
         all_counts = []
         for seed in range(40):
-            plant = generate_crash_counts(
-                rows, {"intercept": 1.5}, noise_kind="poisson", seed=seed, slot_minutes=10
-            )
+            plant = generate_crash_counts(rows, dataclasses.replace(spec, beta_star={"intercept": 1.5}, seed=seed))
             all_counts.extend(plant.counts.values())
         lam = np.exp(1.5)
         se = np.sqrt(lam / len(all_counts))
@@ -128,8 +126,7 @@ class TestCrashPlant:
         hits = 0
         for seed in range(20):
             plant = generate_crash_counts(
-                rows, {"intercept": 2.0, "osr_1.0": 0.6}, noise_kind="poisson",
-                seed=seed, slot_minutes=10,
+                rows, dataclasses.replace(spec, beta_star={"intercept": 2.0, "osr_1.0": 0.6}, seed=seed)
             )
             counts = np.array([plant.counts[key] for key in keys])
             hits += pearson(osr_col, counts) > 0
@@ -138,17 +135,17 @@ class TestCrashPlant:
     def test_fixed_seed_identical_counts(self):
         spec = small_spec()
         rows = extract_metrics(spec, generate_trajectories(spec))
-        a = generate_crash_counts(rows, {"intercept": 1.0}, seed=5, slot_minutes=10)
-        b = generate_crash_counts(rows, {"intercept": 1.0}, seed=5, slot_minutes=10)
+        plant_spec = dataclasses.replace(spec, beta_star={"intercept": 1.0}, seed=5)
+        a = generate_crash_counts(rows, plant_spec)
+        b = generate_crash_counts(rows, plant_spec)
         assert a.counts == b.counts
 
     def test_gaussian_mode_hits_target_r2(self):
         spec = small_spec(n_intervals=60, interval_seconds=20.0)
         rows = extract_metrics(spec, generate_trajectories(spec))
-        plant = generate_crash_counts(
-            rows, {"intercept": 2.3, "ovvr": 0.2}, noise_kind="gaussian",
-            seed=0, slot_minutes=10, target_r2=0.6,
-        )
+        plant_spec = dataclasses.replace(spec, beta_star={"intercept": 2.3, "ovvr": 0.2}, noise_kind="gaussian",
+                                         target_r2=0.6)
+        plant = generate_crash_counts(rows, plant_spec)
         lam = np.array([plant.lam[k] for k in sorted(plant.lam)])
         counts = np.array([plant.counts[k] for k in sorted(plant.counts)], dtype=float)
         from netsafety.stats import r2_score
@@ -159,9 +156,10 @@ class TestCrashPlant:
     def test_records_round_trip_through_binning(self):
         spec = small_spec(n_intervals=6)
         rows = extract_metrics(spec, generate_trajectories(spec))
-        plant = generate_crash_counts(rows, {"intercept": 1.8}, seed=2, slot_minutes=10)
-        plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
-        text = crash_records_csv(plant, spec.segment_configs(), spec.slot_minutes, plane, seed=2)
+        spec = dataclasses.replace(spec, beta_star={"intercept": 1.8}, seed=2)
+        plant = generate_crash_counts(rows, spec)
+        plane = spec.tangent_plane()
+        text = crash_records_csv(plant, spec)
         records = parse_crashes(text)
         assert len(records) == sum(plant.counts.values())
         from netsafety.crashes import bin_crashes
@@ -197,8 +195,8 @@ class TestKeypoints:
         from netsafety.projection import fit_homography, load_keypoints
 
         spec = small_spec()
-        plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
-        pairs = load_keypoints(identity_keypoints_json(spec, plane), plane)
+        plane = spec.tangent_plane()
+        pairs = load_keypoints(identity_keypoints_json(spec), plane)
         fit = fit_homography(pairs)
         np.testing.assert_allclose(fit.matrix, np.eye(3), atol=1e-6)
 
@@ -281,9 +279,9 @@ class TestAgainstScalarDrawOracle:
     @example(spec=EDGE_SPECS[0], counts=[0] * 6)
     def test_crash_records(self, spec, counts):
         keys = [(sid, slot) for sid in spec.segment_ids() for slot in range(spec.n_intervals)]  # at most 6
-        plant = PlantResult(dict(zip(keys, counts)), {}, None, {})
-        args = (plant, spec.segment_configs(), spec.slot_minutes, TangentPlane(spec.anchor_lat, spec.anchor_lon))
-        assert crash_records_csv(*args, seed=spec.seed) == crash_records_csv_oracle(*args, seed=spec.seed)
+        plant = PlantResult(dict(zip(keys, counts)), {}, None)
+        oracle_args = (plant, spec.segment_configs(), spec.slot_minutes, spec.tangent_plane())
+        assert crash_records_csv(plant, spec) == crash_records_csv_oracle(*oracle_args, seed=spec.seed)
 
 
 # sha256 of every file ``netsafety synth`` writes for tests/golden/spec.json, pinned when the
@@ -429,8 +427,6 @@ def test_intercept_only_crashes_match_the_plant_on_the_full_metrics_pass(tmp_pat
     assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 0
     rows = extract_metrics(spec, generate_trajectories(spec), ClusterConfig())
     assert MetricsTable.concat(rows).columns["n_vehicles"].any()
-    plant = generate_crash_counts(rows, {"intercept": 1.5}, noise_kind=noise_kind, seed=spec.seed,
-                                  slot_minutes=spec.slot_minutes, target_r2=spec.target_r2)
-    plane = TangentPlane(spec.anchor_lat, spec.anchor_lon)
-    expected = crash_records_csv(plant, spec.segment_configs(), spec.slot_minutes, plane, seed=spec.seed)
+    plant = generate_crash_counts(rows, spec)  # the spec's default plant, {"intercept": 1.5}
+    expected = crash_records_csv(plant, spec)
     assert (tmp_path / "o" / "crashes.csv").read_text() == expected
