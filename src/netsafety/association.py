@@ -17,7 +17,7 @@ import numpy as np
 
 from .crashes import CRASH_FAMILIES, SLOT_MINUTES, CrashBinning
 from .errors import DataError, ParameterError
-from .network_metrics import MetricsTable
+from .network_metrics import COLUMN_ALIASES, MetricsTable
 from .stats import (
     Dataset,
     RegressionReport,
@@ -58,17 +58,16 @@ class AnalysisConfig:
             raise ParameterError(f"cv_folds must be at least 2, got {self.cv_folds}")
         if self.seed < 0:
             raise ParameterError(f"analysis seed must be >= 0, got {self.seed}")
-        bad = [m for m in self.methods if m not in CORRELATION_METHODS]
-        if bad:
-            raise ParameterError(f"unknown correlation methods: {bad}")
-        bad_fam = [f for f in self.families if f not in CRASH_FAMILIES]
-        if bad_fam:
-            raise ParameterError(f"unknown crash families: {bad_fam}")
         if not self.predictors:
             raise ParameterError("predictors must name at least one metric column")
-        twice = list(dict.fromkeys(p for p in self.predictors if self.predictors.count(p) > 1))
-        if twice:
-            raise ParameterError(f"predictors name {twice} more than once")
+        for key, known, noun in (("methods", CORRELATION_METHODS, "correlation methods"),
+                                 ("families", CRASH_FAMILIES, "crash families"), ("predictors", None, None)):
+            names = getattr(self, key)
+            if known is not None and (bad := [n for n in names if n not in known]):
+                raise ParameterError(f"unknown {noun}: {bad}")
+            one = [COLUMN_ALIASES.get(n, n) for n in names]  # a name per column, not per spelling
+            if twice := list(dict.fromkeys(n for n, c in zip(names, one) if one.count(c) > 1)):
+                raise ParameterError(f"{key} name {twice} more than once")
         slots_per_day = 24 * 60 // self.slot_minutes
         outside = [list(entry) for entry in self.exclude_slots if not 0 <= entry[1] < slots_per_day]
         if outside:
@@ -121,8 +120,7 @@ def build_dataset(
                         f"(dropped: {dropped})")
     order = np.lexsort((t_start, segment))  # by (segment id, interval start); rows of one key in file order
     rows = order[keep[order]]
-    return Dataset(x[rows], count[code[rows]], list(predictors),
-                   row_keys=list(zip(table.segment_id[rows].tolist(), slot[rows].astype(int).tolist())),
+    return Dataset(x[rows], count[code[rows]], list(predictors), segment=segments[segment[rows]],
                    extras={name: table.column(name)[rows] for name in BASELINE_COLUMNS}, dropped=dropped)
 
 
@@ -182,7 +180,7 @@ class CombinationRow:
 
 
 def cross_segment_analysis(d: Dataset, segment_ids: Sequence[str]) -> tuple[list[HoldoutRow], list[CombinationRow]]:
-    """Generalization across segments of a family's join ``d``, taking each segment's rows by ``d.row_keys``.
+    """Generalization across segments of a family's join ``d``, taking each segment's rows by ``d.segment``.
 
     Segments go in sorted id order, each with its rows in join order; one of ``segment_ids`` without a row
     raises DataError naming it. Hold-out: fit on all-but-one segment, score on the unseen one (R-squared
@@ -192,8 +190,7 @@ def cross_segment_analysis(d: Dataset, segment_ids: Sequence[str]) -> tuple[list
     per-segment sums, not from stacked rows.
     """
     seg_ids = sorted(segment_ids)
-    of_row = np.array([sid for sid, _ in d.row_keys], dtype=str)
-    rows = [np.flatnonzero(of_row == sid) for sid in seg_ids]
+    rows = [np.flatnonzero(d.segment == sid) for sid in seg_ids]
     if empty := [sid for sid, r in zip(seg_ids, rows) if not r.size]:
         raise DataError(f"segment {empty[0]!r} has no joined rows")
     if len(seg_ids) < 2:
@@ -210,8 +207,7 @@ def cross_segment_analysis(d: Dataset, segment_ids: Sequence[str]) -> tuple[list
         try:
             yhat = predict(ols_fit(Dataset(np.delete(x, p, axis=0), np.delete(y, p), list(names))), x[p])
             row.r2 = r2_score(y[p], yhat)
-            k = len(names) + 1
-            row.adj_r2 = adjusted_r2(row.r2, row.n_test, k) if row.n_test > k else None
+            row.adj_r2 = adjusted_r2(row.r2, row.n_test, d.m + 1) if row.n_test > d.m + 1 else None
             row.n_mse = n_mse(y[p], yhat)
         except DataError:
             row.unevaluable = True

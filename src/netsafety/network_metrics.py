@@ -686,6 +686,7 @@ _REQUIRED_COLUMNS = ("segment_id", "interval_start", "interval_end")
 _HEAD_COLUMNS = (*_REQUIRED_COLUMNS, "ttc_cv", "ivvr", "ovvr")  # then osr_<theta>...
 _TAIL_COLUMNS = ("tci", "f_truck", "ntc", "trt", "n_vehicles", "coverage", "e_ttc")
 _NUMERIC_COLUMNS = (*_HEAD_COLUMNS[1:], *_TAIL_COLUMNS)
+COLUMN_ALIASES = {"volume": "n_vehicles"}  # the other name MetricsTable.column takes for a column
 
 
 def _osr_column(theta: float) -> str:
@@ -750,7 +751,7 @@ class MetricsTable:
         """The floats of metric column ``name``, or of ``volume`` (n_vehicles); SchemaError naming any other key."""
         if name not in column_names(self.thresholds):
             raise SchemaError(f"unknown metric column {name!r}; the metrics table has {column_names(self.thresholds)}")
-        return self.columns["n_vehicles" if name == "volume" else name].astype(float)
+        return self.columns[COLUMN_ALIASES.get(name, name)].astype(float)
 
 
 def write_metrics_csv(table: MetricsTable) -> str:

@@ -24,7 +24,7 @@ _EXACT_FIT_RTOL = 1e-12
 
 @dataclass
 class Dataset:
-    """Predictor matrix and response with bookkeeping for dropped rows.
+    """Predictor matrix and response, with the segment id of each row of a join and counts of its dropped rows.
 
     ``extras`` carries optional aligned columns (baselines such as traffic
     volume) that are not part of the fitted design; NaN marks absent values
@@ -34,7 +34,7 @@ class Dataset:
     x: np.ndarray
     y: np.ndarray
     predictor_names: list[str]
-    row_keys: list[tuple] = field(default_factory=list)
+    segment: np.ndarray | None = None
     extras: dict[str, np.ndarray] = field(default_factory=dict)
     dropped: dict[str, int] = field(default_factory=dict)
 
@@ -57,24 +57,6 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.x.shape[1]
-
-    def subset_columns(self, indices) -> "Dataset":
-        idx = list(indices)
-        return Dataset(
-            x=self.x[:, idx],
-            y=self.y,
-            predictor_names=[self.predictor_names[i] for i in idx],
-            row_keys=self.row_keys,
-        )
-
-    def subset_rows(self, indices) -> "Dataset":
-        idx = np.asarray(indices)
-        return Dataset(
-            x=self.x[idx],
-            y=self.y[idx],
-            predictor_names=list(self.predictor_names),
-            row_keys=[self.row_keys[i] for i in idx] if self.row_keys else [],
-        )
 
 
 @dataclass
@@ -137,10 +119,17 @@ def adjusted_r2(r2: float, n: int, p: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - p)
 
 
+def _paired(y, yhat) -> tuple[np.ndarray, np.ndarray]:
+    """``y`` and ``yhat`` as float arrays; ParameterError unless both are 1-D of one length."""
+    y, yhat = np.asarray(y, dtype=float), np.asarray(yhat, dtype=float)
+    if y.shape != yhat.shape or y.ndim != 1:
+        raise ParameterError("y and yhat must be equal-length 1-D sequences")
+    return y, yhat
+
+
 def r2_score(y, yhat) -> float:
     """1 - RSS/TSS; can be negative on held-out data. Undefined for constant y."""
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
+    y, yhat = _paired(y, yhat)
     tss = float(np.sum((y - y.mean()) ** 2))
     if tss == 0:
         raise DataError("R-squared undefined: response is constant (TSS = 0)")
@@ -155,10 +144,7 @@ def n_mse(y, yhat, mode: str = "mean") -> float:
     """
     if mode not in ("mean", "sum"):
         raise ParameterError(f"mode must be 'mean' or 'sum', got {mode!r}")
-    y = np.asarray(y, dtype=float)
-    yhat = np.asarray(yhat, dtype=float)
-    if y.shape != yhat.shape or y.ndim != 1:
-        raise ParameterError("y and yhat must be equal-length 1-D sequences")
+    y, yhat = _paired(y, yhat)
     terms = np.zeros(y.size)
     both_zero = (y == 0) & (yhat == 0)
     denom = (y + yhat) ** 2 / 2.0
@@ -271,9 +257,7 @@ def kfold_cv(d: Dataset, k: int, seed: int, model_kind: str = "linear") -> Regre
         raise DataError(f"{d.n} rows cannot fill {k} cross-validation folds")
     fit = ols_fit if model_kind == "linear" else poisson_fit
     full = fit(d)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(d.n)
-    folds = np.array_split(perm, k)
+    folds = np.array_split(np.random.default_rng(seed).permutation(d.n), k)
     p = d.m + 1
     r2_vals: list[float] = []
     adj_vals: list[float] = []
@@ -283,7 +267,7 @@ def kfold_cv(d: Dataset, k: int, seed: int, model_kind: str = "linear") -> Regre
         train_idx = np.concatenate([folds[j] for j in range(k) if j != i])
         y_test = d.y[test_idx]
         try:
-            model = fit(d.subset_rows(train_idx))
+            model = fit(Dataset(d.x[train_idx], d.y[train_idx], d.predictor_names))
         except DataError as exc:
             warnings.warn(f"fold {i} skipped: {exc}", stacklevel=2)
             continue

@@ -133,8 +133,9 @@ def shapley_values(d: Dataset) -> ShapleyReport:
             ess = np.sum(np.linalg.qr(slices[full], mode="r")[:, 1:-1, -1] ** 2, axis=1)
             values[masks[full]] = adjusted_r2(ess / tss, n, k + 1)
         for combo, mask in zip(combos[~full], masks[~full]):
-            keep = independent_columns(d.x[:, combo])
-            values[mask] = ols_fit(d.subset_columns(combo[keep])).adj_r2 if keep else 0.0
+            cols = combo[independent_columns(d.x[:, combo])]
+            sub = Dataset(d.x[:, cols], d.y, [d.predictor_names[j] for j in cols])
+            values[mask] = ols_fit(sub).adj_r2 if cols.size else 0.0
             degenerate.append(int(mask))
     flagged = [_members(mask, m) for mask in sorted(degenerate)]
     return ShapleyReport(list(d.predictor_names), _phi(values, m), values, flagged)

@@ -587,7 +587,7 @@ def shapley_oracle(d):
     columns and is listed in ``degenerate`` in bitmask order.
     """
     from netsafety.errors import SingularDesignError
-    from netsafety.stats.regression import independent_columns, ols_fit
+    from netsafety.stats.regression import Dataset, independent_columns, ols_fit
 
     values, degenerate = {}, []
     for mask in range(1 << d.m):
@@ -597,11 +597,12 @@ def shapley_oracle(d):
             values[coalition] = 0.0
             continue
         try:
-            values[coalition] = ols_fit(d.subset_columns(idx)).adj_r2
+            values[coalition] = ols_fit(Dataset(d.x[:, idx], d.y, [d.predictor_names[i] for i in idx])).adj_r2
         except SingularDesignError:
             degenerate.append(coalition)
-            keep = independent_columns(d.x[:, idx])
-            values[coalition] = ols_fit(d.subset_columns([idx[j] for j in keep])).adj_r2 if keep else 0.0
+            cols = [idx[j] for j in independent_columns(d.x[:, idx])]
+            sub = Dataset(d.x[:, cols], d.y, [d.predictor_names[i] for i in cols])
+            values[coalition] = ols_fit(sub).adj_r2 if cols else 0.0
     fact = [math.factorial(i) for i in range(d.m + 1)]
     phi = []
     for i in range(d.m):
@@ -620,7 +621,7 @@ def shapley_values_oracle(d):
     shortcut for a full design that passes the test by a margin, so the two agree bit for bit.
     """
     from netsafety.errors import DataError
-    from netsafety.stats.regression import adjusted_r2, independent_columns, ols_fit
+    from netsafety.stats.regression import Dataset, adjusted_r2, independent_columns, ols_fit
     from netsafety.stats.shapley import ShapleyReport, _members, _phi
 
     m, n = d.m, d.n
@@ -641,11 +642,49 @@ def shapley_values_oracle(d):
             ess = np.sum(np.linalg.qr(slices[full], mode="r")[:, 1:-1, -1] ** 2, axis=1)
             values[masks[full]] = adjusted_r2(ess / tss, n, k + 1)
         for combo, mask in zip(combos[~full], masks[~full]):
-            keep = independent_columns(d.x[:, combo])
-            values[mask] = ols_fit(d.subset_columns(combo[keep])).adj_r2 if keep else 0.0
+            cols = combo[independent_columns(d.x[:, combo])]
+            sub = Dataset(d.x[:, cols], d.y, [d.predictor_names[i] for i in cols])
+            values[mask] = ols_fit(sub).adj_r2 if cols.size else 0.0
             degenerate.append(int(mask))
     flagged = [_members(mask, m) for mask in sorted(degenerate)]
     return ShapleyReport(list(d.predictor_names), _phi(values, m), values, flagged)
+
+
+def kfold_cv_oracle(x, y, k, seed, model_kind):
+    """``kfold_cv`` fold by fold from the raw arrays, for the same seed's permutation dealt by ``array_split``.
+
+    Each training set is sliced from ``x`` and ``y`` as a list of the other folds' rows, in fold order, and
+    fitted with ``ols_fit`` or ``poisson_fit``. A fold whose fit raises DataError is skipped; one whose
+    held-out response is constant counts for N-MSE only; adjusted R-squared needs more held-out rows than
+    parameters. Returns the fields of the report that depend on the folds, the full-data ``beta``, and
+    the message of each skip, in fold order.
+    """
+    from netsafety.errors import DataError
+    from netsafety.stats.regression import Dataset, adjusted_r2, n_mse, ols_fit, poisson_fit, predict, r2_score
+
+    fit = ols_fit if model_kind == "linear" else poisson_fit
+    names = [f"x{j}" for j in range(x.shape[1])]
+    folds = np.array_split(np.random.default_rng(seed).permutation(len(y)), k)
+    p = x.shape[1] + 1
+    r2s, adjs, nmses, notes = [], [], [], []
+    for i, test in enumerate(folds):
+        train = [row for j, fold in enumerate(folds) if j != i for row in fold]
+        try:
+            model = fit(Dataset(x[train], y[train], names))
+        except DataError as exc:
+            notes.append(f"fold {i} skipped: {exc}")
+            continue
+        yhat = predict(model, x[test])
+        nmses.append(n_mse(y[test], yhat))
+        if len(set(y[test].tolist())) == 1:
+            notes.append(f"fold {i}: held-out response constant, no R-squared")
+            continue
+        r2s.append(r2_score(y[test], yhat))
+        if len(test) > p:
+            adjs.append(adjusted_r2(r2s[-1], len(test), p))
+    mean = lambda vals: float(np.mean(vals)) if vals else None  # noqa: E731
+    return {"r2": mean(r2s), "adj_r2": mean(adjs), "n_mse": mean(nmses), "folds_used": len(nmses),
+            "beta": fit(Dataset(x, y, names)).beta, "notes": notes}
 
 
 def pooled_abs_r_oracle(per_segment):

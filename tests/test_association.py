@@ -112,7 +112,7 @@ class TestBuildDataset:
         binning = make_binning({("S1", i): i for i in range(10)})
         d = build_dataset(metrics_table_of(rows), binning, "AllType", PREDICTORS, exclude_slots=[("S1", 3), ("S1", 7)])
         assert d.n == 8 and d.dropped["excluded"] == 2
-        assert ("S1", 3) not in d.row_keys
+        assert d.y.tolist() == [0, 1, 2, 4, 5, 6, 8, 9]  # slot i's count is i: the rows of slots 3 and 7 are gone
 
 
 class TestPerMetricCorrelations:
@@ -207,10 +207,10 @@ class TestFullModel:
 
 def pooled(per_segment):
     """``cross_segment_analysis``'s arguments for these segments: their rows stacked in the dict's order as one
-    join, each keyed by its segment, and the segment ids."""
+    join, each with its segment, and the segment ids."""
     parts = list(per_segment.items())
     join = Dataset(np.vstack([d.x for _, d in parts]), np.concatenate([d.y for _, d in parts]),
-                   list(parts[0][1].predictor_names), row_keys=[(sid, i) for sid, d in parts for i in range(d.n)])
+                   list(parts[0][1].predictor_names), segment=np.repeat(list(per_segment), [d.n for _, d in parts]))
     return join, list(per_segment)
 
 
@@ -264,8 +264,8 @@ class TestCrossSegment:
         # 1e-300 ... 7e-300 is not constant, yet its centred squares sum to 0. Pooled |r| divided by that 0
         # and wrote Infinity, which is not JSON, to association_report.json; per-segment |r| was already absent.
         x = np.arange(1.0, 8.0)[:, None] * 1e-300
-        keys = [("S1", i) for i in range(4)] + [("S2", i) for i in range(3)]
-        d = Dataset(x, np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 7.0]), ["ovvr"], row_keys=keys)
+        segment = np.array(["S1"] * 4 + ["S2"] * 3)
+        d = Dataset(x, np.array([1.0, 3.0, 2.0, 5.0, 4.0, 6.0, 7.0]), ["ovvr"], segment=segment)
         _, combos = cross_segment_analysis(d, ["S1", "S2"])
         assert [(c.size, c.mean_abs_pooled_r, c.mean_abs_segment_r) for c in combos] == [
             (1, {"ovvr": None}, {"ovvr": None}), (2, {"ovvr": None}, {"ovvr": None})]

@@ -983,11 +983,18 @@ class TestConfigValidation:
         ({"predictors": []}, "ParameterError", "predictors must name at least one metric column"),
         # A repeated predictor exited 0 with a shapley.csv of two ivvr columns from a one-key phi.
         ({"predictors": ["ivvr", "ivvr"]}, "ParameterError", "predictors name ['ivvr'] more than once"),
+        # A repeated family or method exited 0 and ran it twice, repeating its rows in every table.
+        ({"families": ["AllType", "AllType"]}, "ParameterError", "families name ['AllType'] more than once"),
+        ({"methods": ["pearson", "pearson"]}, "ParameterError", "methods name ['pearson'] more than once"),
+        # volume is the n_vehicles column: full_model was rank deficient and Shapley split its credit in two.
+        ({"predictors": ["ivvr", "volume", "n_vehicles"]}, "ParameterError",
+         "predictors name ['volume', 'n_vehicles'] more than once"),
         # A string was split into characters: "ivvr" read as the unknown metric column 'i'.
         *(({key: value}, "SchemaError", f"config analysis has a value of the wrong type: {key} must be a list of any "
                                         f"count of strings, got {value!r}")
           for key, value in (("families", "AllType"), ("methods", "pearson"), ("predictors", "ivvr"))),
-    ], ids=["empty-predictors", "repeated-predictor", "families-string", "methods-string", "predictors-string"])
+    ], ids=["empty-predictors", "repeated-predictor", "repeated-family", "repeated-method", "volume-and-n_vehicles",
+            "families-string", "methods-string", "predictors-string"])
     def test_analysis_list_exits_2_naming_the_key(self, tmp_path, capsys, analysis, error, message):
         out = run_bundle(tmp_path)
         config = out / "config.json"

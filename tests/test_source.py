@@ -1,4 +1,5 @@
-"""Checks on the package source itself: every name a module of ``src/netsafety`` imports is read there."""
+"""Checks on the package source itself: every name a module of ``src/netsafety`` imports is read there, and every
+private name a module defines is read by some module."""
 
 import ast
 from pathlib import Path
@@ -22,6 +23,33 @@ def dead_imports(path: Path, root: Path = SRC.parent) -> list[str]:
     return dead
 
 
+def unread_private_names(paths: list[Path], root: Path = SRC.parent) -> list[str]:
+    """``file:line: name`` for each module-level private function, class or constant of ``paths`` that none of them
+    reads: no ``name`` load, ``.name`` attribute or ``import name`` of it in any of the modules."""
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.relative_to(root)}:{node.lineno}: {name}" for name in defined
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
 def test_every_imported_name_is_read():
     modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]  # an __init__ imports to re-export
     assert modules
@@ -35,3 +63,18 @@ def test_a_dead_import_is_named_with_its_file_and_line(tmp_path):
                       "    Mapping,  # noqa: F401\n    Sequence,\n)\nfrom .geo import TangentPlane as Plane\n\n\n"
                       "def f(x: Iterable) -> Plane:\n    return json.dumps(x)\n")
     assert dead_imports(module, tmp_path) == ["netsafety/m.py:7: Sequence"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names(sorted(SRC.rglob("*.py"))) == []
+
+
+def test_an_unread_private_name_is_named_with_its_file_and_line(tmp_path):
+    package = tmp_path / "netsafety"
+    package.mkdir()
+    (package / "a.py").write_text("import math\n\n_LIMIT = 3\n_UNUSED: int = 4\n__all__ = ['f']\n\n\n"
+                                  "def _helper(x):\n    return x * math.pi\n\n\n"
+                                  "class _Spare:\n    pass\n\n\ndef f():\n    return _LIMIT\n")
+    (package / "b.py").write_text("from .a import _helper\n\nVALUE = _helper(2)\n")
+    assert unread_private_names([package / "a.py", package / "b.py"], tmp_path) == [
+        "netsafety/a.py:4: _UNUSED", "netsafety/a.py:12: _Spare"]

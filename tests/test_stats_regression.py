@@ -16,7 +16,7 @@ from netsafety.stats import (
     r2_score,
 )
 
-from oracles import ols_oracle
+from oracles import kfold_cv_oracle, ols_oracle
 
 
 def dataset(x, y, names=None):
@@ -186,9 +186,61 @@ class TestKfold:
             kfold_cv(dataset(np.arange(5.0), np.arange(5.0) + 0.5), k=6, seed=0)
 
 
+class TestKfoldAgainstOracle:
+    """Fold assembly: every fold statistic and the full-data beta equal, bit for bit, those of the same seed's
+    folds fitted one by one from the raw arrays."""
+
+    @staticmethod
+    def response(x, model_kind, rng):
+        eta = 0.5 + x @ np.linspace(0.4, -0.3, x.shape[1])
+        if model_kind == "poisson":
+            return rng.poisson(np.exp(eta)).astype(float)
+        return eta + rng.normal(0, 0.3, len(eta))
+
+    def assert_matches_oracle(self, x, y, k, seed, model_kind):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = kfold_cv(dataset(x, y), k=k, seed=seed, model_kind=model_kind)
+        want = kfold_cv_oracle(x, y, k, seed, model_kind)
+        assert [str(w.message) for w in caught] == want["notes"]
+        assert (report.r2, report.adj_r2, report.n_mse, report.folds_used) == (
+            want["r2"], want["adj_r2"], want["n_mse"], want["folds_used"])
+        np.testing.assert_array_equal(report.beta, want["beta"])
+        return want["notes"]
+
+    @pytest.mark.parametrize("model_kind", ["linear", "poisson"])
+    @pytest.mark.parametrize("seed, n, m, k", [(0, 40, 2, 5), (1, 23, 3, 4), (2, 57, 1, 3), (3, 31, 4, 6)])
+    def test_random_designs(self, model_kind, seed, n, m, k):
+        rng = np.random.default_rng(100 + seed)
+        x = rng.normal(size=(n, m))
+        assert self.assert_matches_oracle(x, self.response(x, model_kind, rng), k, seed, model_kind) == []
+
+    @pytest.mark.parametrize("model_kind", ["linear", "poisson"])
+    def test_constant_held_out_fold_and_singular_training_fold(self, model_kind):
+        # Fold 1's held-out response is constant: it scores N-MSE only. Column 1 is nonzero on fold 3's rows
+        # alone, so the training set without them is rank deficient and fold 3 is skipped.
+        rng = np.random.default_rng(7)
+        n, k, seed = 40, 5, 4
+        folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+        x = np.column_stack([rng.normal(size=n), np.zeros(n)])
+        x[folds[3], 1] = rng.normal(size=folds[3].size)
+        y = self.response(x, model_kind, rng)
+        y[folds[1]] = 2.0
+        notes = self.assert_matches_oracle(x, y, k, seed, model_kind)
+        assert [note.split(":")[0] for note in notes] == ["fold 1", "fold 3 skipped"]
+
+
 class TestPredictAndScore:
     def test_r2_score_can_be_negative(self):
         assert r2_score([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]) < 0
+
+    @pytest.mark.parametrize("yhat", [[[1.0], [2.0], [3.0]], [1.0, 2.0]], ids=["column", "shorter"])
+    def test_scores_refuse_unequal_shapes(self, yhat):
+        # r2_score broadcast a column against y to 3x3 and returned -5.0 for a perfect fit, and let numpy's
+        # ValueError escape for a shorter yhat; n_mse already refused both.
+        for score in (r2_score, n_mse):
+            with pytest.raises(ParameterError, match="^y and yhat must be equal-length 1-D sequences$"):
+                score([1.0, 2.0, 3.0], yhat)
 
     def test_predict_linear_poisson(self):
         lin = ols_fit(dataset([0, 1, 2], [1, 3, 5]))
