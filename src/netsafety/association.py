@@ -58,13 +58,14 @@ class AnalysisConfig:
             raise ParameterError(f"cv_folds must be at least 2, got {self.cv_folds}")
         if self.seed < 0:
             raise ParameterError(f"analysis seed must be >= 0, got {self.seed}")
-        if not self.predictors:
-            raise ParameterError("predictors must name at least one metric column")
-        for key, known, noun in (("methods", CORRELATION_METHODS, "correlation methods"),
-                                 ("families", CRASH_FAMILIES, "crash families"), ("predictors", None, None)):
+        for key, known, noun, nouns in (("methods", CORRELATION_METHODS, "correlation method", "correlation methods"),
+                                        ("families", CRASH_FAMILIES, "crash family", "crash families"),
+                                        ("predictors", None, "metric column", None)):
             names = getattr(self, key)
+            if not names:
+                raise ParameterError(f"{key} must name at least one {noun}")
             if known is not None and (bad := [n for n in names if n not in known]):
-                raise ParameterError(f"unknown {noun}: {bad}")
+                raise ParameterError(f"unknown {nouns}: {bad}")
             one = [COLUMN_ALIASES.get(n, n) for n in names]  # a name per column, not per spelling
             if twice := list(dict.fromkeys(n for n, c in zip(names, one) if one.count(c) > 1)):
                 raise ParameterError(f"{key} name {twice} more than once")

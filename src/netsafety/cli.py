@@ -10,7 +10,9 @@ produce byte-identical outputs. Only two commands draw random numbers:
 from ``analysis.seed`` (or ``--seed``), which seeds the cross-validation folds.
 
 Exit codes: 0 on success, 2 for input/schema/fit errors (a JSON error
-object is printed to stderr).
+object is printed to stderr). An input file that cannot be read, and an output
+file that cannot be written, exit 2 with an error naming its path: every input
+goes through ``config.read_input`` and every output through ``write_output``.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import dataclasses
 import functools
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from . import association, crashes, network_metrics, synth, trajectories
-from .config import IntervalGrid, RunConfig, load_config
+from .config import IntervalGrid, RunConfig, load_config, read_input
 from .errors import NetSafetyError, ParameterError
 from .projection import apply_homography, fit_homography, load_keypoints
 from .surrogate import drac, ttc  # noqa: F401  (perfbench/layers.py traces cli.ttc and cli.drac by name)
@@ -56,21 +59,19 @@ def _fail(exc: Exception) -> int:
     return 2
 
 
-def _read(path: Path) -> bytes:
-    """An input file's bytes, line ends made LF as by Path.read_text; NetSafetyError unless it is UTF-8 text."""
+def write_output(path: Path, content: str | Iterable[str]) -> None:
+    """Write ``content``, a string or its chunks (as ``csv_chunks`` yields them), to ``path`` as UTF-8, making the
+    directory it goes in; NetSafetyError naming the path if it cannot be written. The one place an output is written."""
     try:
-        data = Path(path).read_bytes()
-        if not data.isascii():
-            data.decode()
-    except FileNotFoundError:
-        raise NetSafetyError(f"input file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise NetSafetyError(f"input file is not {exc.encoding} text: {path} (byte {exc.start})") from None
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines([content] if isinstance(content, str) else content)
+    except OSError as exc:
+        raise NetSafetyError(f"output file cannot be written: {path} ({exc.strerror})") from None
 
 
 def _prepare_segment_tracks(cfg: RunConfig, segment, path: Path):
-    return trajectories.prepare_tracks(trajectories.parse_trajectories(_read(path), cfg.fps), segment.travel_axis,
+    return trajectories.prepare_tracks(trajectories.parse_trajectories(read_input(path), cfg.fps), segment.travel_axis,
                                        cfg.prep)
 
 
@@ -88,11 +89,10 @@ def _windows_for(cfg: RunConfig, tracks: trajectories.PreparedTracks) -> list[tu
 
 
 def cmd_synth(args) -> int:
-    spec = synth.ScenarioSpec.from_json(_read(Path(args.spec)))
+    spec = synth.ScenarioSpec.from_json(read_input(args.spec))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     segments = spec.segment_configs()
 
     # Interval metrics feed the planted crash model. An intercept-only plant reads no metric, only
@@ -102,8 +102,8 @@ def cmd_synth(args) -> int:
     trajs = None if spec.plant_beta.keys() <= {"intercept"} else {}
     traj_csvs = synth.generate_trajectories(spec, tables=trajs)
     for sid, text in traj_csvs.items():
-        (out / f"trajectories_{sid}.csv").write_text(text)
-    (out / "keypoints.json").write_text(synth.identity_keypoints_json(spec))
+        write_output(out / f"trajectories_{sid}.csv", text)
+    write_output(out / "keypoints.json", synth.identity_keypoints_json(spec))
 
     if trajs is None:
         tables = [network_metrics.MetricsTable.build(
@@ -117,12 +117,10 @@ def cmd_synth(args) -> int:
             tables.append(network_metrics.compute_interval_metrics(
                 tracks, seg, network_metrics.ClusterConfig(), spec.fps, windows))
     plant = synth.generate_crash_counts(tables, spec)
-    (out / "crashes.csv").write_text(synth.crash_records_csv(plant, spec))
-    (out / "plant.json").write_text(
-        json.dumps({"beta_star": spec.plant_beta, "sigma": plant.sigma, "noise_kind": spec.noise_kind},
-                   indent=2, sort_keys=True)
-    )
-    (out / "scenario.json").write_text(spec.to_json())
+    write_output(out / "crashes.csv", synth.crash_records_csv(plant, spec))
+    write_output(out / "plant.json", json.dumps(
+        {"beta_star": spec.plant_beta, "sigma": plant.sigma, "noise_kind": spec.noise_kind}, indent=2, sort_keys=True))
+    write_output(out / "scenario.json", spec.to_json())
 
     config = {
         "fps": spec.fps,
@@ -142,15 +140,15 @@ def cmd_synth(args) -> int:
         "analysis": {"slot_minutes": spec.slot_minutes, "seed": spec.seed},
         "crash_years": [synth.BASE_DATE.year, synth.BASE_DATE.year],
     }
-    (out / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True))
+    write_output(out / "config.json", json.dumps(config, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_project(args) -> int:
     cfg = load_config(args.config)
-    pairs = load_keypoints(_read(cfg.path("keypoints")), cfg.tangent_plane())
+    pairs = load_keypoints(read_input(cfg.path("keypoints")), cfg.tangent_plane())
     h = fit_homography(pairs)
-    table = trajectories.parse_trajectories(_read(Path(args.infile)), cfg.fps)
+    table = trajectories.parse_trajectories(read_input(args.infile), cfg.fps)
     # Every corner (x1, y1), (x1, y2), (x2, y1), (x2, y2) of every box in one call.
     world = apply_homography(h, table.boxes[:, [0, 1, 0, 3, 2, 1, 2, 3]].reshape(-1, 2)).reshape(-1, 4, 2)
     lo = hi = world[:, 0]
@@ -158,9 +156,9 @@ def cmd_project(args) -> int:
         lo = np.where(world[:, j] < lo, world[:, j], lo)
         hi = np.where(world[:, j] > hi, world[:, j], hi)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    trajectories.write_csv(out, trajectories.TRAJECTORY_COLUMNS, [table.frames, table.id_column(), *lo.T, *hi.T])
-    out.with_suffix(out.suffix + ".homography.json").write_text(h.to_json())
+    write_output(out, trajectories.csv_chunks(trajectories.TRAJECTORY_COLUMNS,
+                                              [table.frames, table.id_column(), *lo.T, *hi.T]))
+    write_output(out.with_suffix(out.suffix + ".homography.json"), h.to_json())
     return 0
 
 
@@ -184,8 +182,7 @@ def cmd_metrics(args) -> int:
         tables.append(network_metrics.compute_interval_metrics(
             tracks, seg, cfg.cluster, cfg.fps, _windows_for(cfg, tracks), cfg.trt))
     out = Path(args.out) if args.out else cfg.paths.get("metrics", cfg.path("output_dir") / "metrics.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(network_metrics.write_metrics_csv(network_metrics.MetricsTable.concat(tables)))
+    write_output(out, network_metrics.write_metrics_csv(network_metrics.MetricsTable.concat(tables)))
     return 0
 
 
@@ -196,17 +193,15 @@ def cmd_ssm(args) -> int:
     seg = cfg.segments[0]
     tracks = _prepare_segment_tracks(cfg, seg, Path(args.infile))
     columns = network_metrics.SampleTable.build(tracks, seg.travel_axis).ssm_columns(cfg.fps)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    trajectories.write_csv(out, list(columns), columns.values())
+    write_output(Path(args.out), trajectories.csv_chunks(list(columns), columns.values()))
     return 0
 
 
 def _association_inputs(cfg: RunConfig):
     """The metrics table and the crash binning that ``associate`` and ``shapley`` analyse."""
     metrics_path, crashes_path = cfg.path("metrics"), cfg.path("crashes")
-    table = network_metrics.read_metrics_csv(_read(metrics_path))
-    records = crashes.parse_crashes(_read(crashes_path))
+    table = network_metrics.read_metrics_csv(read_input(metrics_path))
+    records = crashes.parse_crashes(read_input(crashes_path))
     return table, crashes.bin_crashes(records, cfg.segments, cfg.analysis.slot_minutes, cfg.tangent_plane(),
                                       year_range=cfg.crash_years)
 
@@ -217,18 +212,15 @@ def cmd_associate(args) -> int:
         cfg.analysis = dataclasses.replace(cfg.analysis, seed=args.seed)
     report = association.run_association(*_association_inputs(cfg), cfg.analysis)
     out = cfg.path("output_dir")
-    out.mkdir(parents=True, exist_ok=True)
     if args.format in ("json", "both"):
-        (out / "association_report.json").write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_output(out / "association_report.json", json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     if args.format in ("csv", "both"):
-        (out / "correlations.csv").write_text(association.correlations_table_csv(report))
-        (out / "full_model.csv").write_text(association.full_model_table_csv(report))
-        (out / "shapley.csv").write_text(association.shapley_table_csv(report))
+        write_output(out / "correlations.csv", association.correlations_table_csv(report))
+        write_output(out / "full_model.csv", association.full_model_table_csv(report))
+        write_output(out / "shapley.csv", association.shapley_table_csv(report))
         combos, holdout = association.cross_segment_tables_csv(report)
-        (out / "cross_segment_correlations.csv").write_text(combos)
-        (out / "cross_segment_holdout.csv").write_text(holdout)
+        write_output(out / "cross_segment_correlations.csv", combos)
+        write_output(out / "cross_segment_holdout.csv", holdout)
     return 0
 
 
@@ -237,9 +229,7 @@ def cmd_shapley(args) -> int:
     report = association.run_shapley(*_association_inputs(cfg), cfg.analysis)
     text = association.shapley_table_csv(report)
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        write_output(Path(args.out), text)
     else:
         sys.stdout.write(text)
     return 0

@@ -157,18 +157,36 @@ _ROOT_KEYS = {*_SECTIONS, *_ROOT_VALUES, "paths", "segments"}
 _PATH_KEYS = {"output_dir", "keypoints", "crashes", "metrics"}
 
 
+def read_input(path: str | Path) -> bytes:
+    """An input file's bytes, line ends made LF as by Path.read_text; NetSafetyError naming the path unless it is a
+    readable file of UTF-8 text. The one place an input file is read."""
+    try:
+        data = Path(path).read_bytes()
+        if not data.isascii():
+            data.decode()
+    except FileNotFoundError:
+        raise NetSafetyError(f"input file not found: {path}") from None
+    except OSError as exc:
+        raise NetSafetyError(f"input file cannot be read: {path} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise NetSafetyError(f"input file is not {exc.encoding} text: {path} (byte {exc.start})") from None
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
+
+
+def json_input(data: bytes | str, what: str, kind: type[dict] | type[list]):
+    """``data`` decoded as JSON whose root is a ``kind``; SchemaError naming ``what`` otherwise."""
+    try:
+        obj = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, kind):
+        raise SchemaError(f"{what} must be a JSON {'object' if kind is dict else 'array'}, got {type(obj).__name__}")
+    return obj
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise SchemaError(f"config file not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"config file is not {exc.encoding} text: {path} (byte {exc.start})") from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise SchemaError(f"config root must be a JSON object, got {type(obj).__name__}")
+    obj = json_input(read_input(path), "config file", dict)
     with typed("config root"):
         return _run_config(obj, path.parent)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_value
+from .config import check_value, json_input
 from .errors import DataError, ParameterError, PointAtInfinityError, SchemaError
 from .geo import TangentPlane
 
@@ -69,7 +69,7 @@ class Homography:
 
     @classmethod
     def from_json(cls, text: str) -> "Homography":
-        obj = json.loads(text)
+        obj = json_input(text, "homography", dict)
         return cls(np.array(obj["matrix"], dtype=float), float(obj.get("residual_rms", 0.0)))
 
 
@@ -141,14 +141,8 @@ def apply_homography(h: Homography, pixel):
 
 def load_keypoints(text: bytes | str, plane: TangentPlane) -> list[KeypointPair]:
     """Parse the keypoints JSON (``[{"u":..,"v":..,"lat":..,"lon":..}, ...]``)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"keypoints file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise SchemaError("keypoints JSON must be a top-level array")
     pairs = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(json_input(text, "keypoints file", list)):
         values = {}
         for key in ("u", "v", "lat", "lon"):
             try:

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import IntervalGrid, check_keys, check_value, field_types, typed
+from .config import IntervalGrid, check_keys, check_value, field_types, json_input, typed
 from .crashes import SLOT_MINUTES
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
@@ -130,13 +130,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, text: bytes | str) -> "ScenarioSpec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"scenario spec is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise SchemaError(f"scenario spec must be a JSON object, got {type(obj).__name__}")
-        return cls(**check_keys(obj, field_types(cls), "scenario spec"))
+        return cls(**check_keys(json_input(text, "scenario spec", dict), field_types(cls), "scenario spec"))
 
 
 def _interval_rng(spec: ScenarioSpec, segment_idx: int, interval_idx: int) -> np.random.Generator:
@@ -312,7 +306,11 @@ def generate_crash_counts(metrics: MetricsTable | Iterable[MetricsTable], spec: 
 
     rng = np.random.default_rng([spec.seed, 2])
     if spec.noise_kind == "poisson":
-        counts = rng.poisson(lam)
+        try:
+            counts = rng.poisson(lam)
+        except ValueError as exc:  # numpy refuses a rate past about 9.2e18
+            raise ParameterError(f"beta_star gives crash rates up to {lam.max():.3g}, past what a Poisson draw "
+                                 f"takes ({exc})") from None
         sigma = None
     else:
         sigma = math.sqrt(float(lam.var()) * (1.0 - spec.target_r2) / spec.target_r2)

@@ -430,12 +430,6 @@ def csv_text(header: Sequence[str], columns: Iterable) -> str:
     return "".join(csv_chunks(header, columns))
 
 
-def write_csv(path, header: Sequence[str], columns: Iterable) -> None:
-    """Write csv_text(header, columns) to ``path`` as Path.write_text would, one chunk at a time."""
-    with open(path, "w") as out:
-        out.writelines(csv_chunks(header, columns))
-
-
 def fill_gaps(table: Trajectory,
               max_gap: int = TrackPrepConfig.max_gap_frames) -> tuple[Trajectory, list[tuple[int, int]]]:
     """Fill each vehicle's missing frames (gap <= max_gap) by linear interpolation of the box corners.

@@ -5,6 +5,7 @@ import json
 import math
 import platform
 import re
+import shutil
 import types
 import typing
 from contextlib import contextmanager
@@ -114,6 +115,16 @@ class TestSynthCommand:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert "message" in err and "error" in err
+
+    def test_plant_rate_numpy_cannot_draw_exits_2(self, tmp_path, capsys):
+        # e**50 is past the largest rate numpy's Poisson draw takes: its ValueError escaped (exit 1). numpy refuses
+        # the rate before it allocates any count.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 3, "beta_star": {"intercept": 50}}))
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParameterError"
+        assert err["message"].startswith("beta_star gives crash rates up to 5.18e+21")
 
     def test_slot_length_the_config_refuses_exits_2(self, tmp_path, capsys):
         # A 7-minute slot used to give a bundle (exit 0) whose config.json every other command refused.
@@ -670,12 +681,15 @@ class TestMalformedInputExits2:
         assert not (out / "ssm.csv").exists()
 
     def test_config_that_is_not_utf8_text(self, tmp_path, capsys):
-        # The decode error used to escape from load_config as a traceback (exit 1).
+        # The decode error used to escape from load_config as a traceback (exit 1). A config is read as every
+        # input file is, so it fails with the input files' error.
         out = run_bundle(tmp_path)
         config = out / "config.json"
         config.write_bytes(config.read_bytes().replace(b'"fps"', b'"fps\xff"', 1))
-        message = self.run(["metrics", "--config", str(config)], capsys)
-        assert message.startswith(f"config file is not utf-8 text: {config}")
+        assert main(["metrics", "--config", str(config)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NetSafetyError"
+        assert err["message"].startswith(f"input file is not utf-8 text: {config}")
         assert not (out / "metrics.csv").exists()
 
     def test_keypoint_field_not_a_number(self, tmp_path, capsys):
@@ -689,6 +703,66 @@ class TestMalformedInputExits2:
                                 str(out / "trajectories_S1.csv"), "--out", str(out / "world_S1.csv")], capsys)
             assert message.startswith("keypoint 2: field 'u' missing or not a number")
             assert not (out / "world_S1.csv").exists()
+
+
+def _with_path(key, *argv):
+    """A case whose config's ``paths.<key>`` is the case's path, running ``argv`` (``associate`` by default)."""
+    def case(b, path):
+        config = json.loads((b / "config.json").read_text())
+        config["paths"][key] = str(path)
+        (b / "config.json").write_text(json.dumps(config))
+        return [*argv] or ["associate"]
+    return case
+
+
+class TestUnusablePathExits2:
+    """An input path that is a directory, or an output path that cannot be written, exits 2 naming the path. Each
+    case escaped as an OSError traceback (exit 1) when the commands read and wrote files each their own way."""
+
+    @pytest.fixture(scope="class")
+    def bundle(self, tmp_path_factory) -> Path:
+        out = run_bundle(tmp_path_factory.mktemp("paths"))
+        assert main(["metrics", "--config", str(out / "config.json")]) == 0
+        return out
+
+    @pytest.mark.parametrize("made, case", [
+        # Inputs that are a directory.
+        ("directory", lambda b, p: ["metrics", "--config", str(p)]),
+        ("directory", lambda b, p: ["synth", "--spec", str(p), "--out", str(b / "o")]),
+        ("directory", _with_path("keypoints", "project", "--in", "trajectories_S1.csv", "--out", "w.csv")),
+        ("directory", lambda b, p: ["project", "--in", str(p), "--out", str(b / "w.csv")]),
+        ("directory", lambda b, p: ["ssm", "--in", str(p), "--out", str(b / "s.csv")]),
+        ("directory", _with_path("crashes")),
+        ("directory", _with_path("metrics")),
+        # Outputs that cannot be written: under a regular file, or a directory.
+        ("file", lambda b, p: ["synth", "--spec", str(b / "scenario.json"), "--out", str(p / "o")]),
+        ("directory", lambda b, p: ["project", "--in", str(b / "trajectories_S1.csv"), "--out", str(p)]),
+        ("directory", lambda b, p: ["ssm", "--in", str(b / "trajectories_S1.csv"), "--out", str(p)]),
+        ("directory", lambda b, p: ["metrics", "--out", str(p)]),
+        ("directory", lambda b, p: ["shapley", "--out", str(p)]),
+        ("file", _with_path("output_dir")),
+    ], ids=["config", "spec", "keypoints", "trajectories", "world", "crashes", "metrics", "synth-out",
+            "project-out", "ssm-out", "metrics-out", "shapley-out", "associate-out"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, monkeypatch, bundle, made, case):
+        b = tmp_path / "b"
+        shutil.copytree(bundle, b)
+        monkeypatch.chdir(b)  # relative paths of a case are the bundle's files
+        path = tmp_path / "unusable"
+        if made == "directory":
+            path.mkdir()
+        else:
+            path.write_text("")
+        argv = case(b, path)
+        if argv[0] != "synth" and "--config" not in argv:
+            argv[1:1] = ["--config", str(b / "config.json")]
+        if argv[0] == "associate" and made == "file":  # the analysis runs, and warns, before the first write
+            with warns_exactly(*RUN_BUNDLE_WARNINGS):
+                assert main(argv) == 2
+        else:
+            assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NetSafetyError"
+        assert str(path) in err["message"]
 
 
 def write_hand_config(path: Path, segment_extra=None, **sections) -> Path:
@@ -883,7 +957,7 @@ class TestConfigValidation:
         (lambda c: {**c, "analysis": {"families": 5}}, "config analysis"),
         (lambda c: {**c, "paths": []}, "config root"),
         (lambda c: {**c, "paths": "metrics.csv"}, "config root"),
-        (lambda c: [1], "config root"),
+        (lambda c: [1], "config file must be a JSON object, got list"),
     ], ids=["fps", "lane_count", "bbox", "cluster", "analysis", "paths", "paths_string", "root"])
     def test_wrong_typed_value_exits_2(self, tmp_path, capsys, edit, context):
         path = write_hand_config(tmp_path)
@@ -981,6 +1055,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("analysis, error, message", [
         # An empty list crashed associate with a ZeroDivisionError traceback (exit 1).
         ({"predictors": []}, "ParameterError", "predictors must name at least one metric column"),
+        # An empty family or method list exited 0 with an empty report.
+        ({"families": []}, "ParameterError", "families must name at least one crash family"),
+        ({"methods": []}, "ParameterError", "methods must name at least one correlation method"),
         # A repeated predictor exited 0 with a shapley.csv of two ivvr columns from a one-key phi.
         ({"predictors": ["ivvr", "ivvr"]}, "ParameterError", "predictors name ['ivvr'] more than once"),
         # A repeated family or method exited 0 and ran it twice, repeating its rows in every table.
@@ -993,8 +1070,8 @@ class TestConfigValidation:
         *(({key: value}, "SchemaError", f"config analysis has a value of the wrong type: {key} must be a list of any "
                                         f"count of strings, got {value!r}")
           for key, value in (("families", "AllType"), ("methods", "pearson"), ("predictors", "ivvr"))),
-    ], ids=["empty-predictors", "repeated-predictor", "repeated-family", "repeated-method", "volume-and-n_vehicles",
-            "families-string", "methods-string", "predictors-string"])
+    ], ids=["empty-predictors", "empty-families", "empty-methods", "repeated-predictor", "repeated-family",
+            "repeated-method", "volume-and-n_vehicles", "families-string", "methods-string", "predictors-string"])
     def test_analysis_list_exits_2_naming_the_key(self, tmp_path, capsys, analysis, error, message):
         out = run_bundle(tmp_path)
         config = out / "config.json"

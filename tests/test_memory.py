@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from netsafety import cli
+from netsafety.config import read_input
 from netsafety.synth import ScenarioSpec
 from netsafety.trajectories import parse_trajectories
 
@@ -42,7 +43,7 @@ def segment(tmp_path_factory) -> Path:
 def test_read_peak_within_1_1x_the_input_file(segment):
     # The text used to be decoded to a str that the reader encoded back to bytes: 2.0 times the file.
     world = segment / "world.csv"
-    data, peak = heap_peak(lambda: cli._read(world))
+    data, peak = heap_peak(lambda: read_input(world))
     assert data == world.read_bytes()
     assert peak <= 1.1 * world.stat().st_size
 

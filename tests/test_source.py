@@ -1,5 +1,5 @@
-"""Checks on the package source itself: every name a module of ``src/netsafety`` imports is read there, and every
-private name a module defines is read by some module."""
+"""Checks on the package source itself: every name a module of ``src/netsafety`` imports is read there, every
+private name a module defines is read by some module, and only the one reader and the one writer touch files."""
 
 import ast
 from pathlib import Path
@@ -50,6 +50,25 @@ def unread_private_names(paths: list[Path], root: Path = SRC.parent) -> list[str
     return unread
 
 
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes", "mkdir"}
+FILE_FUNCTIONS = {("netsafety/config.py", "read_input"), ("netsafety/cli.py", "write_output")}  # reader, writer
+
+
+def file_calls(path: Path, root: Path = SRC.parent) -> list[str]:
+    """``file:line: name`` for each call of a FILE_CALLS name in ``path``, but for those in FILE_FUNCTIONS."""
+    tree = ast.parse(path.read_text())
+    module = path.relative_to(root).as_posix()
+    exempt = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef) and (module, fn.name) in FILE_FUNCTIONS
+              for node in ast.walk(fn)}
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in exempt:
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in FILE_CALLS:
+                calls.append((node.lineno, f"{module}:{node.lineno}: {name}"))
+    return [line for _, line in sorted(calls)]
+
+
 def test_every_imported_name_is_read():
     modules = [p for p in sorted(SRC.rglob("*.py")) if p.name != "__init__.py"]  # an __init__ imports to re-export
     assert modules
@@ -78,3 +97,19 @@ def test_an_unread_private_name_is_named_with_its_file_and_line(tmp_path):
     (package / "b.py").write_text("from .a import _helper\n\nVALUE = _helper(2)\n")
     assert unread_private_names([package / "a.py", package / "b.py"], tmp_path) == [
         "netsafety/a.py:4: _UNUSED", "netsafety/a.py:12: _Spare"]
+
+
+def test_only_the_reader_and_the_writer_touch_files():
+    assert [line for path in sorted(SRC.rglob("*.py")) for line in file_calls(path)] == []
+
+
+def test_a_file_call_outside_them_is_named_with_its_file_and_line(tmp_path):
+    package = tmp_path / "netsafety"
+    package.mkdir()
+    (package / "cli.py").write_text("from pathlib import Path\n\n\ndef write_output(path, text):\n"
+                                    "    path.parent.mkdir()\n    path.write_text(text)\n\n\ndef cmd(path):\n"
+                                    "    Path(path).write_bytes(b'')\n    with open(path) as f:\n"
+                                    "        return f.read()\n")
+    (package / "m.py").write_text("def read_input(path):\n    return path.read_text()\n")
+    assert file_calls(package / "cli.py", tmp_path) + file_calls(package / "m.py", tmp_path) == [
+        "netsafety/cli.py:10: write_bytes", "netsafety/cli.py:11: open", "netsafety/m.py:2: read_text"]

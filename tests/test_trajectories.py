@@ -8,6 +8,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from netsafety import trajectories
+from netsafety.cli import write_output
 from netsafety.errors import DataError, ParameterError, SchemaError
 from netsafety.trajectories import (
     TrackPoint,
@@ -355,7 +356,7 @@ class TestWriteCsv:
         generic = [None if i % 3 == 0 else i / 7 if i % 3 == 1 else f"g,{i}" for i in range(n)]
         header = ["float", "masked", "int", "id", "generic"]
         columns = [floats, masked, ints, trajectories.CodedColumn(labels, codes), generic]
-        trajectories.write_csv(tmp_path / "t.csv", header, columns)
+        write_output(tmp_path / "t.csv", trajectories.csv_chunks(header, columns))
         # The oracle gets the masked cells as None.
         want = csv_rows_oracle(header, zip(floats, masked.tolist(), ints, [labels[c] for c in codes], generic))
         assert (tmp_path / "t.csv").read_bytes() == csv_text(header, columns).encode() == want.encode()
