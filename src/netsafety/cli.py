@@ -71,7 +71,7 @@ def write_output(path: Path, content: str | Iterable[str]) -> None:
 
 
 def _prepare_segment_tracks(cfg: RunConfig, segment, path: Path):
-    return trajectories.prepare_tracks(trajectories.parse_trajectories(read_input(path), cfg.fps), segment.travel_axis,
+    return trajectories.prepare_tracks(trajectories.parse_trajectories(read_input(path), cfg.fps), segment.unit_axis,
                                        cfg.prep)
 
 
@@ -93,54 +93,38 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     out = Path(args.out)
-    segments = spec.segment_configs()
+    cfg = RunConfig(spec.fps, anchor=(spec.anchor_lat, spec.anchor_lon), segments=spec.segment_configs(),
+                    paths={"output_dir": out, "keypoints": out / "keypoints.json", "crashes": out / "crashes.csv",
+                           "metrics": out / "metrics.csv"},
+                    trajectory_paths={sid: out / f"trajectories_{sid}.csv" for sid in spec.segment_ids()},
+                    intervals=spec.interval_grid(), crash_years=(synth.BASE_DATE.year,) * 2,
+                    analysis=association.AnalysisConfig(slot_minutes=spec.slot_minutes, seed=spec.seed))
 
     # Interval metrics feed the planted crash model. An intercept-only plant reads no metric, only
     # each row's segment and window, so its table holds the keys alone and the metrics pass is skipped.
     # A plant that reads one runs the pass on the trajectory tables the simulation builds with its text.
-    windows = spec.windows()
+    windows = cfg.intervals.windows()
     trajs = None if spec.plant_beta.keys() <= {"intercept"} else {}
     traj_csvs = synth.generate_trajectories(spec, tables=trajs)
     for sid, text in traj_csvs.items():
-        write_output(out / f"trajectories_{sid}.csv", text)
-    write_output(out / "keypoints.json", synth.identity_keypoints_json(spec))
+        write_output(cfg.trajectory_paths[sid], text)
+    write_output(cfg.path("keypoints"), synth.identity_keypoints_json(spec))
 
     if trajs is None:
         tables = [network_metrics.MetricsTable.build(
             [seg.segment_id] * len(windows), seg.osr_thresholds,
-            interval_start=[t0 for t0, _ in windows], interval_end=[t1 for _, t1 in windows]) for seg in segments]
+            interval_start=[t0 for t0, _ in windows], interval_end=[t1 for _, t1 in windows]) for seg in cfg.segments]
     else:
         del traj_csvs, text  # written: the metrics pass does not hold the text beside the tables
-        tables = []
-        for seg in segments:
-            tracks = trajectories.prepare_tracks(trajs.pop(seg.segment_id), seg.travel_axis)
-            tables.append(network_metrics.compute_interval_metrics(
-                tracks, seg, network_metrics.ClusterConfig(), spec.fps, windows))
+        tables = [network_metrics.compute_interval_metrics(
+            trajectories.prepare_tracks(trajs.pop(seg.segment_id), seg.unit_axis, cfg.prep), seg, cfg.cluster, cfg.fps,
+            windows, cfg.trt) for seg in cfg.segments]
     plant = synth.generate_crash_counts(tables, spec)
-    write_output(out / "crashes.csv", synth.crash_records_csv(plant, spec))
+    write_output(cfg.path("crashes"), synth.crash_records_csv(plant, spec))
     write_output(out / "plant.json", json.dumps(
         {"beta_star": spec.plant_beta, "sigma": plant.sigma, "noise_kind": spec.noise_kind}, indent=2, sort_keys=True))
     write_output(out / "scenario.json", spec.to_json())
-
-    config = {
-        "fps": spec.fps,
-        "anchor": [spec.anchor_lat, spec.anchor_lon],
-        "paths": {
-            "output_dir": ".",
-            "keypoints": "keypoints.json",
-            "crashes": "crashes.csv",
-            "metrics": "metrics.csv",
-        },
-        "segments": [
-            {**{k: v for k, v in dataclasses.asdict(seg).items() if v is not None},
-             "trajectories": f"trajectories_{seg.segment_id}.csv"}
-            for seg in segments
-        ],
-        "intervals": vars(spec.interval_grid()),
-        "analysis": {"slot_minutes": spec.slot_minutes, "seed": spec.seed},
-        "crash_years": [synth.BASE_DATE.year, synth.BASE_DATE.year],
-    }
-    write_output(out / "config.json", json.dumps(config, indent=2, sort_keys=True))
+    write_output(out / "config.json", cfg.to_json(out))
     return 0
 
 
@@ -192,7 +176,7 @@ def cmd_ssm(args) -> int:
         raise NetSafetyError("config defines no segments")
     seg = cfg.segments[0]
     tracks = _prepare_segment_tracks(cfg, seg, Path(args.infile))
-    columns = network_metrics.SampleTable.build(tracks, seg.travel_axis).ssm_columns(cfg.fps)
+    columns = network_metrics.SampleTable.build(tracks, seg.unit_axis).ssm_columns(cfg.fps)
     write_output(Path(args.out), trajectories.csv_chunks(list(columns), columns.values()))
     return 0
 

@@ -149,6 +149,21 @@ class RunConfig:
             raise ParameterError("config has no anchor latitude/longitude")
         return TangentPlane(self.anchor[0], self.anchor[1])
 
+    def to_json(self, base: Path) -> str:
+        """The config as ``load_config`` of a file in ``base`` reads it back: every section in full, each path
+        relative to ``base`` where it lies under it, and no null (a field left out takes its default, None)."""
+        def kept(obj) -> dict:
+            return {key: value for key, value in vars(obj).items() if value is not None}
+
+        def path(p: Path) -> str:  # json.dumps's hook for a value it cannot write itself: only paths come here
+            return str(p.relative_to(base) if p.is_relative_to(base) else p)
+
+        values = {key: getattr(self, key) for key in (*_ROOT_VALUES, *_SECTIONS)}
+        obj = {key: kept(value) if key in _SECTIONS else value for key, value in values.items() if value is not None}
+        trajectories = {sid: {"trajectories": p} for sid, p in self.trajectory_paths.items()}
+        segments = [kept(seg) | trajectories.get(seg.segment_id, {}) for seg in self.segments]
+        return json.dumps({**obj, "paths": self.paths, "segments": segments}, indent=2, sort_keys=True, default=path)
+
 
 _SECTIONS = {"cluster": ClusterConfig, "prep": TrackPrepConfig, "intervals": IntervalGrid, "trt": TrtConfig,
              "analysis": AnalysisConfig}  # the RunConfig fields built from a JSON object of their own fields

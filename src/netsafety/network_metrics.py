@@ -33,7 +33,7 @@ class SegmentConfig:
     lane_count: int
     length_m: float
     speed_limit: float  # m/s
-    travel_axis: tuple[float, float] = (1.0, 0.0)
+    travel_axis: tuple[float, float] = (1.0, 0.0)  # as written; the metrics read ``unit_axis``
     osr_thresholds: tuple[float, ...] = (1.0,)
     bbox: tuple[float, float, float, float] | None = None  # world-frame xmin,ymin,xmax,ymax
     # Set for intersection/merge approaches: cluster TTCs are then computed
@@ -47,10 +47,8 @@ class SegmentConfig:
             raise ParameterError(f"segment length must be positive, got {self.length_m}")
         if self.speed_limit <= 0:
             raise ParameterError(f"speed limit must be positive, got {self.speed_limit}")
-        norm = math.hypot(*self.travel_axis)
-        if norm == 0:
+        if math.hypot(*self.travel_axis) == 0:
             raise ParameterError("travel_axis must be a nonzero vector")
-        object.__setattr__(self, "travel_axis", (self.travel_axis[0] / norm, self.travel_axis[1] / norm))
         thetas = tuple(float(t) for t in self.osr_thresholds)
         if any(t < 1.0 for t in thetas) or any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ParameterError(f"osr_thresholds must be strictly increasing and >= 1.0, got {thetas}")
@@ -59,6 +57,12 @@ class SegmentConfig:
             # A ValueError: config.typed reports it as a value of the wrong form, naming the segment.
             raise ValueError("bbox must be [xmin, ymin, xmax, ymax] with xmin <= xmax and ymin <= ymax, "
                              f"got {list(self.bbox)}")
+
+    @property
+    def unit_axis(self) -> tuple[float, float]:
+        """``travel_axis`` scaled to unit length. The field keeps the written value: scaling twice can move a bit."""
+        norm = math.hypot(*self.travel_axis)
+        return self.travel_axis[0] / norm, self.travel_axis[1] / norm
 
 
 @dataclass(frozen=True)
@@ -562,7 +566,7 @@ def _windows_ttc_cv(table: SampleTable, rows: np.ndarray, frame_of: np.ndarray, 
     cvel = np.bincount(inv, weights=table.axis_speed[rows]) / members
     gframe = groups // span
     rho = frame_rows / np.bincount(gframe, minlength=frame_rows.size)
-    who, values = _cluster_ttc(gframe, cpos, cvel, segment.travel_axis, segment.collision_point)
+    who, values = _cluster_ttc(gframe, cpos, cvel, segment.unit_axis, segment.collision_point)
     return _frame_cvs(values, gframe[who], rho)
 
 
@@ -606,7 +610,7 @@ def compute_interval_metrics(
     (``SampleTable.leader_pairs``).
     """
     f0, f1 = window_frames(windows, fps)
-    table = SampleTable.build(tracks, segment.travel_axis)
+    table = SampleTable.build(tracks, segment.unit_axis)
     present, starts, sizes = table.frames()
     bounds = np.append(starts, table.frame.size)
     free_flow = table.free_flow_speed() if trt_cfg.free_flow is None else trt_cfg.free_flow

@@ -87,7 +87,7 @@ class ScenarioSpec:
             raise ParameterError(f"{self.n_intervals} intervals do not fit in one day of {self.slot_minutes}-min slots")
         if self.interval_seconds > self.slot_minutes * 60:
             raise ParameterError("interval_seconds cannot exceed the slot length")
-        window_frames(self.windows(), self.fps)  # every window holds a frame, as the metrics pass requires
+        window_frames(self.interval_grid().windows(), self.fps)  # every window holds a frame, as metrics require
         known = ("intercept", *column_names(self.segment_configs()[0].osr_thresholds))
         for name in self.beta_star:
             if name not in known:
@@ -118,15 +118,11 @@ class ScenarioSpec:
         ]
 
     def interval_grid(self) -> IntervalGrid:
-        """One window of ``interval_seconds`` at the start of each slot; ``synth`` writes it into config.json."""
+        """One window of ``interval_seconds`` at the start of each slot; ``synth`` writes it into its config."""
         return IntervalGrid(self.n_intervals, self.interval_seconds, self.slot_seconds)
 
-    def windows(self) -> list[tuple[float, float]]:
-        return self.interval_grid().windows()
-
     def to_json(self) -> str:
-        obj = {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(self).items()}
-        return json.dumps(obj, indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: bytes | str) -> "ScenarioSpec":

@@ -394,11 +394,11 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, trt_cfg)
     def cluster_values(axis_pos, axis_vel):
         if segment.collision_point is None:
             return _cttc_from_arrays(axis_pos, axis_vel)
-        ux, uy = segment.travel_axis
+        ux, uy = segment.unit_axis
         point = segment.collision_point[0] * ux + segment.collision_point[1] * uy
         return [float((point - p) / v) for p, v in zip(axis_pos, axis_vel) if v > 0 and point > p]
 
-    table = sample_table_oracle(tracks, segment.travel_axis)
+    table = sample_table_oracle(tracks, segment.unit_axis)
     results = []
     have_data = table.frame.size > 0
     free_flow = trt_cfg.free_flow

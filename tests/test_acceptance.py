@@ -298,9 +298,9 @@ def run_plant_seed(seed):
     csvs = generate_trajectories(spec)
     rows = []
     for seg in spec.segment_configs():
-        tracks = prepare_tracks(parse_trajectories(csvs[seg.segment_id], spec.fps), seg.travel_axis)
+        tracks = prepare_tracks(parse_trajectories(csvs[seg.segment_id], spec.fps), seg.unit_axis)
         rows.extend(
-            compute_interval_metrics(tracks, seg, ClusterConfig(20.0), spec.fps, spec.windows())
+            compute_interval_metrics(tracks, seg, ClusterConfig(20.0), spec.fps, spec.interval_grid().windows())
         )
     plant = generate_crash_counts(rows, spec)
     lam = np.array([plant.lam[k] for k in sorted(plant.lam)])

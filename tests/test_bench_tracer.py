@@ -86,7 +86,7 @@ def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
     inputs = [traj_s1, traj_s1, bundle / "trajectories_S2.csv", world_s1]  # project, metrics x2, ssm
     segments = [None, cfg.segments[0], cfg.segments[1], cfg.segments[0]]
     tracks = [
-        trajectories.prepare_tracks(trajectories.parse_trajectories(path.read_text(), cfg.fps), seg.travel_axis)
+        trajectories.prepare_tracks(trajectories.parse_trajectories(path.read_text(), cfg.fps), seg.unit_axis)
         for path, seg in zip(inputs[1:], segments[1:])
     ]
     assert metrics["projection.apply_calls"] == 1

@@ -9,14 +9,20 @@ import shutil
 import types
 import typing
 from contextlib import contextmanager
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, example, given, settings
+from hypothesis import strategies as st
 
 from netsafety import association, cli, network_metrics, trajectories
+from netsafety.association import CORRELATION_METHODS, DEFAULT_PREDICTORS
 from netsafety.cli import _prepare_segment_tracks, main
-from netsafety.config import _ROOT_VALUES, _SECTIONS, RunConfig, load_config
+from netsafety.config import _PATH_KEYS, _ROOT_VALUES, _SECTIONS, IntervalGrid, RunConfig, _run_config, load_config
+from netsafety.crashes import CRASH_FAMILIES
+from netsafety.errors import NetSafetyError
 from netsafety.network_metrics import SegmentConfig, read_metrics_csv
 from netsafety.synth import ScenarioSpec
 from netsafety.trajectories import parse_trajectories
@@ -382,7 +388,7 @@ class TestMetricsCommand:
         seg = cfg.segments[0]
         tracks = prepare_tracks(
             parse_trajectories((out / "trajectories_S1.csv").read_text(), cfg.fps),
-            seg.travel_axis,
+            seg.unit_axis,
         )
         for row in (r for r in rows if r.segment_id == seg.segment_id):
             f0, f1 = row.t_start * cfg.fps, row.t_end * cfg.fps
@@ -451,9 +457,9 @@ class TestSsmCommand:
             pairs = list(csv.DictReader(fh))
         assert pairs
 
-        ux, uy = seg.travel_axis
+        ux, uy = seg.unit_axis
         by_frame: dict[int, dict[str, tuple[float, float]]] = {}
-        for tr in prepare_tracks(parse_trajectories(infile.read_text(), cfg.fps), seg.travel_axis):
+        for tr in prepare_tracks(parse_trajectories(infile.read_text(), cfg.fps), seg.unit_axis):
             (vid,) = tr.vehicle_ids
             for f, x, y, vx, vy in zip(tr.frames, tr.x, tr.y, tr.vx, tr.vy):
                 by_frame.setdefault(int(f), {})[vid] = (x * ux + y * uy, vx * ux + vy * uy)
@@ -565,7 +571,7 @@ class TestSsmCommand:
         seg = cfg.segments[0]
         assert trajectories.drop_static_objects(parse_trajectories(infile.read_text(), cfg.fps)).vehicle_ids == moving
         tracks = _prepare_segment_tracks(cfg, seg, infile)
-        table = network_metrics.SampleTable.build(tracks, seg.travel_axis)
+        table = network_metrics.SampleTable.build(tracks, seg.unit_axis)
         assert len(tracks) == 0 and table.frame.size == table.vid_code.size == 0 and table.vids == []
         out = tmp_path / "ssm.csv"
         assert main(["ssm", "--config", str(config), "--in", str(infile), "--out", str(out)]) == 0
@@ -576,7 +582,7 @@ def ssm_oracle_csv(config: Path, infile: Path) -> str:
     """What ``ssm`` should write for ``infile``, by the per-pair oracle."""
     cfg = load_config(config)
     seg = cfg.segments[0]
-    return ssm_rows_oracle(_prepare_segment_tracks(cfg, seg, infile), seg.travel_axis, cfg.fps)
+    return ssm_rows_oracle(_prepare_segment_tracks(cfg, seg, infile), seg.unit_axis, cfg.fps)
 
 
 class TestQuarterTurnInvariance:
@@ -818,6 +824,77 @@ ANNOTATION_CASES = [
     for name, kind in typing.get_type_hints(cls).items() if where != "root" or name in _ROOT_VALUES
     for label, value in wrong_values(kind).items()
 ]
+
+
+# JSON values, half of them in the ranges the config's checks allow (slot lengths, latitudes and longitudes) or names
+# they know (crash families, correlation methods, predictors, segment ids).
+INTS = st.integers(-1, 60) | st.integers()
+FLOATS = st.floats(-180.0, 180.0) | st.floats(allow_nan=False, allow_infinity=False)
+NAMES = st.sampled_from([*CRASH_FAMILIES, *CORRELATION_METHODS, *DEFAULT_PREDICTORS, "S1", "S2"]) | st.text(max_size=6)
+
+
+def annotated(kind):
+    """Values of annotation ``kind`` as the loader builds them from JSON, arrays as tuples."""
+    args, origin = typing.get_args(kind), typing.get_origin(kind)
+    if origin is types.UnionType:  # X | None
+        return st.none() | annotated(args[0])
+    if origin is tuple and args[-1] is ...:
+        return st.lists(annotated(args[0]), max_size=4).map(tuple)
+    if origin is tuple:
+        return st.tuples(*map(annotated, args))
+    return {int: INTS, float: FLOATS, str: NAMES}[kind]
+
+
+@st.composite
+def drawn(draw, base, names=None):
+    """``base`` with each field of ``names`` (every field by default) drawn from its annotation in turn; a draw the
+    class's checks refuse leaves the field as it was."""
+    for name in names or typing.get_type_hints(type(base)):
+        try:
+            base = replace(base, **{name: draw(annotated(typing.get_type_hints(type(base))[name]))})
+        except (NetSafetyError, ValueError):
+            pass
+    return base
+
+
+# Config directories, and files as the loader resolves them against one: under it, beside it, or absolute.
+BASES = st.sampled_from([Path("."), Path("bundle"), Path("/data/bundle")])
+FILES = st.sampled_from(["x.csv", "d/x.csv", "../x.csv", ".", "/data/x.csv"]) | st.text(max_size=6)
+# An axis whose normalised value normalises to another one: the last bit of each element moves.
+SKEWED_AXIS = (3.3576510391986965, -0.6723293209494665)
+
+
+@st.composite
+def configs_in_bases(draw) -> tuple[RunConfig, Path]:
+    """A valid config whose segments, sections and root values are drawn from their annotations, and its directory."""
+    base = draw(BASES)
+    segments = [draw(drawn(SegmentConfig(f"S{i + 1}", 1, 1.0, 1.0))) for i in range(draw(st.integers(0, 3)))]
+    ids = [seg.segment_id for seg in segments]
+    assume(len(set(ids)) == len(ids))  # the loader refuses a repeated segment id
+    sections = {key: draw(drawn(cls(1, 1.0, 1.0) if cls is IntervalGrid else cls())) for key, cls in _SECTIONS.items()}
+    analysis = sections["analysis"]  # the loader refuses an exclusion that names no segment of the config
+    sections["analysis"] = replace(analysis, exclude_slots=tuple(e for e in analysis.exclude_slots if e[0] in ids))
+    sections["intervals"] = draw(st.none() | st.just(sections["intervals"]))
+    paths = {key: base / draw(FILES) for key in draw(st.sets(st.sampled_from(sorted(_PATH_KEYS))))}
+    trajectory_paths = {sid: base / draw(FILES) for sid in draw(st.sets(st.sampled_from(ids)))} if ids else {}
+    cfg = RunConfig(1.0, paths={"output_dir": base, **paths}, segments=segments, trajectory_paths=trajectory_paths,
+                    **sections)
+    return draw(drawn(cfg, _ROOT_VALUES)), base
+
+
+class TestConfigWriter:
+    @settings(derandomize=True, deadline=None, max_examples=200, phases=[Phase.explicit, Phase.generate])
+    @given(written=configs_in_bases())
+    @example(written=(RunConfig(1.0, segments=[SegmentConfig("S1", 1, 1.0, 1.0, SKEWED_AXIS)]), Path(".")))
+    def test_loading_the_written_config_gives_it_back(self, written):
+        cfg, base = written
+        assert _run_config(json.loads(cfg.to_json(base)), base) == cfg
+
+    def test_segment_keeps_its_axis_as_written(self):
+        # The axis used to be stored normalised, so that building the segment again from its fields moved it.
+        s = SegmentConfig("S1", 1, 1.0, 1.0, travel_axis=SKEWED_AXIS)
+        assert SegmentConfig(**asdict(s)) == s
+        assert s.unit_axis == (0.9805357720891212, -0.19634051964276433)
 
 
 class TestConfigValidation:
@@ -1361,6 +1438,36 @@ def test_metrics_and_association_bytes_are_pinned(tmp_path, bundle):
              "cross_segment_correlations.csv", "cross_segment_holdout.csv"]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
     assert digests == PINNED_DIGESTS[bundle]
+
+
+# The bench workloads (spec and config edits), read from the bench's own file.
+BENCH_WORKLOADS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json").read_text())
+BUILT_CONFIGS = {
+    "golden": (json.loads((Path(__file__).resolve().parent / "golden" / "spec.json").read_text()), {}),
+    **PINNED_BUNDLES,
+    **{name: (w["spec"], w["config_edits"]) for name, w in BENCH_WORKLOADS["workloads"].items()},
+}
+
+
+@pytest.mark.parametrize("name", list(BUILT_CONFIGS))
+def test_every_built_config_round_trips(tmp_path, name):
+    spec, edits = BUILT_CONFIGS[name]
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "bundle"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out), "--seed", "1"]) == 0
+    config = out / "config.json"
+    assert load_config(config).to_json(out) == config.read_text()  # synth writes the canonical form
+    obj = json.loads(config.read_text())
+    for key, value in edits.items():  # each edit as the bench applies it
+        if key == "every_segment":
+            for seg in obj["segments"]:
+                seg.update(value)
+        else:
+            obj.setdefault(key, {}).update(value)
+    config.write_text(json.dumps(obj))
+    cfg = load_config(config)
+    (out / "written.json").write_text(cfg.to_json(out))
+    assert load_config(out / "written.json") == cfg
 
 
 class TestFreedHeapRelease:

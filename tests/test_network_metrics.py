@@ -364,7 +364,8 @@ class TestCongestion:
 class TestConfigs:
     def test_travel_axis_normalized(self):
         s = seg(travel_axis=(3.0, 4.0))
-        assert s.travel_axis == pytest.approx((0.6, 0.8))
+        assert s.travel_axis == (3.0, 4.0)
+        assert s.unit_axis == pytest.approx((0.6, 0.8))
 
     def test_bad_thresholds(self):
         with pytest.raises(ParameterError):
@@ -677,8 +678,8 @@ class TestFrameBatchedKernel:
             tracks = cli._prepare_segment_tracks(cfg, s, cfg.trajectory_paths[s.segment_id])
             # The table's vehicles are coded as joining its runs one at a time would code them.
             assert table_fields(tracks) == table_fields(prepared_tracks_of(tracks))
-            assert table_fields(SampleTable.build(tracks, s.travel_axis)) == table_fields(
-                sample_table_oracle(tracks, s.travel_axis))
+            assert table_fields(SampleTable.build(tracks, s.unit_axis)) == table_fields(
+                sample_table_oracle(tracks, s.unit_axis))
             windows = cli._windows_for(cfg, tracks)
             for cluster in (cfg.cluster, ClusterConfig(0.0, 1.0), ClusterConfig(200.0, 0.3)):
                 args = (tracks, s, cluster, cfg.fps, windows, cfg.trt)

@@ -36,8 +36,8 @@ def small_spec(**kw):
 def extract_metrics(spec, csvs, cluster=ClusterConfig(20.0)):
     rows = []
     for seg in spec.segment_configs():
-        tracks = prepare_tracks(parse_trajectories(csvs[seg.segment_id], spec.fps), seg.travel_axis)
-        rows.extend(compute_interval_metrics(tracks, seg, cluster, spec.fps, spec.windows()))
+        tracks = prepare_tracks(parse_trajectories(csvs[seg.segment_id], spec.fps), seg.unit_axis)
+        rows.extend(compute_interval_metrics(tracks, seg, cluster, spec.fps, spec.interval_grid().windows()))
     return rows
 
 
@@ -286,9 +286,10 @@ class TestAgainstScalarDrawOracle:
 
 # sha256 of every file ``netsafety synth`` writes for tests/golden/spec.json, pinned when the
 # simulation drew one scalar normal per vehicle and the crashes drew scalar by scalar; config.json's
-# re-pinned when the config lost its root "seed" key (the old bytes with that key deleted).
+# re-pinned when the config lost its root "seed" key (the old bytes with that key deleted), and
+# re-pinned when synth wrote it through RunConfig.to_json, which spells out every section in full.
 GOLDEN_SPEC_DIGESTS = {
-    "config.json": "d4144af26ed841fb673dae81254ef67e280c8db4bb0b76147d02805acce641f6",
+    "config.json": "37eb71991693dccfac67d28c0dc262b90e2d203e461cb1221a6a4677ab8c6ee1",
     "crashes.csv": "e91e28ef6b613af656f8a9fc4a4c09ba3a1015ab696a118acf30253a73be4168",
     "keypoints.json": "8b9703ee870d8f51f3f5e95a4b926471c19eeebdce3e4ce87676345c3e671984",
     "plant.json": "be2ae8ee33ba091f2f6bd2475ed5be0715a672b72d93243ee4692c48357fbb7d",
@@ -359,11 +360,12 @@ def test_simulated_tables_equal_the_parse_of_their_text_bit_for_bit(spec, drops)
 
 
 # sha256 of every file ``netsafety synth`` writes for a zero-flow scenario with a metric plant, pinned
-# while the plant pass still parsed the trajectory text; config.json's re-pinned as the golden spec's.
+# while the plant pass still parsed the trajectory text; config.json's re-pinned as the golden spec's,
+# last when synth wrote it through RunConfig.to_json.
 ZERO_FLOW_SPEC = {"n_segments": 2, "n_intervals": 6, "interval_seconds": 20.0, "flow_veh_per_min": [0, 0],
                   "beta_star": {"intercept": 1.8, "osr_1.0": 0.3}}
 ZERO_FLOW_DIGESTS = {
-    "config.json": "b0a1f0f39d383379fbbabb765023030beb6bcc6bae13356aebff74ea73152c99",
+    "config.json": "0d681a9f6ea29fa77775a5e69e045f8dc1d59014d07c935996443d3f2b1df1e2",
     "crashes.csv": "9d3488109a09c7a36eb586365600f5295bcfa32d3238698f9ae501515f0ace97",
     "keypoints.json": "8b9703ee870d8f51f3f5e95a4b926471c19eeebdce3e4ce87676345c3e671984",
     "plant.json": "be2ae8ee33ba091f2f6bd2475ed5be0715a672b72d93243ee4692c48357fbb7d",
@@ -387,11 +389,11 @@ def test_zero_flow_metric_plant_runs_on_empty_tables(tmp_path):
 
 # sha256 of every file ``netsafety synth`` writes for an intercept-only plant (the spec's default
 # beta_star), pinned while synth still ran the metrics pass whose columns such a plant never reads;
-# config.json's re-pinned as the golden spec's.
+# config.json's re-pinned as the golden spec's, last when synth wrote it through RunConfig.to_json.
 INTERCEPT_ONLY_SPEC = {"n_segments": 2, "n_intervals": 6, "interval_seconds": 20.0}
 INTERCEPT_ONLY_DIGESTS = {
     3: {
-        "config.json": "0e8d037f17ebd79e83a39a38f705d01d9ab925e3b8b1ed143ec89ac035cce0ba",
+        "config.json": "c525a6732085738178558cd759f297bcb6d8619fcb765b04d0558508340d7769",
         "crashes.csv": "57a12769b34116bb2f66ead3eeb9021a5d14dc2d63883457a60359a7a892fccd",
         "keypoints.json": "8b9703ee870d8f51f3f5e95a4b926471c19eeebdce3e4ce87676345c3e671984",
         "plant.json": "1e4ef0fc6bc1db183ef4bfa600e12aaf48ef700f45ef1cb55d4f79f99bb8f816",
@@ -400,7 +402,7 @@ INTERCEPT_ONLY_DIGESTS = {
         "trajectories_S2.csv": "47640e02ceb7e60a0c8e55a26cd90baeb98b7b14e15b1a6dc8d26e1b7b244cef",
     },
     4: {
-        "config.json": "099667430f9100554a1922b3380aa0994e26d6f83679269e772763df6b612708",
+        "config.json": "7022c8bd6270c58b33ed205d99b83820c61d5f879e5bf7cf445cf5883f47600d",
         "crashes.csv": "a8933ffb8bcdf4c0f18cd3a0b0ab64635f358e5f61b18f4c3854877599054918",
         "keypoints.json": "8b9703ee870d8f51f3f5e95a4b926471c19eeebdce3e4ce87676345c3e671984",
         "plant.json": "1e4ef0fc6bc1db183ef4bfa600e12aaf48ef700f45ef1cb55d4f79f99bb8f816",
