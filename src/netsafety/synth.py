@@ -37,6 +37,10 @@ SEGMENT_SPACING_M = 200.0
 MIN_SPAWN_GAP_M = 10.0
 BASE_DATE = datetime(2021, 6, 15)
 TYPE_MIX = (("REAR_END", 0.55), ("SIDESWIPE", 0.30), ("OTHER", 0.15))
+# Crashes an intercept-only plant may plant in all, checked when the spec loads. Each record is a row of the
+# crash file, built in memory; the ceiling is also far below the largest rate numpy's Poisson draw takes
+# (about 9.2e18 per cell), so one comparison covers both.
+PLANT_CRASH_CEILING = 1_000_000
 
 
 @dataclass
@@ -92,6 +96,12 @@ class ScenarioSpec:
         for name in self.beta_star:
             if name not in known:
                 raise SchemaError(f"unknown beta_star key {name!r}; the plant reads one of {list(known)}")
+        if self.plant_beta.keys() == {"intercept"}:  # rate e**intercept in every (segment, interval) cell
+            intercept, cells = self.plant_beta["intercept"], self.n_segments * self.n_intervals
+            if cells and intercept + math.log(cells) > math.log(PLANT_CRASH_CEILING):
+                total = cells * math.exp(intercept) if intercept < 709 else math.inf  # e**710 is no double
+                raise ParameterError(f"beta_star's intercept {intercept:g} plants e**{intercept:g} crashes in each of "
+                                     f"{cells} cells, {total:.3g} in all, past the ceiling of {PLANT_CRASH_CEILING:,}")
 
     @property
     def slot_seconds(self) -> float:

@@ -22,7 +22,7 @@ from netsafety.association import CORRELATION_METHODS, DEFAULT_PREDICTORS
 from netsafety.cli import _prepare_segment_tracks, main
 from netsafety.config import _PATH_KEYS, _ROOT_VALUES, _SECTIONS, IntervalGrid, RunConfig, _run_config, load_config
 from netsafety.crashes import CRASH_FAMILIES
-from netsafety.errors import NetSafetyError
+from netsafety.errors import NetSafetyError, ParameterError
 from netsafety.network_metrics import SegmentConfig, read_metrics_csv
 from netsafety.synth import ScenarioSpec
 from netsafety.trajectories import parse_trajectories
@@ -124,13 +124,34 @@ class TestSynthCommand:
 
     def test_plant_rate_numpy_cannot_draw_exits_2(self, tmp_path, capsys):
         # e**50 is past the largest rate numpy's Poisson draw takes: its ValueError escaped (exit 1). numpy refuses
-        # the rate before it allocates any count.
+        # the rate before it allocates any count. A metric plant's rates are known only after the metrics pass.
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 3, "beta_star": {"intercept": 50}}))
+        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 3, "beta_star": {"intercept": 50, "volume": 0.1}}))
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ParameterError"
-        assert err["message"].startswith("beta_star gives crash rates up to 5.18e+21")
+        assert err["message"].startswith("beta_star gives crash rates up to 5.")
+
+    @pytest.mark.parametrize("plant, total", [
+        # It exited 2 only when numpy's Poisson draw refused the rate, after writing trajectories_S1.csv and
+        # keypoints.json.
+        ({"beta_star": {"intercept": 50}}, "1.56e+22"),
+        # No draw refuses a gaussian plant: it would have built about 3e13 crash rows.
+        ({"beta_star": {"intercept": 30}, "noise_kind": "gaussian"}, "3.21e+13"),
+    ], ids=["poisson-intercept-50", "gaussian-intercept-30"])
+    def test_intercept_only_plant_past_the_ceiling_exits_2_writing_nothing(self, tmp_path, capsys, plant, total):
+        text = json.dumps({"n_segments": 1, "n_intervals": 3, **plant})
+        intercept = plant["beta_star"]["intercept"]
+        message = (f"beta_star's intercept {intercept} plants e**{intercept} crashes in each of 3 cells, {total} in "
+                   "all, past the ceiling of 1,000,000")
+        with pytest.raises(ParameterError) as refused:
+            ScenarioSpec.from_json(text)
+        assert str(refused.value) == message
+        (tmp_path / "spec.json").write_text(text)
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["message"]) == ("ParameterError", message)
+        assert not (tmp_path / "o").exists()
 
     def test_slot_length_the_config_refuses_exits_2(self, tmp_path, capsys):
         # A 7-minute slot used to give a bundle (exit 0) whose config.json every other command refused.

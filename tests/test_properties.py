@@ -4,12 +4,14 @@ Positions and speeds are dyadic rationals at 4 fps, so every time and position
 is exact and a property can ask for byte-identical output. The closing rule is
 checked on constructed two-vehicle frames at its edges. The association outputs
 of a synth bundle do not depend on the order of the config's segments or of the
-rows of ``metrics.csv``.
+rows of ``metrics.csv``. The CSV writer's float cells are ``repr``'s, on any
+float64 and on a fixed sweep of over a million.
 """
 
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -26,7 +28,7 @@ from netsafety.network_metrics import SampleTable, VehicleCluster, cluster_ttc, 
 from netsafety.surrogate import PairState, drac, ttc
 from netsafety.trajectories import TRAJECTORY_COLUMNS, VehicleClass, csv_text
 
-from oracles import metrics_rows
+from oracles import csv_rows_oracle, metrics_rows
 from test_network_metrics import assert_rows_match
 
 FPS = 4.0
@@ -204,3 +206,29 @@ def test_metrics_row_order_leaves_the_association_outputs(association_bundle, da
     header, *rows = (bundle / "base" / "metrics.csv").read_text().splitlines(keepends=True)
     got = associate(bundle, "rows", metrics=header + "".join(data.draw(st.permutations(rows))))
     assert [f for f in ASSOCIATION_FILES if got[f] != base[f]] == []
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(cells=st.lists(st.tuples(st.floats(), st.floats(), st.booleans()), max_size=40))
+def test_float_cells_are_repr_through_the_writer(cells):
+    plain = np.array([a for a, _, _ in cells], dtype=np.float64)
+    masked = np.ma.masked_array([b for _, b, _ in cells], mask=[m for _, _, m in cells], dtype=np.float64)
+    # The oracle gets the masked cells as None.
+    assert csv_text(["a", "b"], [plain, masked]) == csv_rows_oracle(["a", "b"], zip(plain, masked.tolist()))
+
+
+def test_float_cells_are_repr_on_a_fixed_sweep():
+    rng = np.random.default_rng(20260101)
+    powers = np.concatenate([2.0 ** np.arange(-1074, 1024), [float(f"1e{k}") for k in range(-323, 309)]])
+    values = np.concatenate([
+        rng.integers(0, 2**64, 2**19, dtype=np.uint64).view(np.float64),  # every class: nan, inf, subnormal, ...
+        10 ** rng.uniform(-5, 17, 2**19) * rng.choice([-1.0, 1.0], 2**19),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+    ])
+    assert values.size > 10**6
+    mismatches = []
+    for batch in np.array_split(values, 64):  # a few MB of text at a time
+        want = list(map(repr, batch.tolist()))
+        got = csv_text([], [batch]).split("\n")[:-1]
+        mismatches += [(w, g) for w, g in itertools.zip_longest(want, got) if w != g]
+    assert mismatches == []

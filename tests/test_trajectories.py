@@ -8,8 +8,11 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from netsafety import trajectories
-from netsafety.cli import write_output
+from netsafety.cli import main, write_output
+from netsafety.config import load_config, read_input
 from netsafety.errors import DataError, ParameterError, SchemaError
+from netsafety.network_metrics import SampleTable
+from netsafety.synth import ScenarioSpec
 from netsafety.trajectories import (
     TrackPoint,
     TrackPrepConfig,
@@ -342,17 +345,29 @@ class TestCsvText:
             assert np.array_equal(t1.frames, t2.frames) and np.array_equal(t1.boxes, t2.boxes)
 
 
+def _edge_floats() -> np.ndarray:
+    """Floats at the float cell kernel's edges: zeros, non-finite, subnormal, its range's ends, powers of two with
+    both neighbours, and k/30."""
+    powers = 2.0 ** np.arange(-60, 60, 7)
+    return np.concatenate([
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-4, np.nextafter(1e-4, 0), 9.999999999999999e15, 1e16],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers, np.arange(-60, 61) / 30,
+    ])
+
+
 class TestWriteCsv:
     C = trajectories.CSV_CHUNK_ROWS
 
     @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1])
     def test_file_bytes_equal_csv_text_at_chunk_boundaries(self, tmp_path, n):
         rng = np.random.default_rng(n)
-        labels = ["plain", "a,b", 'say "hi"', "two\nlines", " leading"]
+        labels = ["plain", "a,b", 'say "hi"', "two\nlines", " leading", "a\x00b", "路口 7"]
         codes = rng.integers(0, len(labels), n)
-        floats = rng.normal(0, 1e3, n)
-        masked = np.ma.masked_array(rng.normal(size=n), mask=rng.random(n) < 0.3)
-        ints = rng.integers(-(10**12), 10**12, n)
+        edges = _edge_floats()
+        floats = np.concatenate([edges, rng.normal(0, 1e3, n)])[:n]
+        hidden = rng.random(n) < 0.3  # the masked cells hold the edge floats
+        masked = np.ma.masked_array(np.where(hidden, np.resize(edges, n), rng.normal(size=n)), mask=hidden)
+        ints = np.concatenate([[-(2**63), 2**63 - 1, 0, -1], rng.integers(-(10**12), 10**12, n)])[:n]
         generic = [None if i % 3 == 0 else i / 7 if i % 3 == 1 else f"g,{i}" for i in range(n)]
         header = ["float", "masked", "int", "id", "generic"]
         columns = [floats, masked, ints, trajectories.CodedColumn(labels, codes), generic]
@@ -360,6 +375,28 @@ class TestWriteCsv:
         # The oracle gets the masked cells as None.
         want = csv_rows_oracle(header, zip(floats, masked.tolist(), ints, [labels[c] for c in codes], generic))
         assert (tmp_path / "t.csv").read_bytes() == csv_text(header, columns).encode() == want.encode()
+
+
+def test_float_cells_decide_every_default_bundle_world_and_ssm_cell_the_rule_names(tmp_path):
+    # repr formats only the cells its rule names here: none of these sits at an interval end or a tie.
+    (tmp_path / "spec.json").write_text(ScenarioSpec().to_json())
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path)]) == 0
+    cfg = load_config(tmp_path / "config.json")
+    cells = named = fallbacks = 0
+    for seg in cfg.segments:
+        world = tmp_path / f"world_{seg.segment_id}.csv"
+        argv = ["project", "--config", str(tmp_path / "config.json"), "--out", str(world)]
+        assert main([*argv, "--in", str(tmp_path / f"trajectories_{seg.segment_id}.csv")]) == 0
+        table = parse_trajectories(read_input(world), cfg.fps)
+        ssm = SampleTable.build(prepare_tracks(table, seg.unit_axis, cfg.prep), seg.unit_axis).ssm_columns(cfg.fps)
+        for column in [*table.boxes.T, *(c for c in ssm.values() if not isinstance(c, trajectories.CodedColumn))]:
+            values, absent = np.ma.getdata(column), np.ma.getmaskarray(column)
+            size = np.abs(values)
+            cells += values.size
+            named += np.sum(~absent & ~((size == 0) | (size >= 1e-4) & (size < 1e16)))  # NaN, inf, tiny, huge
+            fallbacks += trajectories.float_cells(values, absent)[2]
+    assert cells > 10**6
+    assert fallbacks == named
 
 
 class TestFillGaps:
