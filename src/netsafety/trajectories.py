@@ -464,6 +464,7 @@ _EXPONENT_BITS = np.uint64(0x7FF0000000000000)
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = high + low exactly, each of at most 26 significant bits, so their products are exact."""
     c = _SPLITTER * a
     high = c - (c - a)
     return high, a - high
