@@ -455,7 +455,7 @@ def _text_cells(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 # [1e16, 1e17). The multiplier is an exact double, so Dekker's two-product gives S exactly as a double-double,
 # and the ends of x's rounding interval (x minus or plus half the gap to its neighbour, a power of two) scale
 # exactly too. The interval is then 1.1 to 22.3 wide: it holds an integer and at most one multiple of 100.
-FLOAT_CELL_WIDTH = 48  # three unused bytes, '-', 20 digits, '.', three unused bytes, the 20 digits again
+_FLOAT_CELL_WIDTH = 48  # three unused bytes, '-', 20 digits, '.', three unused bytes, the 20 digits again
 _FLOAT_RANGE = (1e-4, 1e16)
 _NEAR = 1e-9  # an interval end or tie this close to an integer takes repr, which knows the exact rule
 _POW10 = np.array([float(10**k) for k in range(21)])  # 10**0 .. 10**20, each an exact double
@@ -481,12 +481,12 @@ def _float_keep() -> np.ndarray:
     exponent); its fraction runs from digit 4 + exponent to the last nonzero digit, and is one 0 if none is.
     """
     exponent, last, place = np.arange(-4, 16)[:, None, None], np.arange(20)[None, :, None], np.arange(20)
-    keep = np.zeros((2, 20, 20, FLOAT_CELL_WIDTH), bool)
+    keep = np.zeros((2, 20, 20, _FLOAT_CELL_WIDTH), bool)
     keep[1, ..., 3] = True
     keep[..., 4:24] = np.where(exponent >= 0, (place >= 3) & (place <= 3 + exponent), place == 2)
     keep[..., 24] = True
     keep[..., 28:] = (place >= 4 + exponent) & (place <= np.maximum(last, 4 + exponent))
-    return keep.reshape(800, FLOAT_CELL_WIDTH)
+    return keep.reshape(800, _FLOAT_CELL_WIDTH)
 
 
 _FLOAT_KEEP = _float_keep()
@@ -542,8 +542,8 @@ def _shortest(n: np.ndarray, frac: np.ndarray, down: np.ndarray, up: np.ndarray)
     return base + nearest.astype(np.int64), decided
 
 
-def float_cells(values: np.ndarray, absent: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """The repr of each float of ``values`` as (n, FLOAT_CELL_WIDTH) bytes, the mask of the bytes each cell keeps,
+def float_cells(values: np.ndarray, absent: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The repr of each float of ``values`` as (n, _FLOAT_CELL_WIDTH) bytes, the mask of the bytes each cell keeps,
     and how many cells repr formatted. An ``absent`` cell keeps no byte and is not formatted.
 
     0.0, -0.0 and every x with 1e-4 <= |x| < 1e16 are decided here: the digits are those of the multiple of
@@ -552,8 +552,7 @@ def float_cells(values: np.ndarray, absent: np.ndarray | None = None) -> tuple[n
     interval end or tie between two nearest multiples lies within 1e-9 of an integer. There the answer hangs
     on whether an end is inside, which repr's exact rule settles (inside when x's significand is even).
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    absent = np.zeros(v.size, bool) if absent is None else np.asarray(absent, bool).ravel()
+    v = np.asarray(values, dtype=np.float64)
     size = np.abs(v)
     zero, decided = size == 0, (size >= _FLOAT_RANGE[0]) & (size < _FLOAT_RANGE[1])
     exponent, n, frac, down, up = _scaled(np.where(decided, size, 1.0))
@@ -564,7 +563,7 @@ def float_cells(values: np.ndarray, absent: np.ndarray | None = None) -> tuple[n
     decided &= shortest & (digits < 10**17)  # 10**17 would be the next exponent's: no double in range rounds there
     digits, exponent = np.where(decided, digits, 0), np.where(decided, exponent, 0)  # zero is 0 * 10**-16
 
-    words = np.empty((v.size, FLOAT_CELL_WIDTH // 4), np.uint32)
+    words = np.empty((v.size, _FLOAT_CELL_WIDTH // 4), np.uint32)
     words[:, 0], words[:, 6] = _MINUS, _DOT
     words[:, 1:6] = words[:, 7:] = _digit_words(digits)
     trailing = _TRAILING_ZEROS4[digits % 10_000].astype(np.intp)
@@ -580,7 +579,7 @@ def float_cells(values: np.ndarray, absent: np.ndarray | None = None) -> tuple[n
     if fallback.size:
         text, text_keep = _text_cells(list(map(repr, v[fallback].tolist())))  # at most 24 bytes
         cells[fallback, : text.shape[1]] = text
-        keep[fallback] = np.arange(FLOAT_CELL_WIDTH) < text_keep.sum(axis=1)[:, None]
+        keep[fallback] = np.arange(_FLOAT_CELL_WIDTH) < text_keep.sum(axis=1)[:, None]
     return cells, keep, int(fallback.size)
 
 
@@ -628,9 +627,10 @@ def csv_chunks(header: Sequence[str], columns: Iterable) -> Iterator[str]:
         n = min(CSV_CHUNK_ROWS, rows - lo)
         cells, keep = zip(*_cell_blocks([column[lo : lo + n] for column in columns]))
         comma, newline = np.full((n, 1), ord(","), np.uint8), np.full((n, 1), ord("\n"), np.uint8)
+        separator = np.ones((n, 1), bool)  # each comma and the newline is kept
         # Each name's blocks are freed as it is rebound, so the blocks and both concatenations are never all held.
         cells = np.concatenate([part for block in cells for part in (block, comma)][:-1] + [newline], axis=1)
-        keep = np.concatenate([part for block in keep for part in (block, np.ones((n, 1), bool))], axis=1)
+        keep = np.concatenate([part for block in keep for part in (block, separator)], axis=1)
         yield cells[keep].tobytes().decode("utf-8", "surrogatepass")
 
 
