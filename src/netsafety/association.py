@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .crashes import CRASH_FAMILIES, SLOT_MINUTES, CrashBinning
+from .csvio import csv_text
 from .errors import DataError, ParameterError
 from .network_metrics import COLUMN_ALIASES, MetricsTable
 from .stats import (
@@ -33,7 +34,6 @@ from .stats import (
     spearman,
 )
 from .stats.regression import adjusted_r2
-from .trajectories import csv_text
 
 DEFAULT_PREDICTORS = ("ttc_cv", "ivvr", "ovvr", "osr_1.0", "tci", "ntc")
 CORRELATION_METHODS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}

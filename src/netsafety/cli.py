@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import association, crashes, network_metrics, synth, trajectories
+from . import association, crashes, csvio, network_metrics, synth, trajectories
 from .config import IntervalGrid, RunConfig, load_config, read_input
 from .errors import NetSafetyError, ParameterError
 from .projection import apply_homography, fit_homography, load_keypoints
@@ -140,8 +140,8 @@ def cmd_project(args) -> int:
         lo = np.where(world[:, j] < lo, world[:, j], lo)
         hi = np.where(world[:, j] > hi, world[:, j], hi)
     out = Path(args.out)
-    write_output(out, trajectories.csv_chunks(trajectories.TRAJECTORY_COLUMNS,
-                                              [table.frames, table.id_column(), *lo.T, *hi.T]))
+    write_output(out, csvio.csv_chunks(trajectories.TRAJECTORY_COLUMNS,
+                                       [table.frames, table.id_column(), *lo.T, *hi.T]))
     write_output(out.with_suffix(out.suffix + ".homography.json"), h.to_json())
     return 0
 
@@ -177,7 +177,7 @@ def cmd_ssm(args) -> int:
     seg = cfg.segments[0]
     tracks = _prepare_segment_tracks(cfg, seg, Path(args.infile))
     columns = network_metrics.SampleTable.build(tracks, seg.unit_axis).ssm_columns(cfg.fps)
-    write_output(Path(args.out), trajectories.csv_chunks(list(columns), columns.values()))
+    write_output(Path(args.out), csvio.csv_chunks(list(columns), columns.values()))
     return 0
 
 

@@ -16,11 +16,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .csvio import CsvRecords
 from .errors import DataError, ParameterError
 from .geo import TangentPlane
 from .network_metrics import SegmentConfig
 from .stats.contingency import Chi2Result, chi2_contingency_yates, chi2_oneway
-from .trajectories import CsvRecords
 
 CRASH_COLUMNS = ("timestamp", "lat", "lon", "type")
 _CRASH_DTYPE = np.dtype([("timestamp", "M8[m]"), ("lat", np.float64), ("lon", np.float64), ("type", object)])

@@ -16,9 +16,10 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .csvio import CodedColumn, CsvRecords, csv_text
 from .errors import DataError, ParameterError, SchemaError
 from .surrogate import closes
-from .trajectories import CodedColumn, CsvRecords, PreparedTracks, VehicleClass, csv_text
+from .trajectories import PreparedTracks, VehicleClass
 
 VEHICLE_CLASSES = (VehicleClass.CAR, VehicleClass.TRUCK)
 
@@ -517,21 +518,9 @@ class SampleTable:
             "gap": gap, "v_follower": self.axis_speed[follower], "v_leader": self.axis_speed[leader],
         }
 
-    def frames(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct frames, their first rows and row counts."""
-        present, starts = np.unique(self.frame, return_index=True)
-        return present, starts, np.diff(np.append(starts, self.frame.size))
-
-    def free_flow_speed(self) -> float | None:
-        """Reference free-flow speed: 85th percentile of per-frame mean speeds."""
-        _, starts, sizes = self.frames()
-        means = np.add.reduceat(self.speed, starts) / sizes
-        return float(np.percentile(means, FREE_FLOW_PERCENTILE)) if means.size else None
-
-
-def segment_free_flow_speed(tracks: PreparedTracks, travel_axis=(1.0, 0.0)) -> float | None:
-    """Reference free-flow speed: 85th percentile of per-frame mean speeds."""
-    return SampleTable.build(tracks, travel_axis).free_flow_speed()
+def segment_free_flow_speed(frame_speed: np.ndarray) -> float | None:
+    """Reference free-flow speed: the FREE_FLOW_PERCENTILE of the per-frame mean speeds, None without frames."""
+    return float(np.percentile(frame_speed, FREE_FLOW_PERCENTILE)) if frame_speed.size else None
 
 
 def _ranges(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -611,9 +600,9 @@ def compute_interval_metrics(
     """
     f0, f1 = window_frames(windows, fps)
     table = SampleTable.build(tracks, segment.unit_axis)
-    present, starts, sizes = table.frames()
+    present, starts = np.unique(table.frame, return_index=True)  # the distinct frames and their first rows
     bounds = np.append(starts, table.frame.size)
-    free_flow = table.free_flow_speed() if trt_cfg.free_flow is None else trt_cfg.free_flow
+    sizes = np.diff(bounds)
     follower, _, _, _, ttc = table.leader_pairs()
     closing = ~np.isnan(ttc)  # exactly the pairs that close
     pair_frame, pair_ttc = table.frame[follower[closing]], ttc[closing]
@@ -628,6 +617,7 @@ def compute_interval_metrics(
     length_at = np.zeros(end - first)  # summed vehicle length of every frame of the span
     length_at[present - first] = np.add.reduceat(table.lengths[table.vid_code], starts)
     frame_speed = np.add.reduceat(table.speed, starts) / sizes
+    free_flow = segment_free_flow_speed(frame_speed) if trt_cfg.free_flow is None else trt_cfg.free_flow
 
     # Every window's present frames ("window frames", window by window) and their sample rows.
     frame_index = _ranges(fa, fb)

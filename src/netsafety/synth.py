@@ -23,10 +23,11 @@ import numpy as np
 
 from .config import IntervalGrid, check_keys, check_value, field_types, json_input, typed
 from .crashes import SLOT_MINUTES
+from .csvio import CodedColumn, csv_text
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
 from .network_metrics import MetricsTable, SegmentConfig, column_names, window_frames
-from .trajectories import TRAJECTORY_COLUMNS, CodedColumn, Trajectory, csv_text
+from .trajectories import TRAJECTORY_COLUMNS, Trajectory
 
 HEADWAY_S = 2.0
 CAR_LENGTH_M = 4.5
@@ -37,10 +38,17 @@ SEGMENT_SPACING_M = 200.0
 MIN_SPAWN_GAP_M = 10.0
 BASE_DATE = datetime(2021, 6, 15)
 TYPE_MIX = (("REAR_END", 0.55), ("SIDESWIPE", 0.30), ("OTHER", 0.15))
-# Crashes an intercept-only plant may plant in all, checked when the spec loads. Each record is a row of the
-# crash file, built in memory; the ceiling is also far below the largest rate numpy's Poisson draw takes
-# (about 9.2e18 per cell), so one comparison covers both.
+# Crashes a plant may plant in all (its rate total), checked when an intercept-only spec loads and before any draw.
+# Each record is a row of the crash file, built in memory; the ceiling is also far below the largest rate numpy's
+# Poisson draw takes (about 9.2e18 per cell), so one comparison covers both.
 PLANT_CRASH_CEILING = 1_000_000
+
+
+def _check_plant_total(log_total: float, planted: str) -> None:
+    """ParameterError naming beta_star and what it ``planted`` unless e**log_total is within the ceiling (not NaN)."""
+    if not log_total <= math.log(PLANT_CRASH_CEILING):
+        total = math.inf if log_total >= 709 else math.exp(log_total)  # e**710 is no double
+        raise ParameterError(f"beta_star{planted}, {total:.3g} in all, past the ceiling of {PLANT_CRASH_CEILING:,}")
 
 
 @dataclass
@@ -98,10 +106,9 @@ class ScenarioSpec:
                 raise SchemaError(f"unknown beta_star key {name!r}; the plant reads one of {list(known)}")
         if self.plant_beta.keys() == {"intercept"}:  # rate e**intercept in every (segment, interval) cell
             intercept, cells = self.plant_beta["intercept"], self.n_segments * self.n_intervals
-            if cells and intercept + math.log(cells) > math.log(PLANT_CRASH_CEILING):
-                total = cells * math.exp(intercept) if intercept < 709 else math.inf  # e**710 is no double
-                raise ParameterError(f"beta_star's intercept {intercept:g} plants e**{intercept:g} crashes in each of "
-                                     f"{cells} cells, {total:.3g} in all, past the ceiling of {PLANT_CRASH_CEILING:,}")
+            if cells:
+                _check_plant_total(intercept + math.log(cells), f"'s intercept {intercept:g} plants e**{intercept:g} "
+                                   f"crashes in each of {cells} cells")
 
     @property
     def slot_seconds(self) -> float:
@@ -297,6 +304,7 @@ def generate_crash_counts(metrics: MetricsTable | Iterable[MetricsTable], spec: 
     gaussian mode adds normal noise around the rates (floored at zero and
     rounded), with sigma chosen so the generator's own R-squared is
     ``spec.target_r2``. Counts are keyed by (segment id, slot of ``spec.slot_minutes``).
+    A plant whose rates total more than PLANT_CRASH_CEILING raises ParameterError before the draw.
     """
     beta_star = spec.plant_beta
     table = MetricsTable.concat(metrics)
@@ -308,15 +316,14 @@ def generate_crash_counts(metrics: MetricsTable | Iterable[MetricsTable], spec: 
         elif np.isnan(raw).any():  # absent values carry no plant signal
             raw = np.where(np.isnan(raw), np.nanmean(raw), raw)
         eta = eta + float(beta_star[name]) * _standardize(raw)
+    with np.errstate(over="ignore", invalid="ignore"):  # log(sum(e**eta)) without e**eta; inf or nan past a double
+        log_total = float(np.logaddexp.reduce(eta))
+    _check_plant_total(log_total, f" plants crashes at its rates in {eta.size} cells")
     lam = np.exp(eta)
 
     rng = np.random.default_rng([spec.seed, 2])
     if spec.noise_kind == "poisson":
-        try:
-            counts = rng.poisson(lam)
-        except ValueError as exc:  # numpy refuses a rate past about 9.2e18
-            raise ParameterError(f"beta_star gives crash rates up to {lam.max():.3g}, past what a Poisson draw "
-                                 f"takes ({exc})") from None
+        counts = rng.poisson(lam)
         sigma = None
     else:
         sigma = math.sqrt(float(lam.var()) * (1.0 - spec.target_r2) / spec.target_r2)

@@ -405,7 +405,9 @@ def interval_metrics_oracle(tracks, segment, cluster_cfg, fps, windows, trt_cfg)
     if have_data:
         fmin, fmax = int(table.frame[0]), int(table.frame[-1])
         if free_flow is None:
-            free_flow = table.free_flow_speed()
+            _, firsts = np.unique(table.frame, return_index=True)
+            means = [float(table.speed[a:b].mean()) for a, b in zip(firsts, [*firsts[1:], table.frame.size])]
+            free_flow = float(np.percentile(means, nm.FREE_FLOW_PERCENTILE))
         follower, leader, _, _, ttc = table.leader_pairs()
         closing = closes(table.axis_speed[follower], table.axis_speed[leader])
         pair_frame = table.frame[follower[closing]]
@@ -522,7 +524,7 @@ def csv_rows_oracle(header, rows):
     import csv
     import io
 
-    from netsafety.trajectories import format_cell
+    from netsafety.csvio import format_cell
 
     # A CRLF terminator makes csv.writer quote a carriage return as well as a newline; each line then ends in LF.
     lines = []
@@ -730,7 +732,8 @@ def parse_trajectories_oracle(text, fps):
     The vehicles come as ``(vehicle_id, frames, boxes)`` in order of first appearance.
     """
     from netsafety.errors import DataError, ParameterError, SchemaError
-    from netsafety.trajectories import TRAJECTORY_COLUMNS, CsvRecords
+    from netsafety.csvio import CsvRecords
+    from netsafety.trajectories import TRAJECTORY_COLUMNS
 
     if fps <= 0:
         raise ParameterError(f"fps must be positive, got {fps}")

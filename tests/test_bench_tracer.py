@@ -101,6 +101,7 @@ def test_patch_table_installs_counts_a_job_and_uninstalls(tmp_path):
               < cfg.prep.min_displacement_m]
     assert metrics["trajectories.static_dropped"] == len(static) and ["parked"] in static
     assert metrics["cli.project_s"] > 0 and metrics["cli.ssm_s"] > 0
+    assert metrics["network_metrics.free_flow_s"] > 0
     report = json.loads((bundle / "association_report.json").read_text())
     assert all("phi" in report["families"][family]["shapley"] for family in cfg.analysis.families)
     assert metrics["association.coalitions"] == len(cfg.analysis.families) * 2 ** len(cfg.analysis.predictors)

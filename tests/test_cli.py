@@ -122,15 +122,20 @@ class TestSynthCommand:
         err = json.loads(capsys.readouterr().err)
         assert "message" in err and "error" in err
 
-    def test_plant_rate_numpy_cannot_draw_exits_2(self, tmp_path, capsys):
-        # e**50 is past the largest rate numpy's Poisson draw takes: its ValueError escaped (exit 1). numpy refuses
-        # the rate before it allocates any count. A metric plant's rates are known only after the metrics pass.
+    @pytest.mark.parametrize("plant, total", [
+        # e**50 is past the largest rate numpy's Poisson draw takes: its ValueError escaped (exit 1).
+        ({"beta_star": {"intercept": 50, "volume": 0.1}}, "1.56e+22"),
+        # No draw refuses a gaussian plant: it would have built about 3e13 crash rows.
+        ({"beta_star": {"intercept": 30, "volume": 0.1}, "noise_kind": "gaussian"}, "3.22e+13"),
+    ], ids=["poisson-intercept-50", "gaussian-intercept-30"])
+    def test_metric_plant_past_the_ceiling_exits_2(self, tmp_path, capsys, plant, total):
+        # A metric plant's rates are known only after the metrics pass; the total is checked before the draw.
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 3, "beta_star": {"intercept": 50, "volume": 0.1}}))
+        spec.write_text(json.dumps({"n_segments": 1, "n_intervals": 3, **plant}))
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ParameterError"
-        assert err["message"].startswith("beta_star gives crash rates up to 5.")
+        assert (err["error"], err["message"]) == ("ParameterError", f"beta_star plants crashes at its rates in 3 "
+                                                  f"cells, {total} in all, past the ceiling of 1,000,000")
 
     @pytest.mark.parametrize("plant, total", [
         # It exited 2 only when numpy's Poisson draw refused the rate, after writing trajectories_S1.csv and

@@ -179,10 +179,10 @@ def test_timestamps_are_read_in_their_own_clock():
 
 
 def test_only_the_reader_loops_over_rows():
-    """No module but trajectories (CsvRecords' own) calls csv.reader or iterates a CsvRecords."""
+    """No module but csvio (CsvRecords' own) calls csv.reader or iterates a CsvRecords."""
     offenders = []
     for path in sorted(Path(netsafety.__file__).parent.rglob("*.py")):
-        if path.name == "trajectories.py":
+        if path.name == "csvio.py":
             continue
         tree = ast.parse(path.read_text())
         records = set()  # names bound to a CsvRecords(...)

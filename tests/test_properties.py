@@ -24,9 +24,10 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from netsafety.cli import main
+from netsafety.csvio import csv_text
 from netsafety.network_metrics import SampleTable, VehicleCluster, cluster_ttc, read_metrics_csv
 from netsafety.surrogate import PairState, drac, ttc
-from netsafety.trajectories import TRAJECTORY_COLUMNS, VehicleClass, csv_text
+from netsafety.trajectories import TRAJECTORY_COLUMNS, VehicleClass
 
 from oracles import csv_rows_oracle, metrics_rows
 from test_network_metrics import assert_rows_match

@@ -1,5 +1,6 @@
 """Checks on the package source itself: every name a module of ``src/netsafety`` imports is read there, every
-private name a module defines is read by some module, and only the one reader and the one writer touch files."""
+private name a module defines is read by some module, only the one reader and the one writer touch files, and the
+CSV dialect depends on no stage."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,22 @@ def test_a_file_call_outside_them_is_named_with_its_file_and_line(tmp_path):
     (package / "m.py").write_text("def read_input(path):\n    return path.read_text()\n")
     assert file_calls(package / "cli.py", tmp_path) + file_calls(package / "m.py", tmp_path) == [
         "netsafety/cli.py:10: write_bytes", "netsafety/cli.py:11: open", "netsafety/m.py:2: read_text"]
+
+
+def package_imports(path: Path) -> set[str]:
+    """The modules of the package that ``path`` imports, as relative names: ``.errors``, ``.stats.regression``."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            dots = "." * node.level
+            imported.update([dots + node.module] if node.module else [dots + alias.name for alias in node.names])
+    return imported
+
+
+def test_the_csv_dialect_depends_on_no_stage():
+    # csvio reads and writes every table of the pipeline; the crash and association stages reach it directly, not
+    # through the trajectory stage.
+    assert package_imports(SRC / "csvio.py") == {".errors"}
+    assert [name for name in ("crashes.py", "association.py") if ".trajectories" in package_imports(SRC / name)] == []
+    # Both import forms are read (``from . import csvio``, ``from .errors import ...``), so the checks above can fail.
+    assert package_imports(SRC / "cli.py") >= {".csvio", ".errors", ".trajectories"}

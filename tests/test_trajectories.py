@@ -7,9 +7,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from netsafety import trajectories
+from netsafety import csvio, trajectories
 from netsafety.cli import main, write_output
 from netsafety.config import load_config, read_input
+from netsafety.csvio import csv_text, format_cell
 from netsafety.errors import DataError, ParameterError, SchemaError
 from netsafety.network_metrics import SampleTable
 from netsafety.synth import ScenarioSpec
@@ -19,10 +20,8 @@ from netsafety.trajectories import (
     VehicleClass,
     box_length_along_axis,
     classify_by_length,
-    csv_text,
     drop_static_objects,
     fill_gaps,
-    format_cell,
     parse_trajectories,
     prepare_tracks,
     serialize_trajectories,
@@ -256,25 +255,33 @@ class TestParseAgainstRowLoop:
         assert traj.frames.tolist() == [0, 2**63 - 1]
 
     @staticmethod
-    def assert_read_without_the_row_loop(monkeypatch, last_id):
-        rng = np.random.default_rng(5)
+    def fifty_vehicles(last_id):
+        """The text of 20,000 rows of 50 interleaved vehicles, the last one ``last_id``, with each row's vehicle
+        code, frame and corners as written."""
         code = np.arange(20_000) % 50
-        vids = trajectories.CodedColumn([f"v{i}" for i in range(49)] + [last_id], code)
-        corners = rng.normal(0, 99, (4, 20_000))
-        text = csv_text(trajectories.TRAJECTORY_COLUMNS, [np.arange(20_000) // 50, vids, *corners])
-        want = _outcome(parse_trajectories_oracle, text)
-        monkeypatch.setattr(trajectories.CsvRecords, "read", lambda self, dtype: pytest.fail("read row by row"))
-        assert _outcome(parsed_vehicles, text) == want
-        assert len(want) == 50
+        frames, corners = np.arange(20_000) // 50, np.random.default_rng(5).normal(0, 99, (4, 20_000))
+        vids = csvio.CodedColumn([f"v{i}" for i in range(49)] + [last_id], code)
+        return csv_text(trajectories.TRAJECTORY_COLUMNS, [frames, vids, *corners]), code, frames, corners
 
     def test_clean_text_is_read_without_the_row_loop(self, monkeypatch):
-        self.assert_read_without_the_row_loop(monkeypatch, "a,b")  # one id quoted
+        text, *_ = self.fifty_vehicles("a,b")  # one id quoted
+        want = _outcome(parse_trajectories_oracle, text)
+        monkeypatch.setattr(csvio.CsvRecords, "read", lambda self, dtype: pytest.fail("read row by row"))
+        assert _outcome(parsed_vehicles, text) == want
+        assert len(want) == 50
 
     # UTF-8 whose continuation bytes latin-1 reads as whitespace (\x85, \xa0), 3- and 4-byte characters,
     # and ids that strip to a shorter one only as Unicode text
     @pytest.mark.parametrize("last_id", ["é", "à,Å", "v\u00a0", "\u0085x", "路口 7", "\U0001f697\u3000"])
-    def test_non_ascii_ids_are_read_without_the_row_loop(self, monkeypatch, last_id):
-        self.assert_read_without_the_row_loop(monkeypatch, last_id)
+    def test_non_ascii_ids_read_back_as_written(self, last_id):
+        text, code, frames, corners = self.fifty_vehicles(last_id)
+        table = parse_trajectories(text, 4.0)
+        assert table.vehicle_ids == [f"v{i}" for i in range(49)] + [last_id.strip()]
+        by_vehicle = np.argsort(code, kind="stable")
+        (x1, x2), (y1, y2) = np.sort(corners[[0, 2]], axis=0), np.sort(corners[[1, 3]], axis=0)
+        assert table.bounds.tolist() == list(range(0, 20_001, 400))
+        assert table.frames.tobytes() == frames[by_vehicle].tobytes()
+        assert table.boxes.tobytes() == np.column_stack([x1, y1, x2, y2])[by_vehicle].tobytes()
 
     def test_bytes_that_are_not_utf8_raise_as_in_the_row_loop(self):
         with pytest.raises(UnicodeDecodeError):  # loadtxt would take the lone \xa0 for whitespace
@@ -321,12 +328,12 @@ class TestCsvText:
         codes = np.array([0, 1, 1, 3, 2, 4, 0, 2])
         want = csv_rows_oracle(["id", "n"], [(labels[c], c) for c in codes.tolist()])
         formatted = []
-        monkeypatch.setattr(trajectories, "format_cell", lambda value: formatted.append(value) or format_cell(value))
-        assert csv_text(["id", "n"], [trajectories.CodedColumn(labels, codes), codes]) == want
+        monkeypatch.setattr(csvio, "format_cell", lambda value: formatted.append(value) or format_cell(value))
+        assert csv_text(["id", "n"], [csvio.CodedColumn(labels, codes), codes]) == want
         assert formatted == labels + ["id", "n"]
 
     def test_coded_column_formats_each_label_once_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(trajectories, "CSV_CHUNK_ROWS", 3)  # the table's 8 rows span 3 chunks
+        monkeypatch.setattr(csvio, "CSV_CHUNK_ROWS", 3)  # the table's 8 rows span 3 chunks
         self.test_coded_column_formats_each_label_once(monkeypatch)
 
     def test_empty_header_writes_data_lines_only(self):
@@ -356,7 +363,7 @@ def _edge_floats() -> np.ndarray:
 
 
 class TestWriteCsv:
-    C = trajectories.CSV_CHUNK_ROWS
+    C = csvio.CSV_CHUNK_ROWS
 
     @pytest.mark.parametrize("n", [0, 1, C - 1, C, C + 1, 2 * C + 1])
     def test_file_bytes_equal_csv_text_at_chunk_boundaries(self, tmp_path, n):
@@ -370,8 +377,8 @@ class TestWriteCsv:
         ints = np.concatenate([[-(2**63), 2**63 - 1, 0, -1], rng.integers(-(10**12), 10**12, n)])[:n]
         generic = [None if i % 3 == 0 else i / 7 if i % 3 == 1 else f"g,{i}" for i in range(n)]
         header = ["float", "masked", "int", "id", "generic"]
-        columns = [floats, masked, ints, trajectories.CodedColumn(labels, codes), generic]
-        write_output(tmp_path / "t.csv", trajectories.csv_chunks(header, columns))
+        columns = [floats, masked, ints, csvio.CodedColumn(labels, codes), generic]
+        write_output(tmp_path / "t.csv", csvio.csv_chunks(header, columns))
         # The oracle gets the masked cells as None.
         want = csv_rows_oracle(header, zip(floats, masked.tolist(), ints, [labels[c] for c in codes], generic))
         assert (tmp_path / "t.csv").read_bytes() == csv_text(header, columns).encode() == want.encode()
@@ -389,12 +396,12 @@ def test_float_cells_decide_every_default_bundle_world_and_ssm_cell_the_rule_nam
         assert main([*argv, "--in", str(tmp_path / f"trajectories_{seg.segment_id}.csv")]) == 0
         table = parse_trajectories(read_input(world), cfg.fps)
         ssm = SampleTable.build(prepare_tracks(table, seg.unit_axis, cfg.prep), seg.unit_axis).ssm_columns(cfg.fps)
-        for column in [*table.boxes.T, *(c for c in ssm.values() if not isinstance(c, trajectories.CodedColumn))]:
+        for column in [*table.boxes.T, *(c for c in ssm.values() if not isinstance(c, csvio.CodedColumn))]:
             values, absent = np.ma.getdata(column), np.ma.getmaskarray(column)
             size = np.abs(values)
             cells += values.size
             named += np.sum(~absent & ~((size == 0) | (size >= 1e-4) & (size < 1e16)))  # NaN, inf, tiny, huge
-            fallbacks += trajectories.float_cells(values, absent)[2]
+            fallbacks += csvio.float_cells(values, absent)[2]
     assert cells > 10**6
     assert fallbacks == named
 
