@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .crashes import CRASH_FAMILIES, SLOT_MINUTES, CrashBinning
+from .crashes import CRASH_FAMILIES, CrashBinning, slots_per_day
 from .csvio import csv_text
 from .errors import DataError, ParameterError
 from .network_metrics import COLUMN_ALIASES, MetricsTable
@@ -52,8 +52,7 @@ class AnalysisConfig:
     exclude_slots: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
-        if self.slot_minutes not in SLOT_MINUTES:
-            raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {self.slot_minutes}")
+        n_slots = slots_per_day(self.slot_minutes)
         if self.cv_folds < 2:
             raise ParameterError(f"cv_folds must be at least 2, got {self.cv_folds}")
         if self.seed < 0:
@@ -69,10 +68,9 @@ class AnalysisConfig:
             one = [COLUMN_ALIASES.get(n, n) for n in names]  # a name per column, not per spelling
             if twice := list(dict.fromkeys(n for n, c in zip(names, one) if one.count(c) > 1)):
                 raise ParameterError(f"{key} name {twice} more than once")
-        slots_per_day = 24 * 60 // self.slot_minutes
-        outside = [list(entry) for entry in self.exclude_slots if not 0 <= entry[1] < slots_per_day]
+        outside = [list(entry) for entry in self.exclude_slots if not 0 <= entry[1] < n_slots]
         if outside:
-            raise ParameterError(f"exclude_slots entry {outside[0]} needs 0 <= slot < {slots_per_day}")
+            raise ParameterError(f"exclude_slots entry {outside[0]} needs 0 <= slot < {n_slots}")
 
 
 def build_dataset(
@@ -90,26 +88,26 @@ def build_dataset(
     ``extras``.
     """
     table = MetricsTable.concat(metrics)
-    slots_per_day = 24 * 60 // binning.slot_minutes
+    n_slots = slots_per_day(binning.slot_minutes)
     t_start = table.columns["interval_start"]
     slot = t_start // (binning.slot_minutes * 60)
-    off_grid = np.flatnonzero((slot < 0) | (slot >= slots_per_day))
+    off_grid = np.flatnonzero((slot < 0) | (slot >= n_slots))
     if off_grid.size:
         i = off_grid[0]
         raise DataError(f"interval start {t_start[i]}s falls outside the slot grid (slot {int(slot[i])} of "
-                        f"{slots_per_day}); intervals must lie within one day")
-    # The crash grid and the exclusion list as flat arrays over the table's segments, at segment * slots_per_day + slot;
+                        f"{n_slots}); intervals must lie within one day")
+    # The crash grid and the exclusion list as flat arrays over the table's segments, at segment * n_slots + slot;
     # a segment the binning lacks takes the appended nan row (no crash data).
     segments, segment = np.unique(table.segment_id.astype(str), return_inverse=True)
-    at = {sid: i * slots_per_day for i, sid in enumerate(segments.tolist())}
-    mean = np.vstack([binning.mean_counts(family), np.full(slots_per_day, np.nan)])
+    at = {sid: i * n_slots for i, sid in enumerate(segments.tolist())}
+    mean = np.vstack([binning.mean_counts(family), np.full(n_slots, np.nan)])
     row = {sid: i for i, sid in enumerate(binning.segment_ids)}
     count = mean[[row.get(sid, -1) for sid in segments.tolist()]].ravel()
     on_list = np.zeros(count.size, dtype=bool)
     for sid, k in exclude_slots:
-        if str(sid) in at and 0 <= int(k) < slots_per_day:
+        if str(sid) in at and 0 <= int(k) < n_slots:
             on_list[at[str(sid)] + int(k)] = True
-    code = segment * slots_per_day + slot.astype(np.int64)
+    code = segment * n_slots + slot.astype(np.int64)
     x = np.column_stack([table.column(p) for p in predictors])
     excluded = on_list[code]
     no_data = ~excluded & np.isnan(count[code])

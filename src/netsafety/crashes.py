@@ -99,6 +99,13 @@ def parse_crashes(data: bytes | str) -> CrashRecords:
                         (stamp - stamp.astype("M8[D]")).astype(np.int64), table["lat"], table["lon"], codes[inverse])
 
 
+def slots_per_day(slot_minutes: int) -> int:
+    """The number of time-of-day slots of ``slot_minutes`` each; only the SLOT_MINUTES lengths are slots."""
+    if slot_minutes not in SLOT_MINUTES:
+        raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {slot_minutes}")
+    return 24 * 60 // slot_minutes
+
+
 def bin_crashes(
     records: CrashRecords,
     segments: Sequence[SegmentConfig],
@@ -115,8 +122,7 @@ def bin_crashes(
     slot of the day, zeros included. Years covered defaults to the distinct
     years present in the data, or the configured range.
     """
-    if slot_minutes not in SLOT_MINUTES:
-        raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {slot_minutes}")
+    n_slots = slots_per_day(slot_minutes)
     for seg in segments:
         if seg.bbox is None:
             raise ParameterError(f"segment {seg.segment_id!r} has no bbox for crash matching")
@@ -147,7 +153,7 @@ def bin_crashes(
         )
     first = inside[hit].argmax(axis=1) if segments else np.zeros(0, dtype=np.int64)  # argmax needs a segment
     cell = (first, records.minute[hit] // slot_minutes)
-    counts = np.zeros((len(CRASH_FAMILIES), len(segments), 24 * 60 // slot_minutes))
+    counts = np.zeros((len(CRASH_FAMILIES), len(segments), n_slots))
     for family, in_family in zip(counts, _IN_FAMILY):
         np.add.at(family, cell, in_family[records.crash_type[hit]])
     assigned = int(hit.sum())

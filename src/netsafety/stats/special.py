@@ -30,6 +30,15 @@ def _lower_gamma_series(a: float, x: float) -> float:
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
+def _lentz(a: float, b: float, c: float, d: float) -> tuple[float, float, float]:
+    """One modified-Lentz step through the term a / (b + ...): the next c and d, and their product."""
+    d = a * d + b
+    d = 1.0 / (_TINY if abs(d) < _TINY else d)
+    c = b + a / c
+    c = _TINY if abs(c) < _TINY else c
+    return c, d, d * c
+
+
 def _upper_gamma_cf(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) by continued fraction (x >= a + 1)."""
     b = x + 1.0 - a
@@ -37,16 +46,8 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     d = 1.0 / b
     h = d
     for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(-i * (i - a), b, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break
@@ -80,24 +81,9 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
+        c, d, delta = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
+        h *= delta
+        c, d, delta = _lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         h *= delta
         if abs(delta - 1.0) < _EPS:
             break

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import IntervalGrid, check_keys, check_value, field_types, json_input, typed
-from .crashes import SLOT_MINUTES
+from .crashes import slots_per_day
 from .csvio import CodedColumn, csv_text
 from .errors import ParameterError, SchemaError
 from .geo import TangentPlane
@@ -83,7 +83,7 @@ class ScenarioSpec:
             setattr(self, name, value)
             if kind == tuple[float, float] and not 0 <= value[0] <= value[1]:
                 raise ParameterError(f"{name} must be a range 0 <= lo <= hi, got {value}")
-        for name, low in (("seed", 0), ("n_segments", 1)):
+        for name, low in (("seed", 0), ("n_segments", 1), ("n_intervals", 1)):
             if getattr(self, name) < low:
                 raise ParameterError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.fps <= 0 or self.interval_seconds <= 0:
@@ -93,9 +93,7 @@ class ScenarioSpec:
         if not 0 < self.target_r2 < 1:
             raise ParameterError(f"target_r2 must be in (0, 1), got {self.target_r2}")
         self.tangent_plane()  # refuses an anchor off the globe at load
-        if self.slot_minutes not in SLOT_MINUTES:
-            raise ParameterError(f"slot_minutes must be one of {SLOT_MINUTES}, got {self.slot_minutes}")
-        if self.n_intervals > 24 * 60 // self.slot_minutes:
+        if self.n_intervals > slots_per_day(self.slot_minutes):
             raise ParameterError(f"{self.n_intervals} intervals do not fit in one day of {self.slot_minutes}-min slots")
         if self.interval_seconds > self.slot_minutes * 60:
             raise ParameterError("interval_seconds cannot exceed the slot length")

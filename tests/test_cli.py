@@ -179,6 +179,8 @@ class TestSynthCommand:
          "scenario spec has a value of the wrong type: flow_veh_per_min must be a list of 2 numbers, got [5]"),
         # n_segments 0 used to exit 0 with a bundle that every other command refused.
         ('{"n_segments": 0}', "ParameterError", "n_segments must be >= 1, got 0"),
+        # n_intervals 0 exited 0 with a bundle of no intervals; a gaussian plant wrote "sigma": NaN to plant.json.
+        ('{"n_intervals": 0}', "ParameterError", "n_intervals must be >= 1, got 0"),
         ('{"seed": -1}', "ParameterError", "seed must be >= 0, got -1"),
         ('{"fps": NaN}', "SchemaError",
          "scenario spec has a value of the wrong type: fps must be a number, got nan"),
@@ -206,11 +208,11 @@ class TestSynthCommand:
          "target_r2 must be in (0, 1), got 1.5"),
         ('{"n_segments": 1, "noise_kind": "poisson", "target_r2": 0}', "ParameterError",
          "target_r2 must be in (0, 1), got 0"),
-    ], ids=["not-an-object", "fractional-count", "string-number", "one-number-range", "no-segments", "negative-seed",
-            "nan-number", "plant-not-an-object", "negative-range", "window-without-a-frame-intercept-only",
-            "window-without-a-frame-metric-plant", "plant-key-osr_abc", "plant-key-segment_id", "plant-key-foo",
-            "plant-key-osr_2.0", "anchor-lat-off-the-globe", "anchor-lon-off-the-globe",
-            "target-r2-above-one-gaussian", "target-r2-zero-poisson"])
+    ], ids=["not-an-object", "fractional-count", "string-number", "one-number-range", "no-segments", "no-intervals",
+            "negative-seed", "nan-number", "plant-not-an-object", "negative-range",
+            "window-without-a-frame-intercept-only", "window-without-a-frame-metric-plant", "plant-key-osr_abc",
+            "plant-key-segment_id", "plant-key-foo", "plant-key-osr_2.0", "anchor-lat-off-the-globe",
+            "anchor-lon-off-the-globe", "target-r2-above-one-gaussian", "target-r2-zero-poisson"])
     def test_malformed_spec_exits_2_naming_the_field(self, tmp_path, capsys, spec, error, message):
         (tmp_path / "spec.json").write_text(spec)
         assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "o")]) == 2

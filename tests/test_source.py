@@ -1,6 +1,6 @@
 """Checks on the package source itself: every name a module of ``src/netsafety`` imports is read there, every
-private name a module defines is read by some module, only the one reader and the one writer touch files, and the
-CSV dialect depends on no stage."""
+private name a module defines is read by some module, only the one reader and the one writer touch files, the
+CSV dialect depends on no stage, and only ``crashes`` states the slot rule."""
 
 import ast
 from pathlib import Path
@@ -133,3 +133,39 @@ def test_the_csv_dialect_depends_on_no_stage():
     assert [name for name in ("crashes.py", "association.py") if ".trajectories" in package_imports(SRC / name)] == []
     # Both import forms are read (``from . import csvio``, ``from .errors import ...``), so the checks above can fail.
     assert package_imports(SRC / "cli.py") >= {".csvio", ".errors", ".trajectories"}
+
+
+def slot_rule_uses(path: Path, root: Path = SRC.parent) -> list[str]:
+    """``file:line: what`` for each read of ``SLOT_MINUTES`` (name, attribute or import) and each ``24 * 60`` in
+    ``path``."""
+    uses = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and node.id == "SLOT_MINUTES" and not isinstance(node.ctx, ast.Store):
+            uses.append((node.lineno, "SLOT_MINUTES"))
+        elif isinstance(node, ast.Attribute) and node.attr == "SLOT_MINUTES":
+            uses.append((node.lineno, "SLOT_MINUTES"))
+        elif isinstance(node, ast.ImportFrom) and any(alias.name == "SLOT_MINUTES" for alias in node.names):
+            uses.append((node.lineno, "SLOT_MINUTES"))
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+              and [getattr(side, "value", None) for side in (node.left, node.right)] == [24, 60]):
+            uses.append((node.lineno, "24 * 60"))
+    return [f"{path.relative_to(root).as_posix()}:{line}: {what}" for line, what in sorted(uses)]
+
+
+def test_only_crashes_states_the_slot_rule():
+    # crashes.slots_per_day checks a slot length against SLOT_MINUTES and counts the day's slots; every other module
+    # calls it.
+    assert [line for path in sorted(SRC.rglob("*.py")) if path.name != "crashes.py"
+            for line in slot_rule_uses(path)] == []
+    assert slot_rule_uses(SRC / "crashes.py")  # the rule is still there to be found
+
+
+def test_a_slot_rule_use_is_named_with_its_file_and_line(tmp_path):
+    module = tmp_path / "netsafety" / "m.py"
+    module.parent.mkdir()
+    module.write_text("from . import crashes\nfrom .crashes import SLOT_MINUTES\n\n\n"
+                      "def f(m):\n    return m in SLOT_MINUTES and m in crashes.SLOT_MINUTES\n\n\n"
+                      "def g(m):\n    return 24 * 60 // m + 60 * 24 + 24 * 30\n")
+    assert slot_rule_uses(module, tmp_path) == [
+        "netsafety/m.py:2: SLOT_MINUTES", "netsafety/m.py:6: SLOT_MINUTES", "netsafety/m.py:6: SLOT_MINUTES",
+        "netsafety/m.py:10: 24 * 60"]

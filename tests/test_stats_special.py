@@ -73,3 +73,30 @@ class TestTails:
     def test_f_infinite_statistic(self):
         assert f_sf(float("inf"), 3, 10) == 0.0
         assert f_sf(0.0, 3, 10) == 1.0
+
+
+# Values as float.hex() literals, one case per branch: the gamma series (x < a + 1) and continued fraction, the beta
+# fraction taken directly and through 1 - I_{1-x}(b, a), x at 0 and 1, and f = inf. The scipy grids above allow
+# about 1e-12; these hold every bit, so a refactor of the fractions cannot move a p-value unseen.
+BIT_PINS = [
+    (gammainc_upper, (3.0, 1.5), "0x1.9e212bf944b7bp-1"),
+    (gammainc_upper, (2.5, 10.0), "0x1.479bff968f680p-10"),
+    (gammainc_upper, (3.0, 0.0), "0x1.0000000000000p+0"),
+    (betainc, (2.0, 5.0, 0.1), "0x1.d40789613d32dp-4"),
+    (betainc, (2.0, 5.0, 0.8), "0x1.ff2e48e8a71dep-1"),
+    (betainc, (30.5, 0.5, 0.999), "0x1.9c7f010ca0c94p-1"),
+    (betainc, (2.0, 5.0, 0.0), "0x0.0p+0"),
+    (betainc, (2.0, 5.0, 1.0), "0x1.0000000000000p+0"),
+    (chi2_sf, (10 / 3, 1), "0x1.1612f03e2775fp-4"),
+    (chi2_sf, (1.0, 4), "0x1.d1d0c7aa7610fp-1"),
+    (chi2_sf, (250.0, 60), "0x1.2f674bfc6e516p-81"),
+    (f_sf, (2.5, 3, 40), "0x1.2c0cc1634ee8ap-4"),
+    (f_sf, (0.3, 5, 12), "0x1.cea1917fea006p-1"),
+    (f_sf, (40.0, 2, 298), "0x1.d7c92d7bcba30p-52"),
+    (f_sf, (float("inf"), 3, 10), "0x0.0p+0"),
+]
+
+
+@pytest.mark.parametrize("fn, args, bits", BIT_PINS, ids=[f"{fn.__name__}{args}" for fn, args, _ in BIT_PINS])
+def test_bit_pins(fn, args, bits):
+    assert fn(*args).hex() == bits
